@@ -19,8 +19,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from entrisk.experiment import (
     ExperimentConfig,
     emit_csv,
+    emit_summary_json,
     generate_instance,
-    run_sweep,
+    lambda_grid,
+    sweep_records,
     sweep_summary,
 )
 
@@ -50,10 +52,11 @@ CONFIG = {
 def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
     (ROOT / "results").mkdir(exist_ok=True)
-    records = run_sweep(cfg)
+    q, data, profile = generate_instance(cfg)
+    records = sweep_records(q, profile, lambda_grid(cfg))
     emit_csv(records, ROOT / CONFIG["output_csv"])
-    q, data, _ = generate_instance(cfg)
     summary = sweep_summary(cfg, records, q, data)
+    emit_summary_json(summary, ROOT / CONFIG["output_json"])
 
     print(f"instance: {q.num_atoms} atoms, {data.n} data points")
     print(f"{'lambda':>10} {'risk_1':>10} {'risk_2':>10} {'k_bar':>12} "

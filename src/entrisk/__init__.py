@@ -61,14 +61,12 @@ from .risk import (
 )
 from .type1 import (
     GibbsSolution,
-    LogPartition,
     log_partition,
     solve_type1,
     type1_objective,
 )
 from .type2 import (
     KBarResult,
-    NormalizationFunction,
     TypeIISolution,
     escaped_mixture_objective,
     expected_risk_identity,
@@ -105,7 +103,6 @@ __all__ = [
     "InstanceGenerationFailure",
     "InvariantViolation",
     "KBarResult",
-    "LogPartition",
     "LogRiskProfile",
     "LossSpec",
     "MalformedHeader",
@@ -116,7 +113,6 @@ __all__ = [
     "NonFiniteWeight",
     "NonPositiveArgument",
     "NonPositiveLambda",
-    "NormalizationFunction",
     "PredictorSpec",
     "RowArity",
     "SupportMismatch",

@@ -3,10 +3,11 @@
 A single flat JSON document configures an experiment: a lattice model grid, a
 reference measure over it (uniform, gaussian-weighted, or restricted to a
 sub-box to induce misspecification), a dataset (synthetic or CSV), and a
-geometric grid of regularization factors. ``run_sweep`` solves both
+geometric grid of regularization factors. ``sweep_records`` solves both
 regularization directions at every factor and records the identities and
-bounds each solution must satisfy; ``emit_csv`` writes the records with
-17-significant-digit floats so output files are byte-stable.
+bounds each solution must satisfy; ``invariant_checks`` judges those records
+for both the sweep summary and the verify command; ``emit_csv`` writes the
+records with 17-significant-digit floats so output files are byte-stable.
 
 Everything is deterministic: randomness is confined to explicitly seeded
 generators, sums are exactly accumulated, and rows are ordered by ascending
@@ -37,6 +38,8 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, ModelPoint, kl_divergence, make_measure
 from .risk import (
+    LOSS_KINDS,
+    PREDICTOR_KINDS,
     Dataset,
     EmpiricalRiskProfile,
     LossSpec,
@@ -144,11 +147,10 @@ class ExperimentConfig:
             _require(key in raw, f"field {key!r}: required")
 
         predictor = raw["predictor"]
-        _require(predictor in ("linear_regression", "linear_threshold_classifier"),
+        _require(predictor in PREDICTOR_KINDS,
                  f"field 'predictor': unknown kind {predictor!r}")
         loss = raw["loss"]
-        _require(loss in ("squared", "absolute", "zero_one"),
-                 f"field 'loss': unknown kind {loss!r}")
+        _require(loss in LOSS_KINDS, f"field 'loss': unknown kind {loss!r}")
         intercept = bool(raw.get("intercept", False))
 
         grid_min = _float_list(raw["grid_min"], "grid_min")
@@ -252,10 +254,7 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            raise
+        text = path.read_text(encoding="utf-8")
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -331,20 +330,29 @@ def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
 def generate_instance(
     cfg: ExperimentConfig,
 ) -> tuple[DiscreteMeasure, Dataset, EmpiricalRiskProfile]:
-    """Build (reference measure, dataset, risk profile) deterministically."""
-    grid = grid_points(cfg)
-    q = build_reference(cfg, grid)
-    if cfg.dataset == "synthetic":
-        data = synthesize_dataset(cfg)
-    else:
-        data = ingest_csv_dataset(cfg.base_dir / cfg.csv_path)
-    pred = predictor_spec(cfg)
-    if data.pattern_dim != pred.pattern_dim:
-        raise ConfigError(
-            f"field 'csv_path': dataset pattern dimension {data.pattern_dim} "
-            f"does not match predictor dimension {pred.pattern_dim}"
-        )
-    profile = risk_profile(q, data, pred, loss_spec(cfg))
+    """Build (reference measure, dataset, risk profile) deterministically.
+
+    Package errors and ``OSError`` (for example a missing ``csv_path``) pass
+    through; any other failure is raised as InstanceGenerationFailure.
+    """
+    try:
+        grid = grid_points(cfg)
+        q = build_reference(cfg, grid)
+        if cfg.dataset == "synthetic":
+            data = synthesize_dataset(cfg)
+        else:
+            data = ingest_csv_dataset(cfg.base_dir / cfg.csv_path)
+        pred = predictor_spec(cfg)
+        if data.pattern_dim != pred.pattern_dim:
+            raise ConfigError(
+                f"field 'csv_path': dataset pattern dimension {data.pattern_dim} "
+                f"does not match predictor dimension {pred.pattern_dim}"
+            )
+        profile = risk_profile(q, data, pred, loss_spec(cfg))
+    except (EntriskError, OSError):
+        raise
+    except Exception as exc:  # unexpected failure, e.g. a non-UTF-8 data file
+        raise InstanceGenerationFailure(str(exc)) from exc
     return q, data, profile
 
 
@@ -385,24 +393,25 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
-    """Solve both directions at every factor; failures mark rows, not aborts."""
-    try:
-        q, _, profile = generate_instance(cfg)
-    except EntriskError:
-        raise
-    except Exception as exc:  # unexpected failure during generation
-        raise InstanceGenerationFailure(str(exc)) from exc
+    """Build the configured instance and sweep its factor grid."""
+    q, _, profile = generate_instance(cfg)
+    return sweep_records(q, profile, lambda_grid(cfg))
 
+
+def sweep_records(
+    q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
+) -> list[SweepRecord]:
+    """Solve both directions at every factor; failures mark rows, not aborts."""
     delta_star = float(profile.aligned(q.support).min())
     records: list[SweepRecord] = []
-    for lam in lambda_grid(cfg):
+    for lam in lambdas:
         lam = float(lam)
         try:
             sol1 = solve_type1(q, profile, lam)
             risk1 = expected_risk(sol1.measure, profile)
             sol2 = solve_type2(q, profile, lam)
             risk2 = expected_risk(sol2.measure, profile)
-            _, _, gap = verify_theorem2(q, profile, lam)
+            _, gap = verify_theorem2(q, profile, sol2)
             records.append(
                 SweepRecord(
                     lam=lam,
@@ -423,6 +432,31 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
         except EntriskError as exc:
             records.append(_failed_record(lam, type(exc).__name__))
     return records
+
+
+def invariant_checks(records: Sequence[SweepRecord]) -> dict[str, tuple[bool, str]]:
+    """Verdict and worst measured value of each sweep invariant over the rows.
+
+    Maps each invariant name to ``(holds, detail)``; the numeric checks run
+    over the ok rows only, and ``all_rows_ok`` fails when any row failed.
+    """
+    ok = [r for r in records if r.status == "ok"]
+    k_bars = [r.k_bar_type2 for r in ok]
+
+    def at_most(values: list[float], limit: float) -> tuple[bool, str]:
+        return all(v <= limit for v in values), f"worst={max(values, default=0.0):.3g}"
+
+    margins = [r.bound_margin for r in ok]
+    return {
+        "all_rows_ok": (len(ok) == len(records), ""),
+        "residual_le_1e-12": at_most([r.residual for r in ok], 1e-12),
+        "identity_gap_le_1e-9": at_most([r.identity_gap for r in ok], 1e-9),
+        "bound_margin_positive": (
+            all(m > 0.0 for m in margins), f"min={min(margins, default=math.inf):.3g}"
+        ),
+        "theorem2_gap_le_1e-9": at_most([r.theorem2_gap for r in ok], 1e-9),
+        "k_bar_strictly_increasing": (all(a < b for a, b in zip(k_bars, k_bars[1:])), ""),
+    }
 
 
 def _fmt(x: float) -> str:
@@ -453,6 +487,12 @@ def emit_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def emit_summary_json(summary: dict[str, Any], path: str | Path) -> None:
+    """UTF-8, LF-terminated JSON with sorted keys and two-space indents."""
+    text = json.dumps(summary, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def emit_dataset_csv(data: Dataset, path: str | Path) -> None:
@@ -524,8 +564,11 @@ def grid_argmin_outside_support(
     """Whether the full-grid empirical risk minimizers all fall outside supp(Q).
 
     True on misspecified-reference instances: the solution support still
-    collapses onto supp(Q) even though the data points elsewhere.
+    collapses onto supp(Q) even though the data points elsewhere. False
+    without evaluating any risk when supp(Q) is the whole grid.
     """
+    if q.num_atoms == math.prod(cfg.grid_resolution):
+        return False
     grid = grid_points(cfg)
     full = risk_profile(make_measure(grid, np.ones(len(grid))), data,
                         predictor_spec(cfg), loss_spec(cfg))
@@ -540,23 +583,11 @@ def sweep_summary(
     data: Dataset,
 ) -> dict[str, Any]:
     """Config echo, instance digest, and pass/fail flags per sweep invariant."""
-    ok = [r for r in records if r.status == "ok"]
-    k_bars = [r.k_bar_type2 for r in ok]
-    flags = {
-        "all_rows_ok": len(ok) == len(records),
-        "identity_gap_le_1e-9": all(r.identity_gap <= 1e-9 for r in ok),
-        "bound_margin_positive": all(r.bound_margin > 0.0 for r in ok),
-        "theorem2_gap_le_1e-9": all(r.theorem2_gap <= 1e-9 for r in ok),
-        "residual_le_1e-12": all(r.residual <= 1e-12 for r in ok),
-        "k_bar_strictly_increasing": all(
-            a < b for a, b in zip(k_bars, k_bars[1:])
-        ),
-    }
     return {
         "config": cfg.raw,
         "instance_digest": instance_digest(q, data),
         "rows": len(records),
-        "rows_ok": len(ok),
+        "rows_ok": sum(r.status == "ok" for r in records),
         "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data),
-        "invariants": flags,
+        "invariants": {name: ok for name, (ok, _) in invariant_checks(records).items()},
     }

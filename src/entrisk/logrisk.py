@@ -11,11 +11,11 @@ solution measure atom by atom. The tilt's partition function is known in
 closed form, because the Q-mean of lam * exp(-V) is exactly the normalization
 constraint that defined k_bar: it equals 1, so the tilt normalizer is 1/lam.
 
-``verify_theorem2`` runs both code paths, the implicit-normalization root
-solve and the Gibbs tilt on the transformed risk, and reports their maximum
-atom-wise weight gap. The two paths share no arithmetic beyond the risk
-profile, which makes this the strongest internal consistency check in the
-package.
+``verify_theorem2`` takes a reversed-direction solution from the
+implicit-normalization root solve, computes the Gibbs tilt on the transformed
+risk, and reports their maximum atom-wise weight gap. The two paths share no
+arithmetic beyond the risk profile, which makes this the strongest internal
+consistency check in the package.
 
 Note that V may be negative (unlike raw risks); downstream consumers accept
 that, and the tilt used here deliberately does not assume nonnegativity.
@@ -33,7 +33,7 @@ from .errors import InvariantViolation, NonPositiveArgument, SupportMismatch
 from .measures import DiscreteMeasure, ModelPoint
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
-from .type2 import TypeIISolution, solve_type2
+from .type2 import TypeIISolution
 
 #: Tolerance on |log(lam * sum q * exp(-V))|, the hidden normalization identity.
 NORMALIZATION_TOL = 1e-10
@@ -99,22 +99,22 @@ def expected_log_risk(p: DiscreteMeasure, vprofile: LogRiskProfile) -> float:
 
 
 def verify_theorem2(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, lam: float
-) -> tuple[DiscreteMeasure, DiscreteMeasure, float]:
-    """Solve both directions and return (reversed, tilt-on-V, max weight gap).
+    q: DiscreteMeasure, profile: EmpiricalRiskProfile, sol: TypeIISolution
+) -> tuple[DiscreteMeasure, float]:
+    """Tilt Q by exp(-V) and return (tilted, max weight gap to ``sol.measure``).
 
-    The reversed-direction problem is solved by the root finder; the
-    transformed problem is solved by the Gibbs tilt of Q by exp(-V) with unit
-    regularization factor. Before comparing, the hidden normalization
-    identity lam * sum q*exp(-V) = 1 (the defining constraint of k_bar,
-    restated through the transform) is asserted to NORMALIZATION_TOL.
+    ``sol`` is the root finder's solution of the reversed-direction problem
+    on ``q`` at factor ``sol.lam``; the transformed problem is solved by the
+    Gibbs tilt of Q by exp(-V) with unit regularization factor. Before
+    comparing, the hidden normalization identity lam * sum q*exp(-V) = 1 (the
+    defining constraint of k_bar, restated through the transform) is asserted
+    to NORMALIZATION_TOL.
     """
-    sol = solve_type2(q, profile, lam)
     vprofile = log_risk_profile(profile, sol)
     values = np.asarray(
         [vprofile.value_of(pt) for pt in q.support], dtype=float
     )
-    total = lam * math.fsum(np.asarray(q.weights, dtype=float) * np.exp(-values))
+    total = sol.lam * math.fsum(np.asarray(q.weights, dtype=float) * np.exp(-values))
     if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = {total} deviates from 1 beyond {NORMALIZATION_TOL}"
@@ -126,4 +126,4 @@ def verify_theorem2(
         abs(float(w) - by_point.get(pt, 0.0))
         for pt, w in zip(sol.measure.support, sol.measure.weights)
     )
-    return sol.measure, tilted, gap
+    return tilted, gap

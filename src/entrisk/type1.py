@@ -49,23 +49,6 @@ def _tilt(
 
 
 @dataclass(frozen=True, eq=False)
-class LogPartition:
-    """Log of the tilted total mass, queried lazily per exponent.
-
-    ``value_at(t)`` returns log of the Q-mean of exp(t * L). It is 0 at t = 0
-    (total probability mass) and convex in t.
-    """
-
-    q: DiscreteMeasure
-    profile: EmpiricalRiskProfile
-
-    def value_at(self, t: float) -> float:
-        return log_partition(self.q, self.profile, t)
-
-    __call__ = value_at
-
-
-@dataclass(frozen=True, eq=False)
 class GibbsSolution:
     """Tilted measure, its regularization factor, and the log normalizer used."""
 

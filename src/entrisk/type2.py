@@ -61,26 +61,6 @@ DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 10_000
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationFunction:
-    """g(beta) = sum of q(theta)*lam/(beta + L(theta)), strictly decreasing.
-
-    Defined for beta strictly above ``-delta_star``; below that edge some
-    denominator is nonpositive and the query is rejected.
-    """
-
-    q: DiscreteMeasure
-    profile: EmpiricalRiskProfile
-    lam: float
-
-    @property
-    def domain_lower_edge(self) -> float:
-        return -float(self.profile.aligned(self.q.support).min())
-
-    def __call__(self, beta: float) -> float:
-        return normalization_value(self.q, self.profile, self.lam, beta)
-
-
 class KBarResult(NamedTuple):
     """Root of the normalization constraint plus solver diagnostics.
 

@@ -181,9 +181,9 @@ def test_criterion_07_equivalence_of_directions():
     for _ in range(50):
         q, _, prof = random_pipeline_instance(rng)
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
-        _, _, gap = verify_theorem2(q, prof, lam)
-        worst_gap = max(worst_gap, gap)
         sol = solve_type2(q, prof, lam)
+        _, gap = verify_theorem2(q, prof, sol)
+        worst_gap = max(worst_gap, gap)
         vprof = log_risk_profile(prof, sol)
         values = np.asarray([vprof.value_of(pt) for pt in q.support])
         log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))

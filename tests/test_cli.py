@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import entrisk
+from entrisk import cli, experiment, logrisk, type2
 from entrisk.cli import cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +45,28 @@ def copy_two_atom_fixture(tmp_path: Path) -> Path:
     for name in ("two_atom_config.json", "two_atom_data.csv"):
         shutil.copy(FIXTURES / name, tmp_path / name)
     return tmp_path / "two_atom_config.json"
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` through every package module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (entrisk, experiment, logrisk, type2, cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+COMMANDS = {
+    "sweep": ["sweep"],
+    "solve": ["solve", "--lambda", "1.0", "--type", "2"],
+    "verify": ["verify"],
+}
 
 
 class TestVerify:
@@ -118,6 +142,48 @@ class TestSweep:
         cfg.write_text(json.dumps(raw))
         assert cli_main(["sweep", "--config", str(cfg)]) == 1
         assert "output_csv" in capsys.readouterr().err
+
+
+class TestSharedPipeline:
+    def test_sweep_builds_instance_once_and_solves_type2_once_per_lambda(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5])
+        builds = count_calls(monkeypatch, experiment, "generate_instance")
+        solves = count_calls(monkeypatch, type2, "solve_type2")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        assert len(builds) == 1
+        assert [args[2] for args in solves] == pytest.approx([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("lambda_min", [0.5, 1e-20])  # 1e-20: first row fails
+    def test_summary_flags_match_verify_lines(self, tmp_path, capsys, lambda_min):
+        cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],
+                           lambda_min=lambda_min)
+        sweep_code = cli_main(["sweep", "--config", str(cfg)])
+        flags = json.loads((tmp_path / "out.json").read_text())["invariants"]
+        capsys.readouterr()
+        verify_code = cli_main(["verify", "--config", str(cfg)])
+        markers = {}
+        for line in capsys.readouterr().out.splitlines():
+            marker, name = line.split(" ")[:2]
+            markers[name] = marker
+        assert sweep_code == verify_code == (0 if lambda_min == 0.5 else 2)
+        assert flags["all_rows_ok"] is (lambda_min == 0.5)
+        assert flags == {name: markers[name] == "pass" for name in flags}
+
+
+class TestInstanceFailures:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_data_csv_is_io_error(self, tmp_path, command):
+        cfg = write_config(tmp_path, dataset="csv", csv_path="missing.csv")
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_utf8_data_csv_is_solver_error(self, tmp_path, capsys, command):
+        (tmp_path / "data.csv").write_bytes(b"x1,y\n0.5,\xff\xfe\n")
+        cfg = write_config(tmp_path, dataset="csv", csv_path="data.csv")
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 2
+        assert "solver error" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrisk import experiment
 from entrisk.errors import (
     ConfigError,
     MalformedHeader,
@@ -27,6 +28,7 @@ from entrisk.experiment import (
     grid_points,
     ingest_csv_dataset,
     instance_digest,
+    invariant_checks,
     lambda_grid,
     loss_spec,
     predictor_spec,
@@ -159,6 +161,16 @@ class TestInstanceGeneration:
         assert all(pt.coords[0] <= 0.0 for pt in q.support)
         assert grid_argmin_outside_support(cfg, q, data)
 
+    def test_full_grid_reference_argmin_is_inside_without_risk_evaluation(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(true_model=[0.8]))
+        q, data, _ = generate_instance(cfg)
+
+        def no_risks(*args):
+            raise AssertionError("whole-grid risk evaluated")
+
+        monkeypatch.setattr(experiment, "risk_profile", no_risks)
+        assert not grid_argmin_outside_support(cfg, q, data)
+
     def test_classification_labels_are_signs(self):
         cfg = ExperimentConfig.from_dict(
             base_config(
@@ -239,6 +251,22 @@ class TestRunSweep:
         summary = sweep_summary(cfg, records, q, data)
         assert all(summary["invariants"].values())
         assert summary["rows_ok"] == len(records)
+
+    def test_invariant_checks_report_failed_rows_and_worst_values(self):
+        cfg = ExperimentConfig.from_dict(
+            base_config(lambda_min=1e-20, lambda_max=1.0, lambda_count=3)
+        )
+        records = run_sweep(cfg)
+        ok = records[1:]
+        checks = invariant_checks(records)
+        assert checks["all_rows_ok"] == (False, "")
+        assert checks["residual_le_1e-12"] == (
+            True, f"worst={max(r.residual for r in ok):.3g}"
+        )
+        assert checks["bound_margin_positive"] == (
+            True, f"min={min(r.bound_margin for r in ok):.3g}"
+        )
+        assert checks["theorem2_gap_le_1e-9"][0] and checks["k_bar_strictly_increasing"][0]
 
     def test_solver_failure_marks_row_without_abort(self, tmp_path):
         # lambda far below the pole guard makes the bracket empty on that row

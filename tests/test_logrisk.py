@@ -112,8 +112,9 @@ class TestEquivalence:
     def test_constant_risks_both_equal_reference(self):
         q = uniform_on(3)
         prof = profile_from([1.1, 1.1, 1.1])
-        m2, m1, gap = verify_theorem2(q, prof, 0.7)
-        assert np.allclose(m2.weights, q.weights, atol=1e-12)
+        sol = solve_type2(q, prof, 0.7)
+        m1, gap = verify_theorem2(q, prof, sol)
+        assert np.allclose(sol.measure.weights, q.weights, atol=1e-12)
         assert np.allclose(m1.weights, q.weights, atol=1e-12)
         assert gap <= 1e-12
 
@@ -125,7 +126,7 @@ class TestEquivalence:
         assert tilt == pytest.approx((math.sqrt(2.0), 1.0 / (1.0 + math.sqrt(0.5))), abs=1e-9)
         total = math.fsum(q.weights * tilt)
         assert abs(total - 1.0) <= 1e-10
-        _, _, gap = verify_theorem2(q, prof, 1.0)
+        _, gap = verify_theorem2(q, prof, sol)
         assert gap <= 1e-9
 
     def test_zero_log_partition_identity(self, rng):
@@ -144,14 +145,16 @@ class TestEquivalence:
         for _ in range(10):
             q, _, prof = random_pipeline_instance(rng)
             lam = float(10.0 ** rng.uniform(-2, 2))
-            _, _, gap = verify_theorem2(q, prof, lam)
+            _, gap = verify_theorem2(q, prof, solve_type2(q, prof, lam))
             assert gap <= 1e-9
 
     def test_argmax_atoms_coincide_exactly(self, rng):
         for _ in range(10):
             q, prof = random_solver_instance(rng, max_atoms=12)
             lam = float(10.0 ** rng.uniform(-1, 1))
-            m2, m1, _ = verify_theorem2(q, prof, lam)
+            sol = solve_type2(q, prof, lam)
+            m1, _ = verify_theorem2(q, prof, sol)
+            m2 = sol.measure
             top2 = {pt for pt, w in zip(m2.support, m2.weights) if w == m2.weights.max()}
             top1 = {pt for pt, w in zip(m1.support, m1.weights) if w == m1.weights.max()}
             assert top1 == top2
@@ -160,7 +163,9 @@ class TestEquivalence:
         # Two atoms share the minimal risk bitwise; both solvers must tie them.
         q = uniform_on(3)
         prof = profile_from([0.25, 0.25, 2.0])
-        m2, m1, _ = verify_theorem2(q, prof, 0.8)
+        sol = solve_type2(q, prof, 0.8)
+        m1, _ = verify_theorem2(q, prof, sol)
+        m2 = sol.measure
         top2 = {pt for pt, w in zip(m2.support, m2.weights) if w == m2.weights.max()}
         top1 = {pt for pt, w in zip(m1.support, m1.weights) if w == m1.weights.max()}
         assert top1 == top2 == set(q.support[:2])

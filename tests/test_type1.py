@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from entrisk.errors import NonPositiveLambda, SupportMismatch
 from entrisk.measures import make_measure, point, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
-from entrisk.type1 import LogPartition, log_partition, solve_type1, type1_objective
+from entrisk.type1 import log_partition, solve_type1, type1_objective
 
 from conftest import (
     lambdas,
@@ -48,12 +48,6 @@ class TestLogPartition:
         prof = profile_from([0.0, 1.0])
         with pytest.raises(SupportMismatch):
             log_partition(q, prof, -1.0)
-
-    def test_wrapper_type_delegates(self):
-        q, prof = two_atom_instance()
-        K = LogPartition(q, prof)
-        assert K.value_at(-1.0) == log_partition(q, prof, -1.0)
-        assert K(0.0) == 0.0
 
     @given(risk_vectors, lambdas, lambdas)
     @settings(max_examples=100)

@@ -18,7 +18,6 @@ from entrisk.errors import (
 from entrisk.measures import make_measure, point, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
-    NormalizationFunction,
     escaped_mixture_objective,
     expected_risk_identity,
     normalization_value,
@@ -72,12 +71,6 @@ class TestNormalizationValue:
             normalization_value(q, prof, 1.0, -prof.delta_star)
         with pytest.raises(BetaOutOfDomain):
             normalization_value(q, prof, 1.0, -prof.delta_star - 0.5)
-
-    def test_wrapper_type(self):
-        q, prof = two_atom_instance()
-        g = NormalizationFunction(q, prof, 1.0)
-        assert g(1.0) == normalization_value(q, prof, 1.0, 1.0)
-        assert g.domain_lower_edge == -prof.delta_star
 
     @given(risk_vectors, lambdas)
     @settings(max_examples=100)
