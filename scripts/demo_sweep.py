@@ -55,7 +55,7 @@ def main() -> None:
     q, data, profile = generate_instance(cfg)
     records = sweep_records(q, profile, lambda_grid(cfg))
     emit_csv(records, ROOT / CONFIG["output_csv"])
-    summary = sweep_summary(cfg, records, q, data)
+    summary = sweep_summary(cfg, records, q, data, profile)
     emit_summary_json(summary, ROOT / CONFIG["output_json"])
 
     print(f"instance: {q.num_atoms} atoms, {data.n} data points")

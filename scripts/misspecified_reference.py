@@ -14,21 +14,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from entrisk.experiment import (
-    ExperimentConfig,
-    generate_instance,
-    grid_points,
-    loss_spec,
-    predictor_spec,
-)
-from entrisk.measures import make_measure
-from entrisk.risk import erm_minimizers, risk_profile
-from entrisk.type2 import solve_type2, support_escape_penalty, type2_objective
+from entrisk.experiment import ExperimentConfig, generate_instance, grid_profile
+from entrisk.type2 import solve_type2, support_escape_penalty
 
 CONFIG = {
     "predictor": "linear_regression",
@@ -53,13 +43,12 @@ CONFIG = {
 
 def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
-    q, data, _ = generate_instance(cfg)
+    q, data, profile = generate_instance(cfg)
 
-    grid = grid_points(cfg)
-    full = risk_profile(
-        make_measure(grid, np.ones(len(grid))), data, predictor_spec(cfg), loss_spec(cfg)
-    )
-    argmin_atoms = sorted(full.support[i].coords[0] for i in erm_minimizers(full))
+    # Whole-grid risks: supp(Q) risks come from the instance's profile, only
+    # the atoms outside supp(Q) are evaluated.
+    full = grid_profile(cfg, q, data, profile)
+    argmin_atoms = sorted(full.support[i].coords[0] for i in full.argmin_set)
     print(f"reference support: {q.num_atoms} atoms in [-1, 0]")
     print(f"whole-grid risk minimizer(s) at theta = {argmin_atoms} (outside supp Q)")
 
@@ -69,7 +58,7 @@ def main() -> None:
     top = max(zip(sol.measure.support, sol.measure.weights), key=lambda t: t[1])
     print(f"heaviest solution atom: theta = {top[0].coords[0]:+.3f}, weight {top[1]:.4f}")
 
-    outside = [pt for pt in grid if pt not in q.support_set()]
+    outside = [pt for pt in full.support if q.locate(pt) < 0]
     best, optimal = support_escape_penalty(q, full, lam, outside, alpha_grid=1000)
     print(f"optimal objective on supp(Q):        {optimal:.6f}")
     print(f"best escaped-mixture objective:      {best:.6f}")

@@ -40,10 +40,12 @@ from .measures import (
     AbsoluteContinuityRelation,
     DiscreteMeasure,
     ModelPoint,
+    as_grid,
     check_abs_continuity,
     expectation,
     kl_divergence,
     make_measure,
+    measure_on,
     point,
     sample,
     total_variation,
@@ -54,7 +56,6 @@ from .risk import (
     LossSpec,
     PredictorSpec,
     empirical_risk,
-    erm_minimizers,
     expected_risk,
     level_set,
     risk_profile,
@@ -118,9 +119,9 @@ __all__ = [
     "SupportMismatch",
     "ToleranceNotReached",
     "TypeIISolution",
+    "as_grid",
     "check_abs_continuity",
     "empirical_risk",
-    "erm_minimizers",
     "escaped_mixture_objective",
     "expectation",
     "expected_log_risk",
@@ -131,6 +132,7 @@ __all__ = [
     "log_partition",
     "log_risk_profile",
     "make_measure",
+    "measure_on",
     "normalization_value",
     "point",
     "risk_bound_check",

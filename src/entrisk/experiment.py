@@ -6,8 +6,9 @@ sub-box to induce misspecification), a dataset (synthetic or CSV), and a
 geometric grid of regularization factors. ``sweep_records`` solves both
 regularization directions at every factor and records the identities and
 bounds each solution must satisfy; ``invariant_checks`` judges those records
-for both the sweep summary and the verify command; ``emit_csv`` writes the
-records with 17-significant-digit floats so output files are byte-stable.
+for both the sweep summary and the verify command, and ``optimality_fuzz``
+pits both solutions against random measures for verify; ``emit_csv`` writes
+the records with 17-significant-digit floats so output files are byte-stable.
 
 Everything is deterministic: randomness is confined to explicitly seeded
 generators, sums are exactly accumulated, and rows are ordered by ascending
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,7 +36,13 @@ from .errors import (
     NonFiniteCell,
     RowArity,
 )
-from .measures import DiscreteMeasure, ModelPoint, kl_divergence, make_measure
+from .measures import (
+    DiscreteMeasure,
+    as_grid,
+    kl_divergence,
+    measure_on,
+    total_variation,
+)
 from .risk import (
     LOSS_KINDS,
     PREDICTOR_KINDS,
@@ -44,12 +50,11 @@ from .risk import (
     EmpiricalRiskProfile,
     LossSpec,
     PredictorSpec,
-    erm_minimizers,
     expected_risk,
     risk_profile,
 )
-from .type1 import solve_type1
-from .type2 import solve_type2
+from .type1 import solve_type1, type1_objective
+from .type2 import solve_type2, type2_objective
 from .logrisk import verify_theorem2
 
 CSV_HEADER = (
@@ -93,14 +98,33 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(raw: Any, key: str) -> float:
+    """A finite JSON number; booleans and strings are rejected."""
+    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
+             f"field {key!r}: number required")
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    _require(math.isfinite(value), f"field {key!r}: must be finite")
+    return value
+
+
 def _float_list(raw: Any, key: str) -> tuple[float, ...]:
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0, f"field {key!r}: nonempty list required")
-    try:
-        vals = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: entries must be numbers") from None
-    _require(all(math.isfinite(v) for v in vals), f"field {key!r}: entries must be finite")
-    return vals
+    return tuple(_number(v, key) for v in raw)
+
+
+def _integer(raw: Any, key: str, minimum: int) -> int:
+    """A JSON integer >= ``minimum``; booleans are rejected."""
+    _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= minimum,
+             f"field {key!r}: integer >= {minimum} required")
+    return raw
+
+
+def _flag(raw: Any, key: str) -> bool:
+    _require(isinstance(raw, bool), f"field {key!r}: true or false required")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -151,16 +175,14 @@ class ExperimentConfig:
                  f"field 'predictor': unknown kind {predictor!r}")
         loss = raw["loss"]
         _require(loss in LOSS_KINDS, f"field 'loss': unknown kind {loss!r}")
-        intercept = bool(raw.get("intercept", False))
+        intercept = _flag(raw.get("intercept", False), "intercept")
 
         grid_min = _float_list(raw["grid_min"], "grid_min")
         grid_max = _float_list(raw["grid_max"], "grid_max")
         res_raw = raw["grid_resolution"]
         _require(isinstance(res_raw, (list, tuple)) and len(res_raw) > 0,
                  "field 'grid_resolution': nonempty list required")
-        _require(all(isinstance(r, int) and r >= 1 for r in res_raw),
-                 "field 'grid_resolution': entries must be integers >= 1")
-        resolution = tuple(int(r) for r in res_raw)
+        resolution = tuple(_integer(r, "grid_resolution", 1) for r in res_raw)
         d = len(resolution)
         _require(len(grid_min) == d and len(grid_max) == d,
                  "fields 'grid_min'/'grid_max'/'grid_resolution': lengths must agree")
@@ -179,7 +201,7 @@ class ExperimentConfig:
             _require("reference_scale" in raw, "field 'reference_scale': required for gaussian reference")
             reference_mean = _float_list(raw["reference_mean"], "reference_mean")
             _require(len(reference_mean) == d, "field 'reference_mean': length must equal grid dimension")
-            reference_scale = float(raw["reference_scale"])
+            reference_scale = _number(raw["reference_scale"], "reference_scale")
             _require(reference_scale > 0.0, "field 'reference_scale': must be > 0")
         elif reference == "restricted":
             _require("reference_box_min" in raw, "field 'reference_box_min': required for restricted reference")
@@ -197,26 +219,21 @@ class ExperimentConfig:
                 _require(key in raw, f"field {key!r}: required for synthetic dataset")
             true_model = _float_list(raw["true_model"], "true_model")
             _require(len(true_model) == d, "field 'true_model': length must equal grid dimension")
-            noise = float(raw["noise"])
+            noise = _number(raw["noise"], "noise")
             _require(noise >= 0.0, "field 'noise': must be >= 0")
-            _require(isinstance(raw["n"], int) and raw["n"] >= 1, "field 'n': integer >= 1 required")
-            n = int(raw["n"])
-            _require(isinstance(raw["data_seed"], int) and raw["data_seed"] >= 0,
-                     "field 'data_seed': integer >= 0 required")
-            data_seed = int(raw["data_seed"])
+            n = _integer(raw["n"], "n", 1)
+            data_seed = _integer(raw["data_seed"], "data_seed", 0)
         else:
             _require("csv_path" in raw, "field 'csv_path': required for csv dataset")
             _require(isinstance(raw["csv_path"], str), "field 'csv_path': string required")
             csv_path = raw["csv_path"]
 
-        lambda_min = float(raw["lambda_min"])
-        lambda_max = float(raw["lambda_max"])
+        lambda_min = _number(raw["lambda_min"], "lambda_min")
+        lambda_max = _number(raw["lambda_max"], "lambda_max")
         _require(lambda_min > 0.0, "field 'lambda_min': must be > 0")
         _require(lambda_max >= lambda_min, "field 'lambda_max': must be >= lambda_min")
-        _require(isinstance(raw["lambda_count"], int) and raw["lambda_count"] >= 1,
-                 "field 'lambda_count': integer >= 1 required")
-        _require(isinstance(raw["seed"], int) and raw["seed"] >= 0,
-                 "field 'seed': integer >= 0 required")
+        lambda_count = _integer(raw["lambda_count"], "lambda_count", 1)
+        seed = _integer(raw["seed"], "seed", 0)
 
         output_csv = raw.get("output_csv")
         output_json = raw.get("output_json")
@@ -243,10 +260,10 @@ class ExperimentConfig:
             csv_path=csv_path,
             lambda_min=lambda_min,
             lambda_max=lambda_max,
-            lambda_count=int(raw["lambda_count"]),
+            lambda_count=lambda_count,
             output_csv=output_csv,
             output_json=output_json,
-            seed=int(raw["seed"]),
+            seed=seed,
             base_dir=base_dir or Path.cwd(),
             raw=dict(raw),
         )
@@ -254,11 +271,10 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         _require(isinstance(raw, dict), "config must be a JSON object")
         return cls.from_dict(raw, base_dir=path.parent)
 
@@ -272,42 +288,36 @@ def loss_spec(cfg: ExperimentConfig) -> LossSpec:
     return LossSpec(cfg.loss)
 
 
-def grid_points(cfg: ExperimentConfig) -> tuple[ModelPoint, ...]:
-    """Lattice of model points: per-axis linspace, last axis fastest."""
+def grid_points(cfg: ExperimentConfig) -> np.ndarray:
+    """Lattice of model points as a read-only (K, d) grid: per-axis linspace, last axis fastest."""
     axes = [
         np.linspace(lo, hi, res)
         for lo, hi, res in zip(cfg.grid_min, cfg.grid_max, cfg.grid_resolution)
     ]
-    return tuple(
-        ModelPoint(tuple(float(c) for c in combo))
-        for combo in itertools.product(*axes)
-    )
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return as_grid(np.stack(mesh, axis=-1).reshape(-1, cfg.dim))
 
 
-def build_reference(cfg: ExperimentConfig, grid: Sequence[ModelPoint]) -> DiscreteMeasure:
+def build_reference(cfg: ExperimentConfig, grid: np.ndarray) -> DiscreteMeasure:
+    """The configured reference measure on ``grid`` (a :func:`grid_points` array)."""
     if cfg.reference == "uniform":
         weights = np.ones(len(grid))
     elif cfg.reference == "gaussian":
         mean = np.asarray(cfg.reference_mean, dtype=float)
         scale = float(cfg.reference_scale)
-        sq = np.asarray(
-            [float(np.sum((pt.as_array() - mean) ** 2)) for pt in grid]
-        )
+        sq = np.sum((grid - mean) ** 2, axis=1)
         logw = -sq / (2.0 * scale * scale)
         weights = np.exp(logw - logw.max())  # shift avoids total underflow
     else:
         lo = np.asarray(cfg.reference_box_min, dtype=float)
         hi = np.asarray(cfg.reference_box_max, dtype=float)
-        inside = [
-            bool(np.all(pt.as_array() >= lo) and np.all(pt.as_array() <= hi))
-            for pt in grid
-        ]
-        weights = np.asarray(inside, dtype=float)
-        if not any(inside):
+        inside = np.all((grid >= lo) & (grid <= hi), axis=1)
+        if not inside.any():
             raise ConfigError(
                 "field 'reference_box_min'/'reference_box_max': sub-box excludes every grid atom"
             )
-    return make_measure(grid, weights)
+        weights = inside.astype(float)
+    return measure_on(grid, np.arange(len(grid)), weights)
 
 
 def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -315,7 +325,7 @@ def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
     pred = predictor_spec(cfg)
     rng = np.random.default_rng(cfg.data_seed)
     patterns = rng.uniform(-1.0, 1.0, size=(cfg.n, pred.pattern_dim))
-    theta_star = ModelPoint(cfg.true_model)
+    theta_star = np.asarray(cfg.true_model, dtype=float)
     if cfg.predictor == "linear_regression":
         labels = pred.predict_all(theta_star, patterns)
         if cfg.noise > 0.0:
@@ -402,7 +412,7 @@ def sweep_records(
     q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
 ) -> list[SweepRecord]:
     """Solve both directions at every factor; failures mark rows, not aborts."""
-    delta_star = float(profile.aligned(q.support).min())
+    delta_star = float(profile.aligned(q).min())
     records: list[SweepRecord] = []
     for lam in lambdas:
         lam = float(lam)
@@ -551,15 +561,38 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
 def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
     """SHA-256 over a canonical text rendering of grid, weights, and data."""
     h = hashlib.sha256()
-    for pt, w in zip(q.support, q.weights):
-        h.update((",".join(_fmt(c) for c in pt.coords) + ";" + _fmt(float(w)) + "\n").encode())
+    for coords, w in zip(q.coords.tolist(), q.weights.tolist()):
+        h.update((",".join(_fmt(c) for c in coords) + ";" + _fmt(w) + "\n").encode())
     for x, y in zip(data.patterns, data.labels):
         h.update((",".join(_fmt(float(v)) for v in x) + ";" + _fmt(float(y)) + "\n").encode())
     return h.hexdigest()
 
 
+def grid_profile(
+    cfg: ExperimentConfig,
+    q: DiscreteMeasure,
+    data: Dataset,
+    profile: EmpiricalRiskProfile,
+) -> EmpiricalRiskProfile:
+    """The risk of every atom of ``q``'s grid, in grid order.
+
+    The supp(Q) risks are taken from ``profile``; only the grid atoms
+    outside supp(Q) are evaluated, as one more risk profile.
+    """
+    risks = np.empty(len(q.grid))
+    risks[q.index] = profile.aligned(q)
+    outside = np.setdiff1d(np.arange(len(q.grid)), q.index)
+    if outside.size:
+        rest = measure_on(q.grid, outside, np.ones(outside.size))
+        risks[outside] = risk_profile(rest, data, predictor_spec(cfg), loss_spec(cfg)).risks
+    return EmpiricalRiskProfile.on_grid(q.grid, np.arange(len(q.grid)), risks)
+
+
 def grid_argmin_outside_support(
-    cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset
+    cfg: ExperimentConfig,
+    q: DiscreteMeasure,
+    data: Dataset,
+    profile: EmpiricalRiskProfile,
 ) -> bool:
     """Whether the full-grid empirical risk minimizers all fall outside supp(Q).
 
@@ -567,13 +600,37 @@ def grid_argmin_outside_support(
     collapses onto supp(Q) even though the data points elsewhere. False
     without evaluating any risk when supp(Q) is the whole grid.
     """
-    if q.num_atoms == math.prod(cfg.grid_resolution):
+    if q.num_atoms == len(q.grid):
         return False
-    grid = grid_points(cfg)
-    full = risk_profile(make_measure(grid, np.ones(len(grid))), data,
-                        predictor_spec(cfg), loss_spec(cfg))
-    argmin_atoms = {full.support[i] for i in erm_minimizers(full)}
-    return argmin_atoms.isdisjoint(q.support_set())
+    full = grid_profile(cfg, q, data, profile)
+    return full.delta_star < float(full.risks[q.index].min())
+
+
+def optimality_fuzz(
+    q: DiscreteMeasure,
+    profile: EmpiricalRiskProfile,
+    lam: float,
+    seed: int,
+) -> tuple[bool, bool]:
+    """Whether both solutions at ``lam`` beat 200 random measures on supp(Q).
+
+    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of ``q``; a draw within
+    total variation 1e-9 of a solution is not compared against it. Returns
+    ``(type1_ok, type2_ok)``.
+    """
+    sol1 = solve_type1(q, profile, lam)
+    sol2 = solve_type2(q, profile, lam)
+    obj1 = type1_objective(sol1.measure, q, profile, lam)
+    obj2 = type2_objective(sol2.measure, q, profile, lam)
+    rng = np.random.default_rng(seed)
+    ok1 = ok2 = True
+    for _ in range(200):
+        rand = measure_on(q.grid, q.index, rng.dirichlet(np.ones(q.num_atoms)))
+        if total_variation(rand, sol1.measure) > 1e-9:
+            ok1 = ok1 and type1_objective(rand, q, profile, lam) > obj1
+        if total_variation(rand, sol2.measure) > 1e-9:
+            ok2 = ok2 and type2_objective(rand, q, profile, lam) > obj2
+    return ok1, ok2
 
 
 def sweep_summary(
@@ -581,6 +638,7 @@ def sweep_summary(
     records: Sequence[SweepRecord],
     q: DiscreteMeasure,
     data: Dataset,
+    profile: EmpiricalRiskProfile,
 ) -> dict[str, Any]:
     """Config echo, instance digest, and pass/fail flags per sweep invariant."""
     return {
@@ -588,6 +646,6 @@ def sweep_summary(
         "instance_digest": instance_digest(q, data),
         "rows": len(records),
         "rows_ok": sum(r.status == "ok" for r in records),
-        "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data),
+        "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data, profile),
         "invariants": {name: ok for name, (ok, _) in invariant_checks(records).items()},
     }

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, NonPositiveArgument, SupportMismatch
-from .measures import DiscreteMeasure, ModelPoint
+from .errors import InvariantViolation, NonPositiveArgument
+from .measures import DiscreteMeasure, GridAtoms, positions
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
 from .type2 import TypeIISolution
@@ -40,23 +39,12 @@ NORMALIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class LogRiskProfile:
+class LogRiskProfile(GridAtoms):
     """log(k_bar + L) per atom, with the lambda and k_bar that produced it."""
 
-    support: tuple[ModelPoint, ...]
     values: np.ndarray
     source_lam: float
     source_k_bar: float
-
-    @cached_property
-    def _value_by_point(self) -> dict[ModelPoint, float]:
-        return {pt: float(v) for pt, v in zip(self.support, self.values)}
-
-    def value_of(self, pt: ModelPoint) -> float:
-        try:
-            return self._value_by_point[pt]
-        except KeyError:
-            raise SupportMismatch(f"no log-risk entry for atom {pt.coords}") from None
 
 
 def log_risk_profile(
@@ -73,7 +61,7 @@ def log_risk_profile(
     exactly in real arithmetic, and the rearranged one stays fully accurate
     when the normalizer sits close to the pole.
     """
-    risks = profile.aligned(sol.measure.support)
+    risks = profile.aligned(sol.measure)
     delta_star = float(risks.min())
     if sol.k_bar + delta_star <= 0.0 or sol.pole_gap <= 0.0:
         raise NonPositiveArgument(
@@ -84,7 +72,8 @@ def log_risk_profile(
     values = np.log(args)
     values.flags.writeable = False
     return LogRiskProfile(
-        support=sol.measure.support,
+        grid=sol.measure.grid,
+        index=sol.measure.index,
         values=values,
         source_lam=sol.lam,
         source_k_bar=sol.k_bar,
@@ -92,10 +81,8 @@ def log_risk_profile(
 
 
 def expected_log_risk(p: DiscreteMeasure, vprofile: LogRiskProfile) -> float:
-    """Mean of V under p, matched by atom identity; may be negative."""
-    return math.fsum(
-        float(w) * vprofile.value_of(pt) for pt, w in zip(p.support, p.weights)
-    )
+    """Mean of V under p, with exact summation; may be negative."""
+    return math.fsum(p.weights * vprofile.values_at(vprofile.values, p, "log-risk"))
 
 
 def verify_theorem2(
@@ -111,9 +98,7 @@ def verify_theorem2(
     to NORMALIZATION_TOL.
     """
     vprofile = log_risk_profile(profile, sol)
-    values = np.asarray(
-        [vprofile.value_of(pt) for pt in q.support], dtype=float
-    )
+    values = vprofile.values_at(vprofile.values, q, "log-risk")
     total = sol.lam * math.fsum(np.asarray(q.weights, dtype=float) * np.exp(-values))
     if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
         raise InvariantViolation(
@@ -121,9 +106,9 @@ def verify_theorem2(
         )
     tilted, _ = _tilt(q, values, 1.0)
 
-    by_point = {pt: float(w) for pt, w in zip(tilted.support, tilted.weights)}
-    gap = max(
-        abs(float(w) - by_point.get(pt, 0.0))
-        for pt, w in zip(sol.measure.support, sol.measure.weights)
-    )
+    at = positions(sol.measure, tilted)
+    hit = at >= 0
+    matched = np.zeros(sol.measure.num_atoms)
+    matched[hit] = tilted.weights[at[hit]]
+    gap = float(np.max(np.abs(sol.measure.weights - matched)))
     return tilted, gap

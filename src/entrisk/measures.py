@@ -6,6 +6,16 @@ an objective. Continuous references are expected to arrive here already
 reduced to a particle cloud (i.i.d. draws with uniform weights), so every
 integral in the package is a finite sum.
 
+Measures, risk profiles and log-risk profiles are all :class:`GridAtoms`: an
+index array into one shared, read-only grid of coordinates, plus one value
+per atom. Objects built on the same grid line up by index, so every sum over
+the support is a gather followed by an exact (``math.fsum``) sum. Hot sums
+hand ``fsum`` a list (``.tolist()``), which it reads faster than an array;
+the exact sum is the same either way.
+:class:`ModelPoint` and :func:`make_measure` serve the API edge, where
+atoms arrive as points; objects on different grids are matched by
+coordinates (:func:`positions`).
+
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads. The sampler takes its seed explicitly.
 """
@@ -15,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +35,7 @@ from .errors import (
     NegativeWeight,
     NonFiniteValue,
     NonFiniteWeight,
+    SupportMismatch,
 )
 
 #: Allowed deviation of a constructed measure's total mass from 1.
@@ -63,11 +74,106 @@ def point(*coords: float) -> ModelPoint:
     return ModelPoint(tuple(coords))
 
 
+def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row numbers ``(i, j)`` of neighbouring equal rows after one lexicographic sort.
+
+    Rows compare with ``==``, so ``0.0`` equals ``-0.0`` as in ModelPoint
+    equality; the sort keeps every group of equal rows contiguous.
+    """
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    at = np.flatnonzero(np.all(ranked[1:] == ranked[:-1], axis=1))
+    return order[at], order[at + 1]
+
+
+def as_grid(coords) -> np.ndarray:
+    """Read-only float copy of (K, d) coordinates; raises DuplicateSupportPoint on a repeated row."""
+    grid = np.array(coords, dtype=float)
+    if _equal_row_pairs(grid)[0].size:
+        raise DuplicateSupportPoint("support points must be distinct")
+    grid.flags.writeable = False
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class GridAtoms:
+    """Distinct atoms picked out of a shared coordinate grid.
+
+    ``grid`` is a read-only (K, d) array with pairwise-distinct rows (see
+    :func:`as_grid`); ``index`` lists the distinct grid rows covered, in the
+    object's order. ``support`` renders the atoms as ModelPoints for the API
+    edge; the package's own sums never need it.
+    """
+
+    grid: np.ndarray
+    index: np.ndarray
+
+    @property
+    def num_atoms(self) -> int:
+        return int(self.index.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.grid.shape[1])
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(num_atoms, d) coordinates of the atoms, in order."""
+        return self.grid[self.index]
+
+    @cached_property
+    def support(self) -> tuple[ModelPoint, ...]:
+        return tuple(ModelPoint(tuple(row)) for row in self.coords.tolist())
+
+    def support_set(self) -> frozenset[ModelPoint]:
+        return frozenset(self.support)
+
+    def locate(self, pt: ModelPoint) -> int:
+        """Position of ``pt`` among the atoms, or -1 when it is not one of them."""
+        if pt.dim != self.dim:
+            return -1
+        hits = np.flatnonzero(np.all(self.coords == pt.as_array(), axis=1))
+        return int(hits[0]) if hits.size else -1
+
+    def values_at(self, values: np.ndarray, m: GridAtoms, what: str) -> np.ndarray:
+        """``values`` (one per atom here) in the order of ``m``'s atoms.
+
+        Raises SupportMismatch naming the first atom of ``m`` missing here.
+        """
+        at = positions(m, self)
+        missing = np.flatnonzero(at < 0)
+        if missing.size:
+            atom = tuple(m.coords[missing[0]].tolist())
+            raise SupportMismatch(f"no {what} entry for atom {atom}")
+        return values[at]
+
+
+def positions(a: GridAtoms, b: GridAtoms) -> np.ndarray:
+    """Position of each atom of ``a`` among the atoms of ``b``; -1 where absent.
+
+    Atoms match by exact coordinates, as ModelPoints do. On a shared grid
+    this is one scatter and one gather; otherwise both coordinate sets are
+    sorted together once.
+    """
+    if a.grid is b.grid or (a.grid.shape == b.grid.shape and np.array_equal(a.grid, b.grid)):
+        slot = np.full(b.grid.shape[0], -1, dtype=np.intp)
+        slot[b.index] = np.arange(b.num_atoms)
+        return slot[a.index]
+    found = np.full(a.num_atoms, -1, dtype=np.intp)
+    if a.dim != b.dim:
+        return found
+    i, j = _equal_row_pairs(np.concatenate([b.coords, a.coords]))
+    # Rows are distinct on each side, so every equal pair joins an atom of b
+    # (row number below b.num_atoms) with an atom of a.
+    found[np.maximum(i, j) - b.num_atoms] = np.minimum(i, j)
+    return found
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteMeasure(GridAtoms):
     """A probability measure on a finite set of model points.
 
-    Invariants (enforced by :func:`make_measure`):
+    Invariants (enforced by :func:`measure_on` and :func:`make_measure`):
 
     * weights are strictly positive and sum to 1 within ``WEIGHT_TOL``,
     * support points are pairwise distinct,
@@ -75,27 +181,7 @@ class DiscreteMeasure:
       support is exactly the set of atoms carrying mass.
     """
 
-    support: tuple[ModelPoint, ...]
     weights: np.ndarray
-
-    @cached_property
-    def _weight_by_point(self) -> dict[ModelPoint, float]:
-        return {pt: float(w) for pt, w in zip(self.support, self.weights)}
-
-    @property
-    def num_atoms(self) -> int:
-        return len(self.support)
-
-    @property
-    def dim(self) -> int:
-        return self.support[0].dim
-
-    def weight_of(self, pt: ModelPoint) -> float:
-        """Mass of ``pt``; 0.0 for points outside the support."""
-        return self._weight_by_point.get(pt, 0.0)
-
-    def support_set(self) -> frozenset[ModelPoint]:
-        return frozenset(self.support)
 
 
 @dataclass(frozen=True)
@@ -110,17 +196,29 @@ class AbsoluteContinuityRelation:
         return self.p_ll_q and self.q_ll_p
 
 
-def make_measure(
-    support: Sequence[ModelPoint], weights: Sequence[float]
-) -> DiscreteMeasure:
-    """Build a probability measure, dropping zero-weight atoms and renormalizing.
+def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if count == 0 or w.size == 0:
+        raise EmptySupport("support and weights must be nonempty")
+    if w.shape != (count,):
+        raise ValueError(f"support has {count} atoms but {w.size} weights were given")
+    if np.any(~np.isfinite(w)):
+        raise NonFiniteWeight("weights must be finite")
+    if np.any(w < 0.0):
+        raise NegativeWeight("weights must be nonnegative")
+    if not np.any(w > 0.0):
+        raise EmptySupport("at least one weight must be strictly positive")
+    return w
 
-    Parameters
-    ----------
-    support : sequence of ModelPoint
-        Candidate atoms, in the order the measure will keep.
-    weights : sequence of float
-        Nonnegative masses, one per atom; need not sum to 1.
+
+def measure_on(
+    grid: np.ndarray, index: Sequence[int], weights: Sequence[float]
+) -> DiscreteMeasure:
+    """Build a probability measure on the atoms ``grid[index]``.
+
+    Zero-weight atoms are dropped and the rest renormalized. ``grid`` must
+    come from :func:`as_grid` (or be the grid of an existing measure), so
+    that distinct indices mean distinct points.
 
     Raises
     ------
@@ -129,42 +227,43 @@ def make_measure(
     NegativeWeight, NonFiniteWeight
         A weight violates its contract.
     DuplicateSupportPoint
-        Two retained atoms share coordinates.
+        An index with positive mass repeats.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    w = _checked_weights(weights, index.shape[0])
+    keep = w > 0.0
+    kept, index = w[keep], index[keep]
+    if np.bincount(index, minlength=grid.shape[0]).max() > 1:
+        raise DuplicateSupportPoint("support points with positive mass must be distinct")
+    normalized = kept / math.fsum(kept.tolist())
+    normalized.flags.writeable = False
+    index.flags.writeable = False
+    return DiscreteMeasure(grid, index, normalized)
+
+
+def make_measure(
+    support: Sequence[ModelPoint], weights: Sequence[float]
+) -> DiscreteMeasure:
+    """Build a probability measure on points, dropping zero-weight atoms and renormalizing.
+
+    The measure gets a grid of its own, holding the retained points in the
+    given order; see :func:`measure_on` for the errors raised.
     """
     support = tuple(support)
-    w = np.asarray(weights, dtype=float)
-    if len(support) == 0 or w.size == 0:
-        raise EmptySupport("support and weights must be nonempty")
-    if w.shape != (len(support),):
-        raise ValueError(
-            f"support has {len(support)} atoms but {w.size} weights were given"
-        )
-    if np.any(~np.isfinite(w)):
-        raise NonFiniteWeight("weights must be finite")
-    if np.any(w < 0.0):
-        raise NegativeWeight("weights must be nonnegative")
-
+    w = _checked_weights(weights, len(support))
     keep = w > 0.0
-    if not np.any(keep):
-        raise EmptySupport("at least one weight must be strictly positive")
-    kept_support = tuple(pt for pt, k in zip(support, keep) if k)
-    kept = w[keep]
-
-    if len(set(kept_support)) != len(kept_support):
-        raise DuplicateSupportPoint("support points with positive mass must be distinct")
-
-    total = math.fsum(kept)
-    normalized = kept / total
-    normalized.flags.writeable = False
-    return DiscreteMeasure(kept_support, normalized)
+    grid = as_grid([pt.coords for pt, k in zip(support, keep) if k])
+    return measure_on(grid, np.arange(grid.shape[0]), w[keep])
 
 
 def check_abs_continuity(
     p: DiscreteMeasure, q: DiscreteMeasure
 ) -> AbsoluteContinuityRelation:
     """Exact support-containment test: P << Q iff supp(P) is a subset of supp(Q)."""
-    sp, sq = p.support_set(), q.support_set()
-    return AbsoluteContinuityRelation(p_ll_q=sp <= sq, q_ll_p=sq <= sp)
+    return AbsoluteContinuityRelation(
+        p_ll_q=bool(np.all(positions(p, q) >= 0)),
+        q_ll_p=bool(np.all(positions(q, p) >= 0)),
+    )
 
 
 def kl_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -172,16 +271,15 @@ def kl_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 
     Returns ``+inf`` when P is not absolutely continuous with respect to Q;
     that is an in-band value, not an error, because objective comparisons in
-    the infeasible direction need it.
+    the infeasible direction need it. The logarithms go through ``math.log``
+    (libm), not numpy's vectorized ``log``, whose last bits can differ.
     """
-    lookup = q._weight_by_point
-    terms: list[float] = []
-    for pt, pw in zip(p.support, p.weights):
-        qw = lookup.get(pt)
-        if qw is None:
-            return math.inf
-        terms.append(float(pw) * math.log(pw / qw))
-    total = math.fsum(terms)
+    at = positions(p, q)
+    if np.any(at < 0):
+        return math.inf
+    ratios = (p.weights / q.weights[at]).tolist()
+    logs = np.fromiter(map(math.log, ratios), dtype=float, count=len(ratios))
+    total = math.fsum((p.weights * logs).tolist())
     # Gibbs' inequality guarantees >= 0; roundoff on nearly identical inputs
     # can leave a residual of order 1e-16, which is clamped away.
     return total if total > 0.0 else 0.0
@@ -214,5 +312,11 @@ def expectation(m: DiscreteMeasure, f: Callable[[ModelPoint], float]) -> float:
 
 def total_variation(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Total variation distance, used by the optimality fuzz harnesses."""
-    atoms = p.support_set() | q.support_set()
-    return 0.5 * math.fsum(abs(p.weight_of(a) - q.weight_of(a)) for a in atoms)
+    at = positions(p, q)
+    hit = at >= 0
+    in_p = np.zeros(q.num_atoms, dtype=bool)
+    in_p[at[hit]] = True
+    terms = np.concatenate(
+        [np.abs(p.weights[hit] - q.weights[at[hit]]), p.weights[~hit], q.weights[~in_p]]
+    )
+    return 0.5 * math.fsum(terms.tolist())

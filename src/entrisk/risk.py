@@ -6,22 +6,22 @@ the minimum level ``delta_star`` (the lowest risk carrying positive mass,
 which for a finite support is a plain minimum) together with the set of atoms
 attaining it.
 
-Profiles match risks to atoms by exact support-point identity, never by
-index, so one profile can be reused by any measure whose support is contained
-in the profile's.
+A profile holds one risk per atom of a shared grid (see
+:class:`entrisk.measures.GridAtoms`), so one profile serves every measure
+whose support it covers: on the same grid the risks are gathered by index,
+otherwise atoms are matched by exact coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, SupportMismatch
-from .measures import DiscreteMeasure, ModelPoint
+from .measures import DiscreteMeasure, GridAtoms, ModelPoint, as_grid
 
 PREDICTOR_KINDS = ("linear_regression", "linear_threshold_classifier")
 LOSS_KINDS = ("squared", "absolute", "zero_one")
@@ -100,8 +100,7 @@ class PredictorSpec:
     def model_dim(self) -> int:
         return self.pattern_dim + (1 if self.intercept else 0)
 
-    def scores(self, model: ModelPoint, patterns: np.ndarray) -> np.ndarray:
-        theta = model.as_array()
+    def scores(self, theta: np.ndarray, patterns: np.ndarray) -> np.ndarray:
         if theta.shape[0] != self.model_dim:
             raise DimensionMismatch(
                 f"model has dimension {theta.shape[0]}, predictor needs {self.model_dim}"
@@ -115,15 +114,15 @@ class PredictorSpec:
             return patterns @ theta[:-1] + theta[-1]
         return patterns @ theta
 
-    def predict_all(self, model: ModelPoint, patterns: np.ndarray) -> np.ndarray:
-        s = self.scores(model, patterns)
+    def predict_all(self, theta: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        s = self.scores(theta, patterns)
         if self.kind == "linear_regression":
             return s
         return np.where(s >= 0.0, 1.0, -1.0)
 
     def predict(self, model: ModelPoint, pattern: Sequence[float]) -> float:
         x = np.atleast_2d(np.asarray(pattern, dtype=float))
-        return float(self.predict_all(model, x)[0])
+        return float(self.predict_all(model.as_array(), x)[0])
 
 
 @dataclass(frozen=True)
@@ -151,30 +150,27 @@ class LossSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalRiskProfile:
-    """Empirical risk per support atom, plus the minimum level and its atoms.
+class EmpiricalRiskProfile(GridAtoms):
+    """Empirical risk per atom, plus the minimum level and its atoms.
 
     ``delta_star`` is the exact minimum of the risks over the (finite)
     support; for a discrete measure with all-positive weights this equals the
     smallest risk level whose sublevel set carries positive mass.
-    ``argmin_set`` holds the indices attaining it exactly.
+    ``argmin_set`` holds the positions attaining it exactly.
     """
 
-    support: tuple[ModelPoint, ...]
     risks: np.ndarray
     delta_star: float
     argmin_set: frozenset[int]
 
     @classmethod
-    def from_risks(
-        cls, support: Sequence[ModelPoint], risks: Sequence[float]
+    def on_grid(
+        cls, grid: np.ndarray, index: np.ndarray, risks: Sequence[float]
     ) -> "EmpiricalRiskProfile":
-        support = tuple(support)
+        """Profile holding ``risks[i]`` for the distinct grid row ``index[i]``."""
         arr = np.asarray(risks, dtype=float)
-        if arr.shape != (len(support),):
+        if arr.shape != np.shape(index):
             raise ValueError("one risk per support atom required")
-        if len(set(support)) != len(support):
-            raise ValueError("profile support points must be distinct")
         if arr.size == 0:
             raise ValueError("profile needs at least one atom")
         if not np.all(np.isfinite(arr)):
@@ -182,25 +178,40 @@ class EmpiricalRiskProfile:
         if np.any(arr < 0.0):
             raise ValueError("risks must be nonnegative")
         delta_star = float(arr.min())
-        argmin = frozenset(int(i) for i in np.flatnonzero(arr == delta_star))
+        argmin = frozenset(np.flatnonzero(arr == delta_star).tolist())
         arr.flags.writeable = False
-        return cls(support, arr, delta_star, argmin)
+        return cls(grid, index, arr, delta_star, argmin)
 
-    @cached_property
-    def _risk_by_point(self) -> dict[ModelPoint, float]:
-        return {pt: float(r) for pt, r in zip(self.support, self.risks)}
+    @classmethod
+    def from_risks(
+        cls, support: Sequence[ModelPoint], risks: Sequence[float]
+    ) -> "EmpiricalRiskProfile":
+        """Profile on points: the profile gets a grid of its own, in the given order."""
+        support = tuple(support)
+        if np.shape(risks) != (len(support),):
+            raise ValueError("one risk per support atom required")
+        if not support:
+            raise ValueError("profile needs at least one atom")
+        grid = as_grid([pt.coords for pt in support])
+        return cls.on_grid(grid, np.arange(len(support)), risks)
 
     def risk_of(self, pt: ModelPoint) -> float:
-        try:
-            return self._risk_by_point[pt]
-        except KeyError:
-            raise SupportMismatch(
-                f"no risk entry for atom {pt.coords}"
-            ) from None
+        at = self.locate(pt)
+        if at < 0:
+            raise SupportMismatch(f"no risk entry for atom {pt.coords}")
+        return float(self.risks[at])
 
-    def aligned(self, support: Sequence[ModelPoint]) -> np.ndarray:
-        """Risks in the order of the given support; raises SupportMismatch on gaps."""
-        return np.asarray([self.risk_of(pt) for pt in support], dtype=float)
+    def aligned(self, m: GridAtoms) -> np.ndarray:
+        """Risks in the order of ``m``'s atoms; raises SupportMismatch on gaps."""
+        return self.values_at(self.risks, m, "risk")
+
+
+def _mean_loss(
+    theta: np.ndarray, data: Dataset, pred: PredictorSpec, loss: LossSpec
+) -> float:
+    """(1/n) * exact sum of the pointwise losses of model ``theta``, in dataset order."""
+    losses = loss.loss_all(pred.predict_all(theta, data.patterns), data.labels)
+    return math.fsum(losses.tolist()) / data.n
 
 
 def empirical_risk(
@@ -211,30 +222,22 @@ def empirical_risk(
     The sum runs over the fixed dataset order with exact accumulation, so the
     result does not depend on evaluation scheduling.
     """
-    losses = loss.loss_all(pred.predict_all(model, data.patterns), data.labels)
-    return math.fsum(losses) / data.n
+    return _mean_loss(model.as_array(), data, pred, loss)
 
 
 def risk_profile(
     q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
-    """Evaluate the empirical risk on every atom of ``q``'s support."""
-    risks = [empirical_risk(pt, data, pred, loss) for pt in q.support]
-    return EmpiricalRiskProfile.from_risks(q.support, risks)
+    """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid."""
+    risks = [_mean_loss(theta, data, pred, loss) for theta in q.coords]
+    return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
 
 
 def level_set(profile: EmpiricalRiskProfile, delta: float) -> frozenset[int]:
-    """Indices of atoms with risk <= delta (closed threshold)."""
+    """Positions of atoms with risk <= delta (closed threshold)."""
     return frozenset(int(i) for i in np.flatnonzero(profile.risks <= delta))
 
 
 def expected_risk(p: DiscreteMeasure, profile: EmpiricalRiskProfile) -> float:
-    """Mean empirical risk under ``p``, matching atoms by identity."""
-    return math.fsum(
-        float(w) * profile.risk_of(pt) for pt, w in zip(p.support, p.weights)
-    )
-
-
-def erm_minimizers(profile: EmpiricalRiskProfile) -> frozenset[int]:
-    """Indices of the grid minimizers of the empirical risk (nonempty by finiteness)."""
-    return profile.argmin_set
+    """Mean empirical risk under ``p``, with exact summation."""
+    return math.fsum((p.weights * profile.aligned(p)).tolist())

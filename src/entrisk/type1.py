@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLambda
-from .measures import DiscreteMeasure, kl_divergence, make_measure
+from .measures import DiscreteMeasure, kl_divergence, measure_on
 from .risk import EmpiricalRiskProfile, expected_risk
 
 
@@ -44,7 +44,7 @@ def _tilt(
     shift = float(logits.max())
     unnorm = np.exp(logits - shift)
     z = math.fsum(unnorm)
-    measure = make_measure(q.support, unnorm / z)
+    measure = measure_on(q.grid, q.index, unnorm / z)
     return measure, shift + math.log(z)
 
 
@@ -63,7 +63,7 @@ def log_partition(
     """log of sum over atoms of q(theta) * exp(t * L(theta)), via log-sum-exp."""
     if t == 0.0:
         return 0.0  # total mass of a probability measure
-    risks = profile.aligned(q.support)
+    risks = profile.aligned(q)
     logits = np.log(q.weights) + t * risks
     shift = float(logits.max())
     return shift + math.log(math.fsum(np.exp(logits - shift)))
@@ -80,7 +80,7 @@ def solve_type1(
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    risks = profile.aligned(q.support)
+    risks = profile.aligned(q)
     measure, log_z = _tilt(q, risks, lam)
     return GibbsSolution(measure=measure, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
 

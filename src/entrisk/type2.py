@@ -48,7 +48,7 @@ from .errors import (
     NonPositiveLambda,
     ToleranceNotReached,
 )
-from .measures import DiscreteMeasure, ModelPoint, kl_divergence, make_measure
+from .measures import DiscreteMeasure, ModelPoint, kl_divergence, measure_on
 from .risk import EmpiricalRiskProfile, expected_risk
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
@@ -101,7 +101,7 @@ def normalization_value(
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    risks = profile.aligned(q.support)
+    risks = profile.aligned(q)
     delta_star = float(risks.min())
     if beta <= -delta_star:
         raise BetaOutOfDomain(
@@ -147,7 +147,7 @@ def solve_k_bar(
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    risks = profile.aligned(q.support)
+    risks = profile.aligned(q)
     delta_star = float(risks.min())
     shifted = risks - delta_star
     spread = float(shifted.max())
@@ -156,7 +156,7 @@ def solve_k_bar(
     reported_bracket = (max(-delta_star + eps0, lam - float(risks.max())), lam - delta_star)
 
     def g(t: float) -> float:
-        return math.fsum(qlam / (t + shifted))
+        return math.fsum((qlam / (t + shifted)).tolist())
 
     if spread == 0.0:
         # Constant risks: g(t) = lam/t, root t = lam in closed form.
@@ -240,10 +240,10 @@ def solve_type2(
     sits close to the pole.
     """
     root = solve_k_bar(q, profile, lam, tol=tol)
-    risks = profile.aligned(q.support)
+    risks = profile.aligned(q)
     shifted = risks - root.delta_star
     weights = np.asarray(q.weights, dtype=float) * lam / (root.pole_gap + shifted)
-    measure = make_measure(q.support, weights)
+    measure = measure_on(q.grid, q.index, weights)
     return TypeIISolution(
         measure=measure,
         lam=float(lam),
@@ -291,7 +291,7 @@ def risk_bound_check(
     Returns ``(risk, bound, holds)``; the margin ``bound - risk`` equals the
     root's distance from the pole, so it tends to ``lam`` as risks flatten.
     """
-    risks = profile.aligned(sol.measure.support)
+    risks = profile.aligned(sol.measure)
     bound = sol.lam + float(risks.min())
     risk = expected_risk(sol.measure, profile)
     return risk, bound, bool(risk < bound)
@@ -314,7 +314,7 @@ def escaped_mixture_objective(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if outside in q.support_set():
+    if q.locate(outside) >= 0:
         raise AtomCollision(f"atom {outside.coords} belongs to supp(Q)")
     inner = solve_type2(q, profile, lam / (1.0 - alpha))
     inside_risk = expected_risk(inner.measure, profile)
@@ -346,9 +346,8 @@ def support_escape_penalty(
     """
     if not outside_atoms:
         raise ValueError("at least one outside atom is required")
-    support = q.support_set()
     for atom in outside_atoms:
-        if atom in support:
+        if q.locate(atom) >= 0:
             raise AtomCollision(f"atom {atom.coords} belongs to supp(Q)")
     # The objective is linear in the escaped placement, so the cheapest
     # single-atom placement covers the minimum over all placements.

@@ -18,7 +18,7 @@ import pytest
 from entrisk.cli import cli_main
 from entrisk.experiment import ExperimentConfig, generate_instance, grid_argmin_outside_support
 from entrisk.logrisk import log_risk_profile, verify_theorem2
-from entrisk.measures import make_measure, total_variation
+from entrisk.measures import make_measure, point, total_variation
 from entrisk.risk import expected_risk, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import solve_type2, support_escape_penalty, type2_objective
@@ -51,7 +51,7 @@ def sweep_results():
     for i in range(200):
         scale = 20.0 if i % 4 == 0 else 5.0
         q, prof = random_solver_instance(rng, max_atoms=40, risk_scale=scale)
-        risks = prof.aligned(q.support)
+        risks = prof.aligned(q)
         delta_star = float(risks.min())
         max_risk = float(risks.max())
         k_prev = -math.inf
@@ -185,7 +185,7 @@ def test_criterion_07_equivalence_of_directions():
         _, gap = verify_theorem2(q, prof, sol)
         worst_gap = max(worst_gap, gap)
         vprof = log_risk_profile(prof, sol)
-        values = np.asarray([vprof.value_of(pt) for pt in q.support])
+        values = vprof.values
         log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
         worst_logz = max(worst_logz, abs(log_total))
     ok = worst_gap <= 1e-9 and worst_logz <= 1e-10
@@ -244,12 +244,12 @@ def test_criterion_09_support_escape_penalty():
         }
     )
     q, data, profile = generate_instance(cfg)
-    misspecified = grid_argmin_outside_support(cfg, q, data)
+    misspecified = grid_argmin_outside_support(cfg, q, data, profile)
 
     # Extend the profile to the full grid so escaped atoms carry risks.
     from entrisk.experiment import grid_points, loss_spec, predictor_spec
 
-    grid = grid_points(cfg)
+    grid = [point(*row) for row in grid_points(cfg).tolist()]
     full_profile = risk_profile(
         make_measure(grid, np.ones(len(grid))), data, predictor_spec(cfg), loss_spec(cfg)
     )

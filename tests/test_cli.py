@@ -11,6 +11,8 @@ import pytest
 import entrisk
 from entrisk import cli, experiment, logrisk, type2
 from entrisk.cli import cli_main
+from entrisk.errors import ConfigError
+from entrisk.experiment import ExperimentConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -79,6 +81,32 @@ class TestVerify:
     def test_two_atom_fixture_passes(self, tmp_path):
         cfg = copy_two_atom_fixture(tmp_path)
         assert cli_main(["verify", "--config", str(cfg)]) == 0
+
+    def test_failed_median_solve_fails_fuzz_and_prints_every_line(self, tmp_path, capsys):
+        # Every factor is far below the pole guard, so the median-factor
+        # solve of the optimality fuzz raises too.
+        cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],
+                           lambda_min=1e-21, lambda_max=1e-19, lambda_count=3)
+        assert cli_main(["verify", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "info grid_argmin_outside_support: False"
+        assert [line.split(" ")[1] for line in lines[1:]] == [
+            "all_rows_ok", "residual_le_1e-12", "identity_gap_le_1e-9",
+            "bound_margin_positive", "theorem2_gap_le_1e-9",
+            "k_bar_strictly_increasing", "support_collapse",
+            "type1_optimality_fuzz", "type2_optimality_fuzz",
+        ]
+        assert lines[-2:] == [
+            "FAIL type1_optimality_fuzz (BracketFailure)",
+            "FAIL type2_optimality_fuzz (BracketFailure)",
+        ]
+
+    def test_mid_size_golden_stdout(self, tmp_path, capsys):
+        shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
+        cfg = tmp_path / "grid10_restricted_config.json"
+        assert cli_main(["verify", "--config", str(cfg)]) == 0
+        golden = (FIXTURES / "grid10_restricted_verify_golden.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
 
 
 class TestSolve:
@@ -186,6 +214,42 @@ class TestInstanceFailures:
         assert "solver error" in capsys.readouterr().err
 
 
+GAUSSIAN = {"reference": "gaussian", "reference_mean": [0.25]}
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("lambda_min", {"lambda_min": "abc"}),
+            ("lambda_max", {"lambda_max": "1.0"}),
+            ("noise", {"noise": "abc"}),
+            ("reference_scale", {**GAUSSIAN, "reference_scale": "abc"}),
+            ("true_model", {"true_model": [True]}),
+            ("noise", {"noise": float("inf")}),
+            ("noise", {"noise": float("nan")}),
+            ("reference_scale", {**GAUSSIAN, "reference_scale": float("inf")}),
+            ("lambda_min", {"lambda_min": float("-inf")}),
+            ("lambda_max", {"lambda_max": float("inf")}),
+            ("lambda_max", {"lambda_max": 10**400}),
+            ("n", {"n": True}),
+            ("seed", {"seed": True}),
+            ("data_seed", {"data_seed": False}),
+            ("lambda_count", {"lambda_count": True}),
+            ("grid_resolution", {"grid_resolution": [True]}),
+            ("intercept", {"intercept": "false"}),
+            ("intercept", {"intercept": 0}),
+        ],
+    )
+    def test_malformed_field_is_validation_error(self, tmp_path, capsys, field, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ExperimentConfig.from_json_file(cfg)
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert cli_main(["verify", "--config", str(tmp_path / "nope.json")]) == 3
@@ -194,6 +258,12 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert cli_main(["verify", "--config", str(path)]) == 1
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert cli_main(["verify", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config is not valid UTF-8 JSON")
 
     def test_unknown_key_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mystery=1)

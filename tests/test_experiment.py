@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,14 @@ from entrisk.experiment import (
     invariant_checks,
     lambda_grid,
     loss_spec,
+    optimality_fuzz,
     predictor_spec,
     run_sweep,
+    sweep_records,
     sweep_summary,
 )
-from entrisk.measures import point
+from entrisk.cli import cli_main
+from entrisk.measures import ModelPoint, point
 from entrisk.risk import Dataset, risk_profile
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,7 +117,7 @@ class TestInstanceGeneration:
     def test_lattice_example(self):
         cfg = ExperimentConfig.from_dict(base_config(grid_resolution=[3]))
         grid = grid_points(cfg)
-        assert grid == (point(-1.0), point(0.0), point(1.0))
+        assert grid.tolist() == [[-1.0], [0.0], [1.0]]
 
     def test_two_dim_lattice_size(self):
         cfg = ExperimentConfig.from_dict(
@@ -159,17 +163,31 @@ class TestInstanceGeneration:
         )
         q, data, profile = generate_instance(cfg)
         assert all(pt.coords[0] <= 0.0 for pt in q.support)
-        assert grid_argmin_outside_support(cfg, q, data)
+        assert grid_argmin_outside_support(cfg, q, data, profile)
 
     def test_full_grid_reference_argmin_is_inside_without_risk_evaluation(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(true_model=[0.8]))
-        q, data, _ = generate_instance(cfg)
+        q, data, profile = generate_instance(cfg)
 
         def no_risks(*args):
             raise AssertionError("whole-grid risk evaluated")
 
         monkeypatch.setattr(experiment, "risk_profile", no_risks)
-        assert not grid_argmin_outside_support(cfg, q, data)
+        assert not grid_argmin_outside_support(cfg, q, data, profile)
+
+    def test_restricted_reference_evaluates_each_grid_risk_once(self, tmp_path, monkeypatch):
+        shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
+        cfg = tmp_path / "grid10_restricted_config.json"
+        evaluated = []
+
+        def recorded(q, *args):
+            evaluated.extend(map(tuple, q.coords.tolist()))
+            return risk_profile(q, *args)
+
+        monkeypatch.setattr(experiment, "risk_profile", recorded)
+        assert cli_main(["verify", "--config", str(cfg)]) == 0
+        grid = grid_points(ExperimentConfig.from_json_file(cfg))
+        assert sorted(evaluated) == sorted(map(tuple, grid.tolist()))
 
     def test_classification_labels_are_signs(self):
         cfg = ExperimentConfig.from_dict(
@@ -181,6 +199,25 @@ class TestInstanceGeneration:
         )
         _, data, _ = generate_instance(cfg)
         assert set(np.unique(data.labels)) <= {-1.0, 1.0}
+
+
+class TestHotPaths:
+    def test_sweep_and_verify_make_no_model_point_hash(self, tmp_path, monkeypatch):
+        def no_hash(self):
+            raise AssertionError("ModelPoint hashed on a hot path")
+
+        monkeypatch.setattr(ModelPoint, "__hash__", no_hash)
+        with pytest.raises(AssertionError):
+            {point(0.0)}
+        cfg = ExperimentConfig.from_json_file(FIXTURES / "grid10_restricted_config.json")
+        q, data, profile = generate_instance(cfg)
+        records = sweep_records(q, profile, lambda_grid(cfg))
+        assert all(r.status == "ok" for r in records)
+        assert optimality_fuzz(q, profile, float(lambda_grid(cfg)[2]), cfg.seed) == (True, True)
+        shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
+        for command in ("sweep", "verify"):
+            argv = [command, "--config", str(tmp_path / "grid10_restricted_config.json")]
+            assert cli_main(argv) == 0
 
 
 class TestLambdaGrid:
@@ -247,8 +284,8 @@ class TestRunSweep:
     def test_summary_flags_all_pass(self):
         cfg = ExperimentConfig.from_dict(base_config())
         records = run_sweep(cfg)
-        q, data, _ = generate_instance(cfg)
-        summary = sweep_summary(cfg, records, q, data)
+        q, data, profile = generate_instance(cfg)
+        summary = sweep_summary(cfg, records, q, data, profile)
         assert all(summary["invariants"].values())
         assert summary["rows_ok"] == len(records)
 
@@ -332,6 +369,15 @@ class TestEmitCsv:
         emit_csv(records, path)
         golden = (FIXTURES / "two_atom_sweep_golden.csv").read_bytes()
         assert path.read_bytes() == golden
+
+    @pytest.mark.parametrize("name", ["grid12_gaussian", "grid10_restricted"])
+    def test_golden_mid_size_files(self, tmp_path, name):
+        shutil.copy(FIXTURES / f"{name}_config.json", tmp_path)
+        assert cli_main(["sweep", "--config", str(tmp_path / f"{name}_config.json")]) == 0
+        csv_bytes = (tmp_path / f"{name}_sweep.csv").read_bytes()
+        json_bytes = (tmp_path / f"{name}_summary.json").read_bytes()
+        assert csv_bytes == (FIXTURES / f"{name}_sweep_golden.csv").read_bytes()
+        assert json_bytes == (FIXTURES / f"{name}_summary_golden.json").read_bytes()
 
 
 class TestIngestCsv:

@@ -137,7 +137,7 @@ class TestEquivalence:
             lam = float(10.0 ** rng.uniform(-2, 2))
             sol = solve_type2(q, prof, lam)
             vprof = log_risk_profile(prof, sol)
-            values = np.asarray([vprof.value_of(pt) for pt in q.support])
+            values = vprof.values
             log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
             assert abs(log_total) <= 1e-10
 

@@ -17,12 +17,16 @@ from entrisk.errors import (
     NonFiniteWeight,
 )
 from entrisk.measures import (
+    as_grid,
     check_abs_continuity,
     expectation,
     kl_divergence,
     make_measure,
+    measure_on,
     point,
+    positions,
     sample,
+    total_variation,
 )
 
 from conftest import lattice_points, measure_with, positive_weights, uniform_on
@@ -202,3 +206,66 @@ class TestExpectation:
         combo = expectation(m, lambda pt: a * f(pt) + b * g(pt))
         split = a * expectation(m, f) + b * expectation(m, g)
         assert combo == pytest.approx(split, abs=1e-10, rel=1e-10)
+
+
+def loop_kl(p, q):
+    """Reference: the per-atom loop over ModelPoints that the array code replaces."""
+    qw = dict(zip(q.support, q.weights.tolist()))
+    terms = []
+    for pt, pw in zip(p.support, p.weights.tolist()):
+        if pt not in qw:
+            return math.inf
+        terms.append(pw * math.log(pw / qw[pt]))
+    total = math.fsum(terms)
+    return total if total > 0.0 else 0.0
+
+
+def loop_tv(p, q):
+    pw = dict(zip(p.support, p.weights.tolist()))
+    qw = dict(zip(q.support, q.weights.tolist()))
+    return 0.5 * math.fsum(abs(pw.get(a, 0.0) - qw.get(a, 0.0)) for a in set(pw) | set(qw))
+
+
+class TestIndexAlignment:
+    """Array divergences equal the point-by-point loop bit for bit."""
+
+    def pairs(self, rng):
+        grid = as_grid([(x, y) for x in (-1.0, 0.0, 1.0) for y in (-0.5, 0.0, 0.5)])
+        for _ in range(30):
+            a = rng.choice(9, size=int(rng.integers(1, 10)), replace=False)
+            b = rng.choice(9, size=int(rng.integers(1, 10)), replace=False)
+            p = measure_on(grid, a, rng.uniform(0.1, 1.0, a.size))
+            q = measure_on(grid, b, rng.uniform(0.1, 1.0, b.size))
+            yield p, q
+            # The same atoms at the API edge, on grids of their own; -0.0
+            # coordinates must still match 0.0.
+            flip = [point(*(c if c != 0.0 else -0.0 for c in pt.coords)) for pt in q.support]
+            yield make_measure(p.support, p.weights), make_measure(flip, q.weights)
+
+    def test_divergences_match_loop_reference(self, rng):
+        for p, q in self.pairs(rng):
+            assert kl_divergence(p, q) == loop_kl(p, q)
+            assert kl_divergence(q, p) == loop_kl(q, p)
+            assert total_variation(p, q) == loop_tv(p, q)
+            rel = check_abs_continuity(p, q)
+            assert rel.p_ll_q == (p.support_set() <= q.support_set())
+            assert rel.q_ll_p == (q.support_set() <= p.support_set())
+
+    def test_positions_on_shared_and_separate_grids(self):
+        grid = as_grid([(0.0,), (1.0,), (2.0,)])
+        p = measure_on(grid, [2, 0], [1.0, 1.0])
+        q = measure_on(grid, [0, 1], [1.0, 1.0])
+        assert positions(p, q).tolist() == [-1, 0]
+        edge = make_measure([point(1.0), point(-0.0)], [1.0, 1.0])
+        assert positions(p, edge).tolist() == [-1, 1]
+        assert positions(edge, q).tolist() == [1, 0]
+
+    def test_repeated_index_rejected(self):
+        grid = as_grid([(0.0,), (1.0,)])
+        with pytest.raises(DuplicateSupportPoint):
+            measure_on(grid, [1, 1], [1.0, 1.0])
+        assert measure_on(grid, [1, 1], [1.0, 0.0]).index.tolist() == [1]
+
+    def test_grid_rows_must_be_distinct(self):
+        with pytest.raises(DuplicateSupportPoint):
+            as_grid([(0.0, 1.0), (-0.0, 1.0)])

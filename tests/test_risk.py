@@ -17,7 +17,6 @@ from entrisk.risk import (
     LossSpec,
     PredictorSpec,
     empirical_risk,
-    erm_minimizers,
     expected_risk,
     level_set,
     risk_profile,
@@ -180,10 +179,10 @@ class TestExpectedRisk:
 
 class TestErmMinimizers:
     def test_unique_minimum(self):
-        assert erm_minimizers(profile_from([3.0, 1.0, 2.0])) == frozenset({1})
+        assert profile_from([3.0, 1.0, 2.0]).argmin_set == frozenset({1})
 
     def test_tie(self):
-        assert erm_minimizers(profile_from([1.0, 1.0])) == frozenset({0, 1})
+        assert profile_from([1.0, 1.0]).argmin_set == frozenset({0, 1})
 
     def test_matches_exhaustive_scan_on_classifier_grid(self):
         x = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
@@ -201,11 +200,11 @@ class TestErmMinimizers:
                 for p2 in prof.support
             )
         }
-        assert erm_minimizers(prof) == frozenset(brute)
+        assert prof.argmin_set == frozenset(brute)
 
     def test_level_set_at_delta_star_equals_minimizers(self):
         prof = profile_from([0.5, 0.2, 0.2, 0.9])
-        assert level_set(prof, prof.delta_star) == erm_minimizers(prof)
+        assert level_set(prof, prof.delta_star) == prof.argmin_set
 
 
 class TestLossScaling:

@@ -91,7 +91,7 @@ class TestSolveType1:
         lam = 0.8
         sol = solve_type1(q, prof, lam)
         k = sol.log_partition_at_minus_inv_lambda
-        risks = prof.aligned(q.support)
+        risks = prof.aligned(q)
         expected = q.weights * np.exp(-k - risks / lam)
         assert np.max(np.abs(sol.measure.weights - expected)) <= 1e-12
 

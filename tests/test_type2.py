@@ -163,7 +163,7 @@ class TestSolveKBar:
         for _ in range(20):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            risks = prof.aligned(q.support)
+            risks = prof.aligned(q)
             res = solve_k_bar(q, prof, lam)
             assert res.k_bar > -float(risks.min())
             slack = 1e-12 * (1.0 + abs(res.k_bar))
@@ -203,7 +203,7 @@ class TestSolveType2:
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=2.0)
         lam = 0.6
         sol = solve_type2(q, prof, lam)
-        risks = prof.aligned(q.support)
+        risks = prof.aligned(q)
         expected = q.weights * lam / (sol.k_bar + risks)
         assert np.max(np.abs(sol.measure.weights - expected)) <= 1e-12
 
