@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from entrisk.experiment import ExperimentConfig, generate_instance, grid_profile
+from entrisk.measures import check_abs_continuity
 from entrisk.type2 import solve_type2, support_escape_penalty
 
 CONFIG = {
@@ -48,18 +49,18 @@ def main() -> None:
     # Whole-grid risks: supp(Q) risks come from the instance's profile, only
     # the atoms outside supp(Q) are evaluated.
     full = grid_profile(cfg, q, data, profile)
-    argmin_atoms = sorted(full.support[i].coords[0] for i in full.argmin_set)
+    argmin_atoms = sorted(full.coords[sorted(full.argmin_set), 0].tolist())
     print(f"reference support: {q.num_atoms} atoms in [-1, 0]")
     print(f"whole-grid risk minimizer(s) at theta = {argmin_atoms} (outside supp Q)")
 
     lam = 1.0
     sol = solve_type2(q, full, lam)
-    print(f"solution support == supp(Q): {sol.measure.support_set() == q.support_set()}")
-    top = max(zip(sol.measure.support, sol.measure.weights), key=lambda t: t[1])
-    print(f"heaviest solution atom: theta = {top[0].coords[0]:+.3f}, weight {top[1]:.4f}")
+    print(f"solution support == supp(Q): {check_abs_continuity(sol.measure, q).mutually}")
+    top = int(sol.measure.weights.argmax())
+    theta, weight = sol.measure.coords[top, 0], sol.measure.weights[top]
+    print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
-    outside = [pt for pt in full.support if q.locate(pt) < 0]
-    best, optimal = support_escape_penalty(q, full, lam, outside, alpha_grid=1000)
+    best, optimal = support_escape_penalty(q, full, lam, alpha_grid=1000)
     print(f"optimal objective on supp(Q):        {optimal:.6f}")
     print(f"best escaped-mixture objective:      {best:.6f}")
     print(f"escape penalty (strictly positive):  {best - optimal:.3e}")

@@ -39,15 +39,11 @@ from .errors import (
 from .measures import (
     AbsoluteContinuityRelation,
     DiscreteMeasure,
-    ModelPoint,
     as_grid,
     check_abs_continuity,
-    expectation,
     kl_divergence,
     make_measure,
     measure_on,
-    point,
-    sample,
     total_variation,
 )
 from .risk import (
@@ -107,7 +103,6 @@ __all__ = [
     "LogRiskProfile",
     "LossSpec",
     "MalformedHeader",
-    "ModelPoint",
     "NegativeWeight",
     "NonFiniteCell",
     "NonFiniteValue",
@@ -123,7 +118,6 @@ __all__ = [
     "check_abs_continuity",
     "empirical_risk",
     "escaped_mixture_objective",
-    "expectation",
     "expected_log_risk",
     "expected_risk",
     "expected_risk_identity",
@@ -134,10 +128,8 @@ __all__ = [
     "make_measure",
     "measure_on",
     "normalization_value",
-    "point",
     "risk_bound_check",
     "risk_profile",
-    "sample",
     "solve_k_bar",
     "solve_type1",
     "solve_type2",

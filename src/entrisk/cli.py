@@ -112,21 +112,21 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
     if not lam > 0.0:
         raise NonPositiveLambda(f"field '--lambda': must be > 0, got {lam}")
     q, _, profile = generate_instance(cfg)
-    out: dict = {
-        "lambda": lam,
-        "type": int(direction),
-        "support": q.coords.tolist(),
-    }
     if direction == "1":
         sol = solve_type1(q, profile, lam)
-        out["weights"] = [float(w) for w in sol.measure.weights]
-        out["log_partition"] = sol.log_partition_at_minus_inv_lambda
+        extra = {"log_partition": sol.log_partition_at_minus_inv_lambda}
     else:
-        sol2 = solve_type2(q, profile, lam)
-        out["weights"] = [float(w) for w in sol2.measure.weights]
-        out["k_bar"] = sol2.k_bar
-        out["residual"] = sol2.residual
-        out["iterations"] = sol2.iterations
+        sol = solve_type2(q, profile, lam)
+        extra = {"k_bar": sol.k_bar, "residual": sol.residual, "iterations": sol.iterations}
+    # A Gibbs tilt can underflow atoms to zero weight; those leave the
+    # measure, so the support comes from the solution, not from Q.
+    out = {
+        "lambda": lam,
+        "type": int(direction),
+        "support": sol.measure.coords.tolist(),
+        "weights": sol.measure.weights.tolist(),
+        **extra,
+    }
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

@@ -21,7 +21,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -57,40 +58,8 @@ from .type1 import solve_type1, type1_objective
 from .type2 import solve_type2, type2_objective
 from .logrisk import verify_theorem2
 
-CSV_HEADER = (
-    "lambda,k_type1,k_bar_type2,risk_type1,risk_type2,identity_gap,"
-    "bound_margin,kl_p_q_type1,kl_q_p_type2,theorem2_gap,iterations,"
-    "residual,status"
-)
-
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
 DATASET_KINDS = ("synthetic", "csv")
-
-_KNOWN_KEYS = {
-    "predictor",
-    "loss",
-    "intercept",
-    "grid_min",
-    "grid_max",
-    "grid_resolution",
-    "reference",
-    "reference_mean",
-    "reference_scale",
-    "reference_box_min",
-    "reference_box_max",
-    "dataset",
-    "true_model",
-    "noise",
-    "n",
-    "data_seed",
-    "csv_path",
-    "lambda_min",
-    "lambda_max",
-    "lambda_count",
-    "output_csv",
-    "output_json",
-    "seed",
-}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -221,6 +190,8 @@ class ExperimentConfig:
             _require(len(true_model) == d, "field 'true_model': length must equal grid dimension")
             noise = _number(raw["noise"], "noise")
             _require(noise >= 0.0, "field 'noise': must be >= 0")
+            _require(predictor == "linear_regression" or noise <= 1.0,
+                     "field 'noise': a label-flip probability must be <= 1")
             n = _integer(raw["n"], "n", 1)
             data_seed = _integer(raw["data_seed"], "data_seed", 0)
         else:
@@ -277,6 +248,10 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         _require(isinstance(raw, dict), "config must be a JSON object")
         return cls.from_dict(raw, base_dir=path.parent)
+
+
+#: The JSON keys a config may hold: every field but the two set by the loader.
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"base_dir", "raw"}
 
 
 def predictor_spec(cfg: ExperimentConfig) -> PredictorSpec:
@@ -397,9 +372,17 @@ class SweepRecord:
     status: str
 
 
+#: Sweep CSV columns, one per SweepRecord field; ``lam`` is headed ``lambda``.
+_COLUMNS = fields(SweepRecord)
+CSV_HEADER = ",".join(["lambda"] + [f.name for f in _COLUMNS[1:]])
+
+#: Numeric fields of a row whose solve failed, by declared type.
+_BLANK = {"float": math.nan, "int": 0}
+
+
 def _failed_record(lam: float, status: str) -> SweepRecord:
-    nan = float("nan")
-    return SweepRecord(lam, nan, nan, nan, nan, nan, nan, nan, nan, nan, 0, nan, status)
+    blank = {f.name: _BLANK[f.type] for f in _COLUMNS if f.type in _BLANK}
+    return SweepRecord(**{**blank, "lam": lam, "status": status})
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
@@ -473,46 +456,45 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_atomically(path: str | Path, lines: Sequence[str]) -> None:
+    """Write UTF-8, LF-terminated ``lines`` to ``path`` through a temporary file.
+
+    The text goes to a temporary file in the target's directory, which then
+    replaces ``path`` in one step: a failed write leaves any earlier file
+    intact and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful replace
+
+
 def emit_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
-    """UTF-8, LF-terminated CSV with 17-significant-digit floats."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.lam),
-                    _fmt(r.k_type1),
-                    _fmt(r.k_bar_type2),
-                    _fmt(r.risk_type1),
-                    _fmt(r.risk_type2),
-                    _fmt(r.identity_gap),
-                    _fmt(r.bound_margin),
-                    _fmt(r.kl_p_q_type1),
-                    _fmt(r.kl_q_p_type2),
-                    _fmt(r.theorem2_gap),
-                    str(r.iterations),
-                    _fmt(r.residual),
-                    r.status,
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """UTF-8, LF-terminated CSV, written atomically.
+
+    Floats get 17 significant digits; ints and strings go through ``str``.
+    """
+    render = [(c.name, _fmt if c.type == "float" else str) for c in _COLUMNS]
+    rows = [",".join(fn(getattr(r, name)) for name, fn in render) for r in records]
+    _write_atomically(path, [CSV_HEADER, *rows])
 
 
 def emit_summary_json(summary: dict[str, Any], path: str | Path) -> None:
-    """UTF-8, LF-terminated JSON with sorted keys and two-space indents."""
-    text = json.dumps(summary, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    """UTF-8, LF-terminated JSON with sorted keys and two-space indents, written atomically."""
+    _write_atomically(path, [json.dumps(summary, sort_keys=True, indent=2)])
 
 
 def emit_dataset_csv(data: Dataset, path: str | Path) -> None:
-    """Write a dataset in the ingestion schema (x1..xd,y; 17-digit floats)."""
+    """Write a dataset in the ingestion schema (x1..xd,y; 17-digit floats), atomically."""
     d = data.pattern_dim
-    header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
-    lines = [header]
+    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y"])]
     for x, y in zip(data.patterns, data.labels):
         lines.append(",".join([_fmt(float(v)) for v in x] + [_fmt(float(y))]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_atomically(path, lines)
 
 
 def ingest_csv_dataset(path: str | Path) -> Dataset:

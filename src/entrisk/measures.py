@@ -8,24 +8,21 @@ integral in the package is a finite sum.
 
 Measures, risk profiles and log-risk profiles are all :class:`GridAtoms`: an
 index array into one shared, read-only grid of coordinates, plus one value
-per atom. Objects built on the same grid line up by index, so every sum over
-the support is a gather followed by an exact (``math.fsum``) sum. Hot sums
-hand ``fsum`` a list (``.tolist()``), which it reads faster than an array;
-the exact sum is the same either way.
-:class:`ModelPoint` and :func:`make_measure` serve the API edge, where
-atoms arrive as points; objects on different grids are matched by
-coordinates (:func:`positions`).
+per atom. An atom is a row of that grid. Objects built on the same grid line
+up by index, so every sum over the support is a gather followed by an exact
+(``math.fsum``) sum. Hot sums hand ``fsum`` a list (``.tolist()``), which it
+reads faster than an array; the exact sum is the same either way. Objects on
+different grids are matched by coordinates (:func:`positions`).
 
 All types are immutable after construction and all operations are pure, so
-they are safe to share across threads. The sampler takes its seed explicitly.
+they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,43 +39,11 @@ from .errors import (
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelPoint:
-    """A candidate model: a point in R^d, compared and hashed exactly.
-
-    Coordinate equality is exact; callers that need tolerance-based
-    deduplication must quantize before construction, otherwise distinct
-    near-identical atoms are kept apart on purpose.
-    """
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) < 1:
-            raise ValueError("a model point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
-            raise NonFiniteValue(f"non-finite coordinate in model point {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-def point(*coords: float) -> ModelPoint:
-    """Convenience constructor: ``point(0.0, 1.0)`` instead of ``ModelPoint((0.0, 1.0))``."""
-    return ModelPoint(tuple(coords))
-
-
 def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row numbers ``(i, j)`` of neighbouring equal rows after one lexicographic sort.
 
-    Rows compare with ``==``, so ``0.0`` equals ``-0.0`` as in ModelPoint
-    equality; the sort keeps every group of equal rows contiguous.
+    Rows compare with ``==``, so ``0.0`` equals ``-0.0``; the sort keeps every
+    group of equal rows contiguous.
     """
     order = np.lexsort(rows.T)
     ranked = rows[order]
@@ -86,9 +51,23 @@ def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[at], order[at + 1]
 
 
+def _coordinate_rows(coords) -> np.ndarray:
+    """Float copy of (m, d) coordinates, d >= 1; raises NonFiniteValue on nan or inf."""
+    rows = np.array(coords, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise ValueError(f"coordinates must form an (m, d) array, d >= 1; got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValue("model coordinates must be finite")
+    return rows
+
+
 def as_grid(coords) -> np.ndarray:
-    """Read-only float copy of (K, d) coordinates; raises DuplicateSupportPoint on a repeated row."""
-    grid = np.array(coords, dtype=float)
+    """Read-only float copy of (K, d) coordinates, d >= 1, with finite, distinct rows.
+
+    Raises NonFiniteValue on a nan or inf coordinate and DuplicateSupportPoint
+    on a repeated row (``0.0`` equals ``-0.0``).
+    """
+    grid = _coordinate_rows(coords)
     if _equal_row_pairs(grid)[0].size:
         raise DuplicateSupportPoint("support points must be distinct")
     grid.flags.writeable = False
@@ -101,8 +80,7 @@ class GridAtoms:
 
     ``grid`` is a read-only (K, d) array with pairwise-distinct rows (see
     :func:`as_grid`); ``index`` lists the distinct grid rows covered, in the
-    object's order. ``support`` renders the atoms as ModelPoints for the API
-    edge; the package's own sums never need it.
+    object's order.
     """
 
     grid: np.ndarray
@@ -121,20 +99,6 @@ class GridAtoms:
         """(num_atoms, d) coordinates of the atoms, in order."""
         return self.grid[self.index]
 
-    @cached_property
-    def support(self) -> tuple[ModelPoint, ...]:
-        return tuple(ModelPoint(tuple(row)) for row in self.coords.tolist())
-
-    def support_set(self) -> frozenset[ModelPoint]:
-        return frozenset(self.support)
-
-    def locate(self, pt: ModelPoint) -> int:
-        """Position of ``pt`` among the atoms, or -1 when it is not one of them."""
-        if pt.dim != self.dim:
-            return -1
-        hits = np.flatnonzero(np.all(self.coords == pt.as_array(), axis=1))
-        return int(hits[0]) if hits.size else -1
-
     def values_at(self, values: np.ndarray, m: GridAtoms, what: str) -> np.ndarray:
         """``values`` (one per atom here) in the order of ``m``'s atoms.
 
@@ -151,7 +115,7 @@ class GridAtoms:
 def positions(a: GridAtoms, b: GridAtoms) -> np.ndarray:
     """Position of each atom of ``a`` among the atoms of ``b``; -1 where absent.
 
-    Atoms match by exact coordinates, as ModelPoints do. On a shared grid
+    Atoms match by exact coordinates (``0.0`` equals ``-0.0``). On a shared grid
     this is one scatter and one gather; otherwise both coordinate sets are
     sorted together once.
     """
@@ -171,7 +135,7 @@ def positions(a: GridAtoms, b: GridAtoms) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure(GridAtoms):
-    """A probability measure on a finite set of model points.
+    """A probability measure on finitely many rows of a coordinate grid.
 
     Invariants (enforced by :func:`measure_on` and :func:`make_measure`):
 
@@ -241,18 +205,17 @@ def measure_on(
     return DiscreteMeasure(grid, index, normalized)
 
 
-def make_measure(
-    support: Sequence[ModelPoint], weights: Sequence[float]
-) -> DiscreteMeasure:
-    """Build a probability measure on points, dropping zero-weight atoms and renormalizing.
+def make_measure(coords, weights: Sequence[float]) -> DiscreteMeasure:
+    """Build a probability measure on (m, d) coordinate rows, one weight per row.
 
-    The measure gets a grid of its own, holding the retained points in the
-    given order; see :func:`measure_on` for the errors raised.
+    Zero-weight rows are dropped and the rest renormalized; the measure gets
+    a grid of its own, holding the retained rows in the given order. Raises
+    NonFiniteValue on a non-finite coordinate in any row; see
+    :func:`measure_on` for the other errors raised.
     """
-    support = tuple(support)
-    w = _checked_weights(weights, len(support))
+    w = _checked_weights(weights, len(coords))
     keep = w > 0.0
-    grid = as_grid([pt.coords for pt, k in zip(support, keep) if k])
+    grid = as_grid(_coordinate_rows(coords)[keep])
     return measure_on(grid, np.arange(grid.shape[0]), w[keep])
 
 
@@ -283,31 +246,6 @@ def kl_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     # Gibbs' inequality guarantees >= 0; roundoff on nearly identical inputs
     # can leave a residual of order 1e-16, which is clamped away.
     return total if total > 0.0 else 0.0
-
-
-def sample(m: DiscreteMeasure, count: int, seed: int) -> list[ModelPoint]:
-    """Draw ``count`` i.i.d. atoms by inverse CDF over the ordered support.
-
-    Deterministic for a fixed ``(m, count, seed)`` triple.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    cum = np.cumsum(m.weights)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), m.num_atoms - 1)
-    return [m.support[i] for i in idx]
-
-
-def expectation(m: DiscreteMeasure, f: Callable[[ModelPoint], float]) -> float:
-    """Mean of ``f`` under ``m``, accumulated with exact (fsum) summation."""
-    terms: list[float] = []
-    for pt, w in zip(m.support, m.weights):
-        v = float(f(pt))
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"f produced {v!r} at support atom {pt.coords}")
-        terms.append(float(w) * v)
-    return math.fsum(terms)
 
 
 def total_variation(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

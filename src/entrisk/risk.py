@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, SupportMismatch
-from .measures import DiscreteMeasure, GridAtoms, ModelPoint, as_grid
+from .errors import DimensionMismatch, NonFiniteValue
+from .measures import DiscreteMeasure, GridAtoms, as_grid
 
 PREDICTOR_KINDS = ("linear_regression", "linear_threshold_classifier")
 LOSS_KINDS = ("squared", "absolute", "zero_one")
@@ -50,16 +50,6 @@ class Dataset:
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def from_points(
-        cls, points: Iterable[tuple[Sequence[float], float]]
-    ) -> "Dataset":
-        pts = list(points)
-        return cls(
-            np.asarray([p for p, _ in pts], dtype=float),
-            np.asarray([y for _, y in pts], dtype=float),
-        )
-
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
@@ -67,12 +57,6 @@ class Dataset:
     @property
     def pattern_dim(self) -> int:
         return int(self.patterns.shape[1])
-
-    def points(self) -> list[tuple[tuple[float, ...], float]]:
-        return [
-            (tuple(float(v) for v in x), float(y))
-            for x, y in zip(self.patterns, self.labels)
-        ]
 
 
 @dataclass(frozen=True)
@@ -119,10 +103,6 @@ class PredictorSpec:
         if self.kind == "linear_regression":
             return s
         return np.where(s >= 0.0, 1.0, -1.0)
-
-    def predict(self, model: ModelPoint, pattern: Sequence[float]) -> float:
-        x = np.atleast_2d(np.asarray(pattern, dtype=float))
-        return float(self.predict_all(model.as_array(), x)[0])
 
 
 @dataclass(frozen=True)
@@ -183,53 +163,35 @@ class EmpiricalRiskProfile(GridAtoms):
         return cls(grid, index, arr, delta_star, argmin)
 
     @classmethod
-    def from_risks(
-        cls, support: Sequence[ModelPoint], risks: Sequence[float]
-    ) -> "EmpiricalRiskProfile":
-        """Profile on points: the profile gets a grid of its own, in the given order."""
-        support = tuple(support)
-        if np.shape(risks) != (len(support),):
-            raise ValueError("one risk per support atom required")
-        if not support:
-            raise ValueError("profile needs at least one atom")
-        grid = as_grid([pt.coords for pt in support])
-        return cls.on_grid(grid, np.arange(len(support)), risks)
-
-    def risk_of(self, pt: ModelPoint) -> float:
-        at = self.locate(pt)
-        if at < 0:
-            raise SupportMismatch(f"no risk entry for atom {pt.coords}")
-        return float(self.risks[at])
+    def from_risks(cls, coords, risks: Sequence[float]) -> "EmpiricalRiskProfile":
+        """Profile holding ``risks[i]`` for the (m, d) row ``coords[i]``, on a grid of its own."""
+        grid = as_grid(coords)
+        return cls.on_grid(grid, np.arange(grid.shape[0]), risks)
 
     def aligned(self, m: GridAtoms) -> np.ndarray:
         """Risks in the order of ``m``'s atoms; raises SupportMismatch on gaps."""
         return self.values_at(self.risks, m, "risk")
 
 
-def _mean_loss(
-    theta: np.ndarray, data: Dataset, pred: PredictorSpec, loss: LossSpec
+def empirical_risk(
+    theta: Sequence[float], data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> float:
-    """(1/n) * exact sum of the pointwise losses of model ``theta``, in dataset order."""
+    """Average loss of the model row ``theta`` over the dataset.
+
+    (1/n) times the sum of the pointwise losses, taken in the fixed dataset
+    order with exact accumulation, so the result does not depend on
+    evaluation scheduling.
+    """
+    theta = np.asarray(theta, dtype=float)
     losses = loss.loss_all(pred.predict_all(theta, data.patterns), data.labels)
     return math.fsum(losses.tolist()) / data.n
-
-
-def empirical_risk(
-    model: ModelPoint, data: Dataset, pred: PredictorSpec, loss: LossSpec
-) -> float:
-    """Average loss of ``model`` over the dataset: (1/n) * sum of pointwise losses.
-
-    The sum runs over the fixed dataset order with exact accumulation, so the
-    result does not depend on evaluation scheduling.
-    """
-    return _mean_loss(model.as_array(), data, pred, loss)
 
 
 def risk_profile(
     q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
     """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid."""
-    risks = [_mean_loss(theta, data, pred, loss) for theta in q.coords]
+    risks = [empirical_risk(theta, data, pred, loss) for theta in q.coords]
     return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
 
 

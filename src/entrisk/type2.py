@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import (
     NonPositiveLambda,
     ToleranceNotReached,
 )
-from .measures import DiscreteMeasure, ModelPoint, kl_divergence, measure_on
+from .measures import DiscreteMeasure, kl_divergence, measure_on, positions
 from .risk import EmpiricalRiskProfile, expected_risk
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
@@ -301,21 +301,22 @@ def escaped_mixture_objective(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
     lam: float,
-    outside: ModelPoint,
+    outside: int,
     alpha: float,
 ) -> float:
     """Best reverse-direction objective among mixtures placing mass alpha outside.
 
-    The candidate is ``(1 - alpha) * P' + alpha * (point mass at outside)``
-    with P' supported on supp(Q). For fixed alpha the optimal P' solves the
-    inside problem at regularization ``lam / (1 - alpha)``, and the divergence
+    The candidate is ``(1 - alpha) * P' + alpha * (point mass at atom outside)``
+    with P' supported on supp(Q); ``outside`` is a position among
+    ``profile``'s atoms. For fixed alpha the optimal P' solves the inside
+    problem at regularization ``lam / (1 - alpha)``, and the divergence
     picks up exactly ``-lam * log(1 - alpha)``, so the minimum over P' is
     computed rather than searched. ``alpha = 0`` reduces to the inside optimum.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if q.locate(outside) >= 0:
-        raise AtomCollision(f"atom {outside.coords} belongs to supp(Q)")
+    if positions(profile, q)[outside] >= 0:
+        raise AtomCollision(f"atom {profile.coords[outside].tolist()} belongs to supp(Q)")
     inner = solve_type2(q, profile, lam / (1.0 - alpha))
     inside_risk = expected_risk(inner.measure, profile)
     divergence = kl_divergence(q, inner.measure)
@@ -323,7 +324,7 @@ def escaped_mixture_objective(
         return inside_risk + lam * divergence
     return (
         (1.0 - alpha) * inside_risk
-        + alpha * profile.risk_of(outside)
+        + alpha * float(profile.risks[outside])
         + lam * divergence
         - lam * math.log1p(-alpha)
     )
@@ -333,25 +334,24 @@ def support_escape_penalty(
     q: DiscreteMeasure,
     profile_ext: EmpiricalRiskProfile,
     lam: float,
-    outside_atoms: Sequence[ModelPoint],
     alpha_grid: int = 1000,
 ) -> tuple[float, float]:
     """Numerically demonstrate that escaping supp(Q) strictly raises the objective.
 
-    Searches mixtures over an interior alpha grid and every outside placement
-    (the objective is linear in the placement, so single-atom placements cover
-    the minimum), solving the inside component exactly at each alpha. Returns
-    ``(best_escaped_objective, optimal_objective)``. This is a falsification
-    harness, not a proof: the contract is best > optimal on every instance.
+    The escaped mass may go to any atom of ``profile_ext`` outside supp(Q);
+    raises ValueError when there is none. Searches mixtures over an interior
+    alpha grid and every outside placement, solving the inside component
+    exactly at each alpha. Returns ``(best_escaped_objective,
+    optimal_objective)``. This is a falsification harness, not a proof: the
+    contract is best > optimal on every instance.
     """
-    if not outside_atoms:
-        raise ValueError("at least one outside atom is required")
-    for atom in outside_atoms:
-        if q.locate(atom) >= 0:
-            raise AtomCollision(f"atom {atom.coords} belongs to supp(Q)")
+    outside = np.flatnonzero(positions(profile_ext, q) < 0)
+    if not outside.size:
+        raise ValueError("every atom of the profile lies in supp(Q)")
     # The objective is linear in the escaped placement, so the cheapest
-    # single-atom placement covers the minimum over all placements.
-    best_atom = min(outside_atoms, key=profile_ext.risk_of)
+    # single-atom placement (the first, on ties) covers the minimum over all
+    # placements.
+    best_atom = int(outside[np.argmin(profile_ext.risks[outside])])
 
     opt = solve_type2(q, profile_ext, lam)
     optimal = type2_objective(opt.measure, q, profile_ext, lam)

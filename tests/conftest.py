@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from entrisk.measures import DiscreteMeasure, ModelPoint, make_measure, point
+from entrisk.measures import DiscreteMeasure, make_measure
 from entrisk.risk import (
     Dataset,
     EmpiricalRiskProfile,
@@ -16,11 +16,11 @@ from entrisk.risk import (
 )
 
 
-def lattice_points(k: int, dim: int = 1) -> list[ModelPoint]:
-    """k distinct model points on an integer lattice."""
+def lattice_points(k: int, dim: int = 1) -> np.ndarray:
+    """k distinct model points on an integer lattice, as (k, dim) coordinate rows."""
     if dim == 1:
-        return [point(float(i)) for i in range(k)]
-    return [point(float(i), float(i % 3)) for i in range(k)]
+        return np.arange(k, dtype=float).reshape(k, 1)
+    return np.array([[float(i), float(i % 3)] for i in range(k)]).reshape(k, 2)
 
 
 def profile_from(risks) -> EmpiricalRiskProfile:
@@ -67,10 +67,10 @@ def random_pipeline_instance(
     dim = int(rng.integers(1, 3))
     k = int(rng.integers(3, 9))
     if dim == 1:
-        grid = [point(float(v)) for v in np.linspace(-1.0, 1.0, k)]
+        grid = [[float(v)] for v in np.linspace(-1.0, 1.0, k)]
     else:
         axis = np.linspace(-1.0, 1.0, k)
-        grid = [point(float(a), float(b)) for a in axis for b in axis]
+        grid = [[float(a), float(b)] for a in axis for b in axis]
     kind = "linear_regression" if rng.random() < 0.7 else "linear_threshold_classifier"
     loss = LossSpec("squared" if kind == "linear_regression" else "zero_one")
     pred = PredictorSpec(kind, dim)

@@ -18,7 +18,7 @@ import pytest
 from entrisk.cli import cli_main
 from entrisk.experiment import ExperimentConfig, generate_instance, grid_argmin_outside_support
 from entrisk.logrisk import log_risk_profile, verify_theorem2
-from entrisk.measures import make_measure, point, total_variation
+from entrisk.measures import check_abs_continuity, make_measure, positions, total_variation
 from entrisk.risk import expected_risk, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import solve_type2, support_escape_penalty, type2_objective
@@ -210,7 +210,7 @@ def test_criterion_08_optimality_against_random_measures():
         best2 = type2_objective(sol2.measure, q, prof, lam)
         best1 = type1_objective(sol1.measure, q, prof, lam)
         for _ in range(1000):
-            p = make_measure(q.support, rng.dirichlet(np.ones(q.num_atoms)))
+            p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
             if total_variation(p, sol2.measure) > 1e-9:
                 ok = ok and type2_objective(p, q, prof, lam) > best2
             if total_variation(p, sol1.measure) > 1e-9:
@@ -249,16 +249,16 @@ def test_criterion_09_support_escape_penalty():
     # Extend the profile to the full grid so escaped atoms carry risks.
     from entrisk.experiment import grid_points, loss_spec, predictor_spec
 
-    grid = [point(*row) for row in grid_points(cfg).tolist()]
+    grid = grid_points(cfg)
     full_profile = risk_profile(
         make_measure(grid, np.ones(len(grid))), data, predictor_spec(cfg), loss_spec(cfg)
     )
-    outside = [pt for pt in grid if pt not in q.support_set()]
-    argmin_pt = full_profile.support[min(full_profile.argmin_set)]
-    best, optimal = support_escape_penalty(q, full_profile, 1.0, outside, alpha_grid=1000)
+    outside = positions(full_profile, q) < 0
+    argmin_outside = bool(outside[min(full_profile.argmin_set)])
+    best, optimal = support_escape_penalty(q, full_profile, 1.0, alpha_grid=1000)
     sol = solve_type2(q, full_profile, 1.0)
-    collapse = sol.measure.support_set() == q.support_set()
-    ok = misspecified and argmin_pt in set(outside) and best > optimal and collapse
+    collapse = check_abs_continuity(sol.measure, q).mutually
+    ok = misspecified and argmin_outside and best > optimal and collapse
     report(
         9,
         f"escape strictly penalized (best {best:.6f} > opt {optimal:.6f}); support collapses",

@@ -132,6 +132,14 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["log_partition"] == pytest.approx(-0.3798854930417224, abs=1e-12)
 
+    def test_type1_support_lists_only_atoms_with_weight(self, tmp_path, capsys):
+        # At this factor the tilt underflows the atoms of largest risk to zero.
+        cfg = write_config(tmp_path, grid_min=[-2.0], grid_max=[2.0], grid_resolution=[9])
+        code = cli_main(["solve", "--config", str(cfg), "--lambda", "0.001", "--type", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["support"]) == len(payload["weights"]) < 9
+
     def test_bad_type_choice_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli_main(["solve", "--config", str(cfg), "--lambda", "1", "--type", "3"]) == 1
@@ -239,6 +247,8 @@ class TestConfigBoundary:
             ("grid_resolution", {"grid_resolution": [True]}),
             ("intercept", {"intercept": "false"}),
             ("intercept", {"intercept": 0}),
+            ("noise", {"predictor": "linear_threshold_classifier", "loss": "zero_one",
+                       "noise": 5.0}),
         ],
     )
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, field, overrides):

@@ -14,7 +14,7 @@ from entrisk.logrisk import (
     log_risk_profile,
     verify_theorem2,
 )
-from entrisk.measures import make_measure, point
+from entrisk.measures import make_measure
 from entrisk.type2 import TypeIISolution, solve_type2
 
 from conftest import (
@@ -82,7 +82,7 @@ class TestExpectedLogRisk:
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
         vprof = log_risk_profile(prof, sol)
-        p = make_measure([q.support[1]], [1.0])
+        p = make_measure(q.coords[1:2], [1.0])
         assert expected_log_risk(p, vprof) == pytest.approx(V_TWO_ATOM[1], abs=1e-9)
 
     def test_constant_risks_give_log_lambda_for_any_measure(self, rng):
@@ -90,7 +90,7 @@ class TestExpectedLogRisk:
         prof = profile_from([0.3, 0.3, 0.3, 0.3])
         sol = solve_type2(q, prof, 2.5)
         vprof = log_risk_profile(prof, sol)
-        p = make_measure(q.support, rng.dirichlet(np.ones(4)))
+        p = make_measure(q.coords, rng.dirichlet(np.ones(4)))
         assert expected_log_risk(p, vprof) == pytest.approx(math.log(2.5), abs=1e-12)
 
     def test_two_atom_solution_oracle(self):
@@ -105,7 +105,12 @@ class TestExpectedLogRisk:
         sol = solve_type2(q, prof, 1.0)
         vprof = log_risk_profile(prof, sol)
         with pytest.raises(SupportMismatch):
-            expected_log_risk(make_measure([point(77.0)], [1.0]), vprof)
+            expected_log_risk(make_measure([[77.0]], [1.0]), vprof)
+
+
+def heaviest_atoms(m):
+    """Coordinate tuples of the atoms carrying ``m``'s largest weight."""
+    return {tuple(row) for row in m.coords[m.weights == m.weights.max()].tolist()}
 
 
 class TestEquivalence:
@@ -155,9 +160,7 @@ class TestEquivalence:
             sol = solve_type2(q, prof, lam)
             m1, _ = verify_theorem2(q, prof, sol)
             m2 = sol.measure
-            top2 = {pt for pt, w in zip(m2.support, m2.weights) if w == m2.weights.max()}
-            top1 = {pt for pt, w in zip(m1.support, m1.weights) if w == m1.weights.max()}
-            assert top1 == top2
+            assert heaviest_atoms(m1) == heaviest_atoms(m2)
 
     def test_argmax_tie_preserved(self):
         # Two atoms share the minimal risk bitwise; both solvers must tie them.
@@ -166,6 +169,4 @@ class TestEquivalence:
         sol = solve_type2(q, prof, 0.8)
         m1, _ = verify_theorem2(q, prof, sol)
         m2 = sol.measure
-        top2 = {pt for pt, w in zip(m2.support, m2.weights) if w == m2.weights.max()}
-        top1 = {pt for pt, w in zip(m1.support, m1.weights) if w == m1.weights.max()}
-        assert top1 == top2 == set(q.support[:2])
+        assert heaviest_atoms(m1) == heaviest_atoms(m2) == {(0.0,), (1.0,)}

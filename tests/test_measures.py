@@ -1,4 +1,4 @@
-"""Measure construction, divergences, sampling, and expectations."""
+"""Measure construction, divergences, and expectations."""
 
 from __future__ import annotations
 
@@ -19,15 +19,13 @@ from entrisk.errors import (
 from entrisk.measures import (
     as_grid,
     check_abs_continuity,
-    expectation,
     kl_divergence,
     make_measure,
     measure_on,
-    point,
     positions,
-    sample,
     total_variation,
 )
+from entrisk.risk import EmpiricalRiskProfile, expected_risk
 
 from conftest import lattice_points, measure_with, positive_weights, uniform_on
 
@@ -45,7 +43,7 @@ class TestMakeMeasure:
     def test_drops_zero_weight_atoms(self):
         pts = lattice_points(3)
         m = make_measure(pts, [1.0, 0.0, 1.0])
-        assert m.support == (pts[0], pts[2])
+        assert m.coords.tolist() == [pts[0].tolist(), pts[2].tolist()]
         assert np.allclose(m.weights, [0.5, 0.5])
 
     def test_negative_weight_rejected(self):
@@ -68,15 +66,27 @@ class TestMakeMeasure:
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(DuplicateSupportPoint):
-            make_measure([point(0.0), point(0.0)], [1.0, 1.0])
+            make_measure([[0.0], [0.0]], [1.0, 1.0])
 
     def test_zero_weight_duplicate_is_dropped_first(self):
-        m = make_measure([point(0.0), point(0.0)], [1.0, 0.0])
-        assert m.support == (point(0.0),)
+        m = make_measure([[0.0], [0.0]], [1.0, 0.0])
+        assert m.coords.tolist() == [[0.0]]
 
-    def test_model_point_rejects_non_finite(self):
+    def test_non_finite_row_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteValue):
+                make_measure([[0.0, 1.0], [bad, 2.0]], [1.0, 1.0])
+        # A zero-weight row is still a row of the input.
         with pytest.raises(NonFiniteValue):
-            point(math.nan)
+            make_measure([[0.0], [math.nan]], [1.0, 0.0])
+        with pytest.raises(NonFiniteValue):
+            as_grid([[math.inf]])
+
+    def test_rows_must_form_a_two_dimensional_array(self):
+        with pytest.raises(ValueError):
+            make_measure([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            as_grid(np.empty((2, 0)))
 
     @given(positive_weights)
     @settings(max_examples=200)
@@ -99,7 +109,7 @@ class TestAbsoluteContinuity:
         assert rel.p_ll_q and rel.q_ll_p and rel.mutually
 
     def test_disjoint(self):
-        p = make_measure([point(10.0)], [1.0])
+        p = make_measure([[10.0]], [1.0])
         q = uniform_on(2)
         rel = check_abs_continuity(p, q)
         assert not rel.p_ll_q and not rel.q_ll_p
@@ -143,76 +153,57 @@ class TestKLDivergence:
         assert math.isfinite(kl_divergence(p, q)) == rel.p_ll_q
 
 
-class TestSample:
-    def test_point_mass(self):
-        m = make_measure([point(4.0)], [1.0])
-        assert sample(m, 5, seed=1) == [point(4.0)] * 5
-
-    def test_deterministic_for_fixed_seed(self):
-        m = measure_with([0.3, 0.7])
-        assert sample(m, 100, seed=42) == sample(m, 100, seed=42)
-
-    def test_uniform_frequency_large_sample(self):
-        m = uniform_on(2)
-        draws = sample(m, 10**5, seed=7)
-        freq = sum(1 for d in draws if d == m.support[0]) / 10**5
-        assert abs(freq - 0.5) <= 0.01
-
-    def test_frequencies_within_five_sigma(self):
-        count = 10**4
-        for seed, weights in ((0, [0.1, 0.9]), (1, [0.25, 0.25, 0.5]), (2, [1, 2, 3, 4])):
-            m = measure_with(weights)
-            draws = sample(m, count, seed=seed)
-            for atom, w in zip(m.support, m.weights):
-                freq = sum(1 for d in draws if d == atom) / count
-                sigma = math.sqrt(w * (1 - w) / count)
-                assert abs(freq - w) <= 5.0 * sigma
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample(uniform_on(2), 0, seed=0)
+def on_atoms(m, values):
+    """Risk profile holding ``values[i]`` for the i-th atom of ``m``."""
+    return EmpiricalRiskProfile.on_grid(m.grid, m.index, values)
 
 
 class TestExpectation:
+    """Means of per-atom values under a measure, through ``expected_risk``."""
+
     def test_constant_function(self):
         m = measure_with([0.4, 0.6])
-        assert expectation(m, lambda _: 3.25) == pytest.approx(3.25, abs=1e-15)
+        assert expected_risk(m, on_atoms(m, [3.25, 3.25])) == pytest.approx(3.25, abs=1e-15)
 
     def test_uniform_indicator(self):
         m = uniform_on(2)
-        f = {m.support[0]: 0.0, m.support[1]: 1.0}
-        assert expectation(m, f.__getitem__) == pytest.approx(0.5, abs=1e-15)
+        assert expected_risk(m, on_atoms(m, [0.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_summation(self):
         m = measure_with([0.707107, 0.292893])
-        f = {m.support[0]: 0.0, m.support[1]: 1.0}
-        assert expectation(m, f.__getitem__) == pytest.approx(0.292893, abs=1e-12)
+        assert expected_risk(m, on_atoms(m, [0.0, 1.0])) == pytest.approx(0.292893, abs=1e-12)
 
     def test_non_finite_rejected(self):
         m = uniform_on(2)
         with pytest.raises(NonFiniteValue):
-            expectation(m, lambda _: math.inf)
+            on_atoms(m, [0.0, math.inf])
 
     @given(
         positive_weights,
-        st.floats(min_value=-5, max_value=5, allow_nan=False),
-        st.floats(min_value=-5, max_value=5, allow_nan=False),
+        st.floats(min_value=0, max_value=5, allow_nan=False),
+        st.floats(min_value=0, max_value=5, allow_nan=False),
     )
     @settings(max_examples=100)
     def test_linearity(self, weights, a, b):
+        # Risks are nonnegative, so both functions and coefficients are too.
         m = measure_with(weights)
-        f = lambda pt: pt.coords[0]
-        g = lambda pt: pt.coords[0] ** 2 - 1.0
-        combo = expectation(m, lambda pt: a * f(pt) + b * g(pt))
-        split = a * expectation(m, f) + b * expectation(m, g)
+        f = m.coords[:, 0]
+        g = f**2 + 1.0
+        combo = expected_risk(m, on_atoms(m, a * f + b * g))
+        split = a * expected_risk(m, on_atoms(m, f)) + b * expected_risk(m, on_atoms(m, g))
         assert combo == pytest.approx(split, abs=1e-10, rel=1e-10)
 
 
+def atoms(m):
+    """The atoms of ``m`` as plain tuples; ``(0.0,) == (-0.0,)`` and both hash alike."""
+    return [tuple(row) for row in m.coords.tolist()]
+
+
 def loop_kl(p, q):
-    """Reference: the per-atom loop over ModelPoints that the array code replaces."""
-    qw = dict(zip(q.support, q.weights.tolist()))
+    """Reference: the per-atom loop over coordinate tuples that the array code replaces."""
+    qw = dict(zip(atoms(q), q.weights.tolist()))
     terms = []
-    for pt, pw in zip(p.support, p.weights.tolist()):
+    for pt, pw in zip(atoms(p), p.weights.tolist()):
         if pt not in qw:
             return math.inf
         terms.append(pw * math.log(pw / qw[pt]))
@@ -221,8 +212,8 @@ def loop_kl(p, q):
 
 
 def loop_tv(p, q):
-    pw = dict(zip(p.support, p.weights.tolist()))
-    qw = dict(zip(q.support, q.weights.tolist()))
+    pw = dict(zip(atoms(p), p.weights.tolist()))
+    qw = dict(zip(atoms(q), q.weights.tolist()))
     return 0.5 * math.fsum(abs(pw.get(a, 0.0) - qw.get(a, 0.0)) for a in set(pw) | set(qw))
 
 
@@ -239,8 +230,8 @@ class TestIndexAlignment:
             yield p, q
             # The same atoms at the API edge, on grids of their own; -0.0
             # coordinates must still match 0.0.
-            flip = [point(*(c if c != 0.0 else -0.0 for c in pt.coords)) for pt in q.support]
-            yield make_measure(p.support, p.weights), make_measure(flip, q.weights)
+            flip = np.where(q.coords == 0.0, -0.0, q.coords)
+            yield make_measure(p.coords, p.weights), make_measure(flip, q.weights)
 
     def test_divergences_match_loop_reference(self, rng):
         for p, q in self.pairs(rng):
@@ -248,15 +239,15 @@ class TestIndexAlignment:
             assert kl_divergence(q, p) == loop_kl(q, p)
             assert total_variation(p, q) == loop_tv(p, q)
             rel = check_abs_continuity(p, q)
-            assert rel.p_ll_q == (p.support_set() <= q.support_set())
-            assert rel.q_ll_p == (q.support_set() <= p.support_set())
+            assert rel.p_ll_q == (set(atoms(p)) <= set(atoms(q)))
+            assert rel.q_ll_p == (set(atoms(q)) <= set(atoms(p)))
 
     def test_positions_on_shared_and_separate_grids(self):
         grid = as_grid([(0.0,), (1.0,), (2.0,)])
         p = measure_on(grid, [2, 0], [1.0, 1.0])
         q = measure_on(grid, [0, 1], [1.0, 1.0])
         assert positions(p, q).tolist() == [-1, 0]
-        edge = make_measure([point(1.0), point(-0.0)], [1.0, 1.0])
+        edge = make_measure([[1.0], [-0.0]], [1.0, 1.0])
         assert positions(p, edge).tolist() == [-1, 1]
         assert positions(edge, q).tolist() == [1, 0]
 

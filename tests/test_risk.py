@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrisk.errors import DimensionMismatch, SupportMismatch
-from entrisk.measures import make_measure, point
+from entrisk.measures import make_measure
 from entrisk.risk import (
     Dataset,
     EmpiricalRiskProfile,
@@ -36,11 +36,11 @@ def classifier(dim=1):
 class TestEmpiricalRisk:
     def test_perfect_predictor_has_zero_risk(self):
         data = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([2.0, 4.0, -6.0]))
-        assert empirical_risk(point(2.0), data, regression(), LossSpec("squared")) == 0.0
+        assert empirical_risk([2.0], data, regression(), LossSpec("squared")) == 0.0
 
     def test_hand_evaluated_squared_loss(self):
         data = Dataset(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-        risk = empirical_risk(point(0.0), data, regression(), LossSpec("squared"))
+        risk = empirical_risk([0.0], data, regression(), LossSpec("squared"))
         assert risk == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_one_counts_mistakes(self):
@@ -49,25 +49,25 @@ class TestEmpiricalRisk:
         y = np.where(x.ravel() >= 0.0, 1.0, -1.0)
         y[[0, 3, 7]] *= -1.0
         data = Dataset(x, y)
-        risk = empirical_risk(point(1.0), data, classifier(), LossSpec("zero_one"))
+        risk = empirical_risk([1.0], data, classifier(), LossSpec("zero_one"))
         assert risk == pytest.approx(0.3, abs=1e-15)
 
     def test_threshold_tie_predicts_plus_one(self):
         data = Dataset(np.array([[0.0]]), np.array([1.0]))
-        assert empirical_risk(point(1.0), data, classifier(), LossSpec("zero_one")) == 0.0
+        assert empirical_risk([1.0], data, classifier(), LossSpec("zero_one")) == 0.0
 
     def test_dimension_mismatch(self):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
         with pytest.raises(DimensionMismatch):
-            empirical_risk(point(1.0), data, regression(dim=2), LossSpec("squared"))
+            empirical_risk([1.0], data, regression(dim=2), LossSpec("squared"))
         with pytest.raises(DimensionMismatch):
-            empirical_risk(point(1.0, 2.0), data, regression(dim=1), LossSpec("squared"))
+            empirical_risk([1.0, 2.0], data, regression(dim=1), LossSpec("squared"))
 
     def test_intercept_extends_model_dimension(self):
         pred = PredictorSpec("linear_regression", 1, intercept=True)
         data = Dataset(np.array([[2.0]]), np.array([7.0]))
         # theta = (slope 3, bias 1): prediction 7, loss 0
-        assert empirical_risk(point(3.0, 1.0), data, pred, LossSpec("squared")) == 0.0
+        assert empirical_risk([3.0, 1.0], data, pred, LossSpec("squared")) == 0.0
 
     @given(risk_vectors)
     @settings(max_examples=100)
@@ -89,7 +89,7 @@ class TestEmpiricalRisk:
     def test_any_misfit_point_makes_risk_positive(self):
         data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))  # theta=1 misses x=2
         for kind in ("squared", "absolute", "zero_one"):
-            assert empirical_risk(point(1.0), data, regression(), LossSpec(kind)) > 0.0
+            assert empirical_risk([1.0], data, regression(), LossSpec(kind)) > 0.0
 
 
 class TestRiskProfile:
@@ -107,8 +107,8 @@ class TestRiskProfile:
         data = Dataset(np.array([[1.0], [0.5], [-1.0]]), np.array([0.3, 1.0, 0.0]))
         q = make_measure(lattice_points(4), np.ones(4))
         prof = risk_profile(q, data, regression(), LossSpec("absolute"))
-        for pt, r in zip(prof.support, prof.risks):
-            assert r == empirical_risk(pt, data, regression(), LossSpec("absolute"))
+        for theta, r in zip(prof.coords, prof.risks):
+            assert r == empirical_risk(theta, data, regression(), LossSpec("absolute"))
 
     @given(risk_vectors)
     @settings(max_examples=100)
@@ -143,7 +143,7 @@ class TestLevelSet:
 class TestExpectedRisk:
     def test_point_mass_at_argmin(self):
         prof = profile_from([0.4, 1.0])
-        p = make_measure([prof.support[0]], [1.0])
+        p = make_measure(prof.coords[:1], [1.0])
         assert expected_risk(p, prof) == prof.delta_star
 
     def test_uniform_average(self):
@@ -158,13 +158,13 @@ class TestExpectedRisk:
 
     def test_support_mismatch(self):
         prof = profile_from([0.0, 1.0])
-        p = make_measure([point(99.0)], [1.0])
+        p = make_measure([[99.0]], [1.0])
         with pytest.raises(SupportMismatch):
             expected_risk(p, prof)
 
     def test_reuse_across_measures_with_shared_atoms(self):
         prof = profile_from([0.1, 0.2, 0.3])
-        sub = make_measure([prof.support[2], prof.support[0]], [3.0, 1.0])
+        sub = make_measure(prof.coords[[2, 0]], [3.0, 1.0])
         assert expected_risk(sub, prof) == pytest.approx(0.75 * 0.3 + 0.25 * 0.1, abs=1e-15)
 
     @given(risk_vectors, st.integers(0, 10**6))
@@ -172,7 +172,7 @@ class TestExpectedRisk:
     def test_between_min_and_max_over_support(self, risks, seed):
         prof = profile_from(risks)
         rng = np.random.default_rng(seed)
-        p = make_measure(prof.support, rng.dirichlet(np.ones(len(risks))))
+        p = make_measure(prof.coords, rng.dirichlet(np.ones(len(risks))))
         val = expected_risk(p, prof)
         assert prof.risks.min() - 1e-12 <= val <= prof.risks.max() + 1e-12
 
@@ -189,15 +189,15 @@ class TestErmMinimizers:
         y = np.where(x.ravel() >= 0.0, 1.0, -1.0)
         y[[0, 3, 7]] *= -1.0
         data = Dataset(x, y)
-        q = make_measure([point(v) for v in (-2.0, -1.0, 1.0, 2.0)], np.ones(4))
+        q = make_measure([[-2.0], [-1.0], [1.0], [2.0]], np.ones(4))
         prof = risk_profile(q, data, classifier(), LossSpec("zero_one"))
         brute = {
             i
-            for i, pt in enumerate(prof.support)
-            if empirical_risk(pt, data, classifier(), LossSpec("zero_one"))
+            for i, theta in enumerate(prof.coords)
+            if empirical_risk(theta, data, classifier(), LossSpec("zero_one"))
             == min(
-                empirical_risk(p2, data, classifier(), LossSpec("zero_one"))
-                for p2 in prof.support
+                empirical_risk(t2, data, classifier(), LossSpec("zero_one"))
+                for t2 in prof.coords
             )
         }
         assert prof.argmin_set == frozenset(brute)
@@ -225,7 +225,7 @@ class TestLossScaling:
         assert prof_scaled.delta_star == pytest.approx(
             c * prof_base.delta_star, rel=1e-12, abs=1e-300
         )
-        p = make_measure(q.support, rng.dirichlet(np.ones(4)))
+        p = make_measure(q.coords, rng.dirichlet(np.ones(4)))
         assert expected_risk(p, prof_scaled) == pytest.approx(
             c * expected_risk(p, prof_base), rel=1e-12
         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from entrisk.errors import NonPositiveLambda, SupportMismatch
-from entrisk.measures import make_measure, point, total_variation
+from entrisk.measures import make_measure, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type1 import log_partition, solve_type1, type1_objective
 
@@ -84,7 +84,7 @@ class TestSolveType1:
     def test_support_equals_reference_support(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=12)
         sol = solve_type1(q, prof, 0.5)
-        assert sol.measure.support == q.support
+        assert np.array_equal(sol.measure.coords, q.coords)
 
     def test_weights_reproduce_tilt_formula(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
@@ -102,7 +102,7 @@ class TestSolveType1:
 
     def test_shift_invariance(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
-        shifted = EmpiricalRiskProfile.from_risks(prof.support, prof.risks + 3.0)
+        shifted = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 3.0)
         a = solve_type1(q, prof, 0.6).measure.weights
         b = solve_type1(q, shifted, 0.6).measure.weights
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -124,7 +124,7 @@ class TestType1Objective:
 
     def test_infinite_outside_reference_support(self):
         q, prof = two_atom_instance()
-        p = make_measure([point(50.0)], [1.0])
+        p = make_measure([[50.0]], [1.0])
         assert type1_objective(p, q, prof, 1.0) == math.inf
 
     def test_gibbs_identity(self, rng):
@@ -144,6 +144,6 @@ class TestType1Objective:
         sol = solve_type1(q, prof, lam)
         best = type1_objective(sol.measure, q, prof, lam)
         for _ in range(100):
-            p = make_measure(q.support, rng.dirichlet(np.ones(q.num_atoms)))
+            p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
             if total_variation(p, sol.measure) > 1e-9:
                 assert type1_objective(p, q, prof, lam) > best

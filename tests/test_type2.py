@@ -15,7 +15,7 @@ from entrisk.errors import (
     NonPositiveLambda,
     ToleranceNotReached,
 )
-from entrisk.measures import make_measure, point, total_variation
+from entrisk.measures import check_abs_continuity, make_measure, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
     escaped_mixture_objective,
@@ -118,11 +118,9 @@ class TestSolveKBar:
     def test_unreachable_tolerance_raises(self):
         # A tolerance below the evaluation floor fails deterministically on an
         # instance whose g never hits 1.0 bitwise (no exact plateau point).
-        q = make_measure(
-            [point(0.0), point(1.0)], [0.7275821341229209, 0.10514142093512636]
-        )
+        q = make_measure([[0.0], [1.0]], [0.7275821341229209, 0.10514142093512636])
         prof = EmpiricalRiskProfile.from_risks(
-            q.support, [0.11719659976744323, 0.44711493244664857]
+            q.coords, [0.11719659976744323, 0.44711493244664857]
         )
         with pytest.raises(ToleranceNotReached):
             solve_k_bar(q, prof, 1.1468121583112396, tol=1e-30)
@@ -174,7 +172,7 @@ class TestSolveKBar:
         lam = 0.8
         c = 2.5
         base = solve_k_bar(q, prof, lam)
-        shifted_prof = EmpiricalRiskProfile.from_risks(prof.support, prof.risks + c)
+        shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + c)
         shifted = solve_k_bar(q, shifted_prof, lam)
         assert shifted.k_bar == pytest.approx(base.k_bar - c, abs=1e-10)
 
@@ -212,21 +210,19 @@ class TestSolveType2:
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-2, 2))
             sol = solve_type2(q, prof, lam)
-            assert sol.measure.support == q.support
+            assert np.array_equal(sol.measure.coords, q.coords)
 
     def test_support_collapse_with_better_atom_outside(self):
         # The enlarged grid has a zero-risk atom outside supp(Q); the solution
         # still puts mass exactly on supp(Q).
-        inside = [point(0.0), point(1.0)]
-        outside = point(2.0)
-        prof = EmpiricalRiskProfile.from_risks(inside + [outside], [0.5, 1.0, 0.0])
-        q = make_measure(inside, [1.0, 1.0])
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [0.5, 1.0, 0.0])
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         sol = solve_type2(q, prof, 1.0)
-        assert sol.measure.support_set() == q.support_set()
+        assert check_abs_continuity(sol.measure, q).mutually
 
     def test_shift_covariance_measure_unchanged(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=3.0)
-        shifted_prof = EmpiricalRiskProfile.from_risks(prof.support, prof.risks + 1.75)
+        shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 1.75)
         a = solve_type2(q, prof, 0.45).measure.weights
         b = solve_type2(q, shifted_prof, 0.45).measure.weights
         assert np.max(np.abs(a - b)) <= 1e-10
@@ -241,7 +237,7 @@ class TestType2Objective:
 
     def test_infinite_when_reference_not_dominated(self):
         q, prof = two_atom_instance()
-        p = make_measure([q.support[0]], [1.0])  # misses one atom of supp(Q)
+        p = make_measure(q.coords[:1], [1.0])  # misses one atom of supp(Q)
         assert type2_objective(p, q, prof, 1.0) == math.inf
 
     def test_solution_beats_random_dominating_measures(self, rng):
@@ -250,7 +246,7 @@ class TestType2Objective:
         sol = solve_type2(q, prof, lam)
         best = type2_objective(sol.measure, q, prof, lam)
         for _ in range(100):
-            p = make_measure(q.support, rng.dirichlet(np.ones(q.num_atoms)))
+            p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
             if total_variation(p, sol.measure) > 1e-9:
                 assert type2_objective(p, q, prof, lam) > best
 
@@ -311,12 +307,10 @@ class TestRiskIdentityAndBound:
 
 class TestSupportEscape:
     def _instance(self):
-        inside = [point(0.0), point(1.0)]
-        outside = point(5.0)
-        support = inside + [outside]
-        prof = EmpiricalRiskProfile.from_risks(support, [0.5, 1.0, 0.0])
-        q = make_measure(inside, [1.0, 1.0])
-        return q, prof, outside
+        # The profile's atom at position 2 (theta = 5) lies outside supp(Q).
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [5.0]], [0.5, 1.0, 0.0])
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        return q, prof, 2
 
     def test_alpha_zero_reduces_to_inside_objective(self):
         q, prof, outside = self._instance()
@@ -338,12 +332,24 @@ class TestSupportEscape:
 
     def test_escape_strictly_penalized_even_with_zero_risk_outside(self):
         q, prof, outside = self._instance()
-        best, optimal = support_escape_penalty(q, prof, 1.0, [outside])
+        best, optimal = support_escape_penalty(q, prof, 1.0)
         assert best > optimal
+
+    def test_escape_goes_to_the_cheapest_outside_atom(self):
+        # Outside atoms at theta = 5 (risk 0.25) and 7 (risk 0); the search
+        # must find the latter, whatever their order in the profile.
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        prof = EmpiricalRiskProfile.from_risks([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0])
+        best, _ = support_escape_penalty(q, prof, 1.0, alpha_grid=50)
+        alphas = np.linspace(0.0, 1.0, 52)[1:-1]
+        assert best == min(escaped_mixture_objective(q, prof, 1.0, 2, float(a)) for a in alphas)
 
     def test_atom_collision_rejected(self):
         q, prof, _ = self._instance()
         with pytest.raises(AtomCollision):
-            support_escape_penalty(q, prof, 1.0, [q.support[0]])
-        with pytest.raises(AtomCollision):
-            escaped_mixture_objective(q, prof, 1.0, q.support[0], 0.5)
+            escaped_mixture_objective(q, prof, 1.0, 0, 0.5)
+
+    def test_no_outside_atom_rejected(self):
+        q, prof = two_atom_instance()
+        with pytest.raises(ValueError, match="supp"):
+            support_escape_penalty(q, prof, 1.0)
