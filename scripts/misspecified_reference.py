@@ -60,7 +60,7 @@ def main() -> None:
     theta, weight = sol.measure.coords[top, 0], sol.measure.weights[top]
     print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
-    best, optimal = support_escape_penalty(q, full, lam, alpha_grid=1000)
+    best, optimal = support_escape_penalty(q, full, lam)
     print(f"optimal objective on supp(Q):        {optimal:.6f}")
     print(f"best escaped-mixture objective:      {best:.6f}")
     print(f"escape penalty (strictly positive):  {best - optimal:.3e}")

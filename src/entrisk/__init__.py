@@ -16,7 +16,6 @@ in :mod:`entrisk.experiment` and :mod:`entrisk.cli`.
 
 from .errors import (
     AtomCollision,
-    BetaOutOfDomain,
     BracketFailure,
     ConfigError,
     DimensionMismatch,
@@ -53,7 +52,6 @@ from .risk import (
     PredictorSpec,
     empirical_risk,
     expected_risk,
-    level_set,
     risk_profile,
 )
 from .type1 import (
@@ -66,17 +64,12 @@ from .type2 import (
     KBarResult,
     TypeIISolution,
     escaped_mixture_objective,
-    expected_risk_identity,
-    normalization_value,
-    risk_bound_check,
     solve_k_bar,
     solve_type2,
     support_escape_penalty,
     type2_objective,
 )
 from .logrisk import (
-    LogRiskProfile,
-    expected_log_risk,
     log_risk_profile,
     verify_theorem2,
 )
@@ -86,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbsoluteContinuityRelation",
     "AtomCollision",
-    "BetaOutOfDomain",
     "BracketFailure",
     "ConfigError",
     "Dataset",
@@ -100,7 +92,6 @@ __all__ = [
     "InstanceGenerationFailure",
     "InvariantViolation",
     "KBarResult",
-    "LogRiskProfile",
     "LossSpec",
     "MalformedHeader",
     "NegativeWeight",
@@ -118,17 +109,12 @@ __all__ = [
     "check_abs_continuity",
     "empirical_risk",
     "escaped_mixture_objective",
-    "expected_log_risk",
     "expected_risk",
-    "expected_risk_identity",
     "kl_divergence",
-    "level_set",
     "log_partition",
     "log_risk_profile",
     "make_measure",
     "measure_on",
-    "normalization_value",
-    "risk_bound_check",
     "risk_profile",
     "solve_k_bar",
     "solve_type1",

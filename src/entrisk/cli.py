@@ -111,6 +111,8 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
     if not lam > 0.0:
         raise NonPositiveLambda(f"field '--lambda': must be > 0, got {lam}")
+    if not math.isfinite(lam):
+        raise ConfigError(f"field '--lambda': must be finite, got {lam}")
     q, _, profile = generate_instance(cfg)
     if direction == "1":
         sol = solve_type1(q, profile, lam)

@@ -53,10 +53,6 @@ class NonPositiveLambda(EntriskError, ValueError):
     """The regularization factor must be strictly positive."""
 
 
-class BetaOutOfDomain(EntriskError, ValueError):
-    """Normalization queried at or below the pole of the integrand."""
-
-
 class BracketFailure(EntriskError, ArithmeticError):
     """The root bracket is numerically invalid (degenerate inputs or overflow)."""
 

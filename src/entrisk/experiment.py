@@ -61,6 +61,13 @@ from .logrisk import verify_theorem2
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
 DATASET_KINDS = ("synthetic", "csv")
 
+#: Most grid atoms (the product of ``grid_resolution``) an instance may have.
+MAX_GRID_ATOMS = 1_000_000
+
+#: Most loss evaluations (grid atoms times data points) an instance may need:
+#: the whole grid's risk is evaluated once, one pass over the data per atom.
+MAX_LOSS_EVALUATIONS = 100_000_000
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -152,6 +159,9 @@ class ExperimentConfig:
         _require(isinstance(res_raw, (list, tuple)) and len(res_raw) > 0,
                  "field 'grid_resolution': nonempty list required")
         resolution = tuple(_integer(r, "grid_resolution", 1) for r in res_raw)
+        atoms = math.prod(resolution)
+        _require(atoms <= MAX_GRID_ATOMS,
+                 f"field 'grid_resolution': {atoms} atoms exceed the limit {MAX_GRID_ATOMS}")
         d = len(resolution)
         _require(len(grid_min) == d and len(grid_max) == d,
                  "fields 'grid_min'/'grid_max'/'grid_resolution': lengths must agree")
@@ -193,6 +203,9 @@ class ExperimentConfig:
             _require(predictor == "linear_regression" or noise <= 1.0,
                      "field 'noise': a label-flip probability must be <= 1")
             n = _integer(raw["n"], "n", 1)
+            _require(atoms * n <= MAX_LOSS_EVALUATIONS,
+                     f"field 'n': {atoms} atoms x {n} data points exceed the limit "
+                     f"{MAX_LOSS_EVALUATIONS}")
             data_seed = _integer(raw["data_seed"], "data_seed", 0)
         else:
             _require("csv_path" in raw, "field 'csv_path': required for csv dataset")
@@ -327,6 +340,9 @@ def generate_instance(
             data = synthesize_dataset(cfg)
         else:
             data = ingest_csv_dataset(cfg.base_dir / cfg.csv_path)
+            _require(len(grid) * data.n <= MAX_LOSS_EVALUATIONS,
+                     f"field 'csv_path': {len(grid)} atoms x {data.n} data rows exceed "
+                     f"the limit {MAX_LOSS_EVALUATIONS}")
         pred = predictor_spec(cfg)
         if data.pattern_dim != pred.pattern_dim:
             raise ConfigError(

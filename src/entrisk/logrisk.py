@@ -24,12 +24,11 @@ that, and the tilt used here deliberately does not assume nonnegativity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, NonPositiveArgument
-from .measures import DiscreteMeasure, GridAtoms, positions
+from .measures import DiscreteMeasure, positions
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
 from .type2 import TypeIISolution
@@ -38,19 +37,10 @@ from .type2 import TypeIISolution
 NORMALIZATION_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LogRiskProfile(GridAtoms):
-    """log(k_bar + L) per atom, with the lambda and k_bar that produced it."""
-
-    values: np.ndarray
-    source_lam: float
-    source_k_bar: float
-
-
 def log_risk_profile(
     profile: EmpiricalRiskProfile, sol: TypeIISolution
-) -> LogRiskProfile:
-    """Evaluate V = log(k_bar + L) on the solution's support.
+) -> np.ndarray:
+    """V = log(k_bar + L) per atom, read-only, in the order of ``sol.measure``'s atoms.
 
     The arguments are positive for every valid solution (k_bar stays strictly
     above -delta_star); a nonpositive argument means the solution object was
@@ -71,18 +61,7 @@ def log_risk_profile(
     args = sol.pole_gap + (risks - delta_star)
     values = np.log(args)
     values.flags.writeable = False
-    return LogRiskProfile(
-        grid=sol.measure.grid,
-        index=sol.measure.index,
-        values=values,
-        source_lam=sol.lam,
-        source_k_bar=sol.k_bar,
-    )
-
-
-def expected_log_risk(p: DiscreteMeasure, vprofile: LogRiskProfile) -> float:
-    """Mean of V under p, with exact summation; may be negative."""
-    return math.fsum(p.weights * vprofile.values_at(vprofile.values, p, "log-risk"))
+    return values
 
 
 def verify_theorem2(
@@ -97,8 +76,7 @@ def verify_theorem2(
     defining constraint of k_bar, restated through the transform) is asserted
     to NORMALIZATION_TOL.
     """
-    vprofile = log_risk_profile(profile, sol)
-    values = vprofile.values_at(vprofile.values, q, "log-risk")
+    values = sol.measure.values_at(log_risk_profile(profile, sol), q, "log-risk")
     total = sol.lam * math.fsum(np.asarray(q.weights, dtype=float) * np.exp(-values))
     if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
         raise InvariantViolation(

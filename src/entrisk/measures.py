@@ -6,13 +6,13 @@ an objective. Continuous references are expected to arrive here already
 reduced to a particle cloud (i.i.d. draws with uniform weights), so every
 integral in the package is a finite sum.
 
-Measures, risk profiles and log-risk profiles are all :class:`GridAtoms`: an
-index array into one shared, read-only grid of coordinates, plus one value
-per atom. An atom is a row of that grid. Objects built on the same grid line
-up by index, so every sum over the support is a gather followed by an exact
-(``math.fsum``) sum. Hot sums hand ``fsum`` a list (``.tolist()``), which it
-reads faster than an array; the exact sum is the same either way. Objects on
-different grids are matched by coordinates (:func:`positions`).
+Measures and risk profiles are both :class:`GridAtoms`: an index array into
+one shared, read-only grid of coordinates, plus one value per atom. An atom
+is a row of that grid. Objects built on the same grid line up by index, so
+every sum over the support is a gather followed by an exact (``math.fsum``)
+sum. Hot sums hand ``fsum`` a list (``.tolist()``), which it reads faster
+than an array; the exact sum is the same either way. Objects on different
+grids are matched by coordinates (:func:`positions`).
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -34,10 +34,6 @@ from .errors import (
     NonFiniteWeight,
     SupportMismatch,
 )
-
-#: Allowed deviation of a constructed measure's total mass from 1.
-WEIGHT_TOL = 1e-12
-
 
 def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row numbers ``(i, j)`` of neighbouring equal rows after one lexicographic sort.
@@ -139,7 +135,7 @@ class DiscreteMeasure(GridAtoms):
 
     Invariants (enforced by :func:`measure_on` and :func:`make_measure`):
 
-    * weights are strictly positive and sum to 1 within ``WEIGHT_TOL``,
+    * weights are strictly positive and renormalized to sum to 1,
     * support points are pairwise distinct,
     * atoms given zero weight at construction have been dropped, so the
       support is exactly the set of atoms carrying mass.

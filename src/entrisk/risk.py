@@ -123,11 +123,6 @@ class LossSpec:
             return np.abs(predicted - labels)
         return np.where(predicted == labels, 0.0, 1.0)
 
-    def loss(self, predicted: float, label: float) -> float:
-        return float(
-            self.loss_all(np.asarray([predicted]), np.asarray([label]))[0]
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalRiskProfile(GridAtoms):
@@ -193,11 +188,6 @@ def risk_profile(
     """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid."""
     risks = [empirical_risk(theta, data, pred, loss) for theta in q.coords]
     return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
-
-
-def level_set(profile: EmpiricalRiskProfile, delta: float) -> frozenset[int]:
-    """Positions of atoms with risk <= delta (closed threshold)."""
-    return frozenset(int(i) for i in np.flatnonzero(profile.risks <= delta))
 
 
 def expected_risk(p: DiscreteMeasure, profile: EmpiricalRiskProfile) -> float:

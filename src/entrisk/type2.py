@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import (
     AtomCollision,
-    BetaOutOfDomain,
     BracketFailure,
     NonPositiveLambda,
     ToleranceNotReached,
@@ -55,10 +54,13 @@ from .risk import EmpiricalRiskProfile, expected_risk
 #: (scaled by 1 + delta_star) from the singularity.
 POLE_GUARD_SCALE = 2.0**-40
 
-#: Default residual tolerance on |g(k_bar) - 1|.
+#: Residual tolerance on |g(k_bar) - 1|.
 DEFAULT_TOL = 1e-13
 
 MAX_ITERATIONS = 10_000
+
+#: Interior mixture weights alpha searched by :func:`support_escape_penalty`.
+ESCAPE_ALPHA_COUNT = 1000
 
 
 class KBarResult(NamedTuple):
@@ -91,25 +93,6 @@ class TypeIISolution:
     pole_gap: float
 
 
-def normalization_value(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, lam: float, beta: float
-) -> float:
-    """Direct evaluation of g(beta) with exact summation.
-
-    Raises BetaOutOfDomain when beta <= -delta_star, where an atom's
-    denominator would be nonpositive.
-    """
-    if not lam > 0.0:
-        raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    risks = profile.aligned(q)
-    delta_star = float(risks.min())
-    if beta <= -delta_star:
-        raise BetaOutOfDomain(
-            f"beta={beta} is at or below the pole -delta_star={-delta_star}"
-        )
-    return math.fsum(q.weights * lam / (beta + risks))
-
-
 def _secant(lo: float, hi: float, g_lo: float, g_hi: float) -> float | None:
     denom = g_hi - g_lo
     if denom == 0.0:
@@ -124,9 +107,8 @@ def solve_k_bar(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
     lam: float,
-    tol: float = DEFAULT_TOL,
 ) -> KBarResult:
-    """Find the unique k_bar with |g(k_bar) - 1| <= tol.
+    """Find the unique k_bar with |g(k_bar) - 1| <= DEFAULT_TOL.
 
     The search runs on the shifted variable ``t = beta + delta_star`` over the
     bracket ``[max(eps0, lam - (max L - delta_star)), lam]`` with pole guard
@@ -141,12 +123,10 @@ def solve_k_bar(
         (for example a regularization factor below the pole guard).
     ToleranceNotReached
         The iteration cap was hit, or the bracket shrank to adjacent floats,
-        before meeting ``tol``.
+        before meeting ``DEFAULT_TOL``.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     risks = profile.aligned(q)
     delta_star = float(risks.min())
     shifted = risks - delta_star
@@ -175,14 +155,14 @@ def solve_k_bar(
     # hi is always inside the domain; near-degenerate spreads can collapse
     # the bracket onto it, in which case it already satisfies the residual.
     g_hi = g(hi)
-    if abs(g_hi - 1.0) <= tol:
+    if abs(g_hi - 1.0) <= DEFAULT_TOL:
         return _result(hi, g_hi, 0, reported_bracket, delta_star)
     if not lo < hi:
         raise BracketFailure(
             f"empty bracket: lam={lam} does not exceed the pole guard {eps0}"
         )
     g_lo = g(lo)
-    if abs(g_lo - 1.0) <= tol:
+    if abs(g_lo - 1.0) <= DEFAULT_TOL:
         return _result(lo, g_lo, 0, reported_bracket, delta_star)
     if not (g_lo > 1.0 > g_hi):
         raise BracketFailure(
@@ -194,7 +174,7 @@ def solve_k_bar(
         if cand is None:
             cand = 0.5 * (lo + hi)
         g_c = g(cand)
-        if abs(g_c - 1.0) <= tol:
+        if abs(g_c - 1.0) <= DEFAULT_TOL:
             return _result(cand, g_c, it, reported_bracket, delta_star)
         if g_c > 1.0:
             lo, g_lo = cand, g_c
@@ -203,7 +183,7 @@ def solve_k_bar(
         if hi - lo <= math.ulp(hi):
             break
     raise ToleranceNotReached(
-        f"residual {min(abs(g_lo - 1.0), abs(g_hi - 1.0))} above tol={tol} "
+        f"residual {min(abs(g_lo - 1.0), abs(g_hi - 1.0))} above tol={DEFAULT_TOL} "
         f"after bracket exhaustion at lam={lam}"
     )
 
@@ -229,7 +209,6 @@ def solve_type2(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
     lam: float,
-    tol: float = DEFAULT_TOL,
 ) -> TypeIISolution:
     """Minimize R(P) + lam * D(Q || P) over P with Q << P.
 
@@ -239,7 +218,7 @@ def solve_type2(
     pole-shifted denominators, so no cancellation enters even when the root
     sits close to the pole.
     """
-    root = solve_k_bar(q, profile, lam, tol=tol)
+    root = solve_k_bar(q, profile, lam)
     risks = profile.aligned(q)
     shifted = risks - root.delta_star
     weights = np.asarray(q.weights, dtype=float) * lam / (root.pole_gap + shifted)
@@ -268,33 +247,6 @@ def type2_objective(
     if math.isinf(div):
         return math.inf
     return expected_risk(p, profile) + lam * div
-
-
-def expected_risk_identity(
-    sol: TypeIISolution, profile: EmpiricalRiskProfile
-) -> tuple[float, float]:
-    """Both sides of the closed form for the solution's mean risk.
-
-    Returns ``(lhs, rhs)`` with lhs the directly computed mean risk and
-    rhs = lam - k_bar; they agree to ~1e-9 on every valid solution.
-    """
-    lhs = expected_risk(sol.measure, profile)
-    rhs = sol.lam - sol.k_bar
-    return lhs, rhs
-
-
-def risk_bound_check(
-    sol: TypeIISolution, profile: EmpiricalRiskProfile
-) -> tuple[float, float, bool]:
-    """Check the strict upper bound mean risk < lam + delta_star.
-
-    Returns ``(risk, bound, holds)``; the margin ``bound - risk`` equals the
-    root's distance from the pole, so it tends to ``lam`` as risks flatten.
-    """
-    risks = profile.aligned(sol.measure)
-    bound = sol.lam + float(risks.min())
-    risk = expected_risk(sol.measure, profile)
-    return risk, bound, bool(risk < bound)
 
 
 def escaped_mixture_objective(
@@ -334,15 +286,14 @@ def support_escape_penalty(
     q: DiscreteMeasure,
     profile_ext: EmpiricalRiskProfile,
     lam: float,
-    alpha_grid: int = 1000,
 ) -> tuple[float, float]:
     """Numerically demonstrate that escaping supp(Q) strictly raises the objective.
 
     The escaped mass may go to any atom of ``profile_ext`` outside supp(Q);
-    raises ValueError when there is none. Searches mixtures over an interior
-    alpha grid and every outside placement, solving the inside component
-    exactly at each alpha. Returns ``(best_escaped_objective,
-    optimal_objective)``. This is a falsification harness, not a proof: the
+    raises ValueError when there is none. Searches mixtures over
+    ``ESCAPE_ALPHA_COUNT`` interior alphas and every outside placement,
+    solving the inside component exactly at each alpha. Returns
+    ``(best_escaped_objective, optimal_objective)``. This is a falsification harness, not a proof: the
     contract is best > optimal on every instance.
     """
     outside = np.flatnonzero(positions(profile_ext, q) < 0)
@@ -356,7 +307,7 @@ def support_escape_penalty(
     opt = solve_type2(q, profile_ext, lam)
     optimal = type2_objective(opt.measure, q, profile_ext, lam)
 
-    alphas = np.linspace(0.0, 1.0, alpha_grid + 2)[1:-1]
+    alphas = np.linspace(0.0, 1.0, ESCAPE_ALPHA_COUNT + 2)[1:-1]
     best = math.inf
     for alpha in alphas:
         value = escaped_mixture_objective(q, profile_ext, lam, best_atom, float(alpha))

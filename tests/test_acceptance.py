@@ -184,8 +184,7 @@ def test_criterion_07_equivalence_of_directions():
         sol = solve_type2(q, prof, lam)
         _, gap = verify_theorem2(q, prof, sol)
         worst_gap = max(worst_gap, gap)
-        vprof = log_risk_profile(prof, sol)
-        values = vprof.values
+        values = log_risk_profile(prof, sol)
         log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
         worst_logz = max(worst_logz, abs(log_total))
     ok = worst_gap <= 1e-9 and worst_logz <= 1e-10
@@ -255,7 +254,7 @@ def test_criterion_09_support_escape_penalty():
     )
     outside = positions(full_profile, q) < 0
     argmin_outside = bool(outside[min(full_profile.argmin_set)])
-    best, optimal = support_escape_penalty(q, full_profile, 1.0, alpha_grid=1000)
+    best, optimal = support_escape_penalty(q, full_profile, 1.0)
     sol = solve_type2(q, full_profile, 1.0)
     collapse = check_abs_continuity(sol.measure, q).mutually
     ok = misspecified and argmin_outside and best > optimal and collapse

@@ -140,6 +140,14 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["support"]) == len(payload["weights"]) < 9
 
+    @pytest.mark.parametrize("direction", ["1", "2"])
+    def test_infinite_lambda_is_validation_error(self, tmp_path, capsys, direction):
+        cfg = write_config(tmp_path)
+        code = cli_main(["solve", "--config", str(cfg), "--lambda", "inf", "--type", direction])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: field '--lambda': must be finite, got inf\n"
+
     def test_bad_type_choice_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli_main(["solve", "--config", str(cfg), "--lambda", "1", "--type", "3"]) == 1

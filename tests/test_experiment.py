@@ -115,6 +115,45 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sub-box"):
             generate_instance(cfg)
 
+    def test_oversize_grid_rejected(self):
+        plane = {"grid_min": [-1.0, -1.0], "grid_max": [1.0, 1.0], "true_model": [0.5, 0.1]}
+        with pytest.raises(ConfigError, match="'grid_resolution'.*10000000000 atoms"):
+            ExperimentConfig.from_dict(base_config(**plane, grid_resolution=[100000, 100000]))
+        with pytest.raises(ConfigError, match="'grid_resolution'"):
+            ExperimentConfig.from_dict(base_config(grid_resolution=[experiment.MAX_GRID_ATOMS + 1]))
+        assert ExperimentConfig.from_dict(
+            base_config(grid_resolution=[experiment.MAX_GRID_ATOMS], n=1)
+        ).grid_resolution == (experiment.MAX_GRID_ATOMS,)
+
+    def test_oversize_atoms_times_data_rejected(self):
+        n = experiment.MAX_LOSS_EVALUATIONS // 1000 + 1
+        with pytest.raises(ConfigError, match="'n'"):
+            ExperimentConfig.from_dict(base_config(grid_resolution=[1000], n=n))
+        assert ExperimentConfig.from_dict(base_config(grid_resolution=[1000], n=n - 1)).n == n - 1
+
+    def test_size_limits_admit_committed_and_planned_configs(self):
+        plane = {"grid_min": [-1.0, -1.0], "grid_max": [1.0, 1.0], "true_model": [0.5, 0.1]}
+        # A 250k-atom grid at n = 200.
+        ExperimentConfig.from_dict(base_config(**plane, grid_resolution=[500, 500], n=200))
+        root = Path(__file__).parent.parent
+        workloads = json.loads((root / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+        configs = [w["config"] for w in workloads["workloads"].values()]
+        configs += [json.loads(path.read_text(encoding="utf-8"))
+                    for path in sorted(FIXTURES.glob("*_config.json"))]
+        for raw in configs:
+            ExperimentConfig.from_dict({"data_seed": 0, "seed": 0, **raw})
+
+    def test_oversize_csv_dataset_rejected_before_risks(self, tmp_path, monkeypatch):
+        emit_dataset_csv(Dataset(np.zeros((3, 1)), np.zeros(3)), tmp_path / "data.csv")
+        raw = {key: value for key, value in base_config(dataset="csv", csv_path="data.csv").items()
+               if key not in ("true_model", "noise", "n", "data_seed")}
+        cfg = ExperimentConfig.from_dict(raw, base_dir=tmp_path)
+        monkeypatch.setattr(experiment, "MAX_LOSS_EVALUATIONS", 14)  # 5 atoms x 3 rows = 15
+        monkeypatch.setattr(experiment, "risk_profile", None)  # must not be reached
+        with pytest.raises(ConfigError, match="'csv_path'.*5 atoms x 3 data rows"):
+            generate_instance(cfg)
+        monkeypatch.undo()
+        assert generate_instance(cfg)[2].num_atoms == 5
 
     def test_label_flip_noise_at_most_one(self):
         classifier = {"predictor": "linear_threshold_classifier", "loss": "zero_one"}

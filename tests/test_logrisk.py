@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 
 from entrisk.errors import NonPositiveArgument, SupportMismatch
-from entrisk.logrisk import (
-    LogRiskProfile,
-    expected_log_risk,
-    log_risk_profile,
-    verify_theorem2,
-)
-from entrisk.measures import make_measure
+from entrisk.logrisk import log_risk_profile, verify_theorem2
+from entrisk.measures import kl_divergence, make_measure
+from entrisk.risk import EmpiricalRiskProfile
 from entrisk.type2 import TypeIISolution, solve_type2
 
 from conftest import (
     profile_from,
     random_pipeline_instance,
     random_solver_instance,
+    three_atom_instance,
     two_atom_instance,
     uniform_on,
 )
@@ -31,35 +28,45 @@ V_TWO_ATOM = (-0.34657359027997264, 0.53479999673957404)
 ELR_TWO_ATOM = -0.0884252434007
 
 
+def mean_log_risk(p, values) -> float:
+    """Mean of V under ``p``, whose atoms are in the order of ``values``."""
+    return math.fsum((p.weights * values).tolist())
+
+
 class TestLogRiskProfile:
     def test_constant_risks_give_log_lambda(self):
         q = uniform_on(3)
         prof = profile_from([0.9, 0.9, 0.9])
         for lam in (0.2, 1.0, 7.0):
             sol = solve_type2(q, prof, lam)
-            vprof = log_risk_profile(prof, sol)
-            assert np.allclose(vprof.values, math.log(lam), atol=1e-12)
+            values = log_risk_profile(prof, sol)
+            assert np.allclose(values, math.log(lam), atol=1e-12)
 
     def test_two_atom_oracle_values(self):
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        assert vprof.values == pytest.approx(V_TWO_ATOM, abs=1e-9)
-        assert vprof.source_lam == 1.0
-        assert vprof.source_k_bar == sol.k_bar
+        values = log_risk_profile(prof, sol)
+        assert values == pytest.approx(V_TWO_ATOM, abs=1e-9)
+        assert not values.flags.writeable
+
+    def test_values_follow_solution_atom_order(self):
+        # V is read in the order of sol.measure's atoms, whatever the profile's order.
+        q, _ = two_atom_instance()
+        reversed_prof = EmpiricalRiskProfile.from_risks(q.coords[::-1], [1.0, 0.0])
+        values = log_risk_profile(reversed_prof, solve_type2(q, reversed_prof, 1.0))
+        assert values == pytest.approx(V_TWO_ATOM, abs=1e-9)
 
     def test_order_preserved_by_monotone_transform(self):
         q = uniform_on(2)
         prof = profile_from([0.2, 0.9])
         sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        assert vprof.values[0] < vprof.values[1]
+        values = log_risk_profile(prof, sol)
+        assert values[0] < values[1]
 
     def test_values_may_be_negative(self):
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        assert float(vprof.values.min()) < 0.0
+        assert float(log_risk_profile(prof, sol).min()) < 0.0
 
     def test_corrupted_solution_rejected(self):
         q, prof = two_atom_instance()
@@ -78,34 +85,38 @@ class TestLogRiskProfile:
 
 
 class TestExpectedLogRisk:
-    def test_point_mass_picks_single_value(self):
-        q, prof = two_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        p = make_measure(q.coords[1:2], [1.0])
-        assert expected_log_risk(p, vprof) == pytest.approx(V_TWO_ATOM[1], abs=1e-9)
-
     def test_constant_risks_give_log_lambda_for_any_measure(self, rng):
         q = uniform_on(4)
         prof = profile_from([0.3, 0.3, 0.3, 0.3])
         sol = solve_type2(q, prof, 2.5)
-        vprof = log_risk_profile(prof, sol)
         p = make_measure(q.coords, rng.dirichlet(np.ones(4)))
-        assert expected_log_risk(p, vprof) == pytest.approx(math.log(2.5), abs=1e-12)
+        assert mean_log_risk(p, log_risk_profile(prof, sol)) == pytest.approx(
+            math.log(2.5), abs=1e-12
+        )
 
     def test_two_atom_solution_oracle(self):
+        # p2 = q * lam * exp(-V), so D(P2 || Q) = log lam - E_P2[V].
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        value = expected_log_risk(sol.measure, vprof)
+        value = mean_log_risk(sol.measure, log_risk_profile(prof, sol))
         assert value == pytest.approx(ELR_TWO_ATOM, abs=1e-9)
+        assert value == pytest.approx(-kl_divergence(sol.measure, q), abs=1e-15)
+
+    def test_mean_is_log_lambda_minus_divergence(self, rng):
+        for _ in range(20):
+            q, prof = random_solver_instance(rng)
+            lam = float(10.0 ** rng.uniform(-3, 3))
+            sol = solve_type2(q, prof, lam)
+            value = mean_log_risk(sol.measure, log_risk_profile(prof, sol))
+            expected = math.log(lam) - kl_divergence(sol.measure, q)
+            assert value == pytest.approx(expected, abs=1e-12 * (1.0 + abs(expected)))
 
     def test_support_mismatch(self):
-        q, prof = two_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
+        # A solution on fewer atoms than the reference has no V for the rest.
+        q, prof = three_atom_instance()
+        sol = solve_type2(make_measure(q.coords[:2], [1.0, 1.0]), prof, 1.0)
         with pytest.raises(SupportMismatch):
-            expected_log_risk(make_measure([[77.0]], [1.0]), vprof)
+            verify_theorem2(q, prof, sol)
 
 
 def heaviest_atoms(m):
@@ -126,8 +137,7 @@ class TestEquivalence:
     def test_two_atom_chain(self):
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
-        vprof = log_risk_profile(prof, sol)
-        tilt = np.exp(-vprof.values)
+        tilt = np.exp(-log_risk_profile(prof, sol))
         assert tilt == pytest.approx((math.sqrt(2.0), 1.0 / (1.0 + math.sqrt(0.5))), abs=1e-9)
         total = math.fsum(q.weights * tilt)
         assert abs(total - 1.0) <= 1e-10
@@ -141,8 +151,7 @@ class TestEquivalence:
             q, prof = random_solver_instance(rng, max_atoms=20)
             lam = float(10.0 ** rng.uniform(-2, 2))
             sol = solve_type2(q, prof, lam)
-            vprof = log_risk_profile(prof, sol)
-            values = vprof.values
+            values = log_risk_profile(prof, sol)
             log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
             assert abs(log_total) <= 1e-10
 

@@ -1,4 +1,4 @@
-"""Empirical risk, profiles, level sets, and expected risk."""
+"""Empirical risk, profiles, minimizers, and expected risk."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from entrisk.risk import (
     PredictorSpec,
     empirical_risk,
     expected_risk,
-    level_set,
     risk_profile,
 )
 
@@ -82,9 +81,9 @@ class TestEmpiricalRisk:
     )
     @settings(max_examples=150)
     def test_loss_axioms_per_kind(self, kind, y_hat, y):
-        loss = LossSpec(kind)
-        assert loss.loss(y, y) == 0.0
-        assert loss.loss(y_hat, y) >= 0.0
+        losses = LossSpec(kind).loss_all(np.array([y, y_hat]), np.array([y, y]))
+        assert losses[0] == 0.0
+        assert losses[1] >= 0.0
 
     def test_any_misfit_point_makes_risk_positive(self):
         data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))  # theta=1 misses x=2
@@ -116,28 +115,6 @@ class TestRiskProfile:
         prof = profile_from(risks)
         assert np.all(prof.risks >= prof.delta_star)
         assert all(prof.risks[i] == prof.delta_star for i in prof.argmin_set)
-
-
-class TestLevelSet:
-    def test_below_minimum_is_empty(self):
-        prof = profile_from([0.2, 0.5, 0.9])
-        assert level_set(prof, 0.1) == frozenset()
-
-    def test_at_minimum_equals_argmin(self):
-        prof = profile_from([0.2, 0.5, 0.9])
-        assert level_set(prof, prof.delta_star) == prof.argmin_set
-
-    def test_threshold_filter(self):
-        prof = profile_from([0.2, 0.5, 0.9])
-        assert level_set(prof, 0.6) == frozenset({0, 1})
-        assert level_set(prof, 0.5) == frozenset({0, 1})
-
-    @given(risk_vectors, st.floats(0.0, 60.0), st.floats(0.0, 60.0))
-    @settings(max_examples=100)
-    def test_monotone_in_delta(self, risks, d1, d2):
-        prof = profile_from(risks)
-        lo, hi = min(d1, d2), max(d1, d2)
-        assert level_set(prof, lo) <= level_set(prof, hi)
 
 
 class TestExpectedRisk:
@@ -204,7 +181,8 @@ class TestErmMinimizers:
 
     def test_level_set_at_delta_star_equals_minimizers(self):
         prof = profile_from([0.5, 0.2, 0.2, 0.9])
-        assert level_set(prof, prof.delta_star) == prof.argmin_set
+        level_set = np.flatnonzero(prof.risks <= prof.delta_star)
+        assert frozenset(level_set.tolist()) == prof.argmin_set == frozenset({1, 2})
 
 
 class TestLossScaling:

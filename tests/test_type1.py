@@ -100,6 +100,14 @@ class TestSolveType1:
         with pytest.raises(NonPositiveLambda):
             solve_type1(q, prof, 0.0)
 
+    def test_reported_log_partition_matches_log_partition(self, rng):
+        for _ in range(20):
+            q, prof = random_solver_instance(rng)
+            lam = float(10.0 ** rng.uniform(-3, 3))
+            reported = solve_type1(q, prof, lam).log_partition_at_minus_inv_lambda
+            direct = log_partition(q, prof, -1.0 / lam)
+            assert reported == pytest.approx(direct, abs=1e-12 * (1.0 + abs(direct)))
+
     def test_shift_invariance(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
         shifted = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 3.0)

@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from entrisk import type2
 from entrisk.errors import (
     AtomCollision,
-    BetaOutOfDomain,
     BracketFailure,
     NonPositiveLambda,
     ToleranceNotReached,
 )
+from entrisk.experiment import sweep_records
 from entrisk.measures import check_abs_continuity, make_measure, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
+    ESCAPE_ALPHA_COUNT,
     escaped_mixture_objective,
-    expected_risk_identity,
-    normalization_value,
-    risk_bound_check,
     solve_k_bar,
     solve_type2,
     support_escape_penalty,
@@ -52,37 +51,47 @@ def bisect_cubic(tol_width: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def normalization(q, prof, lam: float, beta: float) -> float:
+    """Independent g(beta) = sum q * lam / (beta + L), in the unshifted form."""
+    return math.fsum((q.weights * lam / (beta + prof.aligned(q))).tolist())
+
+
 class TestNormalizationValue:
+    """The normalization g, evaluated independently of the solver, at its root."""
+
     def test_constant_risks_single_term(self):
         q = uniform_on(3)
         prof = profile_from([0.4, 0.4, 0.4])
-        for lam, beta in ((1.0, 1.0), (2.0, 0.3), (0.5, 5.0)):
-            assert normalization_value(q, prof, lam, beta) == pytest.approx(
-                lam / (beta + 0.4), abs=1e-14
-            )
+        for lam in (1.0, 2.0, 0.5):
+            k_bar = solve_k_bar(q, prof, lam).k_bar
+            assert lam / (k_bar + 0.4) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_term_hand_evaluation(self):
         q, prof = two_atom_instance()
-        assert normalization_value(q, prof, 1.0, 1.0) == pytest.approx(0.75, abs=1e-15)
+        k_bar = solve_k_bar(q, prof, 1.0).k_bar
+        assert 0.5 / k_bar + 0.5 / (k_bar + 1.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_pole_is_rejected(self):
-        q, prof = two_atom_instance()
-        with pytest.raises(BetaOutOfDomain):
-            normalization_value(q, prof, 1.0, -prof.delta_star)
-        with pytest.raises(BetaOutOfDomain):
-            normalization_value(q, prof, 1.0, -prof.delta_star - 0.5)
+    def test_root_satisfies_unshifted_constraint(self, rng):
+        # The returned k_bar is a double: next to the pole, its rounding
+        # (half an ulp of k_bar) moves g by up to g'(k_bar) times that much.
+        for _ in range(30):
+            q, prof = random_solver_instance(rng)
+            lam = float(10.0 ** rng.uniform(-3, 3))
+            k_bar = solve_k_bar(q, prof, lam).k_bar
+            slope = math.fsum((q.weights * lam / (k_bar + prof.aligned(q)) ** 2).tolist())
+            assert abs(normalization(q, prof, lam, k_bar) - 1.0) <= 1e-12 + slope * math.ulp(k_bar)
 
     @given(risk_vectors, lambdas)
     @settings(max_examples=100)
     def test_strictly_decreasing(self, risks, lam):
+        # g falls through 1 at the root: above it halfway to the pole,
+        # below it as far to the right.
         q = uniform_on(len(risks))
         prof = profile_from(risks)
-        edge = -prof.delta_star
-        b1 = edge + 0.25
-        b2 = edge + 1.75
-        assert normalization_value(q, prof, lam, b1) > normalization_value(
-            q, prof, lam, b2
-        )
+        res = solve_k_bar(q, prof, lam)
+        half = 0.5 * res.pole_gap
+        assert normalization(q, prof, lam, res.k_bar - half) > 1.0
+        assert normalization(q, prof, lam, res.k_bar + half) < 1.0
 
 
 class TestSolveKBar:
@@ -115,15 +124,16 @@ class TestSolveKBar:
         with pytest.raises(BracketFailure):
             solve_k_bar(q, prof, 1e-300)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # A tolerance below the evaluation floor fails deterministically on an
         # instance whose g never hits 1.0 bitwise (no exact plateau point).
         q = make_measure([[0.0], [1.0]], [0.7275821341229209, 0.10514142093512636])
         prof = EmpiricalRiskProfile.from_risks(
             q.coords, [0.11719659976744323, 0.44711493244664857]
         )
+        monkeypatch.setattr(type2, "DEFAULT_TOL", 1e-30)
         with pytest.raises(ToleranceNotReached):
-            solve_k_bar(q, prof, 1.1468121583112396, tol=1e-30)
+            solve_k_bar(q, prof, 1.1468121583112396)
 
     def test_root_satisfies_residual_contract(self, rng):
         for _ in range(30):
@@ -251,58 +261,59 @@ class TestType2Objective:
                 assert type2_objective(p, q, prof, lam) > best
 
 
+def sweep_row(q, prof, lam: float):
+    """The sweep's row at ``lam``: mean risk, identity gap and bound margin of Type 2."""
+    (row,) = sweep_records(q, prof, [lam])
+    assert row.status == "ok"
+    return row
+
+
 class TestRiskIdentityAndBound:
     def test_constant_risks_both_sides_equal_risk_level(self):
         q = uniform_on(2)
         prof = profile_from([0.3, 0.3])
-        sol = solve_type2(q, prof, 2.0)
-        lhs, rhs = expected_risk_identity(sol, prof)
-        assert lhs == pytest.approx(0.3, abs=1e-12)
-        assert rhs == pytest.approx(0.3, abs=1e-12)
+        row = sweep_row(q, prof, 2.0)
+        assert row.risk_type2 == pytest.approx(0.3, abs=1e-12)
+        assert row.lam - row.k_bar_type2 == pytest.approx(0.3, abs=1e-12)
 
     def test_two_atom_oracle(self):
         q, prof = two_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
-        lhs, rhs = expected_risk_identity(sol, prof)
+        row = sweep_row(q, prof, 1.0)
         root = math.sqrt(0.5)
-        assert lhs == pytest.approx(1.0 - root, abs=1e-6)
-        assert abs(lhs - rhs) <= 1e-9
+        assert row.risk_type2 == pytest.approx(1.0 - root, abs=1e-6)
+        assert row.identity_gap <= 1e-9
 
     def test_three_atom_oracle(self):
         q, prof = three_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
-        lhs, rhs = expected_risk_identity(sol, prof)
-        assert lhs == pytest.approx(1.0 - bisect_cubic(), abs=1e-3)
-        assert abs(lhs - rhs) <= 1e-9
+        row = sweep_row(q, prof, 1.0)
+        assert row.risk_type2 == pytest.approx(1.0 - bisect_cubic(), abs=1e-3)
+        assert row.identity_gap <= 1e-9
 
     def test_identity_on_random_instances(self, rng):
         for _ in range(40):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            sol = solve_type2(q, prof, lam)
-            lhs, rhs = expected_risk_identity(sol, prof)
-            assert abs(lhs - rhs) <= 1e-9
+            row = sweep_row(q, prof, lam)
+            assert row.identity_gap == abs(row.risk_type2 - (lam - row.k_bar_type2))
+            assert row.identity_gap <= 1e-9
 
     def test_bound_constant_risks_margin_is_lambda(self):
         q = uniform_on(2)
         prof = profile_from([0.6, 0.6])
-        sol = solve_type2(q, prof, 0.8)
-        risk, bound, holds = risk_bound_check(sol, prof)
-        assert holds
-        assert bound - risk == pytest.approx(0.8, abs=1e-12)
+        row = sweep_row(q, prof, 0.8)
+        assert row.bound_margin > 0.0
+        assert row.bound_margin == pytest.approx(0.8, abs=1e-12)
 
     def test_bound_two_atom(self):
         q, prof = two_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
-        risk, bound, holds = risk_bound_check(sol, prof)
-        assert holds and risk < 1.0 and bound == 1.0
+        row = sweep_row(q, prof, 1.0)
+        assert row.bound_margin > 0.0 and row.risk_type2 < 1.0
+        assert row.bound_margin == 1.0 - row.risk_type2  # bound lam + delta_star == 1
 
     def test_bound_holds_across_sweep(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=12)
         for lam in np.logspace(-3, 3, 13):
-            sol = solve_type2(q, prof, float(lam))
-            _, _, holds = risk_bound_check(sol, prof)
-            assert holds
+            assert sweep_row(q, prof, float(lam)).bound_margin > 0.0
 
 
 class TestSupportEscape:
@@ -340,8 +351,8 @@ class TestSupportEscape:
         # must find the latter, whatever their order in the profile.
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         prof = EmpiricalRiskProfile.from_risks([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0])
-        best, _ = support_escape_penalty(q, prof, 1.0, alpha_grid=50)
-        alphas = np.linspace(0.0, 1.0, 52)[1:-1]
+        best, _ = support_escape_penalty(q, prof, 1.0)
+        alphas = np.linspace(0.0, 1.0, ESCAPE_ALPHA_COUNT + 2)[1:-1]
         assert best == min(escaped_mixture_objective(q, prof, 1.0, 2, float(a)) for a in alphas)
 
     def test_atom_collision_rejected(self):
