@@ -68,6 +68,10 @@ MAX_GRID_ATOMS = 1_000_000
 #: the whole grid's risk is evaluated once, one pass over the data per atom.
 MAX_LOSS_EVALUATIONS = 100_000_000
 
+#: Most factors a lambda grid may have; checking that they strictly increase
+#: builds the grid, so the count is bounded before that.
+MAX_LAMBDA_COUNT = 100_000
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -96,6 +100,11 @@ def _integer(raw: Any, key: str, minimum: int) -> int:
     _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= minimum,
              f"field {key!r}: integer >= {minimum} required")
     return raw
+
+
+def _strictly_increasing(values: np.ndarray) -> bool:
+    """Whether each value exceeds the one before; compared, not subtracted, so no inf - inf."""
+    return bool(np.all(values[1:] > values[:-1]))
 
 
 def _flag(raw: Any, key: str) -> bool:
@@ -167,6 +176,10 @@ class ExperimentConfig:
                  "fields 'grid_min'/'grid_max'/'grid_resolution': lengths must agree")
         _require(all(lo <= hi for lo, hi in zip(grid_min, grid_max)),
                  "field 'grid_min': must not exceed 'grid_max' on any axis")
+        for axis, points in enumerate(_axes(grid_min, grid_max, resolution)):
+            _require(bool(np.all(np.isfinite(points))) and _strictly_increasing(points),
+                     f"field 'grid_max': axis {axis} must span {len(points)} distinct finite "
+                     f"points from grid_min {grid_min[axis]!r} to grid_max {grid_max[axis]!r}")
         _require(not intercept or d >= 2,
                  "field 'intercept': needs model dimension >= 2")
 
@@ -217,6 +230,8 @@ class ExperimentConfig:
         _require(lambda_min > 0.0, "field 'lambda_min': must be > 0")
         _require(lambda_max >= lambda_min, "field 'lambda_max': must be >= lambda_min")
         lambda_count = _integer(raw["lambda_count"], "lambda_count", 1)
+        _require(lambda_count <= MAX_LAMBDA_COUNT,
+                 f"field 'lambda_count': {lambda_count} factors exceed the limit {MAX_LAMBDA_COUNT}")
         seed = _integer(raw["seed"], "seed", 0)
 
         output_csv = raw.get("output_csv")
@@ -224,7 +239,7 @@ class ExperimentConfig:
         for key, val in (("output_csv", output_csv), ("output_json", output_json)):
             _require(val is None or isinstance(val, str), f"field {key!r}: string required")
 
-        return cls(
+        cfg = cls(
             predictor=predictor,
             loss=loss,
             intercept=intercept,
@@ -251,6 +266,10 @@ class ExperimentConfig:
             base_dir=base_dir or Path.cwd(),
             raw=dict(raw),
         )
+        _require(lambda_count == 1 or _strictly_increasing(lambda_grid(cfg)),
+                 f"field 'lambda_max': the {lambda_count} factors from lambda_min to "
+                 "lambda_max must strictly increase")
+        return cfg
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -276,12 +295,21 @@ def loss_spec(cfg: ExperimentConfig) -> LossSpec:
     return LossSpec(cfg.loss)
 
 
+def _axes(
+    grid_min: Sequence[float], grid_max: Sequence[float], resolution: Sequence[int]
+) -> list[np.ndarray]:
+    """Per-axis points of the lattice: ``resolution`` evenly spaced from min to max.
+
+    A span too wide for a double gives non-finite points, which
+    :meth:`ExperimentConfig.from_dict` rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.linspace(lo, hi, res) for lo, hi, res in zip(grid_min, grid_max, resolution)]
+
+
 def grid_points(cfg: ExperimentConfig) -> np.ndarray:
     """Lattice of model points as a read-only (K, d) grid: per-axis linspace, last axis fastest."""
-    axes = [
-        np.linspace(lo, hi, res)
-        for lo, hi, res in zip(cfg.grid_min, cfg.grid_max, cfg.grid_resolution)
-    ]
+    axes = _axes(cfg.grid_min, cfg.grid_max, cfg.grid_resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     return as_grid(np.stack(mesh, axis=-1).reshape(-1, cfg.dim))
 
@@ -313,13 +341,11 @@ def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
     pred = predictor_spec(cfg)
     rng = np.random.default_rng(cfg.data_seed)
     patterns = rng.uniform(-1.0, 1.0, size=(cfg.n, pred.pattern_dim))
-    theta_star = np.asarray(cfg.true_model, dtype=float)
+    labels = pred.predict_all(np.asarray([cfg.true_model], dtype=float), patterns)[0]
     if cfg.predictor == "linear_regression":
-        labels = pred.predict_all(theta_star, patterns)
         if cfg.noise > 0.0:
             labels = labels + cfg.noise * rng.uniform(-1.0, 1.0, size=cfg.n)
     else:
-        labels = pred.predict_all(theta_star, patterns)
         flips = rng.random(cfg.n) < cfg.noise
         labels = np.where(flips, -labels, labels)
     return Dataset(patterns, labels)
@@ -361,9 +387,13 @@ def lambda_grid(cfg: ExperimentConfig) -> np.ndarray:
     """Geometric grid with exact endpoints, ascending."""
     if cfg.lambda_count == 1:
         return np.asarray([cfg.lambda_min])
-    grid = np.logspace(
-        math.log10(cfg.lambda_min), math.log10(cfg.lambda_max), cfg.lambda_count
-    )
+    # Near the largest double the last power may round up to infinity; that
+    # factor is replaced by lambda_max below, and from_dict rejects a grid
+    # with any other infinite factor as not strictly increasing.
+    with np.errstate(over="ignore"):
+        grid = np.logspace(
+            math.log10(cfg.lambda_min), math.log10(cfg.lambda_max), cfg.lambda_count
+        )
     grid[0] = cfg.lambda_min
     grid[-1] = cfg.lambda_max
     return grid

@@ -77,7 +77,7 @@ def verify_theorem2(
     to NORMALIZATION_TOL.
     """
     values = sol.measure.values_at(log_risk_profile(profile, sol), q, "log-risk")
-    total = sol.lam * math.fsum(np.asarray(q.weights, dtype=float) * np.exp(-values))
+    total = sol.lam * math.fsum((q.weights * np.exp(-values)).tolist())
     if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = {total} deviates from 1 beyond {NORMALIZATION_TOL}"

@@ -12,7 +12,10 @@ is a row of that grid. Objects built on the same grid line up by index, so
 every sum over the support is a gather followed by an exact (``math.fsum``)
 sum. Hot sums hand ``fsum`` a list (``.tolist()``), which it reads faster
 than an array; the exact sum is the same either way. Objects on different
-grids are matched by coordinates (:func:`positions`).
+grids are matched by coordinates (:func:`positions`). The per-atom loss sums
+of a risk profile, many rows at once, go through
+:func:`entrisk.risk.exact_row_sums`, which returns ``math.fsum``'s bits on
+every row.
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.

@@ -10,6 +10,20 @@ A profile holds one risk per atom of a shared grid (see
 :class:`entrisk.measures.GridAtoms`), so one profile serves every measure
 whose support it covers: on the same grid the risks are gathered by index,
 otherwise atoms are matched by exact coordinates.
+
+Risks are evaluated a block of atoms at a time: one numpy pass scores every
+(atom, data point) pair of the block, applies the loss, and sums each atom's
+losses exactly (:func:`exact_row_sums`). A block holds at most
+:data:`BLOCK_DOUBLES` pairs (one atom at a time when a single atom has more
+data points), so the temporaries stay small whatever the grid size.
+
+The row sums split every entry without error into a high part, whose row
+sums are exact in floating point, and a low part, whose row sums carry a
+rigorous error bound, vectorised over the rows. Where the bound proves that
+the result is the correctly rounded row sum it is certified equal to
+``math.fsum``; a row the certificate cannot vouch for, such as one that
+cancels heavily, is summed by ``math.fsum`` itself. Either way every row sum
+is the correctly rounded exact sum, the same bits ``math.fsum`` returns.
 """
 
 from __future__ import annotations
@@ -25,6 +39,80 @@ from .measures import DiscreteMeasure, GridAtoms, as_grid
 
 PREDICTOR_KINDS = ("linear_regression", "linear_threshold_classifier")
 LOSS_KINDS = ("squared", "absolute", "zero_one")
+
+#: Most (atom, data point) pairs scored in one pass of :func:`risk_profile`:
+#: 16,384 doubles, 128 KiB per temporary.
+BLOCK_DOUBLES = 16_384
+
+#: Unit roundoff of binary64: half the spacing of the doubles in [1, 2).
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: Rows are certified only when their extraction scale is 0 or at least this,
+#: so that their error bound is a normal double, exact and rigorous.
+_TINY_SCALE = 2.0**-900
+
+
+def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of an (m, n) float array, n >= 1, and which of them are certified.
+
+    Where ``certified`` is true the sum equals ``math.fsum`` of the row, bit
+    for bit; elsewhere it is only close. Each row is split without error
+    into a high and a low part (Rump, Ogita and Oishi's ExtractVector,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    2008): with ``sigma`` a power of two at least ``2 n max|row|``, the high
+    parts ``(sigma + x) - sigma`` are multiples of ``u sigma`` (u the unit
+    roundoff) whose float sum ``r`` is exact in any order, and the lows
+    ``x - high`` are exact and at most ``u sigma`` each. Their float sum
+    ``t`` is off by at most ``B = 4 n^2 u^2 sigma``, and
+    ``r2, e2 = TwoSum(r, t)`` (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26(6), 2005) puts the exact sum within
+    ``B`` of ``r2 + e2``. ``r2`` is then the correctly rounded sum, which is
+    what ``math.fsum`` returns, when that whole interval lies strictly
+    inside ``r2``'s rounding interval: half a spacing on either side, a
+    quarter toward zero when ``|r2|`` is a power of two. An all-zero row has
+    ``sigma = B = 0`` and is exact. Ties, rows that cancel heavily, rows of
+    tiny nonzero entries and rows that overflow or hold a nan or infinity
+    are left uncertified.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = 2.0 * n * np.abs(rows).max(axis=1)
+        scale = np.where(span > 0.0, np.ldexp(1.0, np.frexp(span)[1]), 0.0)
+        sigma = scale[:, None]
+        high = rows + sigma
+        high -= sigma
+        r, t = high.sum(axis=1), (rows - high).sum(axis=1)
+        r2 = r + t  # Knuth's TwoSum: r2 + e2 == r + t exactly
+        z = r2 - r
+        e2 = (r - (r2 - z)) + (t - z)
+        bound = scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
+        # The exact sum lies within bound of r2 + e2. Compare its farthest
+        # offsets away from and toward zero with the half gaps to r2's
+        # neighbours, doubled so that no subnormal spacing is halved.
+        away = np.sign(r2) * e2
+        spacing = np.spacing(np.abs(r2))
+        below = np.where(np.abs(np.frexp(r2)[0]) == 0.5, 0.5 * spacing, spacing)
+        certified = (
+            (2.0 * (bound + away) < spacing)
+            & (2.0 * (bound - away) < below)
+            & ((span == 0.0) | ((scale >= _TINY_SCALE) & (span < math.inf)))
+        )
+    return r2, certified
+
+
+def exact_row_sums(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of an (m, n) float array, n >= 1, bit for bit.
+
+    Rows certified by :func:`certified_row_sums` keep its sum; the rest are
+    summed by ``math.fsum``, which raises or returns a special value on
+    overflow, nan or infinity exactly as it would for the row on its own.
+    """
+    rows = np.asarray(rows, dtype=float)
+    sums, certified = certified_row_sums(rows)
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(rows[i].tolist())
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +156,11 @@ class PredictorSpec:
     {-1.0, +1.0} with ties (score exactly 0) resolved to +1.0 so that results
     are reproducible. With ``intercept`` the model's last coordinate is an
     additive bias and the model dimension is ``pattern_dim + 1``.
+
+    Models come as a (C, model_dim) block of rows, and a model's score on a
+    pattern x is ``x[0]*w[0] + x[1]*w[1] + ...``, added left to right, then
+    ``+ b`` with an intercept: one fixed elementwise formula, not a BLAS
+    product, so the bits do not depend on the host's BLAS kernel.
     """
 
     kind: str
@@ -84,22 +177,27 @@ class PredictorSpec:
     def model_dim(self) -> int:
         return self.pattern_dim + (1 if self.intercept else 0)
 
-    def scores(self, theta: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-        if theta.shape[0] != self.model_dim:
+    def scores(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """(C, n) scores of the (C, model_dim) model rows on the (n, pattern_dim) patterns."""
+        if thetas.shape[1] != self.model_dim:
             raise DimensionMismatch(
-                f"model has dimension {theta.shape[0]}, predictor needs {self.model_dim}"
+                f"model has dimension {thetas.shape[1]}, predictor needs {self.model_dim}"
             )
         if patterns.shape[1] != self.pattern_dim:
             raise DimensionMismatch(
                 f"patterns have dimension {patterns.shape[1]}, "
                 f"predictor needs {self.pattern_dim}"
             )
+        s = np.multiply.outer(thetas[:, 0], patterns[:, 0])
+        for j in range(1, self.pattern_dim):
+            s += np.multiply.outer(thetas[:, j], patterns[:, j])
         if self.intercept:
-            return patterns @ theta[:-1] + theta[-1]
-        return patterns @ theta
+            s += thetas[:, -1:]
+        return s
 
-    def predict_all(self, theta: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-        s = self.scores(theta, patterns)
+    def predict_all(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """(C, n) predicted labels of the (C, model_dim) model rows."""
+        s = self.scores(thetas, patterns)
         if self.kind == "linear_regression":
             return s
         return np.where(s >= 0.0, 1.0, -1.0)
@@ -168,25 +266,41 @@ class EmpiricalRiskProfile(GridAtoms):
         return self.values_at(self.risks, m, "risk")
 
 
+def _block_risks(
+    thetas: np.ndarray, data: Dataset, pred: PredictorSpec, loss: LossSpec
+) -> np.ndarray:
+    """Empirical risk of each (C, model_dim) model row, in one pass over the data."""
+    losses = loss.loss_all(pred.predict_all(thetas, data.patterns), data.labels)
+    return exact_row_sums(losses) / data.n
+
+
 def empirical_risk(
     theta: Sequence[float], data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> float:
     """Average loss of the model row ``theta`` over the dataset.
 
-    (1/n) times the sum of the pointwise losses, taken in the fixed dataset
-    order with exact accumulation, so the result does not depend on
-    evaluation scheduling.
+    (1/n) times the exact sum of the pointwise losses, rounded once: the
+    one-row case of :func:`risk_profile`'s blocked kernel, equal to
+    ``math.fsum`` of the losses over n. The result does not depend on the
+    order of the data or on evaluation scheduling.
     """
-    theta = np.asarray(theta, dtype=float)
-    losses = loss.loss_all(pred.predict_all(theta, data.patterns), data.labels)
-    return math.fsum(losses.tolist()) / data.n
+    thetas = np.asarray(theta, dtype=float)[None, :]
+    return float(_block_risks(thetas, data, pred, loss)[0])
 
 
 def risk_profile(
     q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
-    """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid."""
-    risks = [empirical_risk(theta, data, pred, loss) for theta in q.coords]
+    """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid.
+
+    Each atom's risk equals :func:`empirical_risk` at its coordinates; the
+    atoms are evaluated :data:`BLOCK_DOUBLES` // n at a time.
+    """
+    coords = q.coords
+    step = max(1, BLOCK_DOUBLES // data.n)
+    risks = np.empty(coords.shape[0])
+    for start in range(0, coords.shape[0], step):
+        risks[start:start + step] = _block_risks(coords[start:start + step], data, pred, loss)
     return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
 
 

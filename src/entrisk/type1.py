@@ -43,7 +43,7 @@ def _tilt(
     logits = np.log(q.weights) - values / lam
     shift = float(logits.max())
     unnorm = np.exp(logits - shift)
-    z = math.fsum(unnorm)
+    z = math.fsum(unnorm.tolist())
     measure = measure_on(q.grid, q.index, unnorm / z)
     return measure, shift + math.log(z)
 
@@ -66,7 +66,7 @@ def log_partition(
     risks = profile.aligned(q)
     logits = np.log(q.weights) + t * risks
     shift = float(logits.max())
-    return shift + math.log(math.fsum(np.exp(logits - shift)))
+    return shift + math.log(math.fsum(np.exp(logits - shift).tolist()))
 
 
 def solve_type1(

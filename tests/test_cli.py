@@ -267,6 +267,27 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("grid_max", {"grid_min": [0.0, -1.5], "grid_max": [0.0, 1.5],
+                          "grid_resolution": [12, 12], "true_model": [0.7, -0.3]}),
+            ("grid_max", {"grid_min": [-1e308], "grid_max": [1e308], "grid_resolution": [3]}),
+            ("lambda_max", {"lambda_min": 0.5, "lambda_max": 0.5, "lambda_count": 3}),
+            ("lambda_max", {"lambda_min": 0.5, "lambda_max": 0.5 * (1 + 1e-15),
+                            "lambda_count": 10}),
+        ],
+        ids=["degenerate_axis", "overflowing_axis", "equal_lambdas", "lambdas_within_rounding"],
+    )
+    def test_degenerate_grid_is_validation_error(
+        self, tmp_path, capsys, command, field, overrides
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
 
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):

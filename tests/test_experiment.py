@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'n'"):
             ExperimentConfig.from_dict(base_config(grid_resolution=[1000], n=n))
         assert ExperimentConfig.from_dict(base_config(grid_resolution=[1000], n=n - 1)).n == n - 1
+
+    def test_oversize_lambda_count_rejected_before_grid(self, monkeypatch):
+        monkeypatch.setattr(experiment, "lambda_grid", None)  # must not be reached
+        for count in (experiment.MAX_LAMBDA_COUNT + 1, 2**40):
+            with pytest.raises(ConfigError, match=f"'lambda_count': {count} factors"):
+                ExperimentConfig.from_dict(base_config(lambda_count=count))
+        monkeypatch.undo()
+        cfg = ExperimentConfig.from_dict(base_config(lambda_count=experiment.MAX_LAMBDA_COUNT))
+        assert len(lambda_grid(cfg)) == experiment.MAX_LAMBDA_COUNT
+
+    def test_extreme_bounds_parse_or_raise_config_error(self):
+        with pytest.raises(ConfigError, match="'grid_max': axis 0 must span 3 distinct finite"):
+            ExperimentConfig.from_dict(
+                base_config(grid_min=[-1e308], grid_max=[1e308], grid_resolution=[3])
+            )
+        largest = sys.float_info.max
+        grid = lambda_grid(ExperimentConfig.from_dict(
+            base_config(lambda_min=1.0, lambda_max=largest, lambda_count=5)
+        ))
+        assert grid[-1] == largest and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
 
     def test_size_limits_admit_committed_and_planned_configs(self):
         plane = {"grid_min": [-1.0, -1.0], "grid_max": [1.0, 1.0], "true_model": [0.5, 0.1]}
