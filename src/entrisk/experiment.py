@@ -6,9 +6,10 @@ sub-box to induce misspecification), a dataset (synthetic or CSV), and a
 geometric grid of regularization factors. ``sweep_records`` solves both
 regularization directions at every factor and records the identities and
 bounds each solution must satisfy; ``invariant_checks`` judges those records
-for both the sweep summary and the verify command, and ``optimality_fuzz``
-pits both solutions against random measures for verify; ``emit_csv`` writes
-the records with 17-significant-digit floats so output files are byte-stable.
+in one table of (name, threshold, worst, holds) rows, which both the sweep
+summary and the verify command report, and ``optimality_fuzz`` pits both
+solutions against random measures for verify; ``emit_csv`` writes the
+records with 17-significant-digit floats so output files are byte-stable.
 
 Everything is deterministic: randomness is confined to explicitly seeded
 generators, sums are exactly accumulated, and rows are ordered by ascending
@@ -24,13 +25,12 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptySupport,
     EntriskError,
     InstanceGenerationFailure,
     MalformedHeader,
@@ -473,29 +473,50 @@ def sweep_records(
     return records
 
 
-def invariant_checks(records: Sequence[SweepRecord]) -> dict[str, tuple[bool, str]]:
-    """Verdict and worst measured value of each sweep invariant over the rows.
+class Invariant(NamedTuple):
+    """One check of the invariant table: its verdict over a sweep's ok rows.
 
-    Maps each invariant name to ``(holds, detail)``; the numeric checks run
-    over the ok rows only, and ``all_rows_ok`` fails when any row failed.
+    ``worst`` is the largest value a capped check saw, the smallest a floored
+    one saw, ``None`` with no ``threshold``; ``detail`` is the text verify prints.
+    """
+
+    name: str
+    threshold: float | None
+    worst: float | None
+    holds: bool
+    detail: str = ""
+
+
+def invariant_checks(records: Sequence[SweepRecord], delta_star: float) -> list[Invariant]:
+    """The invariant table of a sweep, in a fixed order; ``delta_star`` is min L on supp(Q).
+
+    The numeric checks run over the ok rows only; ``all_rows_ok`` fails when any row failed.
     """
     ok = [r for r in records if r.status == "ok"]
     k_bars = [r.k_bar_type2 for r in ok]
 
-    def at_most(values: list[float], limit: float) -> tuple[bool, str]:
-        return all(v <= limit for v in values), f"worst={max(values, default=0.0):.3g}"
+    def at_most(name: str, values: list[float], limit: float) -> Invariant:
+        worst = max(values, default=0.0)
+        return Invariant(name, limit, worst, all(v <= limit for v in values), f"worst={worst:.3g}")
 
-    margins = [r.bound_margin for r in ok]
-    return {
-        "all_rows_ok": (len(ok) == len(records), ""),
-        "residual_le_1e-12": at_most([r.residual for r in ok], 1e-12),
-        "identity_gap_le_1e-9": at_most([r.identity_gap for r in ok], 1e-9),
-        "bound_margin_positive": (
-            all(m > 0.0 for m in margins), f"min={min(margins, default=math.inf):.3g}"
-        ),
-        "theorem2_gap_le_1e-9": at_most([r.theorem2_gap for r in ok], 1e-9),
-        "k_bar_strictly_increasing": (all(a < b for a, b in zip(k_bars, k_bars[1:])), ""),
-    }
+    def above(name: str, values: list[float], limit: float) -> Invariant:
+        worst = min(values, default=math.inf)
+        return Invariant(name, limit, worst, all(v > limit for v in values), f"min={worst:.3g}")
+
+    return [
+        Invariant("all_rows_ok", None, None, len(ok) == len(records)),
+        at_most("residual_le_1e-12", [r.residual for r in ok], 1e-12),
+        at_most("identity_gap_le_1e-9", [r.identity_gap for r in ok], 1e-9),
+        above("bound_margin_positive", [r.bound_margin for r in ok], 0.0),
+        at_most("theorem2_gap_le_1e-9", [r.theorem2_gap for r in ok], 1e-9),
+        Invariant("k_bar_strictly_increasing", None, None,
+                  all(a < b for a, b in zip(k_bars, k_bars[1:]))),
+        above("k_bar_above_pole", [k + delta_star for k in k_bars], 0.0),
+        # supp(P2) is a subset of supp(Q) by construction, so a finite
+        # D(Q || P2) means the two supports coincide.
+        Invariant("support_collapse", None, None,
+                  all(math.isfinite(r.kl_q_p_type2) for r in ok)),
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -609,7 +630,9 @@ def grid_profile(
     """
     risks = np.empty(len(q.grid))
     risks[q.index] = profile.aligned(q)
-    outside = np.setdiff1d(np.arange(len(q.grid)), q.index)
+    outside_mask = np.ones(len(q.grid), dtype=bool)
+    outside_mask[q.index] = False
+    outside = np.flatnonzero(outside_mask)
     if outside.size:
         rest = measure_on(q.grid, outside, np.ones(outside.size))
         risks[outside] = risk_profile(rest, data, predictor_spec(cfg), loss_spec(cfg)).risks
@@ -668,12 +691,19 @@ def sweep_summary(
     data: Dataset,
     profile: EmpiricalRiskProfile,
 ) -> dict[str, Any]:
-    """Config echo, instance digest, and pass/fail flags per sweep invariant."""
+    """Config echo, instance digest, and each invariant's verdict, threshold and worst value."""
+    checks = invariant_checks(records, float(profile.aligned(q).min()))
     return {
         "config": cfg.raw,
         "instance_digest": instance_digest(q, data),
         "rows": len(records),
         "rows_ok": sum(r.status == "ok" for r in records),
         "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data, profile),
-        "invariants": {name: ok for name, (ok, _) in invariant_checks(records).items()},
+        "invariants": {c.name: c.holds for c in checks},
+        # A worst value that is not finite is reported as None: JSON has no NaN or Infinity.
+        "invariant_values": {
+            c.name: {"threshold": c.threshold,
+                     "worst": c.worst if c.worst is not None and math.isfinite(c.worst) else None}
+            for c in checks
+        },
     }

@@ -3,8 +3,7 @@
 The empirical risk of a model is its average loss over the training set. A
 risk profile evaluates that map once per atom of a measure's support and keeps
 the minimum level ``delta_star`` (the lowest risk carrying positive mass,
-which for a finite support is a plain minimum) together with the set of atoms
-attaining it.
+which for a finite support is a plain minimum).
 
 A profile holds one risk per atom of a shared grid (see
 :class:`entrisk.measures.GridAtoms`), so one profile serves every measure
@@ -224,17 +223,15 @@ class LossSpec:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalRiskProfile(GridAtoms):
-    """Empirical risk per atom, plus the minimum level and its atoms.
+    """Empirical risk per atom, plus the minimum level.
 
     ``delta_star`` is the exact minimum of the risks over the (finite)
     support; for a discrete measure with all-positive weights this equals the
     smallest risk level whose sublevel set carries positive mass.
-    ``argmin_set`` holds the positions attaining it exactly.
     """
 
     risks: np.ndarray
     delta_star: float
-    argmin_set: frozenset[int]
 
     @classmethod
     def on_grid(
@@ -250,10 +247,8 @@ class EmpiricalRiskProfile(GridAtoms):
             raise NonFiniteValue("risks must be finite")
         if np.any(arr < 0.0):
             raise ValueError("risks must be nonnegative")
-        delta_star = float(arr.min())
-        argmin = frozenset(np.flatnonzero(arr == delta_star).tolist())
         arr.flags.writeable = False
-        return cls(grid, index, arr, delta_star, argmin)
+        return cls(grid, index, arr, float(arr.min()))
 
     @classmethod
     def from_risks(cls, coords, risks: Sequence[float]) -> "EmpiricalRiskProfile":

@@ -1,7 +1,8 @@
 """Solver for entropy-regularized ERM with the divergence direction reversed.
 
-The problem: minimize `R(P) + lam * D(Q || P)` over measures P that dominate
-the reference (Q << P). The minimizer's density with respect to Q is
+The problem: minimize `R(P) + lam * D(Q || P)` over measures P on supp(Q)
+that dominate the reference (Q << P). The minimizer's density with respect
+to Q is
 
     dP/dQ(theta) = lam / (k_bar + L(theta)),
 
@@ -75,7 +76,6 @@ class KBarResult(NamedTuple):
     k_bar: float
     residual: float
     iterations: int
-    bracket: tuple[float, float]
     pole_gap: float
     delta_star: float
 
@@ -89,7 +89,6 @@ class TypeIISolution:
     k_bar: float
     residual: float
     iterations: int
-    bracket: tuple[float, float]
     pole_gap: float
 
 
@@ -133,37 +132,24 @@ def solve_k_bar(
     spread = float(shifted.max())
     qlam = np.asarray(q.weights, dtype=float) * lam
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
-    reported_bracket = (max(-delta_star + eps0, lam - float(risks.max())), lam - delta_star)
 
     def g(t: float) -> float:
         return math.fsum((qlam / (t + shifted)).tolist())
 
-    if spread == 0.0:
-        # Constant risks: g(t) = lam/t, root t = lam in closed form.
-        residual = abs(g(lam) - 1.0)
-        return KBarResult(
-            k_bar=lam - delta_star,
-            residual=residual,
-            iterations=0,
-            bracket=(lam - delta_star, lam - delta_star),
-            pole_gap=lam,
-            delta_star=delta_star,
-        )
-
     lo = max(eps0, lam - spread)
     hi = lam
-    # hi is always inside the domain; near-degenerate spreads can collapse
-    # the bracket onto it, in which case it already satisfies the residual.
+    # hi is always inside the domain; constant or near-constant risks
+    # collapse the bracket onto it, where it already satisfies the residual.
     g_hi = g(hi)
     if abs(g_hi - 1.0) <= DEFAULT_TOL:
-        return _result(hi, g_hi, 0, reported_bracket, delta_star)
+        return _result(hi, g_hi, 0, delta_star)
     if not lo < hi:
         raise BracketFailure(
             f"empty bracket: lam={lam} does not exceed the pole guard {eps0}"
         )
     g_lo = g(lo)
     if abs(g_lo - 1.0) <= DEFAULT_TOL:
-        return _result(lo, g_lo, 0, reported_bracket, delta_star)
+        return _result(lo, g_lo, 0, delta_star)
     if not (g_lo > 1.0 > g_hi):
         raise BracketFailure(
             f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi} do not straddle 1"
@@ -175,7 +161,7 @@ def solve_k_bar(
             cand = 0.5 * (lo + hi)
         g_c = g(cand)
         if abs(g_c - 1.0) <= DEFAULT_TOL:
-            return _result(cand, g_c, it, reported_bracket, delta_star)
+            return _result(cand, g_c, it, delta_star)
         if g_c > 1.0:
             lo, g_lo = cand, g_c
         else:
@@ -192,14 +178,12 @@ def _result(
     t: float,
     g_t: float,
     iterations: int,
-    bracket: tuple[float, float],
     delta_star: float,
 ) -> KBarResult:
     return KBarResult(
         k_bar=t - delta_star,
         residual=abs(g_t - 1.0),
         iterations=iterations,
-        bracket=bracket,
         pole_gap=t,
         delta_star=delta_star,
     )
@@ -210,13 +194,15 @@ def solve_type2(
     profile: EmpiricalRiskProfile,
     lam: float,
 ) -> TypeIISolution:
-    """Minimize R(P) + lam * D(Q || P) over P with Q << P.
+    """Minimize R(P) + lam * D(Q || P) over P with Q << P supported on supp(Q).
 
-    The solution keeps exactly the support of Q (mass on extra atoms only
-    raises the objective; see :func:`support_escape_penalty`), with weights
-    q(theta) * lam / (k_bar + L(theta)). Weights are assembled from the
-    pole-shifted denominators, so no cancellation enters even when the root
-    sits close to the pole.
+    The solution has exactly the support of Q, with weights
+    q(theta) * lam / (k_bar + L(theta)). It need not stay optimal once P may
+    also charge atoms outside supp(Q): moving mass to such an atom changes
+    the objective at the rate L(outside) + k_bar, so escaping lowers it
+    wherever that slope is negative (see :func:`support_escape_penalty`).
+    Weights are assembled from the pole-shifted denominators, so no
+    cancellation enters even when the root sits close to the pole.
     """
     root = solve_k_bar(q, profile, lam)
     risks = profile.aligned(q)
@@ -229,7 +215,6 @@ def solve_type2(
         k_bar=root.k_bar,
         residual=root.residual,
         iterations=root.iterations,
-        bracket=root.bracket,
         pole_gap=root.pole_gap,
     )
 
@@ -272,8 +257,6 @@ def escaped_mixture_objective(
     inner = solve_type2(q, profile, lam / (1.0 - alpha))
     inside_risk = expected_risk(inner.measure, profile)
     divergence = kl_divergence(q, inner.measure)
-    if alpha == 0.0:
-        return inside_risk + lam * divergence
     return (
         (1.0 - alpha) * inside_risk
         + alpha * float(profile.risks[outside])
@@ -287,14 +270,16 @@ def support_escape_penalty(
     profile_ext: EmpiricalRiskProfile,
     lam: float,
 ) -> tuple[float, float]:
-    """Numerically demonstrate that escaping supp(Q) strictly raises the objective.
+    """Best objective of a mixture escaping supp(Q), against the optimum on supp(Q).
 
     The escaped mass may go to any atom of ``profile_ext`` outside supp(Q);
     raises ValueError when there is none. Searches mixtures over
     ``ESCAPE_ALPHA_COUNT`` interior alphas and every outside placement,
     solving the inside component exactly at each alpha. Returns
-    ``(best_escaped_objective, optimal_objective)``. This is a falsification harness, not a proof: the
-    contract is best > optimal on every instance.
+    ``(best_escaped_objective, optimal_objective)``. The objective is convex
+    in the escaped mass, with slope ``min_out L + k_bar`` at no escape, so
+    escaping pays (best < optimal) wherever that slope is negative, for
+    example at small ``lam`` when an atom outside supp(Q) has lower risk.
     """
     outside = np.flatnonzero(positions(profile_ext, q) < 0)
     if not outside.size:

@@ -253,7 +253,7 @@ def test_criterion_09_support_escape_penalty():
         make_measure(grid, np.ones(len(grid))), data, predictor_spec(cfg), loss_spec(cfg)
     )
     outside = positions(full_profile, q) < 0
-    argmin_outside = bool(outside[min(full_profile.argmin_set)])
+    argmin_outside = bool(outside[np.argmin(full_profile.risks)])
     best, optimal = support_escape_penalty(q, full_profile, 1.0)
     sol = solve_type2(q, full_profile, 1.0)
     collapse = check_abs_continuity(sol.measure, q).mutually

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import types
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from entrisk.errors import ConfigError
 from entrisk.experiment import ExperimentConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCHMARK_CHECK = Path(__file__).parent.parent / "perfbench" / "check.py"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -93,7 +95,7 @@ class TestVerify:
         assert [line.split(" ")[1] for line in lines[1:]] == [
             "all_rows_ok", "residual_le_1e-12", "identity_gap_le_1e-9",
             "bound_margin_positive", "theorem2_gap_le_1e-9",
-            "k_bar_strictly_increasing", "support_collapse",
+            "k_bar_strictly_increasing", "k_bar_above_pole", "support_collapse",
             "type1_optimality_fuzz", "type2_optimality_fuzz",
         ]
         assert lines[-2:] == [
@@ -315,3 +317,29 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "sweep" in capsys.readouterr().out
+
+
+class TestBenchmarkContract:
+    """The benchmark parses verify's check lines and sweep's summary flags."""
+
+    @pytest.fixture(scope="class")
+    def check(self):
+        # Run from its source text, so no bytecode cache is written beside it.
+        module = types.ModuleType("benchmark_check")
+        source = BENCHMARK_CHECK.read_text(encoding="utf-8")
+        exec(compile(source, str(BENCHMARK_CHECK), "exec"), module.__dict__)
+        return module
+
+    def test_verify_lines_satisfy_the_benchmark_check(self, check, tmp_path, capsys):
+        shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
+        assert cli_main(["verify", "--config", str(tmp_path / "grid10_restricted_config.json")]) == 0
+        out = capsys.readouterr().out
+        assert check.check_verify(out) == []
+        assert set(check.verify_worst(out)) == set(check.THRESHOLDS)
+
+    def test_sweep_summary_satisfies_the_benchmark_check(self, check, tmp_path, capsys):
+        shutil.copy(FIXTURES / "grid12_gaussian_config.json", tmp_path)
+        cfg = tmp_path / "grid12_gaussian_config.json"
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        lambda_count = json.loads(cfg.read_text(encoding="utf-8"))["lambda_count"]
+        assert check.check_sweep_summary(capsys.readouterr().out, lambda_count) == []

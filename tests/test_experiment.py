@@ -24,6 +24,7 @@ from entrisk.errors import (
 from entrisk.experiment import (
     CSV_HEADER,
     ExperimentConfig,
+    Invariant,
     SweepRecord,
     build_reference,
     emit_csv,
@@ -397,17 +398,75 @@ class TestRunSweep:
         cfg = ExperimentConfig.from_dict(
             base_config(lambda_min=1e-20, lambda_max=1.0, lambda_count=3)
         )
-        records = run_sweep(cfg)
+        q, _, profile = generate_instance(cfg)
+        records = sweep_records(q, profile, lambda_grid(cfg))
         ok = records[1:]
-        checks = invariant_checks(records)
-        assert checks["all_rows_ok"] == (False, "")
-        assert checks["residual_le_1e-12"] == (
-            True, f"worst={max(r.residual for r in ok):.3g}"
+        checks = {c.name: c for c in invariant_checks(records, profile.delta_star)}
+        assert checks["all_rows_ok"] == Invariant("all_rows_ok", None, None, False, "")
+        worst = max(r.residual for r in ok)
+        assert checks["residual_le_1e-12"] == Invariant(
+            "residual_le_1e-12", 1e-12, worst, True, f"worst={worst:.3g}"
         )
-        assert checks["bound_margin_positive"] == (
-            True, f"min={min(r.bound_margin for r in ok):.3g}"
+        margin = min(r.bound_margin for r in ok)
+        assert checks["bound_margin_positive"] == Invariant(
+            "bound_margin_positive", 0.0, margin, True, f"min={margin:.3g}"
         )
-        assert checks["theorem2_gap_le_1e-9"][0] and checks["k_bar_strictly_increasing"][0]
+        gap = min(r.k_bar_type2 for r in ok) + profile.delta_star
+        assert checks["k_bar_above_pole"] == Invariant(
+            "k_bar_above_pole", 0.0, gap, True, f"min={gap:.3g}"
+        )
+        assert checks["theorem2_gap_le_1e-9"].holds
+        assert checks["k_bar_strictly_increasing"].holds and checks["support_collapse"].holds
+
+    def test_invariant_table_order_and_failures(self):
+        ok = SweepRecord(1.0, 0.0, -0.5, 0.1, 1.5, 0.0, -0.5, 0.0, math.inf, 0.0, 3, 0.0, "ok")
+        checks = invariant_checks([ok, ok], 0.25)
+        assert [c.name for c in checks] == [
+            "all_rows_ok", "residual_le_1e-12", "identity_gap_le_1e-9",
+            "bound_margin_positive", "theorem2_gap_le_1e-9",
+            "k_bar_strictly_increasing", "k_bar_above_pole", "support_collapse",
+        ]
+        failed = {c.name for c in checks if not c.holds}
+        assert failed == {
+            "bound_margin_positive", "k_bar_strictly_increasing",
+            "k_bar_above_pole", "support_collapse",
+        }
+        pole = next(c for c in checks if c.name == "k_bar_above_pole")
+        assert (pole.worst, pole.detail) == (-0.25, "min=-0.25")
+
+    def test_summary_reports_the_invariant_table(self):
+        cfg = ExperimentConfig.from_dict(base_config(lambda_count=4))
+        q, data, profile = generate_instance(cfg)
+        records = sweep_records(q, profile, lambda_grid(cfg))
+        summary = sweep_summary(cfg, records, q, data, profile)
+        checks = invariant_checks(records, profile.delta_star)
+        assert list(summary["invariants"]) == [c.name for c in checks]
+        assert list(summary["invariant_values"]) == [c.name for c in checks]
+        for c in checks:
+            assert summary["invariants"][c.name] is True
+            assert summary["invariant_values"][c.name] == {
+                "threshold": c.threshold, "worst": c.worst
+            }
+        assert summary["invariant_values"]["support_collapse"] == {
+            "threshold": None, "worst": None
+        }
+
+    def test_summary_json_has_no_nan_or_infinity(self, tmp_path):
+        # Every row fails, so the smallest bound margin is over no row: +inf.
+        cfg = ExperimentConfig.from_dict(
+            base_config(lambda_min=1e-21, lambda_max=1e-20, lambda_count=2)
+        )
+        q, data, profile = generate_instance(cfg)
+        records = sweep_records(q, profile, lambda_grid(cfg))
+        margin = invariant_checks(records, profile.delta_star)[3]
+        assert (margin.name, margin.worst, margin.detail) == (
+            "bound_margin_positive", math.inf, "min=inf"
+        )
+        summary = sweep_summary(cfg, records, q, data, profile)
+        assert summary["invariant_values"]["bound_margin_positive"]["worst"] is None
+        path = tmp_path / "summary.json"
+        emit_summary_json(summary, path)
+        json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
 
     def test_solver_failure_marks_row_without_abort(self, tmp_path):
         # lambda far below the pole guard makes the bracket empty on that row

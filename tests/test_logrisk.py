@@ -77,7 +77,6 @@ class TestLogRiskProfile:
             k_bar=-1.0,  # below the pole; impossible for a valid solve
             residual=sol.residual,
             iterations=sol.iterations,
-            bracket=sol.bracket,
             pole_gap=sol.pole_gap,
         )
         with pytest.raises(NonPositiveArgument):

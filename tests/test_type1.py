@@ -117,7 +117,7 @@ class TestSolveType1:
 
     def test_argmin_weight_nonincreasing_in_lambda(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=9)
-        argmin = min(prof.argmin_set)
+        argmin = int(np.argmin(prof.risks))
         grid = np.logspace(-2, 2, 15)
         weights = [float(solve_type1(q, prof, float(l)).measure.weights[argmin]) for l in grid]
         assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))

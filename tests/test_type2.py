@@ -142,11 +142,15 @@ class TestSolveKBar:
             res = solve_k_bar(q, prof, lam)
             assert res.residual <= 1e-12
 
-    def test_root_within_reported_bracket(self, rng):
-        q, prof = random_solver_instance(rng)
-        res = solve_k_bar(q, prof, 0.3)
-        lo, hi = res.bracket
-        assert lo - 1e-12 <= res.k_bar <= hi + 1e-12
+    def test_root_within_mean_risk_range(self, rng):
+        # The mean risk lam - k_bar lies between the smallest and the largest
+        # risk on supp(Q), so k_bar lies in [lam - max L, lam - delta_star].
+        for _ in range(30):
+            q, prof = random_solver_instance(rng)
+            lam = float(10.0 ** rng.uniform(-3, 3))
+            risks = prof.aligned(q)
+            k_bar = solve_k_bar(q, prof, lam).k_bar
+            assert lam - risks.max() - 1e-12 <= k_bar <= lam - risks.min() + 1e-12
 
     @given(risk_vectors, lambdas, lambdas)
     @settings(max_examples=60, deadline=None)
@@ -345,6 +349,22 @@ class TestSupportEscape:
         q, prof, outside = self._instance()
         best, optimal = support_escape_penalty(q, prof, 1.0)
         assert best > optimal
+
+    def test_escape_lowers_the_objective_where_the_slope_is_negative(self):
+        # supp(Q) risks 1.0 and 1.2, one outside atom of risk 0: at lam = 0.1
+        # the slope min_out L + k_bar is negative, and a mixture that escapes
+        # supp(Q) beats the optimum on supp(Q) by far.
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        slope = 0.0 + solve_type2(q, prof, 0.1).k_bar
+        best, optimal = support_escape_penalty(q, prof, 0.1)
+        assert slope == pytest.approx(-0.938, abs=5e-4)
+        assert best == pytest.approx(0.3394, abs=5e-5)
+        assert optimal == pytest.approx(1.0623, abs=5e-5)
+        # Escaping pays exactly where the slope is negative.
+        for lam in (0.5, 1.0, 2.0, 5.0):
+            best, optimal = support_escape_penalty(q, prof, lam)
+            assert (best < optimal) == (solve_type2(q, prof, lam).k_bar < 0.0)
 
     def test_escape_goes_to_the_cheapest_outside_atom(self):
         # Outside atoms at theta = 5 (risk 0.25) and 7 (risk 0); the search
