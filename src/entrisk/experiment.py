@@ -40,11 +40,14 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     as_grid,
+    exact_row_sums,
     kl_divergence,
     measure_on,
-    total_variation,
+    positions,
+    tv_rows,
 )
 from .risk import (
+    BLOCK_DOUBLES,
     LOSS_KINDS,
     PREDICTOR_KINDS,
     Dataset,
@@ -54,8 +57,8 @@ from .risk import (
     expected_risk,
     risk_profile,
 )
-from .type1 import solve_type1, type1_objective
-from .type2 import solve_type2, type2_objective
+from .type1 import solve_type1, type1_objective, type1_objective_rows
+from .type2 import solve_type2, type2_objective, type2_objective_rows
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -477,7 +480,8 @@ class Invariant(NamedTuple):
     """One check of the invariant table: its verdict over a sweep's ok rows.
 
     ``worst`` is the largest value a capped check saw, the smallest a floored
-    one saw, ``None`` with no ``threshold``; ``detail`` is the text verify prints.
+    one saw, ``None`` with no ``threshold`` or no ok row to measure;
+    ``detail`` is the text verify prints.
     """
 
     name: str
@@ -495,13 +499,18 @@ def invariant_checks(records: Sequence[SweepRecord], delta_star: float) -> list[
     ok = [r for r in records if r.status == "ok"]
     k_bars = [r.k_bar_type2 for r in ok]
 
+    def measured(label: str, worst: float | None) -> str:
+        return f"{label}=n/a" if worst is None else f"{label}={worst:.3g}"
+
     def at_most(name: str, values: list[float], limit: float) -> Invariant:
-        worst = max(values, default=0.0)
-        return Invariant(name, limit, worst, all(v <= limit for v in values), f"worst={worst:.3g}")
+        worst = max(values, default=None)
+        return Invariant(name, limit, worst, all(v <= limit for v in values),
+                         measured("worst", worst))
 
     def above(name: str, values: list[float], limit: float) -> Invariant:
-        worst = min(values, default=math.inf)
-        return Invariant(name, limit, worst, all(v > limit for v in values), f"min={worst:.3g}")
+        worst = min(values, default=None)
+        return Invariant(name, limit, worst, all(v > limit for v in values),
+                         measured("min", worst))
 
     return [
         Invariant("all_rows_ok", None, None, len(ok) == len(records)),
@@ -608,12 +617,22 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
 
 
 def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
-    """SHA-256 over a canonical text rendering of grid, weights, and data."""
+    """SHA-256 over a canonical text rendering of grid, weights, and data.
+
+    Each atom, then each data point, is one line: its coordinates (or pattern)
+    comma-separated, ``;``, its weight (or label), all with 17 significant
+    digits. The lines are rendered by one ``%`` format call per block of
+    ``BLOCK_DOUBLES // 4`` values, which keeps the Python floats of a block
+    within ``BLOCK_DOUBLES`` doubles; the hash reads the blocks in order.
+    """
     h = hashlib.sha256()
-    for coords, w in zip(q.coords.tolist(), q.weights.tolist()):
-        h.update((",".join(_fmt(c) for c in coords) + ";" + _fmt(w) + "\n").encode())
-    for x, y in zip(data.patterns, data.labels):
-        h.update((",".join(_fmt(float(v)) for v in x) + ";" + _fmt(float(y)) + "\n").encode())
+    for left, right in ((q.coords, q.weights), (data.patterns, data.labels)):
+        table = np.column_stack([left, right])
+        line = ",".join(["%.17g"] * left.shape[1]) + ";%.17g\n"
+        step = max(1, BLOCK_DOUBLES // 4 // table.shape[1])
+        for start in range(0, len(table), step):
+            block = table[start:start + step]
+            h.update(((line * len(block)) % tuple(block.ravel().tolist())).encode())
     return h.hexdigest()
 
 
@@ -665,22 +684,38 @@ def optimality_fuzz(
 ) -> tuple[bool, bool]:
     """Whether both solutions at ``lam`` beat 200 random measures on supp(Q).
 
-    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of ``q``; a draw within
-    total variation 1e-9 of a solution is not compared against it. Returns
-    ``(type1_ok, type2_ok)``.
+    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of ``q``,
+    renormalized as :func:`measure_on` does; a zero weight leaves its atom out
+    of the draw's support. A draw within total variation 1e-9 of a solution
+    is not compared against it. Returns ``(type1_ok, type2_ok)``.
+
+    The draws are scored a block at a time, as rows of weights on ``q``'s
+    atoms, by the same row-wise divergence, total variation and objective
+    functions that score a single measure, so every value has the bits the
+    per-measure functions give. Blocks hold at most ``BLOCK_DOUBLES // 4``
+    weights, which keeps the list of Python floats handed to ``math.log``
+    within ``BLOCK_DOUBLES`` doubles; drawing them a block at a time
+    consumes the generator exactly as drawing them one by one.
     """
     sol1 = solve_type1(q, profile, lam)
     sol2 = solve_type2(q, profile, lam)
     obj1 = type1_objective(sol1.measure, q, profile, lam)
     obj2 = type2_objective(sol2.measure, q, profile, lam)
+    risks = profile.aligned(q)
+    # Both solutions as weights on q's atoms; a tilt may have dropped some.
+    on_q1, on_q2 = np.zeros(q.num_atoms), np.zeros(q.num_atoms)
+    on_q1[positions(sol1.measure, q)] = sol1.measure.weights
+    on_q2[positions(sol2.measure, q)] = sol2.measure.weights
     rng = np.random.default_rng(seed)
+    step = max(1, BLOCK_DOUBLES // 4 // q.num_atoms)
     ok1 = ok2 = True
-    for _ in range(200):
-        rand = measure_on(q.grid, q.index, rng.dirichlet(np.ones(q.num_atoms)))
-        if total_variation(rand, sol1.measure) > 1e-9:
-            ok1 = ok1 and type1_objective(rand, q, profile, lam) > obj1
-        if total_variation(rand, sol2.measure) > 1e-9:
-            ok2 = ok2 and type2_objective(rand, q, profile, lam) > obj2
+    for start in range(0, 200, step):
+        draws = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
+        rand = draws / exact_row_sums(draws)[:, None]
+        far1 = tv_rows(rand, on_q1) > 1e-9
+        far2 = tv_rows(rand, on_q2) > 1e-9
+        ok1 = ok1 and bool(np.all(type1_objective_rows(rand, q.weights, risks, lam)[far1] > obj1))
+        ok2 = ok2 and bool(np.all(type2_objective_rows(rand, q.weights, risks, lam)[far2] > obj2))
     return ok1, ok2
 
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import InvariantViolation, NonPositiveArgument
-from .measures import DiscreteMeasure, positions
+from .measures import DiscreteMeasure, exact_sum, positions
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
 from .type2 import TypeIISolution
@@ -77,7 +77,7 @@ def verify_theorem2(
     to NORMALIZATION_TOL.
     """
     values = sol.measure.values_at(log_risk_profile(profile, sol), q, "log-risk")
-    total = sol.lam * math.fsum((q.weights * np.exp(-values)).tolist())
+    total = sol.lam * exact_sum(q.weights * np.exp(-values))
     if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = {total} deviates from 1 beyond {NORMALIZATION_TOL}"

@@ -12,29 +12,22 @@ otherwise atoms are matched by exact coordinates.
 
 Risks are evaluated a block of atoms at a time: one numpy pass scores every
 (atom, data point) pair of the block, applies the loss, and sums each atom's
-losses exactly (:func:`exact_row_sums`). A block holds at most
-:data:`BLOCK_DOUBLES` pairs (one atom at a time when a single atom has more
-data points), so the temporaries stay small whatever the grid size.
-
-The row sums split every entry without error into a high part, whose row
-sums are exact in floating point, and a low part, whose row sums carry a
-rigorous error bound, vectorised over the rows. Where the bound proves that
-the result is the correctly rounded row sum it is certified equal to
-``math.fsum``; a row the certificate cannot vouch for, such as one that
-cancels heavily, is summed by ``math.fsum`` itself. Either way every row sum
-is the correctly rounded exact sum, the same bits ``math.fsum`` returns.
+losses exactly with :func:`entrisk.measures.exact_row_sums`, the package's
+one certified row-sum kernel, which returns ``math.fsum``'s bits on every
+row. A block holds at most :data:`BLOCK_DOUBLES` pairs (one atom at a time
+when a single atom has more data points), so the temporaries stay small
+whatever the grid size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .measures import DiscreteMeasure, GridAtoms, as_grid
+from .measures import DiscreteMeasure, GridAtoms, as_grid, exact_row_sums, mean_rows
 
 PREDICTOR_KINDS = ("linear_regression", "linear_threshold_classifier")
 LOSS_KINDS = ("squared", "absolute", "zero_one")
@@ -42,76 +35,6 @@ LOSS_KINDS = ("squared", "absolute", "zero_one")
 #: Most (atom, data point) pairs scored in one pass of :func:`risk_profile`:
 #: 16,384 doubles, 128 KiB per temporary.
 BLOCK_DOUBLES = 16_384
-
-#: Unit roundoff of binary64: half the spacing of the doubles in [1, 2).
-_UNIT_ROUNDOFF = 2.0**-53
-
-#: Rows are certified only when their extraction scale is 0 or at least this,
-#: so that their error bound is a normal double, exact and rigorous.
-_TINY_SCALE = 2.0**-900
-
-
-def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of an (m, n) float array, n >= 1, and which of them are certified.
-
-    Where ``certified`` is true the sum equals ``math.fsum`` of the row, bit
-    for bit; elsewhere it is only close. Each row is split without error
-    into a high and a low part (Rump, Ogita and Oishi's ExtractVector,
-    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-    2008): with ``sigma`` a power of two at least ``2 n max|row|``, the high
-    parts ``(sigma + x) - sigma`` are multiples of ``u sigma`` (u the unit
-    roundoff) whose float sum ``r`` is exact in any order, and the lows
-    ``x - high`` are exact and at most ``u sigma`` each. Their float sum
-    ``t`` is off by at most ``B = 4 n^2 u^2 sigma``, and
-    ``r2, e2 = TwoSum(r, t)`` (Ogita, Rump and Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 26(6), 2005) puts the exact sum within
-    ``B`` of ``r2 + e2``. ``r2`` is then the correctly rounded sum, which is
-    what ``math.fsum`` returns, when that whole interval lies strictly
-    inside ``r2``'s rounding interval: half a spacing on either side, a
-    quarter toward zero when ``|r2|`` is a power of two. An all-zero row has
-    ``sigma = B = 0`` and is exact. Ties, rows that cancel heavily, rows of
-    tiny nonzero entries and rows that overflow or hold a nan or infinity
-    are left uncertified.
-    """
-    rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = 2.0 * n * np.abs(rows).max(axis=1)
-        scale = np.where(span > 0.0, np.ldexp(1.0, np.frexp(span)[1]), 0.0)
-        sigma = scale[:, None]
-        high = rows + sigma
-        high -= sigma
-        r, t = high.sum(axis=1), (rows - high).sum(axis=1)
-        r2 = r + t  # Knuth's TwoSum: r2 + e2 == r + t exactly
-        z = r2 - r
-        e2 = (r - (r2 - z)) + (t - z)
-        bound = scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
-        # The exact sum lies within bound of r2 + e2. Compare its farthest
-        # offsets away from and toward zero with the half gaps to r2's
-        # neighbours, doubled so that no subnormal spacing is halved.
-        away = np.sign(r2) * e2
-        spacing = np.spacing(np.abs(r2))
-        below = np.where(np.abs(np.frexp(r2)[0]) == 0.5, 0.5 * spacing, spacing)
-        certified = (
-            (2.0 * (bound + away) < spacing)
-            & (2.0 * (bound - away) < below)
-            & ((span == 0.0) | ((scale >= _TINY_SCALE) & (span < math.inf)))
-        )
-    return r2, certified
-
-
-def exact_row_sums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row of an (m, n) float array, n >= 1, bit for bit.
-
-    Rows certified by :func:`certified_row_sums` keep its sum; the rest are
-    summed by ``math.fsum``, which raises or returns a special value on
-    overflow, nan or infinity exactly as it would for the row on its own.
-    """
-    rows = np.asarray(rows, dtype=float)
-    sums, certified = certified_row_sums(rows)
-    for i in np.flatnonzero(~certified).tolist():
-        sums[i] = math.fsum(rows[i].tolist())
-    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,5 +223,5 @@ def risk_profile(
 
 
 def expected_risk(p: DiscreteMeasure, profile: EmpiricalRiskProfile) -> float:
-    """Mean empirical risk under ``p``, with exact summation."""
-    return math.fsum((p.weights * profile.aligned(p)).tolist())
+    """Mean empirical risk under ``p``, with exact summation: one row of :func:`mean_rows`."""
+    return float(mean_rows(p.weights[None], profile.aligned(p))[0])

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLambda
-from .measures import DiscreteMeasure, kl_divergence, measure_on
-from .risk import EmpiricalRiskProfile, expected_risk
+from .measures import DiscreteMeasure, exact_sum, kl_rows, mean_rows, measure_on, positions
+from .risk import EmpiricalRiskProfile
 
 
 def _tilt(
@@ -43,7 +43,7 @@ def _tilt(
     logits = np.log(q.weights) - values / lam
     shift = float(logits.max())
     unnorm = np.exp(logits - shift)
-    z = math.fsum(unnorm.tolist())
+    z = exact_sum(unnorm)
     measure = measure_on(q.grid, q.index, unnorm / z)
     return measure, shift + math.log(z)
 
@@ -66,7 +66,7 @@ def log_partition(
     risks = profile.aligned(q)
     logits = np.log(q.weights) + t * risks
     shift = float(logits.max())
-    return shift + math.log(math.fsum(np.exp(logits - shift).tolist()))
+    return shift + math.log(exact_sum(np.exp(logits - shift)))
 
 
 def solve_type1(
@@ -85,6 +85,17 @@ def solve_type1(
     return GibbsSolution(measure=measure, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
 
 
+def type1_objective_rows(
+    weights: np.ndarray, q_weights: np.ndarray, risks: np.ndarray, lam: float
+) -> np.ndarray:
+    """R(P) + lam * D(P || Q) for each row of (k, m) weights of a measure P.
+
+    ``q_weights`` and ``risks`` are (m,) rows aligned with the columns; see
+    :func:`entrisk.measures.kl_rows` for zero weights.
+    """
+    return mean_rows(weights, risks) + lam * kl_rows(weights, q_weights)
+
+
 def type1_objective(
     p: DiscreteMeasure,
     q: DiscreteMeasure,
@@ -94,7 +105,7 @@ def type1_objective(
     """R(P) + lam * D(P || Q); +inf when P is not absolutely continuous wrt Q."""
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    div = kl_divergence(p, q)
-    if math.isinf(div):
+    at = positions(p, q)
+    if np.any(at < 0):
         return math.inf
-    return expected_risk(p, profile) + lam * div
+    return float(type1_objective_rows(p.weights[None], q.weights[at], profile.aligned(p), lam)[0])

@@ -28,7 +28,9 @@ denominator is computed without cancellation, which keeps the residual
 leaves the solution measure unchanged, so this is a pure reparametrization.)
 The iteration is a bracket-preserving bisection/secant hybrid: secant steps
 accelerate convergence, a bisection step every other iteration guarantees the
-bracket keeps shrinking, and the residual is evaluated with exact summation.
+bracket keeps shrinking, and g is evaluated with exact summation
+(:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through the
+certified row kernel from a few thousand atoms on, where it is faster).
 
 Constant risk vectors collapse the bracket to a point; they are solved in
 closed form (``k_bar = lam - c``) without iterating.
@@ -48,7 +50,15 @@ from .errors import (
     NonPositiveLambda,
     ToleranceNotReached,
 )
-from .measures import DiscreteMeasure, kl_divergence, measure_on, positions
+from .measures import (
+    DiscreteMeasure,
+    exact_sum,
+    kl_divergence,
+    kl_rows,
+    mean_rows,
+    measure_on,
+    positions,
+)
 from .risk import EmpiricalRiskProfile, expected_risk
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
@@ -134,7 +144,7 @@ def solve_k_bar(
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
 
     def g(t: float) -> float:
-        return math.fsum((qlam / (t + shifted)).tolist())
+        return exact_sum(qlam / (t + shifted))
 
     lo = max(eps0, lam - spread)
     hi = lam
@@ -219,6 +229,17 @@ def solve_type2(
     )
 
 
+def type2_objective_rows(
+    weights: np.ndarray, q_weights: np.ndarray, risks: np.ndarray, lam: float
+) -> np.ndarray:
+    """R(P) + lam * D(Q || P) for each row of (k, m) weights of a measure P.
+
+    ``q_weights`` (0 off supp(Q)) and ``risks`` are (m,) rows aligned with
+    the columns; a row that leaves an atom of supp(Q) without weight is +inf.
+    """
+    return mean_rows(weights, risks) + lam * kl_rows(q_weights, weights)
+
+
 def type2_objective(
     p: DiscreteMeasure,
     q: DiscreteMeasure,
@@ -228,10 +249,12 @@ def type2_objective(
     """R(P) + lam * D(Q || P); +inf when Q is not absolutely continuous wrt P."""
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    div = kl_divergence(q, p)
-    if math.isinf(div):
+    at = positions(q, p)
+    if np.any(at < 0):
         return math.inf
-    return expected_risk(p, profile) + lam * div
+    q_weights = np.zeros(p.num_atoms)
+    q_weights[at] = q.weights
+    return float(type2_objective_rows(p.weights[None], q_weights, profile.aligned(p), lam)[0])
 
 
 def escaped_mixture_objective(

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,12 @@ from entrisk.experiment import (
     sweep_summary,
 )
 from entrisk.cli import cli_main
-from entrisk.risk import Dataset, risk_profile
+from entrisk.measures import make_measure, measure_on, total_variation
+from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
+from entrisk.type1 import type1_objective
+from entrisk.type2 import type2_objective
+
+from conftest import lattice_points, random_solver_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -325,6 +331,118 @@ class TestHotPaths:
             assert cli_main(argv) == 0
 
 
+def per_draw_fuzz(q, profile, lam, seed):
+    """The optimality fuzz one measure at a time, as first written: the oracle.
+
+    Returns ``(type1_ok, type2_ok)`` and, per direction, the smallest
+    objective of a draw farther than 1e-9 from the solution.
+    """
+    # Solves and the solutions' objectives go through experiment's bindings,
+    # which the tests below replace to move the verdict.
+    sol1 = experiment.solve_type1(q, profile, lam)
+    sol2 = experiment.solve_type2(q, profile, lam)
+    obj1 = experiment.type1_objective(sol1.measure, q, profile, lam)
+    obj2 = experiment.type2_objective(sol2.measure, q, profile, lam)
+    rng = np.random.default_rng(seed)
+    ok1 = ok2 = True
+    best1 = best2 = math.inf
+    for _ in range(200):
+        rand = measure_on(q.grid, q.index, rng.dirichlet(np.ones(q.num_atoms)))
+        if total_variation(rand, sol1.measure) > 1e-9:
+            value = type1_objective(rand, q, profile, lam)
+            ok1 = ok1 and value > obj1
+            best1 = min(best1, value)
+        if total_variation(rand, sol2.measure) > 1e-9:
+            value = type2_objective(rand, q, profile, lam)
+            ok2 = ok2 and value > obj2
+            best2 = min(best2, value)
+    return (ok1, ok2), (best1, best2)
+
+
+def scripted_generator(rows: np.ndarray):
+    """A ``default_rng`` stand-in whose Dirichlet draws are ``rows``, in order."""
+
+    class Scripted:
+        def __init__(self, seed):
+            self.next = 0
+
+        def dirichlet(self, alpha, size=None):
+            count = 1 if size is None else size
+            block = rows[self.next:self.next + count].copy()
+            self.next += count
+            assert block.shape == (count, len(alpha))
+            return block[0] if size is None else block
+
+    return Scripted
+
+
+class TestOptimalityFuzz:
+    """The blocked fuzz agrees with the per-draw oracle, down to the best draw's bits."""
+
+    def assert_matches_oracle(self, monkeypatch, q, profile, lam, seed=5):
+        verdicts, best = per_draw_fuzz(q, profile, lam, seed)
+        assert optimality_fuzz(q, profile, lam, seed) == verdicts
+        # A solution objective equal to the best draw's fails the check, one
+        # ulp below it passes: the blocked fuzz saw exactly that smallest value.
+        for direction, name in enumerate(("type1_objective", "type2_objective")):
+            if not math.isfinite(best[direction]):
+                continue
+            original = getattr(experiment, name)
+            for threshold, expected in ((best[direction], False),
+                                        (math.nextafter(best[direction], -math.inf), True)):
+                monkeypatch.setattr(experiment, name, lambda *args, t=threshold: t)
+                assert optimality_fuzz(q, profile, lam, seed)[direction] is expected
+            monkeypatch.setattr(experiment, name, original)
+        return verdicts
+
+    def test_random_instances(self, monkeypatch):
+        rng = np.random.default_rng(808)
+        for _ in range(12):
+            q, profile = random_solver_instance(rng, max_atoms=60)
+            lam = float(10.0 ** rng.uniform(-2.0, 2.0))
+            seed = int(rng.integers(0, 2**31))
+            assert self.assert_matches_oracle(monkeypatch, q, profile, lam, seed) == (True, True)
+
+    def test_tilt_that_drops_atoms(self, monkeypatch):
+        q, profile = random_solver_instance(np.random.default_rng(3), max_atoms=30)
+        lam = 1e-3
+        assert experiment.solve_type1(q, profile, lam).measure.num_atoms < q.num_atoms
+        self.assert_matches_oracle(monkeypatch, q, profile, lam)
+
+    def test_hand_built_block_with_a_zero_weight_and_a_solution_draw(self, monkeypatch):
+        m, lam = 6, 0.5
+        q = make_measure(lattice_points(m), np.linspace(1.0, 2.0, m))
+        profile = EmpiricalRiskProfile.from_risks(lattice_points(m), [0.3, 1.0, 0.1, 2.0, 0.7, 1.4])
+        rows = np.random.default_rng(9).dirichlet(np.ones(m), size=200)
+        rows[0] = experiment.solve_type1(q, profile, lam).measure.weights  # skipped for Type 1
+        rows[1] = experiment.solve_type2(q, profile, lam).measure.weights  # skipped for Type 2
+        rows[2, 4] = 0.0  # D(Q || P) is +inf, D(P || Q) skips the atom
+        rows[3, [0, 5]] = 0.0
+        monkeypatch.setattr(np.random, "default_rng", scripted_generator(rows))
+        assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (True, True)
+        # Solutions one factor off lose to the exact optima drawn in rows 0 and 1.
+        for name in ("solve_type1", "solve_type2"):
+            original = getattr(experiment, name)
+            monkeypatch.setattr(experiment, name, lambda q, p, l, f=original: f(q, p, 2.0 * l))
+        assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (False, False)
+
+    def test_temporaries_stay_within_a_few_blocks(self):
+        # 900 atoms in supp(Q), as on the verify-misspecified workload: the
+        # 200 draws alone take 1.4 MB at once.
+        axis = np.linspace(-2.0, 0.0, 30)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        q = make_measure(grid, np.ones(len(grid)))
+        risks = np.random.default_rng(4).uniform(0.0, 1.0, len(grid))
+        profile = EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
+        tracemalloc.start()
+        try:
+            assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+
+
 class TestLambdaGrid:
     def test_single_point(self):
         cfg = ExperimentConfig.from_dict(
@@ -452,7 +570,7 @@ class TestRunSweep:
         }
 
     def test_summary_json_has_no_nan_or_infinity(self, tmp_path):
-        # Every row fails, so the smallest bound margin is over no row: +inf.
+        # Every row fails, so the failed rows' nan fields reach no worst value.
         cfg = ExperimentConfig.from_dict(
             base_config(lambda_min=1e-21, lambda_max=1e-20, lambda_count=2)
         )
@@ -460,13 +578,34 @@ class TestRunSweep:
         records = sweep_records(q, profile, lambda_grid(cfg))
         margin = invariant_checks(records, profile.delta_star)[3]
         assert (margin.name, margin.worst, margin.detail) == (
-            "bound_margin_positive", math.inf, "min=inf"
+            "bound_margin_positive", None, "min=n/a"
         )
         summary = sweep_summary(cfg, records, q, data, profile)
         assert summary["invariant_values"]["bound_margin_positive"]["worst"] is None
         path = tmp_path / "summary.json"
         emit_summary_json(summary, path)
         json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+    def test_no_ok_row_reports_no_worst_value(self):
+        # Every factor is far below the pole guard: no row solves, nothing is measured.
+        cfg = ExperimentConfig.from_dict(
+            base_config(lambda_min=1e-21, lambda_max=1e-19, lambda_count=3)
+        )
+        q, data, profile = generate_instance(cfg)
+        records = sweep_records(q, profile, lambda_grid(cfg))
+        assert {r.status for r in records} == {"BracketFailure"}
+        checks = invariant_checks(records, profile.delta_star)
+        assert not checks[0].holds
+        measured = [(c.name, c.worst, c.holds, c.detail) for c in checks if c.threshold is not None]
+        assert measured == [
+            ("residual_le_1e-12", None, True, "worst=n/a"),
+            ("identity_gap_le_1e-9", None, True, "worst=n/a"),
+            ("bound_margin_positive", None, True, "min=n/a"),
+            ("theorem2_gap_le_1e-9", None, True, "worst=n/a"),
+            ("k_bar_above_pole", None, True, "min=n/a"),
+        ]
+        summary = sweep_summary(cfg, records, q, data, profile)
+        assert all(v["worst"] is None for v in summary["invariant_values"].values())
 
     def test_solver_failure_marks_row_without_abort(self, tmp_path):
         # lambda far below the pole guard makes the bracket empty on that row
