@@ -676,6 +676,51 @@ def grid_argmin_outside_support(
     return full.delta_star < float(full.risks[q.index].min())
 
 
+#: Relative error bound of a screened fuzz objective, in units of its
+#: magnitude ``sum|p*L| + lam*sum|p*log(ratio)|`` (see :func:`_objective_floors`).
+#: The screen and the exact scoring form the same products ``p*L`` and the same
+#: ratios; what differs, each as a share of that magnitude (u = 2**-53):
+#:
+#: * the float row sums, of at most MAX_GRID_ATOMS < 2**20 terms in any order,
+#:   are off by at most (n - 1)u / (1 - (n - 1)u) < 2**-33, and the exact sums'
+#:   own rounding by u;
+#: * ``np.log`` against ``math.log``: within 1 ulp (2.2e-16 relative) where
+#:   measured, assumed within 2**-40 (``tests/test_measures.py`` checks it),
+#:   plus u for rounding each product ``p*log`` either way;
+#: * the final multiply by lam, the add and the subtraction of the bound: a few u.
+#:
+#: Together that is below 2**-32, so 2**-30 covers the worst case four times
+#: over and the measured log gap about 2**22 times. Products that underflow
+#: are off by an absolute 2**-1075 each, which ``_SCREEN_TINY * (1 + lam)``
+#: covers for every atom.
+_SCREEN_EPS = 2.0**-30
+_SCREEN_TINY = 2.0**-1000
+
+
+def _objective_floors(
+    rand: np.ndarray, q_weights: np.ndarray, risks: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on the Type-1 and Type-2 objective of each row of ``rand``.
+
+    Each row is scored with ``np.log`` and float row sums, minus a bound of
+    :data:`_SCREEN_EPS` times its magnitude (plus the underflow allowance),
+    so that it lies below the exact value ``type1_objective_rows`` or
+    ``type2_objective_rows`` gives.
+    A row with a zero weight has no floor (nan).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        products = rand * risks
+        risk = products.sum(axis=1)
+        risk_mass = np.abs(products).sum(axis=1)
+        floors = []
+        for p, ratios in ((rand, rand / q_weights), (q_weights, q_weights / rand)):
+            terms = p * np.log(ratios)
+            estimate = risk + lam * np.maximum(terms.sum(axis=1), 0.0)
+            bound = _SCREEN_EPS * (risk_mass + lam * np.abs(terms).sum(axis=1))
+            floors.append(estimate - (bound + _SCREEN_TINY * (1.0 + lam)))
+    return floors[0], floors[1]
+
+
 def optimality_fuzz(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
@@ -689,13 +734,13 @@ def optimality_fuzz(
     of the draw's support. A draw within total variation 1e-9 of a solution
     is not compared against it. Returns ``(type1_ok, type2_ok)``.
 
-    The draws are scored a block at a time, as rows of weights on ``q``'s
-    atoms, by the same row-wise divergence, total variation and objective
-    functions that score a single measure, so every value has the bits the
-    per-measure functions give. Blocks hold at most ``BLOCK_DOUBLES // 4``
-    weights, which keeps the list of Python floats handed to ``math.log``
-    within ``BLOCK_DOUBLES`` doubles; drawing them a block at a time
-    consumes the generator exactly as drawing them one by one.
+    The draws are drawn and scored a block of at most ``BLOCK_DOUBLES // 4``
+    weights at a time, which consumes the generator exactly as drawing them
+    one by one. A draw whose certified lower bound (:func:`_objective_floors`)
+    already exceeds the solution's objective beats it; every other draw, one
+    with a zero weight included, is rescored by the same row-wise total
+    variation and objective functions that score a single measure. So every
+    verdict, though not every value, is the one those functions give.
     """
     sol1 = solve_type1(q, profile, lam)
     sol2 = solve_type2(q, profile, lam)
@@ -706,17 +751,20 @@ def optimality_fuzz(
     on_q1, on_q2 = np.zeros(q.num_atoms), np.zeros(q.num_atoms)
     on_q1[positions(sol1.measure, q)] = sol1.measure.weights
     on_q2[positions(sol2.measure, q)] = sol2.measure.weights
+    directions = ((on_q1, obj1, type1_objective_rows), (on_q2, obj2, type2_objective_rows))
     rng = np.random.default_rng(seed)
     step = max(1, BLOCK_DOUBLES // 4 // q.num_atoms)
-    ok1 = ok2 = True
+    ok = [True, True]
     for start in range(0, 200, step):
         draws = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
         rand = draws / exact_row_sums(draws)[:, None]
-        far1 = tv_rows(rand, on_q1) > 1e-9
-        far2 = tv_rows(rand, on_q2) > 1e-9
-        ok1 = ok1 and bool(np.all(type1_objective_rows(rand, q.weights, risks, lam)[far1] > obj1))
-        ok2 = ok2 and bool(np.all(type2_objective_rows(rand, q.weights, risks, lam)[far2] > obj2))
-    return ok1, ok2
+        for d, floor in enumerate(_objective_floors(rand, q.weights, risks, lam)):
+            on_q, obj, objective_rows = directions[d]
+            rows = rand[~(floor > obj)]  # the draws the screen leaves open
+            if ok[d] and rows.shape[0]:
+                far = tv_rows(rows, on_q) > 1e-9
+                ok[d] = bool(np.all(objective_rows(rows, q.weights, risks, lam)[far] > obj))
+    return ok[0], ok[1]
 
 
 def sweep_summary(

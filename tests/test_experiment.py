@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -383,13 +384,15 @@ class TestOptimalityFuzz:
         verdicts, best = per_draw_fuzz(q, profile, lam, seed)
         assert optimality_fuzz(q, profile, lam, seed) == verdicts
         # A solution objective equal to the best draw's fails the check, one
-        # ulp below it passes: the blocked fuzz saw exactly that smallest value.
+        # ulp below it passes, one ulp above it fails: the blocked fuzz saw
+        # exactly that smallest value, rescoring the draws its screen leaves open.
         for direction, name in enumerate(("type1_objective", "type2_objective")):
             if not math.isfinite(best[direction]):
                 continue
             original = getattr(experiment, name)
             for threshold, expected in ((best[direction], False),
-                                        (math.nextafter(best[direction], -math.inf), True)):
+                                        (math.nextafter(best[direction], -math.inf), True),
+                                        (math.nextafter(best[direction], math.inf), False)):
                 monkeypatch.setattr(experiment, name, lambda *args, t=threshold: t)
                 assert optimality_fuzz(q, profile, lam, seed)[direction] is expected
             monkeypatch.setattr(experiment, name, original)
@@ -426,14 +429,45 @@ class TestOptimalityFuzz:
             monkeypatch.setattr(experiment, name, lambda q, p, l, f=original: f(q, p, 2.0 * l))
         assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (False, False)
 
-    def test_temporaries_stay_within_a_few_blocks(self):
-        # 900 atoms in supp(Q), as on the verify-misspecified workload: the
-        # 200 draws alone take 1.4 MB at once.
+    @staticmethod
+    def verify_shape_instance():
+        """900 atoms in supp(Q), as on the verify-misspecified workload."""
         axis = np.linspace(-2.0, 0.0, 30)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q = make_measure(grid, np.ones(len(grid)))
         risks = np.random.default_rng(4).uniform(0.0, 1.0, len(grid))
-        profile = EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
+        return q, EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
+
+    def test_screen_settles_every_draw_of_the_verify_shape(self, monkeypatch):
+        q, profile = self.verify_shape_instance()
+        # The solutions and their objectives first, so that every count below
+        # belongs to the draws.
+        for solve, objective in (("solve_type1", "type1_objective"),
+                                 ("solve_type2", "type2_objective")):
+            sol = getattr(experiment, solve)(q, profile, 1.0)
+            value = getattr(experiment, objective)(sol.measure, q, profile, 1.0)
+            monkeypatch.setattr(experiment, solve, lambda *args, s=sol: s)
+            monkeypatch.setattr(experiment, objective, lambda *args, v=value: v)
+        calls = collections.Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("tv_rows", "type1_objective_rows", "type2_objective_rows"):
+            counted(experiment, name)
+        counted(math, "log")
+        assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)
+        assert calls == {}
+
+    def test_temporaries_stay_within_a_few_blocks(self):
+        # The 200 draws of 900 atoms alone take 1.4 MB at once.
+        q, profile = self.verify_shape_instance()
         tracemalloc.start()
         try:
             assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)

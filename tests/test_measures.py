@@ -410,3 +410,65 @@ class TestRowCores:
             assert same_bits(kl_qp[i], np.float64(kl_divergence(q, p)))
             assert same_bits(tv[i], np.float64(total_variation(p, q)))
         assert np.isinf(kl_qp[[1, 4]]).all() and np.isfinite(kl_qp[[0, 2, 3, 5]]).all()
+
+    @pytest.mark.parametrize("m", [5, 12, EXACT_SUM_MIN_TERMS + 7])
+    def test_kl_rows_are_the_defining_sum(self, rng, m):
+        q_row = rng.uniform(0.05, 1.0, m)
+        draws = rng.dirichlet(np.ones(m), size=5)
+        draws[1, 3] = 0.0
+        draws[2, [0, m - 1]] = 0.0
+        draws[3, 3] = 0.0
+        block = draws / exact_row_sums(draws)[:, None]
+        off_q = q_row.copy()
+        off_q[3] = 0.0  # a reference that misses atom 3, charged by rows 0, 2 and 4
+
+        def defining_sum(p, q):
+            terms = [a * math.log(a / b) if b > 0.0 else math.inf for a, b in zip(p, q) if a > 0.0]
+            return max(math.fsum(terms), 0.0)
+
+        for q in (q_row, off_q):
+            for p_side, q_side in ((block, q), (q, block)):
+                rows = kl_rows(p_side, q_side)
+                assert rows.shape == (len(block),)
+                for i in range(len(block)):
+                    p_i = p_side if p_side.ndim == 1 else p_side[i]
+                    q_i = q_side if q_side.ndim == 1 else q_side[i]
+                    assert same_bits(rows[i], np.float64(defining_sum(p_i.tolist(), q_i.tolist())))
+                    assert same_bits(kl_rows(p_i[None], q_i), rows[i:i + 1])
+                    assert same_bits(kl_rows(p_i, q_i[None]), rows[i:i + 1])
+        assert np.isinf(kl_rows(block, off_q)[[0, 2, 4]]).all()
+        assert np.isfinite(kl_rows(block, off_q)[[1, 3]]).all()
+        assert np.isinf(kl_rows(q_row, block)[[1, 2, 3]]).all()
+
+
+def ulp_steps_from_one(k: int) -> float:
+    """The double ``k`` spacings above 1 (k > 0) or below it (k < 0)."""
+    return 1.0 + k * 2.0**-52 if k > 0 else 1.0 + k * 2.0**-53
+
+
+#: Ratios ``p/q`` of the kinds the optimality fuzz takes logs of.
+log_arguments = st.one_of(
+    st.integers(-(2**20), 2**20).map(ulp_steps_from_one),
+    # Near 1, where log(x) ~ x - 1 is small and a relative bound is hardest.
+    st.floats(min_value=-0.5, max_value=0.5).map(lambda d: 1.0 + d),
+    st.tuples(st.integers(-(2**20), 2**20), st.integers(21, 52)).map(
+        lambda kj: 1.0 + math.ldexp(kj[0], -kj[1])
+    ),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+    st.just(1.0),
+)
+
+
+class TestVectorisedLog:
+    """The optimality fuzz's screen assumes ``np.log`` is within 2**-40 of ``math.log``."""
+
+    @given(st.lists(log_arguments, min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_np_log_is_within_the_screen_assumption_of_libm(self, xs):
+        # A block as the screen holds it, so numpy takes its array loop.
+        logs = np.log(np.array(xs))
+        for x, got in zip(xs, logs.tolist()):
+            exact = math.log(x)
+            assert abs(got - exact) <= 2.0**-40 * abs(exact)
