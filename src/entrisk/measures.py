@@ -18,12 +18,14 @@ error into a high part, whose row sums are exact in floating point, and a low
 part, whose row sums carry a rigorous error bound, vectorised over the rows.
 Where the bound proves that the result is the correctly rounded row sum it is
 certified equal to ``math.fsum``; a row the certificate cannot vouch for, such
-as one that cancels heavily, is summed by ``math.fsum`` itself. A single sum
-goes through :func:`exact_sum`, which hands short arrays to ``math.fsum`` and
-long ones to the row kernel. The divergences, the total variation and the
-expected risk are computed row-wise on aligned weight arrays
-(:func:`kl_rows`, :func:`tv_rows`, :func:`mean_rows`): one row for a pair of
-measures, a block of rows for many candidate measures at once.
+as one that cancels heavily, is summed by ``math.fsum`` itself. A single sum,
+or a block of one row, goes through :func:`exact_sum`, which hands short
+arrays to ``math.fsum`` and long ones to :func:`certified_sum`: the same split
+and certificate for one row, with the certificate on Python floats. The
+divergences, the total variation and the expected risk are computed row-wise
+on aligned weight arrays (:func:`kl_rows`, :func:`tv_rows`,
+:func:`mean_rows`): one row for a pair of measures, a block of rows for many
+candidate measures at once.
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -46,12 +48,15 @@ from .errors import (
     SupportMismatch,
 )
 
-#: Terms from which :func:`exact_sum` goes through the certified row kernel
-#: instead of ``math.fsum``. The kernel costs about 50-80 us a call at any
-#: length up to a few thousand terms; ``math.fsum`` of a list costs about
-#: 50 ns a term. Measured break-even (min of rounds, 2 vCPUs, numpy 2.4):
-#: 1,300-1,800 terms; at 4,096 terms 215 -> 93 us, at 40,000 3.0 -> 0.32 ms.
-EXACT_SUM_MIN_TERMS = 2_048
+#: Terms from which :func:`exact_sum` goes through :func:`certified_sum`
+#: instead of ``math.fsum``. The lone-row path costs about 10-15 us a call
+#: up to a thousand terms and 23 us at 4,096; ``math.fsum`` of a list costs
+#: 40-70 ns a term. Measured break-even (min of rounds, 2 vCPUs, numpy 2.4):
+#: 256-320 terms, so the switch sits a little above, where a row the
+#: certificate rejects, summed twice, costs little. At 900 terms 49 -> 14 us,
+#: at 4,096 280 -> 23 us (the block kernel on the row: 71 us), at 40,000
+#: 3.1 -> 0.41 ms.
+EXACT_SUM_MIN_TERMS = 384
 
 #: Unit roundoff of binary64: half the spacing of the doubles in [1, 2).
 _UNIT_ROUNDOFF = 2.0**-53
@@ -110,37 +115,69 @@ def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r2, certified
 
 
-def exact_row_sums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row of an (m, n) float array, n >= 1, bit for bit.
+def certified_sum(x: np.ndarray) -> tuple[float, bool]:
+    """:func:`certified_row_sums` of a 1-D float array, n >= 1, as one row.
 
-    Rows certified by :func:`certified_row_sums` keep its sum; the rest are
-    summed by ``math.fsum``, which raises or returns a special value on
-    overflow, nan or infinity exactly as it would for the row on its own.
+    The same vector passes (the largest magnitude, the split at ``sigma`` and
+    the two float sums) feed the same certificate, derived in
+    :func:`certified_row_sums`, here evaluated on Python floats with
+    ``math.frexp``, ``math.ldexp`` and ``math.ulp`` instead of a few dozen
+    numpy calls on 1-element arrays. A row that fails the kernel's scale
+    guard (a nan or an infinity, an overflowing span, tiny nonzero entries)
+    is handed to the kernel, so both return the same sum and verdict on
+    every row.
     """
-    rows = np.asarray(rows, dtype=float)
-    sums, certified = certified_row_sums(rows)
-    if not certified.all():
-        for i in np.flatnonzero(~certified).tolist():
-            sums[i] = math.fsum(rows[i].tolist())
-    return sums
+    n = x.shape[0]
+    span = 2.0 * n * float(np.abs(x).max())
+    # The kernel's scale; 0 where its guard fails anyway: on nan, infinity
+    # and spans whose scale 2**1024 overflows, making the kernel's bound infinite.
+    scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
+    if not (span == 0.0 or scale >= _TINY_SCALE):
+        sums, certified = certified_row_sums(x[None])
+        return float(sums[0]), bool(certified[0])
+    high = x + scale
+    high -= scale
+    r, t = float(high.sum()), float((x - high).sum())
+    r2 = r + t
+    z = r2 - r
+    e2 = (r - (r2 - z)) + (t - z)
+    bound = scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
+    away = e2 if r2 > 0.0 else -e2 if r2 < 0.0 else 0.0
+    spacing = math.ulp(r2)
+    below = 0.5 * spacing if abs(math.frexp(r2)[0]) == 0.5 else spacing
+    return r2, 2.0 * (bound + away) < spacing and 2.0 * (bound - away) < below
 
 
 def exact_sum(x: np.ndarray) -> float:
     """``math.fsum`` of a 1-D float array, bit for bit.
 
     Below :data:`EXACT_SUM_MIN_TERMS` terms this is ``math.fsum`` of a list;
-    from there on :func:`exact_row_sums` on the array as one row is faster.
+    from there on :func:`certified_sum` is faster, and ``math.fsum`` sums
+    only the rows it cannot certify.
     """
-    if x.shape[0] < EXACT_SUM_MIN_TERMS:
-        return math.fsum(x.tolist())
-    return float(exact_row_sums(x[None])[0])
+    if x.shape[0] >= EXACT_SUM_MIN_TERMS:
+        total, certified = certified_sum(x)
+        if certified:
+            return total
+    return math.fsum(x.tolist())
 
 
-def _sums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a (k, n) array: a lone row by :func:`exact_sum`."""
+def exact_row_sums(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of an (m, n) float array, n >= 1, bit for bit.
+
+    A lone row is summed by :func:`exact_sum`. Otherwise rows certified by
+    :func:`certified_row_sums` keep its sum and the rest are summed by
+    ``math.fsum``, which raises or returns a special value on overflow, nan
+    or infinity exactly as it would for the row on its own.
+    """
+    rows = np.asarray(rows, dtype=float)
     if rows.shape[0] == 1:
         return np.array([exact_sum(rows[0])])
-    return exact_row_sums(rows)
+    sums, certified = certified_row_sums(rows)
+    if not certified.all():
+        for i in np.flatnonzero(~certified).tolist():
+            sums[i] = math.fsum(rows[i].tolist())
+    return sums
 
 
 def mean_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -149,7 +186,7 @@ def mean_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``values`` is one (m,) row aligned with the columns: the mean of the
     values under each row of weights.
     """
-    return _sums(weights * values)
+    return exact_row_sums(weights * values)
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -165,7 +202,7 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     inside = charged & (q > 0.0)
     ratios = np.divide(p, q, out=np.ones(inside.shape), where=inside)
     logs = np.fromiter(map(math.log, ratios.ravel().tolist()), dtype=float, count=ratios.size)
-    totals = _sums(p * logs.reshape(inside.shape))
+    totals = exact_row_sums(p * logs.reshape(inside.shape))
     totals[(charged & ~inside).any(axis=-1)] = math.inf
     # Gibbs' inequality guarantees >= 0; roundoff on nearly identical inputs
     # can leave a residual of order 1e-16, which is clamped away.
@@ -178,7 +215,7 @@ def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Shapes as in :func:`kl_rows`.
     """
-    return 0.5 * _sums(np.abs(p - q))
+    return 0.5 * exact_row_sums(np.abs(p - q))
 
 
 def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,8 @@ leaves the solution measure unchanged, so this is a pure reparametrization.)
 The iteration is a bracket-preserving bisection/secant hybrid: secant steps
 accelerate convergence, a bisection step every other iteration guarantees the
 bracket keeps shrinking, and g is evaluated with exact summation
-(:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through the
-certified row kernel from a few thousand atoms on, where it is faster).
+(:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through a
+certified lone-row sum from a few hundred atoms on, where it is faster).
 
 Constant risk vectors collapse the bracket to a point; they are solved in
 closed form (``k_bar = lam - c``) without iterating.

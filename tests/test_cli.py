@@ -350,13 +350,27 @@ class TestBenchmarkContract:
         assert check.check_sweep_summary(capsys.readouterr().out, lambda_count) == []
 
 
+def run_benchmark_workload(name: str, tmp_path: Path, capsys) -> tuple[dict, bytes]:
+    """Run benchmark workload ``name`` at seed 1001 in ``tmp_path``: its config and stdout."""
+    workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+    workload = workloads["workloads"][name]
+    config = dict(workload["config"], **{key: 1001 for key in workloads["seed_fields"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main([workload["command"], "--config", str(path)]) == 0
+    return config, capsys.readouterr().out.encode()
+
+
 class TestBenchmarkOutputs:
     """The benchmark workloads at seed 1001 keep their output bytes.
 
     The sha256 values are of the sweep CSV (sweep workloads) or the standard
     output (verify) that the code printed before single exact sums went
-    through the certified row kernel and the optimality fuzz was blocked; a
-    performance change must leave them as they are.
+    through the certified row kernel and the optimality fuzz was blocked,
+    and of the sweep summary JSON and standard output, which hold the
+    invariant values and the instance digest, as printed before a lone row's
+    certificate ran on Python floats from 384 terms on. A performance
+    change must leave them as they are.
     """
 
     @pytest.mark.parametrize("name, sha256", [
@@ -365,13 +379,25 @@ class TestBenchmarkOutputs:
         ("verify-misspecified", "b4e82f3b7cb8a6160d001c70e45a0f9c2d1b7eaaa16ba5e9b3cfeae6c8526016"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):
-        workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
-        workload = workloads["workloads"][name]
-        config = dict(workload["config"], **{key: 1001 for key in workloads["seed_fields"]})
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli_main([workload["command"], "--config", str(path)]) == 0
-        stdout = capsys.readouterr().out.encode()
-        if workload["command"] == "sweep":
+        config, stdout = run_benchmark_workload(name, tmp_path, capsys)
+        if "output_csv" in config:
             stdout = (tmp_path / config["output_csv"]).read_bytes()
         assert hashlib.sha256(stdout).hexdigest() == sha256
+
+    @pytest.mark.parametrize("name, summary_sha256, stdout_sha256", [
+        (
+            "sweep-path",
+            "a4058de51f14fcde2559d8a96389155c7c77cdb93520442197edecd4201b9d8d",
+            "4f88905b92173b34bbe83734e8475d936826fc956a860aebb98cb6e1b80cc1da",
+        ),
+        (
+            "sweep-wide",
+            "923f12dc6742127faa53f466d462a1fe8a520eff58c9a172be6d86ebee3df595",
+            "efd54bb9c8c6cb44b7ec9fceafe2fceea1f50b4c01f052cdccec3d4590172f49",
+        ),
+    ])
+    def test_sweep_summary_bytes(self, name, summary_sha256, stdout_sha256, tmp_path, capsys):
+        config, stdout = run_benchmark_workload(name, tmp_path, capsys)
+        summary = (tmp_path / config["output_json"]).read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == summary_sha256
+        assert hashlib.sha256(stdout).hexdigest() == stdout_sha256

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrisk import experiment, measures, risk
 from entrisk.errors import (
     DuplicateSupportPoint,
     EmptySupport,
@@ -20,6 +21,7 @@ from entrisk.measures import (
     EXACT_SUM_MIN_TERMS,
     as_grid,
     certified_row_sums,
+    certified_sum,
     check_abs_continuity,
     exact_row_sums,
     exact_sum,
@@ -32,8 +34,9 @@ from entrisk.measures import (
     tv_rows,
 )
 from entrisk.risk import BLOCK_DOUBLES, EmpiricalRiskProfile, expected_risk
+from entrisk.type2 import solve_k_bar
 
-from conftest import lattice_points, measure_with, positive_weights, uniform_on
+from conftest import lattice_points, measure_with, positive_weights, profile_from, uniform_on
 
 # Direct-summation oracle with 40-digit logs, frozen:
 # sum p_i * log(p_i / q_i) for p = (0.707107, 0.292893), q = (0.5, 0.5).
@@ -374,10 +377,14 @@ class TestExactRowSums:
             exact_row_sums(rows)
 
 
+#: Lengths on both sides of the crossover of :func:`exact_sum`, and long rows.
+EXACT_SUM_LENGTHS = [EXACT_SUM_MIN_TERMS - 1, EXACT_SUM_MIN_TERMS, 4_096, 40_000]
+
+
 class TestExactSum:
     @given(
         st.sampled_from(sorted(ROW_FAMILIES)),
-        st.sampled_from([EXACT_SUM_MIN_TERMS - 1, EXACT_SUM_MIN_TERMS, 4_096, 40_000]),
+        st.sampled_from(EXACT_SUM_LENGTHS),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
@@ -389,6 +396,154 @@ class TestExactSum:
         if family == "cancelling":
             # The certificate cannot vouch for the row: the fsum fallback sums it.
             assert not certified_row_sums(row[None])[1][0]
+
+
+def spiked(value):
+    """Loss row builder with ``value`` at one random position."""
+
+    def build(rng, n):
+        row = loss_rows(rng, 1, n)[0]
+        row[rng.integers(n)] = value
+        return row
+
+    return build
+
+
+#: Named single rows at the edges of the certificate: name -> builder(rng, n).
+EDGE_ROWS = {
+    "zeros": lambda rng, n: np.zeros(n),
+    "negative_zeros": lambda rng, n: np.full(n, -0.0),
+    "signed_zeros": lambda rng, n: zero_rows(rng, 1, n)[0],
+    "subnormal_only": lambda rng, n: rng.integers(-1000, 1000, n) * 5e-324,
+    "positive_subnormals": lambda rng, n: rng.integers(1, 1000, n) * 5e-324,
+    # 2 n max|x| overflows although the sum does not.
+    "span_overflows": lambda rng, n: rng.permuted(
+        np.concatenate([[1e308, -1e308], loss_rows(rng, 1, n - 2)[0]])
+    ),
+    "sum_overflows": lambda rng, n: np.full(n, 1e308),
+    "nan": spiked(math.nan),
+    "inf": spiked(math.inf),
+    "minus_inf": spiked(-math.inf),
+    # 1 - 2**-56 rounds up to 1, within the quarter spacing below a power of two.
+    "power_of_two_sum": lambda rng, n: with_filler(rng, np.array([[1.0, -(2.0**-56)]]), n)[0],
+    # 1 - 2**-54 - 2**-64 lies just past that quarter spacing: it rounds down.
+    "past_quarter_spacing": lambda rng, n: with_filler(
+        rng, np.array([[1.0, -(2.0**-54), -(2.0**-64)]]), n
+    )[0],
+}
+
+
+def assert_certificates_agree(row: np.ndarray) -> None:
+    """The lone-row certificate and the block kernel give the same sum bits and verdict."""
+    total, certified = certified_sum(row)
+    sums, verdicts = certified_row_sums(row[None])
+    assert type(total) is float and type(certified) is bool
+    assert same_bits(np.float64(total), sums[0])
+    assert certified == bool(verdicts[0])
+
+
+class TestLoneRowCertificate:
+    @given(
+        st.sampled_from(sorted(ROW_FAMILIES)),
+        st.sampled_from([1, 2, 7, *EXACT_SUM_LENGTHS]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_kernel_on_every_family(self, family, n, seed):
+        build, shortest = ROW_FAMILIES[family]
+        assert_certificates_agree(build(np.random.default_rng(seed), 1, max(n, shortest))[0])
+
+    @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_agrees_with_the_kernel_on_edge_rows(self, name, n, rng):
+        row = EDGE_ROWS[name](rng, n)
+        assert row.shape == (n,)
+        assert_certificates_agree(row)
+        if name != "sum_overflows":
+            expected = np.float64(math.fsum(row.tolist()))
+            assert same_bits(np.float64(exact_sum(row)), expected)
+            assert same_bits(exact_row_sums(row[None]), expected[None])
+
+    def test_edge_verdicts(self):
+        n = EXACT_SUM_MIN_TERMS
+        rng = np.random.default_rng(0)
+        verdicts = {name: certified_sum(build(rng, n))[1] for name, build in EDGE_ROWS.items()}
+        assert verdicts == {
+            "zeros": True,
+            "negative_zeros": True,
+            "signed_zeros": True,
+            "subnormal_only": False,
+            "positive_subnormals": False,
+            "span_overflows": False,
+            "sum_overflows": False,
+            "nan": False,
+            "inf": False,
+            "minus_inf": False,
+            "power_of_two_sum": True,
+            "past_quarter_spacing": True,
+        }
+
+    @pytest.mark.parametrize("n", [512, 4_096])
+    def test_bound_of_exactly_half_a_spacing_is_not_certified(self, n):
+        # With n a power of two and max|x| = 1, sigma = 4n and every low part
+        # is 0, so the sum s is exact; the bound 16 n^3 u^2 still equals half
+        # a spacing of s, which the strict comparisons do not accept.
+        s = 48.0 * n**3 * 2.0**-54
+        assert 2.0 * (16.0 * n**3 * 2.0**-106) == math.ulp(s)
+        row = np.zeros(n)
+        row[:3] = [1.0, -1.0, s]
+        assert certified_sum(row) == (s, False)
+        assert_certificates_agree(row)
+
+    @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
+    def test_overflowing_row_raises_like_fsum(self, n):
+        row = np.full(n, 1e308)
+        with pytest.raises(OverflowError):
+            math.fsum(row.tolist())
+        with pytest.raises(OverflowError):
+            exact_sum(row)
+        with pytest.raises(OverflowError):
+            exact_row_sums(row[None])
+
+
+@pytest.fixture
+def slow_sum_calls(monkeypatch) -> list:
+    """Names of the block kernel, ``exact_row_sums`` and ``math.fsum``, once per call."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(math, "fsum", counting("math.fsum", math.fsum))
+    for name in ("certified_row_sums", "exact_row_sums"):
+        original = getattr(measures, name)
+        for module in (measures, risk, experiment):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+class TestLoneRowFastPath:
+    """A certifiable single sum stays on the lone-row path."""
+
+    def test_exact_sum_of_a_positive_row(self, rng, slow_sum_calls):
+        row = loss_rows(rng, 1, 4_096)[0]
+        assert exact_sum(row) == math.fsum(row.tolist())
+        slow_sum_calls.clear()  # the fsum oracle above
+        exact_sum(row)
+        assert slow_sum_calls == []
+
+    def test_solve_k_bar_on_4096_atoms(self, rng, slow_sum_calls):
+        n = 4_096
+        q, prof = uniform_on(n), profile_from(rng.uniform(0.0, 2.0, n))
+        slow_sum_calls.clear()  # building q renormalises its weights
+        res = solve_k_bar(q, prof, 0.5)
+        assert res.iterations > 0
+        assert slow_sum_calls == []
 
 
 class TestRowCores:
