@@ -5,8 +5,8 @@ model, so the whole-grid empirical risk minimizer falls outside supp(Q). Both
 regularization directions still place all of their mass on supp(Q). Moving
 mass to an atom outside supp(Q) changes the reversed-direction objective at
 the rate min_out L + k_bar: at this instance's factor the slope is positive
-and the best escaping mixture pays a penalty, but at smaller factors it turns
-negative and escaping lowers the objective.
+and escaping raises the objective, but at smaller factors it turns negative
+and escaping lowers it.
 
 Usage:
     python scripts/misspecified_reference.py
@@ -24,7 +24,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from entrisk.experiment import ExperimentConfig, generate_instance, grid_profile
 from entrisk.measures import check_abs_continuity
-from entrisk.type2 import solve_type2, support_escape_penalty
+from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
 
 CONFIG = {
     "predictor": "linear_regression",
@@ -65,11 +65,8 @@ def main() -> None:
     theta, weight = sol.measure.coords[top, 0], sol.measure.weights[top]
     print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
-    best, optimal = support_escape_penalty(q, full, lam)
-    slope = float(np.delete(full.risks, q.index).min()) + sol.k_bar
-    print(f"optimal objective on supp(Q):        {optimal:.6f}")
-    print(f"best escaped-mixture objective:      {best:.6f}")
-    print(f"escape penalty (best - optimal):     {best - optimal:.3e}")
+    slope = support_escape_slope(q, full, sol)
+    print(f"optimal objective on supp(Q):        {type2_objective(sol.measure, q, full, lam):.6f}")
     print(f"escape slope (min_out L + k_bar):    {slope:.3e}")
 
 

@@ -15,7 +15,6 @@ in :mod:`entrisk.experiment` and :mod:`entrisk.cli`.
 """
 
 from .errors import (
-    AtomCollision,
     BracketFailure,
     ConfigError,
     DimensionMismatch,
@@ -63,10 +62,9 @@ from .type1 import (
 from .type2 import (
     KBarResult,
     TypeIISolution,
-    escaped_mixture_objective,
     solve_k_bar,
     solve_type2,
-    support_escape_penalty,
+    support_escape_slope,
     type2_objective,
 )
 from .logrisk import (
@@ -78,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsoluteContinuityRelation",
-    "AtomCollision",
     "BracketFailure",
     "ConfigError",
     "Dataset",
@@ -108,7 +105,6 @@ __all__ = [
     "as_grid",
     "check_abs_continuity",
     "empirical_risk",
-    "escaped_mixture_objective",
     "expected_risk",
     "kl_divergence",
     "log_partition",
@@ -119,7 +115,7 @@ __all__ = [
     "solve_k_bar",
     "solve_type1",
     "solve_type2",
-    "support_escape_penalty",
+    "support_escape_slope",
     "total_variation",
     "type1_objective",
     "type2_objective",

@@ -102,8 +102,10 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError("field 'output_csv': required by the sweep command")
     q, data, profile = generate_instance(cfg)
     records = sweep_records(q, profile, lambda_grid(cfg))
-    emit_csv(records, cfg.base_dir / cfg.output_csv)
+    # The summary evaluates the grid outside supp(Q), which can still fail
+    # validation; nothing is written before it.
     summary = sweep_summary(cfg, records, q, data, profile)
+    emit_csv(records, cfg.base_dir / cfg.output_csv)
     if cfg.output_json:
         emit_summary_json(summary, cfg.base_dir / cfg.output_json)
     print(json.dumps(summary, sort_keys=True))

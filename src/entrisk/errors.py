@@ -65,10 +65,6 @@ class NonPositiveArgument(EntriskError, ValueError):
     """Log transform fed a non-positive argument; signals upstream corruption."""
 
 
-class AtomCollision(EntriskError, ValueError):
-    """An atom declared outside a support actually belongs to it."""
-
-
 class InvariantViolation(EntriskError, ArithmeticError):
     """A cross-check identity failed beyond its tolerance."""
 

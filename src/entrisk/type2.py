@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AtomCollision,
     BracketFailure,
     NonPositiveLambda,
     ToleranceNotReached,
@@ -53,13 +52,12 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     exact_sum,
-    kl_divergence,
     kl_rows,
     mean_rows,
     measure_on,
     positions,
 )
-from .risk import EmpiricalRiskProfile, expected_risk
+from .risk import EmpiricalRiskProfile
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
 #: (scaled by 1 + delta_star) from the singularity.
@@ -69,9 +67,6 @@ POLE_GUARD_SCALE = 2.0**-40
 DEFAULT_TOL = 1e-13
 
 MAX_ITERATIONS = 10_000
-
-#: Interior mixture weights alpha searched by :func:`support_escape_penalty`.
-ESCAPE_ALPHA_COUNT = 1000
 
 
 class KBarResult(NamedTuple):
@@ -210,7 +205,7 @@ def solve_type2(
     q(theta) * lam / (k_bar + L(theta)). It need not stay optimal once P may
     also charge atoms outside supp(Q): moving mass to such an atom changes
     the objective at the rate L(outside) + k_bar, so escaping lowers it
-    wherever that slope is negative (see :func:`support_escape_penalty`).
+    wherever that slope is negative (see :func:`support_escape_slope`).
     Weights are assembled from the pole-shifted denominators, so no
     cancellation enters even when the root sits close to the pole.
     """
@@ -257,68 +252,26 @@ def type2_objective(
     return float(type2_objective_rows(p.weights[None], q_weights, profile.aligned(p), lam)[0])
 
 
-def escaped_mixture_objective(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    lam: float,
-    outside: int,
-    alpha: float,
-) -> float:
-    """Best reverse-direction objective among mixtures placing mass alpha outside.
-
-    The candidate is ``(1 - alpha) * P' + alpha * (point mass at atom outside)``
-    with P' supported on supp(Q); ``outside`` is a position among
-    ``profile``'s atoms. For fixed alpha the optimal P' solves the inside
-    problem at regularization ``lam / (1 - alpha)``, and the divergence
-    picks up exactly ``-lam * log(1 - alpha)``, so the minimum over P' is
-    computed rather than searched. ``alpha = 0`` reduces to the inside optimum.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if positions(profile, q)[outside] >= 0:
-        raise AtomCollision(f"atom {profile.coords[outside].tolist()} belongs to supp(Q)")
-    inner = solve_type2(q, profile, lam / (1.0 - alpha))
-    inside_risk = expected_risk(inner.measure, profile)
-    divergence = kl_divergence(q, inner.measure)
-    return (
-        (1.0 - alpha) * inside_risk
-        + alpha * float(profile.risks[outside])
-        + lam * divergence
-        - lam * math.log1p(-alpha)
-    )
-
-
-def support_escape_penalty(
+def support_escape_slope(
     q: DiscreteMeasure,
     profile_ext: EmpiricalRiskProfile,
-    lam: float,
-) -> tuple[float, float]:
-    """Best objective of a mixture escaping supp(Q), against the optimum on supp(Q).
+    sol: TypeIISolution,
+) -> float:
+    """Rate at which moving mass off supp(Q) changes the objective of ``sol``.
 
-    The escaped mass may go to any atom of ``profile_ext`` outside supp(Q);
-    raises ValueError when there is none. Searches mixtures over
-    ``ESCAPE_ALPHA_COUNT`` interior alphas and every outside placement,
-    solving the inside component exactly at each alpha. Returns
-    ``(best_escaped_objective, optimal_objective)``. The objective is convex
-    in the escaped mass, with slope ``min_out L + k_bar`` at no escape, so
-    escaping pays (best < optimal) wherever that slope is negative, for
-    example at small ``lam`` when an atom outside supp(Q) has lower risk.
+    ``sol`` is :func:`solve_type2`'s optimum on supp(Q) under the risks of
+    ``profile_ext``, and the escaped mass may go to any atom of
+    ``profile_ext`` outside supp(Q); raises ValueError when there is none.
+    Moving mass alpha to an outside atom and solving the inside part again
+    at ``lam / (1 - alpha)`` gives an objective that is convex in alpha,
+    with slope ``min_out L + k_bar`` at alpha = 0. So escaping lowers the
+    objective exactly when the returned slope is negative, for example at
+    small ``lam`` when an atom outside supp(Q) has lower risk. The slope is
+    formed as ``(min_out L - delta_star) + pole_gap``, where delta_star is
+    min L on supp(Q), so no cancellation enters.
     """
-    outside = np.flatnonzero(positions(profile_ext, q) < 0)
-    if not outside.size:
+    outside = positions(profile_ext, q) < 0
+    if not outside.any():
         raise ValueError("every atom of the profile lies in supp(Q)")
-    # The objective is linear in the escaped placement, so the cheapest
-    # single-atom placement (the first, on ties) covers the minimum over all
-    # placements.
-    best_atom = int(outside[np.argmin(profile_ext.risks[outside])])
-
-    opt = solve_type2(q, profile_ext, lam)
-    optimal = type2_objective(opt.measure, q, profile_ext, lam)
-
-    alphas = np.linspace(0.0, 1.0, ESCAPE_ALPHA_COUNT + 2)[1:-1]
-    best = math.inf
-    for alpha in alphas:
-        value = escaped_mixture_objective(q, profile_ext, lam, best_atom, float(alpha))
-        if value < best:
-            best = value
-    return best, optimal
+    delta_star = float(profile_ext.aligned(q).min())
+    return (float(profile_ext.risks[outside].min()) - delta_star) + sol.pole_gap

@@ -16,12 +16,17 @@ import numpy as np
 import pytest
 
 from entrisk.cli import cli_main
-from entrisk.experiment import ExperimentConfig, generate_instance, grid_argmin_outside_support
+from entrisk.experiment import (
+    ExperimentConfig,
+    generate_instance,
+    grid_argmin_outside_support,
+    grid_profile,
+)
 from entrisk.logrisk import log_risk_profile, verify_theorem2
-from entrisk.measures import check_abs_continuity, make_measure, positions, total_variation
-from entrisk.risk import expected_risk, risk_profile
+from entrisk.measures import check_abs_continuity, make_measure, total_variation
+from entrisk.risk import expected_risk
 from entrisk.type1 import solve_type1, type1_objective
-from entrisk.type2 import solve_type2, support_escape_penalty, type2_objective
+from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
 
 from conftest import (
     random_pipeline_instance,
@@ -220,7 +225,7 @@ def test_criterion_08_optimality_against_random_measures():
     assert ok
 
 
-def test_criterion_09_support_escape_penalty():
+def test_criterion_09_support_escape_slope():
     cfg = ExperimentConfig.from_dict(
         {
             "predictor": "linear_regression",
@@ -245,26 +250,15 @@ def test_criterion_09_support_escape_penalty():
     q, data, profile = generate_instance(cfg)
     misspecified = grid_argmin_outside_support(cfg, q, data, profile)
 
-    # Extend the profile to the full grid so escaped atoms carry risks.
-    from entrisk.experiment import grid_points, loss_spec, predictor_spec
-
-    grid = grid_points(cfg)
-    full_profile = risk_profile(
-        make_measure(grid, np.ones(len(grid))), data, predictor_spec(cfg), loss_spec(cfg)
-    )
-    outside = positions(full_profile, q) < 0
-    argmin_outside = bool(outside[np.argmin(full_profile.risks)])
-    best, optimal = support_escape_penalty(q, full_profile, 1.0)
+    # The whole grid's profile, so that escaped atoms carry risks.
+    full_profile = grid_profile(cfg, q, data, profile)
     sol = solve_type2(q, full_profile, 1.0)
+    slope = support_escape_slope(q, full_profile, sol)
     collapse = check_abs_continuity(sol.measure, q).mutually
-    ok = misspecified and argmin_outside and best > optimal and collapse
-    report(
-        9,
-        f"escape strictly penalized (best {best:.6f} > opt {optimal:.6f}); support collapses",
-        ok,
-    )
+    ok = misspecified and slope > 0.0 and collapse
+    report(9, f"escape strictly penalized (slope {slope:.6f} > 0); support collapses", ok)
     assert misspecified, "constructed instance must have its grid argmin outside supp(Q)"
-    assert best > optimal
+    assert slope > 0.0
     assert collapse
 
 

@@ -284,8 +284,18 @@ class TestConfigBoundary:
             ("lambda_max", {"lambda_min": 0.5, "lambda_max": 0.5, "lambda_count": 3}),
             ("lambda_max", {"lambda_min": 0.5, "lambda_max": 0.5 * (1 + 1e-15),
                             "lambda_count": 10}),
+            ("reference_mean", {**GAUSSIAN, "reference_mean": [1e308], "reference_scale": 1.0}),
+            ("reference_scale", {**GAUSSIAN, "reference_scale": 1e-170}),
+            ("true_model", {"intercept": True, "grid_min": [0.25, 0.25],
+                            "grid_max": [0.25, 0.25], "grid_resolution": [1, 1],
+                            "true_model": [1e308, 1e308], "n": 50}),
+            ("grid_max", {"grid_min": [-1e200], "grid_max": [1e200], "grid_resolution": [3]}),
+            ("grid_max", {"grid_min": [-1e154], "grid_max": [1e154], "grid_resolution": [3],
+                          "n": 50}),
         ],
-        ids=["degenerate_axis", "overflowing_axis", "equal_lambdas", "lambdas_within_rounding"],
+        ids=["degenerate_axis", "overflowing_axis", "equal_lambdas", "lambdas_within_rounding",
+             "overflowing_gaussian_distance", "underflowing_gaussian_scale",
+             "overflowing_labels", "overflowing_risks", "overflowing_risk_sum"],
     )
     def test_degenerate_grid_is_validation_error(
         self, tmp_path, capsys, command, field, overrides
@@ -294,6 +304,17 @@ class TestConfigBoundary:
         assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_risk_overflow_outside_support_is_validation_error(self, tmp_path, capsys, command):
+        # supp(Q) is the atom at 0; only the grid atoms outside it overflow.
+        cfg = write_config(tmp_path, grid_min=[-1e200], grid_max=[1e200], grid_resolution=[3],
+                           reference="restricted", reference_box_min=[-1.0],
+                           reference_box_max=[1.0])
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'grid_max'" in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import importlib.util
 import json
 import math
 import shutil
@@ -35,6 +36,7 @@ from entrisk.experiment import (
     generate_instance,
     grid_argmin_outside_support,
     grid_points,
+    grid_profile,
     ingest_csv_dataset,
     instance_digest,
     invariant_checks,
@@ -50,11 +52,12 @@ from entrisk.cli import cli_main
 from entrisk.measures import make_measure, measure_on, total_variation
 from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
 from entrisk.type1 import type1_objective
-from entrisk.type2 import type2_objective
+from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
 
 from conftest import lattice_points, random_solver_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def base_config(**overrides) -> dict:
@@ -330,6 +333,36 @@ class TestHotPaths:
         for command in ("sweep", "verify"):
             argv = [command, "--config", str(tmp_path / "grid10_restricted_config.json")]
             assert cli_main(argv) == 0
+
+
+
+def load_script(monkeypatch, name: str):
+    """Import ``scripts/<name>.py`` as a module; the path entry it adds is undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMisspecifiedReference:
+    def test_main_reports_collapse_and_a_positive_escape_slope(self, monkeypatch, capsys):
+        load_script(monkeypatch, "misspecified_reference").main()
+        lines = capsys.readouterr().out.splitlines()
+        assert "solution support == supp(Q): True" in lines
+        (slope_line,) = [line for line in lines if line.startswith("escape slope")]
+        assert float(slope_line.split(":")[1]) > 0.0
+
+    def test_escape_slope_changes_sign_as_lambda_falls(self, monkeypatch):
+        script = load_script(monkeypatch, "misspecified_reference")
+        cfg = ExperimentConfig.from_dict(script.CONFIG)
+        q, data, profile = generate_instance(cfg)
+        full = grid_profile(cfg, q, data, profile)
+        for lam, expected in ((1.0, 0.46), (0.5, 0.016), (0.3, -0.13), (0.1, -0.21),
+                              (0.01, -0.22)):
+            slope = support_escape_slope(q, full, solve_type2(q, full, lam))
+            assert (slope > 0.0) == (expected > 0.0)
+            assert slope == pytest.approx(expected, abs=5e-3)
 
 
 def per_draw_fuzz(q, profile, lam, seed):

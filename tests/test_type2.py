@@ -10,20 +10,23 @@ from hypothesis import given, settings
 
 from entrisk import type2
 from entrisk.errors import (
-    AtomCollision,
     BracketFailure,
     NonPositiveLambda,
     ToleranceNotReached,
 )
 from entrisk.experiment import sweep_records
-from entrisk.measures import check_abs_continuity, make_measure, total_variation
+from entrisk.measures import (
+    check_abs_continuity,
+    kl_divergence,
+    make_measure,
+    positions,
+    total_variation,
+)
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
-    ESCAPE_ALPHA_COUNT,
-    escaped_mixture_objective,
     solve_k_bar,
     solve_type2,
-    support_escape_penalty,
+    support_escape_slope,
     type2_objective,
 )
 
@@ -320,35 +323,77 @@ class TestRiskIdentityAndBound:
             assert sweep_row(q, prof, float(lam)).bound_margin > 0.0
 
 
+#: Mixture weights the escape oracle scans: a 1,000-point interior grid
+#: for pinned values, a geometric one down to 1e-8 for signs.
+FINE_ALPHAS = np.linspace(0.0, 1.0, 1002)[1:-1]
+SIGN_ALPHAS = np.geomspace(1e-8, 0.99, 33)
+
+
+def mixture_oracle(q, prof, lam: float, alpha: float) -> float:
+    """Oracle: best objective of ``(1 - alpha) P' + alpha * (point mass outside supp(Q))``.
+
+    P' ranges over measures on supp(Q) and the point mass over the profile's
+    atoms outside supp(Q). For fixed alpha the best P' solves the inside
+    problem at ``lam / (1 - alpha)``, the divergence picks up exactly
+    ``-lam * log(1 - alpha)``, and the risk term ``alpha * L`` is least at
+    the cheapest outside atom.
+    """
+    inner = solve_type2(q, prof, lam / (1.0 - alpha))
+    min_out = float(prof.risks[positions(prof, q) < 0].min())
+    return (
+        (1.0 - alpha) * expected_risk(inner.measure, prof)
+        + alpha * min_out
+        + lam * kl_divergence(q, inner.measure)
+        - lam * math.log1p(-alpha)
+    )
+
+
+def best_escape(q, prof, lam: float, alphas) -> float:
+    """Oracle: the lowest escaped-mixture objective over ``alphas``."""
+    return min(mixture_oracle(q, prof, lam, float(a)) for a in alphas)
+
+
+def escape_instance(rng: np.random.Generator):
+    """Random reference on k atoms plus 1-3 atoms outside supp(Q), and a factor."""
+    k, extra = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+    sup = np.arange(k + extra, dtype=float).reshape(-1, 1)
+    prof = EmpiricalRiskProfile.from_risks(sup, rng.uniform(0.0, 5.0, size=k + extra))
+    q = make_measure(sup[:k], rng.uniform(0.05, 1.0, size=k))
+    return q, prof, float(10.0 ** rng.uniform(-2.0, 1.0))
+
+
 class TestSupportEscape:
     def _instance(self):
         # The profile's atom at position 2 (theta = 5) lies outside supp(Q).
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [5.0]], [0.5, 1.0, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        return q, prof, 2
+        return q, prof
 
-    def test_alpha_zero_reduces_to_inside_objective(self):
-        q, prof, outside = self._instance()
+    def test_oracle_alpha_zero_reduces_to_inside_objective(self):
+        q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
         inside_obj = type2_objective(sol.measure, q, prof, 1.0)
-        assert escaped_mixture_objective(q, prof, 1.0, outside, 0.0) == pytest.approx(
+        assert mixture_oracle(q, prof, 1.0, 0.0) == pytest.approx(
             inside_obj, abs=1e-12
         )
 
-    def test_alpha_to_zero_approaches_optimum_from_above(self):
-        q, prof, outside = self._instance()
+    def test_slope_is_the_oracle_derivative_at_no_escape(self):
+        # (f(alpha) - f(0)) / alpha falls to the slope from above as alpha -> 0.
+        q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
+        slope = support_escape_slope(q, prof, sol)
         opt = type2_objective(sol.measure, q, prof, 1.0)
-        prev_gap = math.inf
+        prev = math.inf
         for alpha in (0.1, 0.01, 0.001, 0.0001):
-            gap = escaped_mixture_objective(q, prof, 1.0, outside, alpha) - opt
-            assert 0.0 < gap < prev_gap
-            prev_gap = gap
+            quotient = (mixture_oracle(q, prof, 1.0, alpha) - opt) / alpha
+            assert slope < quotient < prev and quotient - slope < alpha
+            prev = quotient
 
     def test_escape_strictly_penalized_even_with_zero_risk_outside(self):
-        q, prof, outside = self._instance()
-        best, optimal = support_escape_penalty(q, prof, 1.0)
-        assert best > optimal
+        q, prof = self._instance()
+        sol = solve_type2(q, prof, 1.0)
+        assert support_escape_slope(q, prof, sol) > 0.0
+        assert best_escape(q, prof, 1.0, SIGN_ALPHAS) > type2_objective(sol.measure, q, prof, 1.0)
 
     def test_escape_lowers_the_objective_where_the_slope_is_negative(self):
         # supp(Q) risks 1.0 and 1.2, one outside atom of risk 0: at lam = 0.1
@@ -356,31 +401,46 @@ class TestSupportEscape:
         # supp(Q) beats the optimum on supp(Q) by far.
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        slope = 0.0 + solve_type2(q, prof, 0.1).k_bar
-        best, optimal = support_escape_penalty(q, prof, 0.1)
+        sol = solve_type2(q, prof, 0.1)
+        slope = support_escape_slope(q, prof, sol)
         assert slope == pytest.approx(-0.938, abs=5e-4)
-        assert best == pytest.approx(0.3394, abs=5e-5)
-        assert optimal == pytest.approx(1.0623, abs=5e-5)
+        assert slope == 0.0 + sol.k_bar
+        assert best_escape(q, prof, 0.1, FINE_ALPHAS) == pytest.approx(0.3394, abs=5e-5)
+        assert type2_objective(sol.measure, q, prof, 0.1) == pytest.approx(1.0623, abs=5e-5)
         # Escaping pays exactly where the slope is negative.
         for lam in (0.5, 1.0, 2.0, 5.0):
-            best, optimal = support_escape_penalty(q, prof, lam)
-            assert (best < optimal) == (solve_type2(q, prof, lam).k_bar < 0.0)
+            sol = solve_type2(q, prof, lam)
+            optimal = type2_objective(sol.measure, q, prof, lam)
+            assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (
+                support_escape_slope(q, prof, sol) < 0.0
+            )
+
+    def test_slope_sign_matches_the_oracle_on_random_instances(self, rng):
+        signs = set()
+        for _ in range(20):
+            q, prof, lam = escape_instance(rng)
+            sol = solve_type2(q, prof, lam)
+            slope = support_escape_slope(q, prof, sol)
+            optimal = type2_objective(sol.measure, q, prof, lam)
+            assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (slope < 0.0)
+            signs.add(slope < 0.0)
+        assert signs == {True, False}  # both verdicts were tested
 
     def test_escape_goes_to_the_cheapest_outside_atom(self):
-        # Outside atoms at theta = 5 (risk 0.25) and 7 (risk 0); the search
-        # must find the latter, whatever their order in the profile.
+        # Outside atoms at theta = 5 (risk 0.25) and 7 (risk 0): the slope is
+        # the one with theta = 7 alone, whatever the order in the profile.
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        prof = EmpiricalRiskProfile.from_risks([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0])
-        best, _ = support_escape_penalty(q, prof, 1.0)
-        alphas = np.linspace(0.0, 1.0, ESCAPE_ALPHA_COUNT + 2)[1:-1]
-        assert best == min(escaped_mixture_objective(q, prof, 1.0, 2, float(a)) for a in alphas)
-
-    def test_atom_collision_rejected(self):
-        q, prof, _ = self._instance()
-        with pytest.raises(AtomCollision):
-            escaped_mixture_objective(q, prof, 1.0, 0, 0.5)
+        cheapest = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [7.0]], [0.5, 1.0, 0.0])
+        sol = solve_type2(q, cheapest, 1.0)
+        expected = support_escape_slope(q, cheapest, sol)
+        for coords, risks in (
+            ([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0]),
+            ([[7.0], [1.0], [0.0], [5.0]], [0.0, 1.0, 0.5, 0.25]),
+        ):
+            prof = EmpiricalRiskProfile.from_risks(coords, risks)
+            assert support_escape_slope(q, prof, solve_type2(q, prof, 1.0)) == expected
 
     def test_no_outside_atom_rejected(self):
         q, prof = two_atom_instance()
         with pytest.raises(ValueError, match="supp"):
-            support_escape_penalty(q, prof, 1.0)
+            support_escape_slope(q, prof, solve_type2(q, prof, 1.0))
