@@ -5,8 +5,9 @@ model, so the whole-grid empirical risk minimizer falls outside supp(Q). Both
 regularization directions still place all of their mass on supp(Q). Moving
 mass to an atom outside supp(Q) changes the reversed-direction objective at
 the rate min_out L + k_bar: at this instance's factor the slope is positive
-and escaping raises the objective, but at smaller factors it turns negative
-and escaping lowers it.
+and escaping raises the objective, but below the threshold factor lambda*
+(type2.escape_threshold, printed last) it turns negative and escaping lowers
+it.
 
 Usage:
     python scripts/misspecified_reference.py
@@ -17,14 +18,12 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from entrisk.experiment import ExperimentConfig, generate_instance, grid_profile
+from entrisk.experiment import ExperimentConfig, generate_instance, outside_profile
 from entrisk.measures import check_abs_continuity
-from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
+from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
 
 CONFIG = {
     "predictor": "linear_regression",
@@ -51,23 +50,24 @@ def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
     q, data, profile = generate_instance(cfg)
 
-    # Whole-grid risks: supp(Q) risks come from the instance's profile, only
-    # the atoms outside supp(Q) are evaluated.
-    full = grid_profile(cfg, q, data, profile)
-    argmin_atoms = full.coords[np.flatnonzero(full.risks == full.delta_star), 0].tolist()
+    # Only the atoms outside supp(Q) are evaluated: on this instance the
+    # whole-grid risk minimizers lie among them.
+    outside = outside_profile(cfg, q, data)
+    argmin_atoms = outside.coords[outside.risks == outside.delta_star, 0].tolist()
     print(f"reference support: {q.num_atoms} atoms in [-1, 0]")
     print(f"whole-grid risk minimizer(s) at theta = {argmin_atoms} (outside supp Q)")
 
     lam = 1.0
-    sol = solve_type2(q, full, lam)
+    sol = solve_type2(q, profile, lam)
     print(f"solution support == supp(Q): {check_abs_continuity(sol.measure, q).mutually}")
     top = int(sol.measure.weights.argmax())
     theta, weight = sol.measure.coords[top, 0], sol.measure.weights[top]
     print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
-    slope = support_escape_slope(q, full, sol)
-    print(f"optimal objective on supp(Q):        {type2_objective(sol.measure, q, full, lam):.6f}")
+    slope = support_escape_slope(outside, sol)
+    print(f"optimal objective on supp(Q):        {type2_objective(sol.measure, q, profile, lam):.6f}")
     print(f"escape slope (min_out L + k_bar):    {slope:.3e}")
+    print(f"escape pays below lambda* =          {escape_threshold(q, profile, outside):.6f}")
 
 
 if __name__ == "__main__":

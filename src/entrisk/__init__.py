@@ -62,6 +62,7 @@ from .type1 import (
 from .type2 import (
     KBarResult,
     TypeIISolution,
+    escape_threshold,
     solve_k_bar,
     solve_type2,
     support_escape_slope,
@@ -105,6 +106,7 @@ __all__ = [
     "as_grid",
     "check_abs_continuity",
     "empirical_risk",
+    "escape_threshold",
     "expected_risk",
     "kl_divergence",
     "log_partition",

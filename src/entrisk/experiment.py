@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
@@ -471,7 +472,6 @@ def sweep_records(
     q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
 ) -> list[SweepRecord]:
     """Solve both directions at every factor; failures mark rows, not aborts."""
-    delta_star = float(profile.aligned(q).min())
     records: list[SweepRecord] = []
     for lam in lambdas:
         lam = float(lam)
@@ -489,7 +489,7 @@ def sweep_records(
                     risk_type1=risk1,
                     risk_type2=risk2,
                     identity_gap=abs(risk2 - (lam - sol2.k_bar)),
-                    bound_margin=lam + delta_star - risk2,
+                    bound_margin=lam + sol2.delta_star - risk2,
                     kl_p_q_type1=kl_divergence(sol1.measure, q),
                     kl_q_p_type2=kl_divergence(q, sol2.measure),
                     theorem2_gap=gap,
@@ -605,9 +605,15 @@ def emit_dataset_csv(data: Dataset, path: str | Path) -> None:
     _write_atomically(path, lines)
 
 
+#: A dataset cell: an ASCII decimal literal, with an optional sign, digits
+#: with an optional fraction, and an optional exponent; nothing around it.
+_DECIMAL_CELL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def ingest_csv_dataset(path: str | Path) -> Dataset:
     """Read a dataset CSV with header ``x1,...,xd,y``; strict and coordinate-exact.
 
+    Every cell must match :data:`_DECIMAL_CELL` and be finite as a double.
     Errors carry 1-based row and column coordinates. Ingesting a file written
     by :func:`emit_dataset_csv` reproduces the dataset bit for bit.
     """
@@ -632,12 +638,11 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
             raise RowArity(f"{path}: row {i} has {len(row)} cells, expected {d + 1}")
         parsed: list[float] = []
         for j, cell in enumerate(row, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
+            if not _DECIMAL_CELL.fullmatch(cell):
                 raise NonFiniteCell(
                     f"{path}: row {i}, column {j}: {cell!r} is not a finite decimal"
-                ) from None
+                )
+            value = float(cell)
             if not math.isfinite(value):
                 raise NonFiniteCell(
                     f"{path}: row {i}, column {j}: {cell!r} is not finite"
@@ -668,26 +673,15 @@ def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
     return h.hexdigest()
 
 
-def grid_profile(
-    cfg: ExperimentConfig,
-    q: DiscreteMeasure,
-    data: Dataset,
-    profile: EmpiricalRiskProfile,
-) -> EmpiricalRiskProfile:
-    """The risk of every atom of ``q``'s grid, in grid order.
+def outside_profile(cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset) -> EmpiricalRiskProfile | None:
+    """The configured risks of the grid atoms outside supp(Q), on ``q``'s grid.
 
-    The supp(Q) risks are taken from ``profile``; only the grid atoms
-    outside supp(Q) are evaluated, as one more risk profile.
+    None, without evaluating any risk, when supp(Q) is the whole grid.
     """
-    risks = np.empty(len(q.grid))
-    risks[q.index] = profile.aligned(q)
-    outside_mask = np.ones(len(q.grid), dtype=bool)
-    outside_mask[q.index] = False
-    outside = np.flatnonzero(outside_mask)
-    if outside.size:
-        rest = measure_on(q.grid, outside, np.ones(outside.size))
-        risks[outside] = _configured_risks(cfg, rest, data).risks
-    return EmpiricalRiskProfile.on_grid(q.grid, np.arange(len(q.grid)), risks)
+    outside = np.setdiff1d(np.arange(len(q.grid)), q.index, assume_unique=True)
+    if not outside.size:
+        return None
+    return _configured_risks(cfg, measure_on(q.grid, outside, np.ones(outside.size)), data)
 
 
 def grid_argmin_outside_support(
@@ -702,10 +696,8 @@ def grid_argmin_outside_support(
     collapses onto supp(Q) even though the data points elsewhere. False
     without evaluating any risk when supp(Q) is the whole grid.
     """
-    if q.num_atoms == len(q.grid):
-        return False
-    full = grid_profile(cfg, q, data, profile)
-    return full.delta_star < float(full.risks[q.index].min())
+    outside = outside_profile(cfg, q, data)
+    return outside is not None and outside.delta_star < float(profile.aligned(q).min())
 
 
 #: Relative error bound of a screened fuzz objective, in units of its

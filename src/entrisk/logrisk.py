@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import InvariantViolation, NonPositiveArgument
-from .measures import DiscreteMeasure, exact_sum, positions
+from .measures import DiscreteMeasure, positions
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
 from .type2 import TypeIISolution
@@ -46,19 +46,18 @@ def log_risk_profile(
     above -delta_star); a nonpositive argument means the solution object was
     corrupted upstream and is rejected.
 
-    Numerically, k_bar + L is evaluated as pole_gap + (L - delta_star), the
-    same rearrangement the solver uses for its weights; the two forms agree
-    exactly in real arithmetic, and the rearranged one stays fully accurate
-    when the normalizer sits close to the pole.
+    Numerically, k_bar + L is evaluated as pole_gap + (L - delta_star), with
+    the solve's own ``sol.delta_star``: the same rearrangement the solver
+    uses for its weights. The two forms agree exactly in real arithmetic, and
+    the rearranged one stays fully accurate when the normalizer sits close
+    to the pole.
     """
-    risks = profile.aligned(sol.measure)
-    delta_star = float(risks.min())
-    if sol.k_bar + delta_star <= 0.0 or sol.pole_gap <= 0.0:
+    if sol.k_bar + sol.delta_star <= 0.0 or sol.pole_gap <= 0.0:
         raise NonPositiveArgument(
-            f"k_bar + L = {sol.k_bar + delta_star} is not positive; "
+            f"k_bar + L = {sol.k_bar + sol.delta_star} is not positive; "
             "solution is inconsistent"
         )
-    args = sol.pole_gap + (risks - delta_star)
+    args = sol.pole_gap + (profile.aligned(sol.measure) - sol.delta_star)
     values = np.log(args)
     values.flags.writeable = False
     return values
@@ -74,15 +73,16 @@ def verify_theorem2(
     Gibbs tilt of Q by exp(-V) with unit regularization factor. Before
     comparing, the hidden normalization identity lam * sum q*exp(-V) = 1 (the
     defining constraint of k_bar, restated through the transform) is asserted
-    to NORMALIZATION_TOL.
+    as |log Z + log lam| <= NORMALIZATION_TOL, where log Z is the tilt's own
+    log normalizer.
     """
     values = sol.measure.values_at(log_risk_profile(profile, sol), q, "log-risk")
-    total = sol.lam * exact_sum(q.weights * np.exp(-values))
-    if not total > 0.0 or abs(math.log(total)) > NORMALIZATION_TOL:
+    tilted, log_z = _tilt(q, values, 1.0)
+    log_total = log_z + math.log(sol.lam)
+    if not abs(log_total) <= NORMALIZATION_TOL:
         raise InvariantViolation(
-            f"lam * sum q*exp(-V) = {total} deviates from 1 beyond {NORMALIZATION_TOL}"
+            f"lam * sum q*exp(-V) = exp({log_total}) deviates from 1 beyond {NORMALIZATION_TOL}"
         )
-    tilted, _ = _tilt(q, values, 1.0)
 
     at = positions(sol.measure, tilted)
     hit = at >= 0

@@ -38,6 +38,7 @@ closed form (``k_bar = lam - c``) without iterating.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,8 +67,6 @@ POLE_GUARD_SCALE = 2.0**-40
 #: Residual tolerance on |g(k_bar) - 1|.
 DEFAULT_TOL = 1e-13
 
-MAX_ITERATIONS = 10_000
-
 
 class KBarResult(NamedTuple):
     """Root of the normalization constraint plus solver diagnostics.
@@ -87,7 +86,7 @@ class KBarResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TypeIISolution:
-    """Solution measure with the solved normalizer and root diagnostics."""
+    """Solution measure at factor ``lam``, plus the :class:`KBarResult` of its root solve."""
 
     measure: DiscreteMeasure
     lam: float
@@ -95,6 +94,7 @@ class TypeIISolution:
     residual: float
     iterations: int
     pole_gap: float
+    delta_star: float
 
 
 def _secant(lo: float, hi: float, g_lo: float, g_hi: float) -> float | None:
@@ -120,14 +120,16 @@ def solve_k_bar(
     left, below 1 on the right, or an endpoint already a root) is checked
     before iterating.
 
+    No iteration cap is needed: every other step bisects, and halving a bracket
+    no wider than lam < 2**1024 to adjacent floats >= 2**-40 takes ~2,230 steps.
+
     Raises
     ------
     BracketFailure
         The bracket is numerically invalid, which signals degenerate inputs
         (for example a regularization factor below the pole guard).
     ToleranceNotReached
-        The iteration cap was hit, or the bracket shrank to adjacent floats,
-        before meeting ``DEFAULT_TOL``.
+        The bracket shrank to adjacent floats before meeting ``DEFAULT_TOL``.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
@@ -160,7 +162,7 @@ def solve_k_bar(
             f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi} do not straddle 1"
         )
 
-    for it in range(1, MAX_ITERATIONS + 1):
+    for it in itertools.count(1):
         cand = _secant(lo, hi, g_lo, g_hi) if it % 2 else None
         if cand is None:
             cand = 0.5 * (lo + hi)
@@ -210,18 +212,9 @@ def solve_type2(
     cancellation enters even when the root sits close to the pole.
     """
     root = solve_k_bar(q, profile, lam)
-    risks = profile.aligned(q)
-    shifted = risks - root.delta_star
-    weights = np.asarray(q.weights, dtype=float) * lam / (root.pole_gap + shifted)
-    measure = measure_on(q.grid, q.index, weights)
-    return TypeIISolution(
-        measure=measure,
-        lam=float(lam),
-        k_bar=root.k_bar,
-        residual=root.residual,
-        iterations=root.iterations,
-        pole_gap=root.pole_gap,
-    )
+    shifted = profile.aligned(q) - root.delta_star
+    weights = q.weights * lam / (root.pole_gap + shifted)
+    return TypeIISolution(measure_on(q.grid, q.index, weights), float(lam), **root._asdict())
 
 
 def type2_objective_rows(
@@ -252,26 +245,30 @@ def type2_objective(
     return float(type2_objective_rows(p.weights[None], q_weights, profile.aligned(p), lam)[0])
 
 
-def support_escape_slope(
-    q: DiscreteMeasure,
-    profile_ext: EmpiricalRiskProfile,
-    sol: TypeIISolution,
-) -> float:
+def support_escape_slope(outside: EmpiricalRiskProfile, sol: TypeIISolution) -> float:
     """Rate at which moving mass off supp(Q) changes the objective of ``sol``.
 
-    ``sol`` is :func:`solve_type2`'s optimum on supp(Q) under the risks of
-    ``profile_ext``, and the escaped mass may go to any atom of
-    ``profile_ext`` outside supp(Q); raises ValueError when there is none.
-    Moving mass alpha to an outside atom and solving the inside part again
-    at ``lam / (1 - alpha)`` gives an objective that is convex in alpha,
-    with slope ``min_out L + k_bar`` at alpha = 0. So escaping lowers the
-    objective exactly when the returned slope is negative, for example at
-    small ``lam`` when an atom outside supp(Q) has lower risk. The slope is
-    formed as ``(min_out L - delta_star) + pole_gap``, where delta_star is
-    min L on supp(Q), so no cancellation enters.
+    ``sol`` is :func:`solve_type2`'s optimum on supp(Q), and ``outside`` holds
+    the risks of the atoms outside supp(Q) (:func:`entrisk.experiment.outside_profile`).
+    Moving mass alpha to an outside atom and solving the inside part again at
+    ``lam / (1 - alpha)`` gives an objective convex in alpha, with slope
+    ``min_out L + k_bar`` at alpha = 0: escaping lowers the objective exactly
+    when that slope is negative (see :func:`escape_threshold`). It is formed
+    as ``(min_out L - delta_star) + pole_gap``, so no cancellation enters.
     """
-    outside = positions(profile_ext, q) < 0
-    if not outside.any():
-        raise ValueError("every atom of the profile lies in supp(Q)")
-    delta_star = float(profile_ext.aligned(q).min())
-    return (float(profile_ext.risks[outside].min()) - delta_star) + sol.pole_gap
+    return (outside.delta_star - sol.delta_star) + sol.pole_gap
+
+
+def escape_threshold(
+    q: DiscreteMeasure, profile: EmpiricalRiskProfile, outside: EmpiricalRiskProfile
+) -> float:
+    """The factor below which :func:`support_escape_slope` is negative; 0.0 if none.
+
+    g(beta) is linear in lam and decreasing in beta, so ``min_out L + k_bar < 0``
+    exactly when g(-min_out L) < 1: when ``min_out L < delta_star`` and lam is
+    below the Q-harmonic mean ``1 / E_Q[1 / (L - min_out L)]``.
+    """
+    risks = profile.aligned(q)
+    if not outside.delta_star < float(risks.min()):
+        return 0.0
+    return 1.0 / exact_sum(q.weights / (risks - outside.delta_star))

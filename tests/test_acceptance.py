@@ -20,7 +20,7 @@ from entrisk.experiment import (
     ExperimentConfig,
     generate_instance,
     grid_argmin_outside_support,
-    grid_profile,
+    outside_profile,
 )
 from entrisk.logrisk import log_risk_profile, verify_theorem2
 from entrisk.measures import check_abs_continuity, make_measure, total_variation
@@ -250,10 +250,9 @@ def test_criterion_09_support_escape_slope():
     q, data, profile = generate_instance(cfg)
     misspecified = grid_argmin_outside_support(cfg, q, data, profile)
 
-    # The whole grid's profile, so that escaped atoms carry risks.
-    full_profile = grid_profile(cfg, q, data, profile)
-    sol = solve_type2(q, full_profile, 1.0)
-    slope = support_escape_slope(q, full_profile, sol)
+    # The atoms outside supp(Q) carry the risks escaped mass would pay.
+    sol = solve_type2(q, profile, 1.0)
+    slope = support_escape_slope(outside_profile(cfg, q, data), sol)
     collapse = check_abs_continuity(sol.measure, q).mutually
     ok = misspecified and slope > 0.0 and collapse
     report(9, f"escape strictly penalized (slope {slope:.6f} > 0); support collapses", ok)

@@ -236,6 +236,16 @@ class TestInstanceFailures:
         assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 2
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("cell", ["1_5", " 0.5 ", "\uff11"])  # \uff11: full-width 1
+    def test_cell_beyond_ascii_decimals_is_validation_error(self, tmp_path, capsys, command, cell):
+        # float() reads each of these cells; the dataset grammar does not.
+        (tmp_path / "data.csv").write_text(f"x1,y\n0.5,1\n0.25,{cell}\n", encoding="utf-8")
+        cfg = write_config(tmp_path, dataset="csv", csv_path="data.csv")
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 3, column 2" in err
+
 
 GAUSSIAN = {"reference": "gaussian", "reference_mean": [0.25]}
 

@@ -36,13 +36,13 @@ from entrisk.experiment import (
     generate_instance,
     grid_argmin_outside_support,
     grid_points,
-    grid_profile,
     ingest_csv_dataset,
     instance_digest,
     invariant_checks,
     lambda_grid,
     loss_spec,
     optimality_fuzz,
+    outside_profile,
     predictor_spec,
     run_sweep,
     sweep_records,
@@ -52,12 +52,13 @@ from entrisk.cli import cli_main
 from entrisk.measures import make_measure, measure_on, total_variation
 from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
 from entrisk.type1 import type1_objective
-from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
+from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
 
 from conftest import lattice_points, random_solver_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+BENCHMARK_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.json"
 
 
 def base_config(**overrides) -> dict:
@@ -294,6 +295,7 @@ class TestInstanceGeneration:
             raise AssertionError("whole-grid risk evaluated")
 
         monkeypatch.setattr(experiment, "risk_profile", no_risks)
+        assert outside_profile(cfg, q, data) is None
         assert not grid_argmin_outside_support(cfg, q, data, profile)
 
     def test_restricted_reference_evaluates_each_grid_risk_once(self, tmp_path, monkeypatch):
@@ -352,17 +354,57 @@ class TestMisspecifiedReference:
         assert "solution support == supp(Q): True" in lines
         (slope_line,) = [line for line in lines if line.startswith("escape slope")]
         assert float(slope_line.split(":")[1]) > 0.0
+        assert lines[-1] == "escape pays below lambda* =          0.480541"
+
+    def test_outside_profile_holds_the_grid_atoms_outside_supp_q(self, monkeypatch):
+        script = load_script(monkeypatch, "misspecified_reference")
+        cfg = ExperimentConfig.from_dict(script.CONFIG)
+        q, data, profile = generate_instance(cfg)
+        outside = outside_profile(cfg, q, data)
+        assert outside.grid is q.grid
+        assert sorted(outside.index.tolist() + q.index.tolist()) == list(range(len(q.grid)))
+        assert np.all(outside.coords[:, 0] > 0.0)
+        assert outside.coords[outside.risks == outside.delta_star, 0].tolist() == [0.8]
 
     def test_escape_slope_changes_sign_as_lambda_falls(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
         q, data, profile = generate_instance(cfg)
-        full = grid_profile(cfg, q, data, profile)
+        outside = outside_profile(cfg, q, data)
         for lam, expected in ((1.0, 0.46), (0.5, 0.016), (0.3, -0.13), (0.1, -0.21),
                               (0.01, -0.22)):
-            slope = support_escape_slope(q, full, solve_type2(q, full, lam))
+            slope = support_escape_slope(outside, solve_type2(q, profile, lam))
             assert (slope > 0.0) == (expected > 0.0)
             assert slope == pytest.approx(expected, abs=5e-3)
+
+    def test_escape_threshold_is_where_the_slope_changes_sign(self, monkeypatch):
+        script = load_script(monkeypatch, "misspecified_reference")
+        cfg = ExperimentConfig.from_dict(script.CONFIG)
+        q, data, profile = generate_instance(cfg)
+        outside = outside_profile(cfg, q, data)
+        lam_star = escape_threshold(q, profile, outside)
+        assert lam_star == pytest.approx(0.48054101363, rel=1e-10)
+        below, above = (support_escape_slope(outside, solve_type2(q, profile, lam_star * f))
+                        for f in (1.0 - 1e-9, 1.0 + 1e-9))
+        assert below == pytest.approx(-3.8e-10, rel=0.01)
+        assert above == pytest.approx(3.8e-10, rel=0.01)
+
+    @pytest.mark.parametrize("seed, expected", [(1001, 0.6747), (7, 0.6599)])
+    def test_escape_threshold_on_the_misspecified_benchmark(self, seed, expected):
+        # The factors below lambda* are exactly those where escaping pays:
+        # 9 of the 20 factors of the verify-misspecified workload.
+        workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+        config = dict(workloads["workloads"]["verify-misspecified"]["config"],
+                      **{key: seed for key in workloads["seed_fields"]})
+        cfg = ExperimentConfig.from_dict(config)
+        q, data, profile = generate_instance(cfg)
+        outside = outside_profile(cfg, q, data)
+        lam_star = escape_threshold(q, profile, outside)
+        assert lam_star == pytest.approx(expected, abs=5e-5)
+        lambdas = lambda_grid(cfg)
+        slopes = [support_escape_slope(outside, solve_type2(q, profile, lam)) for lam in lambdas]
+        assert [s <= 0.0 for s in slopes] == [lam < lam_star for lam in lambdas]
+        assert sum(s <= 0.0 for s in slopes) == 9
 
 
 def per_draw_fuzz(q, profile, lam, seed):
@@ -806,6 +848,30 @@ class TestIngestCsv:
         after = risk_profile(q, back, pred, loss).risks
         assert np.array_equal(before, after)
 
+    def test_round_trip_is_bit_exact_at_the_edges(self, tmp_path):
+        patterns = np.array([[-0.0, 5e-324], [0.1, -1.7976931348623157e308], [1e-300, 2.0**-1074]])
+        labels = np.array([-0.0, 5e-324, 1.0 / 3.0])
+        path = tmp_path / "data.csv"
+        emit_dataset_csv(Dataset(patterns, labels), path)
+        assert "-0,4.9406564584124654e-324," in path.read_text(encoding="utf-8")
+        back = ingest_csv_dataset(path)
+        assert back.patterns.tobytes() == patterns.tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("cell", ["+1.5", "-.5", "2.", "1E+3", "7e-2", "0", "-0", "5e-324"])
+    def test_decimal_literals_accepted(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,y\n{cell},1\n", encoding="utf-8")
+        assert ingest_csv_dataset(path).patterns[0, 0] == float(cell)
+
+    @pytest.mark.parametrize("cell", ["foo", "1_5", " 0.5 ", "\uff11", "", ".", "1e", "0x10",
+                                      "+-1", "1.5.2", "nan", "Infinity", "1e5\n"])
+    def test_non_decimal_cell_rejected_with_coordinates(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f'x1,y\n1,2\n3,"{cell}"\n', encoding="utf-8")
+        with pytest.raises(NonFiniteCell, match="row 3, column 2"):
+            ingest_csv_dataset(path)
+
     def test_two_point_file_in_order(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("x1,y\n1.5,2.0\n-0.5,0.25\n", encoding="utf-8")
@@ -829,10 +895,4 @@ class TestIngestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,y\n1,2,3\n4,inf,6\n", encoding="utf-8")
         with pytest.raises(NonFiniteCell, match="row 3, column 2"):
-            ingest_csv_dataset(path)
-
-    def test_non_numeric_cell(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,y\nfoo,1\n", encoding="utf-8")
-        with pytest.raises(NonFiniteCell, match="row 2, column 1"):
             ingest_csv_dataset(path)

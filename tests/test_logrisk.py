@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from entrisk.errors import NonPositiveArgument, SupportMismatch
+from entrisk.errors import InvariantViolation, NonPositiveArgument, SupportMismatch
 from entrisk.logrisk import log_risk_profile, verify_theorem2
 from entrisk.measures import kl_divergence, make_measure
 from entrisk.risk import EmpiricalRiskProfile
@@ -78,6 +79,7 @@ class TestLogRiskProfile:
             residual=sol.residual,
             iterations=sol.iterations,
             pole_gap=sol.pole_gap,
+            delta_star=sol.delta_star,
         )
         with pytest.raises(NonPositiveArgument):
             log_risk_profile(prof, corrupt)
@@ -153,6 +155,16 @@ class TestEquivalence:
             values = log_risk_profile(prof, sol)
             log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
             assert abs(log_total) <= 1e-10
+
+    def test_normalization_violation_rejected(self, rng):
+        # A root off by a relative 1e-6 keeps every weight positive but moves
+        # lam * sum q*exp(-V) off 1 far beyond NORMALIZATION_TOL.
+        instances = [two_atom_instance()] + [random_solver_instance(rng) for _ in range(5)]
+        for q, prof in instances:
+            sol = solve_type2(q, prof, float(10.0 ** rng.uniform(-2, 2)))
+            off = dataclasses.replace(sol, pole_gap=sol.pole_gap * (1.0 + 1e-6))
+            with pytest.raises(InvariantViolation, match="deviates from 1"):
+                verify_theorem2(q, prof, off)
 
     def test_gap_small_on_random_pipeline_instances(self, rng):
         for _ in range(10):

@@ -24,6 +24,7 @@ from entrisk.measures import (
 )
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
+    escape_threshold,
     solve_k_bar,
     solve_type2,
     support_escape_slope,
@@ -353,6 +354,12 @@ def best_escape(q, prof, lam: float, alphas) -> float:
     return min(mixture_oracle(q, prof, lam, float(a)) for a in alphas)
 
 
+def outside_of(q, prof):
+    """The atoms of ``prof`` outside supp(Q), as a profile of their own."""
+    out = positions(prof, q) < 0
+    return EmpiricalRiskProfile.on_grid(prof.grid, prof.index[out], prof.risks[out])
+
+
 def escape_instance(rng: np.random.Generator):
     """Random reference on k atoms plus 1-3 atoms outside supp(Q), and a factor."""
     k, extra = int(rng.integers(2, 8)), int(rng.integers(1, 4))
@@ -381,7 +388,7 @@ class TestSupportEscape:
         # (f(alpha) - f(0)) / alpha falls to the slope from above as alpha -> 0.
         q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
-        slope = support_escape_slope(q, prof, sol)
+        slope = support_escape_slope(outside_of(q, prof), sol)
         opt = type2_objective(sol.measure, q, prof, 1.0)
         prev = math.inf
         for alpha in (0.1, 0.01, 0.001, 0.0001):
@@ -392,7 +399,7 @@ class TestSupportEscape:
     def test_escape_strictly_penalized_even_with_zero_risk_outside(self):
         q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
-        assert support_escape_slope(q, prof, sol) > 0.0
+        assert support_escape_slope(outside_of(q, prof), sol) > 0.0
         assert best_escape(q, prof, 1.0, SIGN_ALPHAS) > type2_objective(sol.measure, q, prof, 1.0)
 
     def test_escape_lowers_the_objective_where_the_slope_is_negative(self):
@@ -402,7 +409,7 @@ class TestSupportEscape:
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         sol = solve_type2(q, prof, 0.1)
-        slope = support_escape_slope(q, prof, sol)
+        slope = support_escape_slope(outside_of(q, prof), sol)
         assert slope == pytest.approx(-0.938, abs=5e-4)
         assert slope == 0.0 + sol.k_bar
         assert best_escape(q, prof, 0.1, FINE_ALPHAS) == pytest.approx(0.3394, abs=5e-5)
@@ -412,7 +419,7 @@ class TestSupportEscape:
             sol = solve_type2(q, prof, lam)
             optimal = type2_objective(sol.measure, q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (
-                support_escape_slope(q, prof, sol) < 0.0
+                support_escape_slope(outside_of(q, prof), sol) < 0.0
             )
 
     def test_slope_sign_matches_the_oracle_on_random_instances(self, rng):
@@ -420,7 +427,7 @@ class TestSupportEscape:
         for _ in range(20):
             q, prof, lam = escape_instance(rng)
             sol = solve_type2(q, prof, lam)
-            slope = support_escape_slope(q, prof, sol)
+            slope = support_escape_slope(outside_of(q, prof), sol)
             optimal = type2_objective(sol.measure, q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (slope < 0.0)
             signs.add(slope < 0.0)
@@ -432,15 +439,52 @@ class TestSupportEscape:
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         cheapest = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [7.0]], [0.5, 1.0, 0.0])
         sol = solve_type2(q, cheapest, 1.0)
-        expected = support_escape_slope(q, cheapest, sol)
+        expected = support_escape_slope(outside_of(q, cheapest), sol)
         for coords, risks in (
             ([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0]),
             ([[7.0], [1.0], [0.0], [5.0]], [0.0, 1.0, 0.5, 0.25]),
         ):
             prof = EmpiricalRiskProfile.from_risks(coords, risks)
-            assert support_escape_slope(q, prof, solve_type2(q, prof, 1.0)) == expected
+            slope = support_escape_slope(outside_of(q, prof), solve_type2(q, prof, 1.0))
+            assert slope == expected
 
-    def test_no_outside_atom_rejected(self):
-        q, prof = two_atom_instance()
-        with pytest.raises(ValueError, match="supp"):
-            support_escape_slope(q, prof, solve_type2(q, prof, 1.0))
+
+class TestEscapeThreshold:
+    def test_slope_sign_flips_at_the_threshold_on_random_instances(self, rng):
+        # Factors off lambda* by more than 1e-6 relative, on both sides.
+        factors = (0.01, 0.5, 0.99, 1.0 - 2e-6, 1.0 + 2e-6, 1.01, 2.0, 100.0)
+        positive = 0
+        for _ in range(20):
+            q, prof, _ = escape_instance(rng)
+            outside = outside_of(q, prof)
+            lam_star = escape_threshold(q, prof, outside)
+            if lam_star == 0.0:
+                for lam in np.logspace(-3, 3, 7):
+                    assert support_escape_slope(outside, solve_type2(q, prof, lam)) > 0.0
+                continue
+            positive += 1
+            for f in factors:
+                slope = support_escape_slope(outside, solve_type2(q, prof, lam_star * f))
+                assert (slope < 0.0) == (f < 1.0)
+        assert 0 < positive < 20  # both kinds of instance were tested
+
+    def test_harmonic_mean_closed_form(self):
+        # supp(Q) risks 1.0 and 1.2 with weights 1/2 each, outside risk 0:
+        # lambda* = 1 / (0.5 / 1.0 + 0.5 / 1.2) = 12 / 11.
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        lam_star = escape_threshold(q, prof, outside_of(q, prof))
+        assert lam_star == pytest.approx(12.0 / 11.0, rel=1e-15)
+        # There g(-min_out L) = 1, so k_bar = 0 = -min_out L and the slope vanishes.
+        assert support_escape_slope(outside_of(q, prof), solve_type2(q, prof, lam_star)) == (
+            pytest.approx(0.0, abs=1e-12))
+
+    @pytest.mark.parametrize("outside_risk", [0.5, 0.7])
+    def test_zero_when_no_outside_atom_beats_delta_star(self, outside_risk):
+        # delta_star is 0.5; an outside atom at or above it never pays.
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [5.0]], [0.5, 1.0, outside_risk])
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        outside = outside_of(q, prof)
+        assert escape_threshold(q, prof, outside) == 0.0
+        for lam in (1e-3, 1.0, 1e3):
+            assert support_escape_slope(outside, solve_type2(q, prof, lam)) > 0.0
