@@ -44,7 +44,6 @@ from .measures import (
     DiscreteMeasure,
     as_grid,
     exact_row_sums,
-    kl_divergence,
     measure_on,
     positions,
     tv_rows,
@@ -60,8 +59,8 @@ from .risk import (
     expected_risk,
     risk_profile,
 )
-from .type1 import solve_type1, type1_objective, type1_objective_rows
-from .type2 import solve_type2, type2_objective, type2_objective_rows
+from .type1 import kl_p1_q, solve_type1, type1_objective, type1_objective_rows
+from .type2 import kl_q_p2, solve_type2, type2_objective, type2_objective_rows
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -472,6 +471,7 @@ def sweep_records(
     q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
 ) -> list[SweepRecord]:
     """Solve both directions at every factor; failures mark rows, not aborts."""
+    risks = profile.aligned(q)
     records: list[SweepRecord] = []
     for lam in lambdas:
         lam = float(lam)
@@ -490,8 +490,8 @@ def sweep_records(
                     risk_type2=risk2,
                     identity_gap=abs(risk2 - (lam - sol2.k_bar)),
                     bound_margin=lam + sol2.delta_star - risk2,
-                    kl_p_q_type1=kl_divergence(sol1.measure, q),
-                    kl_q_p_type2=kl_divergence(q, sol2.measure),
+                    kl_p_q_type1=kl_p1_q(sol1, q, risks),
+                    kl_q_p_type2=kl_q_p2(sol2, q, risks),
                     theorem2_gap=gap,
                     iterations=sol2.iterations,
                     residual=sol2.residual,

@@ -22,10 +22,12 @@ as one that cancels heavily, is summed by ``math.fsum`` itself. A single sum,
 or a block of one row, goes through :func:`exact_sum`, which hands short
 arrays to ``math.fsum`` and long ones to :func:`certified_sum`: the same split
 and certificate for one row, with the certificate on Python floats. The
-divergences, the total variation and the expected risk are computed row-wise
-on aligned weight arrays (:func:`kl_rows`, :func:`tv_rows`,
-:func:`mean_rows`): one row for a pair of measures, a block of rows for many
-candidate measures at once.
+divergences of arbitrary measures, the total variation and the expected risk
+are computed row-wise on aligned weight arrays (:func:`kl_rows`,
+:func:`tv_rows`, :func:`mean_rows`): one row for a pair of measures, a block
+of rows for many candidate measures at once. A divergence whose per-atom
+log-ratios are already known, as they are to the solvers, is summed in the
+phi form of :func:`kl_log_ratios`, with no per-atom ``math.log``.
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -196,7 +198,10 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     other (k, m) or one (m,) row for all. An atom with zero weight in ``p`` is
     outside supp(P) and adds nothing; a row where ``p`` charges an atom that
     ``q`` does not is ``+inf``. The logarithms go through ``math.log``
-    (libm), not numpy's vectorized ``log``, whose last bits can differ.
+    (libm), not numpy's vectorized ``log``, whose last bits can differ. This
+    scores arbitrary measures (the objectives and the optimality fuzz); the
+    sweep's columns, whose log-ratios the solves already know, go through
+    :func:`kl_log_ratios`.
     """
     charged = p > 0.0
     inside = charged & (q > 0.0)
@@ -208,6 +213,41 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # can leave a residual of order 1e-16, which is clamped away.
     totals[~(totals > 0.0)] = 0.0
     return totals
+
+
+#: |x| below which :func:`kl_log_ratios` sums phi's Taylor series: there the
+#: closed form cancels, to a relative error of about 4u/|x| (u the unit
+#: roundoff), while the series' dropped tail stays under 1e-15 relative.
+PHI_SERIES_MAX = 0.1
+
+#: phi(x) = sum over n >= 2 of (n - 1) x**n / n!: the coefficients of
+#: n = 10 down to 2, in Horner order.
+_PHI_SERIES = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
+
+
+def kl_log_ratios(weights: np.ndarray, log_ratios: np.ndarray) -> float:
+    """D(P || B) from the weights of B and the log-ratios x = log(p/b), atom by atom.
+
+    With both measures of mass 1, D(P || B) = sum of b * phi(x), where
+    phi(x) = x e^x - expm1(x) = (p/b) log(p/b) - (p/b - 1) >= 0. Every term
+    is nonnegative and none divides weights, so the sum keeps its relative
+    accuracy where P and B nearly agree and the plain sum of p log(p/b)
+    cancels. An atom where P's weight underflows (a large negative x) adds
+    its weight b, as phi tends to 1. One exact sum, clamped at 0 as
+    :func:`kl_rows` clamps.
+    """
+    x = log_ratios
+    phi = x * np.exp(x) - np.expm1(x)
+    small = np.abs(x) < PHI_SERIES_MAX
+    if small.any():
+        xs = x[small]
+        series = np.full_like(xs, _PHI_SERIES[0])
+        for c in _PHI_SERIES[1:]:
+            series *= xs
+            series += c
+        phi[small] = series * xs * xs
+    total = exact_sum(weights * phi)
+    return total if total > 0.0 else 0.0
 
 
 def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

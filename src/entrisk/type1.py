@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLambda
-from .measures import DiscreteMeasure, exact_sum, kl_rows, mean_rows, measure_on, positions
+from .measures import (
+    DiscreteMeasure,
+    exact_sum,
+    kl_log_ratios,
+    kl_rows,
+    mean_rows,
+    measure_on,
+    positions,
+)
 from .risk import EmpiricalRiskProfile
 
 
@@ -83,6 +91,16 @@ def solve_type1(
     risks = profile.aligned(q)
     measure, log_z = _tilt(q, risks, lam)
     return GibbsSolution(measure=measure, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
+
+
+def kl_p1_q(sol: GibbsSolution, q: DiscreteMeasure, risks: np.ndarray) -> float:
+    """D(P1 || Q) of ``sol`` from the tilt's own log-ratios, ``risks`` aligned with ``q``.
+
+    log(p1/q) = -L/lam - log Z exactly as the tilt defines it, so no weight
+    is divided and an atom whose tilted weight underflowed adds q * phi = q.
+    """
+    log_ratios = -risks / sol.lam - sol.log_partition_at_minus_inv_lambda
+    return kl_log_ratios(q.weights, log_ratios)
 
 
 def type1_objective_rows(

@@ -53,6 +53,7 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     exact_sum,
+    kl_log_ratios,
     kl_rows,
     mean_rows,
     measure_on,
@@ -215,6 +216,25 @@ def solve_type2(
     shifted = profile.aligned(q) - root.delta_star
     weights = q.weights * lam / (root.pole_gap + shifted)
     return TypeIISolution(measure_on(q.grid, q.index, weights), float(lam), **root._asdict())
+
+
+def kl_q_p2(sol: TypeIISolution, q: DiscreteMeasure, risks: np.ndarray) -> float:
+    """D(Q || P2) of ``sol`` from the solve's own ratios, ``risks`` aligned with ``q``.
+
+    q/p2 = (pole_gap + L - delta_star)/lam = 1 + d with
+    d = (L - delta_star - u)/lam and u = lam - pole_gap. Where |d| < 1/2 the
+    log-ratio is log1p(d), free of the cancellation that forming the ratio
+    first would cost; elsewhere it is the log of the ratio, which keeps its
+    relative accuracy where p2 dwarfs q and d nears -1. P2's weights are the
+    solve's, q * lam / (pole_gap + L - delta_star).
+    """
+    lam = sol.lam
+    shifted = risks - sol.delta_star
+    gaps = sol.pole_gap + shifted
+    d = (shifted - (lam - sol.pole_gap)) / lam
+    log_ratios = np.log(gaps / lam)
+    np.log1p(d, out=log_ratios, where=np.abs(d) < 0.5)
+    return kl_log_ratios(q.weights * lam / gaps, log_ratios)
 
 
 def type2_objective_rows(

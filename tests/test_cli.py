@@ -395,18 +395,19 @@ def run_benchmark_workload(name: str, tmp_path: Path, capsys) -> tuple[dict, byt
 class TestBenchmarkOutputs:
     """The benchmark workloads at seed 1001 keep their output bytes.
 
-    The sha256 values are of the sweep CSV (sweep workloads) or the standard
-    output (verify) that the code printed before single exact sums went
-    through the certified row kernel and the optimality fuzz was blocked,
-    and of the sweep summary JSON and standard output, which hold the
-    invariant values and the instance digest, as printed before a lone row's
-    certificate ran on Python floats from 384 terms on. A performance
-    change must leave them as they are.
+    The sha256 values are of the sweep CSV (sweep workloads), as printed
+    once the two KL columns were summed in phi form from the solves' own
+    log-ratios; of the standard output (verify) that the code printed
+    before single exact sums went through the certified row kernel and the
+    optimality fuzz was blocked; and of the sweep summary JSON and standard
+    output, which hold the invariant values and the instance digest, as
+    printed before a lone row's certificate ran on Python floats from 384
+    terms on. A performance change must leave them as they are.
     """
 
     @pytest.mark.parametrize("name, sha256", [
-        ("sweep-path", "15657328496b039f416cf4753c4a7f07c76201ee2211776f24a4fcedd56564be"),
-        ("sweep-wide", "8fd33c71da0aed9fd3c60061e2d718c5b520678a11d1b499506f5d19a9bf8164"),
+        ("sweep-path", "69239711869d94138b389362b8826da66a7d10c8879315282a5cd1f21992fccb"),
+        ("sweep-wide", "1a1c6f162833515615e3699e752fff57b7c9770e3419d17800792773a4f593b1"),
         ("verify-misspecified", "b4e82f3b7cb8a6160d001c70e45a0f9c2d1b7eaaa16ba5e9b3cfeae6c8526016"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):

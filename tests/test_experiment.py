@@ -10,6 +10,7 @@ import math
 import shutil
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrisk import experiment
+from entrisk import experiment, measures, type1, type2
 from entrisk.errors import (
     ConfigError,
     MalformedHeader,
@@ -49,12 +50,12 @@ from entrisk.experiment import (
     sweep_summary,
 )
 from entrisk.cli import cli_main
-from entrisk.measures import make_measure, measure_on, total_variation
+from entrisk.measures import kl_divergence, make_measure, measure_on, total_variation
 from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
-from entrisk.type1 import type1_objective
+from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
 
-from conftest import lattice_points, random_solver_instance
+from conftest import lattice_points, profile_from, random_solver_instance, uniform_on
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -731,6 +732,62 @@ class TestRunSweep:
         first_row = path.read_text().splitlines()[1].split(",")
         assert first_row[-1] == "BracketFailure"
         assert first_row[2] == "nan"
+
+
+class TestSweepDivergences:
+    """The KL columns, summed in phi form from the solves' own log-ratios."""
+
+    def test_type1_column_where_tilted_weights_underflow(self):
+        # At lam = 1e-3 every atom but the argmin has weight exp(-1000) or
+        # less, which underflows: P1 is the point mass at the argmin, and
+        # D(P1 || Q) = log 5 on a uniform Q over five atoms.
+        q, profile = uniform_on(5), profile_from([0.0, 1.0, 2.0, 3.0, 5.0])
+        assert solve_type1(q, profile, 1e-3).measure.num_atoms == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record, = sweep_records(q, profile, [1e-3])
+        assert record.status == "ok"
+        assert record.kl_p_q_type1 == pytest.approx(math.log(5.0), rel=1e-15)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_kl_columns_finite_and_nonnegative_at_extreme_factors(self, shift):
+        rng = np.random.default_rng(0)
+        support = lattice_points(50)
+        q = make_measure(support, rng.dirichlet(np.ones(50)))
+        profile = EmpiricalRiskProfile.from_risks(support, rng.uniform(0.0, 1.0, 50) + shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = sweep_records(q, profile, np.logspace(-11.0, 12.0, 24))
+        # Rows whose root solve fails at the smallest factors keep their status.
+        ok = [r for r in records if r.status == "ok"]
+        assert len(ok) >= 16
+        for r in ok:
+            assert math.isfinite(r.kl_p_q_type1) and r.kl_p_q_type1 >= 0.0
+            assert math.isfinite(r.kl_q_p_type2) and r.kl_q_p_type2 >= 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_columns_agree_with_kl_divergence_of_the_measures(self, seed):
+        # kl_divergence takes math.log of weight ratios, whose relative error
+        # grows as lam**2 (1e-8 at lam = 100 on two atoms whose risks differ
+        # by 0.04); up to lam = 1 both paths agree to 1e-12, and above it the
+        # oracle of test_oracle.py is the ruler.
+        q, profile = random_solver_instance(np.random.default_rng(seed))
+        lambdas = np.logspace(-3.0, 0.0, 7)
+        for lam, record in zip(lambdas, sweep_records(q, profile, lambdas)):
+            p1 = solve_type1(q, profile, lam).measure
+            p2 = solve_type2(q, profile, lam).measure
+            assert record.kl_p_q_type1 == pytest.approx(kl_divergence(p1, q), rel=1e-12)
+            assert record.kl_q_p_type2 == pytest.approx(kl_divergence(q, p2), rel=1e-12)
+
+    def test_sweep_does_not_take_the_per_atom_log_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep called kl_rows")
+
+        for module in (measures, type1, type2):
+            monkeypatch.setattr(module, "kl_rows", refuse)
+        q, profile = random_solver_instance(np.random.default_rng(5))
+        records = sweep_records(q, profile, np.logspace(-3.0, 3.0, 7))
+        assert all(r.status == "ok" for r in records)
 
 
 class TestEmitCsv:
