@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
@@ -653,23 +654,40 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
     return Dataset(np.asarray(patterns), np.asarray(labels))
 
 
+class _Renderings(dict):
+    """``%.17g`` renderings of doubles keyed by their 64-bit patterns, formatted on first use."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = "%.17g" % struct.unpack("d", struct.pack("Q", bits))[0]
+        return text
+
+
 def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
     """SHA-256 over a canonical text rendering of grid, weights, and data.
 
     Each atom, then each data point, is one line: its coordinates (or pattern)
     comma-separated, ``;``, its weight (or label), all with 17 significant
-    digits. The lines are rendered by one ``%`` format call per block of
-    ``BLOCK_DOUBLES // 4`` values, which keeps the Python floats of a block
-    within ``BLOCK_DOUBLES`` doubles; the hash reads the blocks in order.
+    digits. Each distinct value of a table is formatted once, remembered by
+    its 64-bit pattern, which keeps ``0.0`` (``0``) apart from ``-0.0``
+    (``-0``). The lines are assembled by one ``%s`` format call per block of
+    ``BLOCK_DOUBLES // 16`` values, and the hash reads the blocks in order.
+    The memo is dropped whenever it holds more than two blocks' worth of
+    strings; with blocks this small the digest's peak memory stays near that
+    of formatting every float.
     """
+    values = BLOCK_DOUBLES // 16
     h = hashlib.sha256()
     for left, right in ((q.coords, q.weights), (data.patterns, data.labels)):
         table = np.column_stack([left, right])
-        line = ",".join(["%.17g"] * left.shape[1]) + ";%.17g\n"
-        step = max(1, BLOCK_DOUBLES // 4 // table.shape[1])
+        line = ",".join(["%s"] * left.shape[1]) + ";%s\n"
+        step = max(1, values // table.shape[1])
+        text = _Renderings()
         for start in range(0, len(table), step):
             block = table[start:start + step]
-            h.update(((line * len(block)) % tuple(block.ravel().tolist())).encode())
+            if len(text) > 2 * values:
+                text.clear()
+            strings = tuple(map(text.__getitem__, block.ravel().view(np.uint64).tolist()))
+            h.update(((line * len(block)) % strings).encode())
     return h.hexdigest()
 
 

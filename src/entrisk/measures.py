@@ -15,10 +15,13 @@ different grids are matched by coordinates (:func:`positions`).
 Every exact sum of the package lives here and returns ``math.fsum``'s bits.
 :func:`exact_row_sums` sums many rows at once: it splits every entry without
 error into a high part, whose row sums are exact in floating point, and a low
-part, whose row sums carry a rigorous error bound, vectorised over the rows.
-Where the bound proves that the result is the correctly rounded row sum it is
-certified equal to ``math.fsum``; a row the certificate cannot vouch for, such
-as one that cancels heavily, is summed by ``math.fsum`` itself. A single sum,
+part, whose row sums carry a rigorous error bound, vectorised over the rows
+(:func:`_split_sums`). Where the bound proves that the result is the correctly
+rounded row sum it is certified equal to ``math.fsum`` (:func:`certify_sums`);
+a row the certificate cannot vouch for, such as one that cancels heavily, is
+summed by ``math.fsum`` itself. The risk profile splits blocks of
+nonnegative losses at one scale per block (:func:`split_nonnegative`) and
+certifies many blocks at once. A single sum,
 or a block of one row, goes through :func:`exact_sum`, which hands short
 arrays to ``math.fsum`` and long ones to :func:`certified_sum`: the same split
 and certificate for one row, with the certificate on Python floats. The
@@ -68,66 +71,106 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY_SCALE = 2.0**-900
 
 
+def _split_sums(rows: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The float row sums ``r`` of the high parts and ``t`` of the low parts of ``rows``.
+
+    Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008) at the power of two
+    ``sigma``, one scalar for all rows or an (m, 1) column, at least
+    ``2 n max|row|`` for each row: the high parts ``(sigma + x) - sigma`` are
+    multiples of ``u sigma`` (u the unit roundoff) whose float sum ``r`` is
+    exact in any order, and the lows ``x - high`` are exact and at most
+    ``u sigma`` each, so their float sum ``t`` is off by at most
+    ``4 n^2 u^2 sigma``. :func:`certify_sums` turns the pair into a sum and
+    a verdict.
+    """
+    high = rows + sigma
+    high -= sigma
+    r = high.sum(axis=1)
+    low = np.subtract(rows, high, out=high)
+    return r, low.sum(axis=1)
+
+
+def certify_sums(r: np.ndarray, t: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum ``r2 = r + t`` and whether it is certified equal to ``math.fsum``.
+
+    ``r`` and ``t`` come from :func:`_split_sums` and ``bound`` is the error
+    bound of ``t``, one per row; a nan bound leaves its row uncertified.
+    ``r2, e2 = TwoSum(r, t)`` (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26(6), 2005) puts the exact sum within
+    ``bound`` of ``r2 + e2``. ``r2`` is then the correctly rounded sum,
+    which is what ``math.fsum`` returns, when that whole interval lies
+    strictly inside ``r2``'s rounding interval: half a spacing on either
+    side, a quarter toward zero when ``|r2|`` is a power of two. Ties and
+    rows that cancel heavily are left uncertified.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = r + t  # Knuth's TwoSum: r2 + e2 == r + t exactly
+        z = r2 - r
+        e2 = (r - (r2 - z)) + (t - z)
+        # Compare the farthest offsets of the exact sum away from and toward
+        # zero with the half gaps to r2's neighbours, doubled so that no
+        # subnormal spacing is halved.
+        away = np.sign(r2) * e2
+        spacing = np.spacing(np.abs(r2))
+        below = np.where(np.abs(np.frexp(r2)[0]) == 0.5, 0.5 * spacing, spacing)
+        certified = (2.0 * (bound + away) < spacing) & (2.0 * (bound - away) < below)
+    return r2, certified
+
+
 def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of an (m, n) float array, n >= 1, and which of them are certified.
 
     Where ``certified`` is true the sum equals ``math.fsum`` of the row, bit
-    for bit; elsewhere it is only close. Each row is split without error
-    into a high and a low part (Rump, Ogita and Oishi's ExtractVector,
-    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-    2008): with ``sigma`` a power of two at least ``2 n max|row|``, the high
-    parts ``(sigma + x) - sigma`` are multiples of ``u sigma`` (u the unit
-    roundoff) whose float sum ``r`` is exact in any order, and the lows
-    ``x - high`` are exact and at most ``u sigma`` each. Their float sum
-    ``t`` is off by at most ``B = 4 n^2 u^2 sigma``, and
-    ``r2, e2 = TwoSum(r, t)`` (Ogita, Rump and Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 26(6), 2005) puts the exact sum within
-    ``B`` of ``r2 + e2``. ``r2`` is then the correctly rounded sum, which is
-    what ``math.fsum`` returns, when that whole interval lies strictly
-    inside ``r2``'s rounding interval: half a spacing on either side, a
-    quarter toward zero when ``|r2|`` is a power of two. An all-zero row has
-    ``sigma = B = 0`` and is exact. Ties, rows that cancel heavily, rows of
-    tiny nonzero entries and rows that overflow or hold a nan or infinity
-    are left uncertified.
+    for bit; elsewhere it is only close. Each row is split at its own
+    ``sigma``, the power of two at or above ``2 n max|row|``
+    (:func:`_split_sums`), and certified with the bound ``4 n^2 u^2 sigma``
+    (:func:`certify_sums`). An all-zero row has ``sigma = 0`` and bound 0
+    and is exact. Rows of tiny nonzero entries and rows that overflow or
+    hold a nan or infinity get a nan bound and are left uncertified.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         span = 2.0 * n * np.abs(rows).max(axis=1)
         scale = np.where(span > 0.0, np.ldexp(1.0, np.frexp(span)[1]), 0.0)
-        sigma = scale[:, None]
-        high = rows + sigma
-        high -= sigma
-        r, t = high.sum(axis=1), (rows - high).sum(axis=1)
-        r2 = r + t  # Knuth's TwoSum: r2 + e2 == r + t exactly
-        z = r2 - r
-        e2 = (r - (r2 - z)) + (t - z)
+        r, t = _split_sums(rows, scale[:, None])
         bound = scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
-        # The exact sum lies within bound of r2 + e2. Compare its farthest
-        # offsets away from and toward zero with the half gaps to r2's
-        # neighbours, doubled so that no subnormal spacing is halved.
-        away = np.sign(r2) * e2
-        spacing = np.spacing(np.abs(r2))
-        below = np.where(np.abs(np.frexp(r2)[0]) == 0.5, 0.5 * spacing, spacing)
-        certified = (
-            (2.0 * (bound + away) < spacing)
-            & (2.0 * (bound - away) < below)
-            & ((span == 0.0) | ((scale >= _TINY_SCALE) & (span < math.inf)))
-        )
-    return r2, certified
+    guard = (span == 0.0) | ((scale >= _TINY_SCALE) & (span < math.inf))
+    return certify_sums(r, t, np.where(guard, bound, math.nan))
+
+
+def split_nonnegative(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_split_sums` of an (m, n) block of nonnegative rows at one ``sigma``, and the bound.
+
+    ``sigma`` is the power of two at or above ``2 n max(rows)``, one scalar
+    for the block: no magnitude pass and no per-row column. The bound of
+    every row's ``t`` is then ``4 n^2 u^2 sigma``: 0 for an all-zero block,
+    nan (with nan sums) for a block that holds a nan or an infinity, whose
+    span overflows, or whose entries are all tiny. Under a positive
+    ``sigma`` the highs and lows of a nonnegative row are both 0 exactly
+    when the row is all zero, so ``r == t == 0`` marks an exact row.
+    """
+    n = rows.shape[1]
+    span = 2.0 * n * float(rows.max())
+    scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
+    if not (span == 0.0 or scale >= _TINY_SCALE):
+        sums = np.full(rows.shape[0], math.nan)
+        return sums, sums, math.nan
+    r, t = _split_sums(rows, scale)
+    return r, t, scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
 
 
 def certified_sum(x: np.ndarray) -> tuple[float, bool]:
     """:func:`certified_row_sums` of a 1-D float array, n >= 1, as one row.
 
     The same vector passes (the largest magnitude, the split at ``sigma`` and
-    the two float sums) feed the same certificate, derived in
-    :func:`certified_row_sums`, here evaluated on Python floats with
-    ``math.frexp``, ``math.ldexp`` and ``math.ulp`` instead of a few dozen
-    numpy calls on 1-element arrays. A row that fails the kernel's scale
-    guard (a nan or an infinity, an overflowing span, tiny nonzero entries)
-    is handed to the kernel, so both return the same sum and verdict on
-    every row.
+    the two float sums) feed the certificate of :func:`certify_sums`, here
+    evaluated on Python floats with ``math.frexp``, ``math.ldexp`` and
+    ``math.ulp`` instead of a few dozen numpy calls on 1-element arrays. A
+    row that fails the kernel's scale guard (a nan or an infinity, an
+    overflowing span, tiny nonzero entries) is handed to the kernel, so both
+    return the same sum and verdict on every row.
     """
     n = x.shape[0]
     span = 2.0 * n * float(np.abs(x).max())

@@ -11,23 +11,36 @@ whose support it covers: on the same grid the risks are gathered by index,
 otherwise atoms are matched by exact coordinates.
 
 Risks are evaluated a block of atoms at a time: one numpy pass scores every
-(atom, data point) pair of the block, applies the loss, and sums each atom's
-losses exactly with :func:`entrisk.measures.exact_row_sums`, the package's
-one certified row-sum kernel, which returns ``math.fsum``'s bits on every
-row. A block holds at most :data:`BLOCK_DOUBLES` pairs (one atom at a time
-when a single atom has more data points), so the temporaries stay small
-whatever the grid size.
+(atom, data point) pair of the block, applies the loss, and splits each
+atom's losses into the high and low float sums of the package's certified
+row sum (:func:`entrisk.measures.split_nonnegative`). Losses are
+nonnegative, so one ``sigma`` per block, from the block's largest loss,
+serves every row. The certificate itself (:func:`entrisk.measures.certify_sums`)
+runs once per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects
+has its losses evaluated again and summed by ``math.fsum``, so every risk
+carries ``math.fsum``'s bits. A block holds at most :data:`BLOCK_DOUBLES`
+pairs (one atom at a time when a single atom has more data points), so the
+temporaries stay small whatever the grid size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .measures import DiscreteMeasure, GridAtoms, as_grid, exact_row_sums, mean_rows
+from .measures import (
+    DiscreteMeasure,
+    GridAtoms,
+    as_grid,
+    certify_sums,
+    exact_sum,
+    mean_rows,
+    split_nonnegative,
+)
 
 PREDICTOR_KINDS = ("linear_regression", "linear_threshold_classifier")
 LOSS_KINDS = ("squared", "absolute", "zero_one")
@@ -35,6 +48,11 @@ LOSS_KINDS = ("squared", "absolute", "zero_one")
 #: Most (atom, data point) pairs scored in one pass of :func:`risk_profile`:
 #: 16,384 doubles, 128 KiB per temporary.
 BLOCK_DOUBLES = 16_384
+
+#: Most atoms whose sums :func:`risk_profile` certifies at once: the tail of
+#: the certificate and the ``math.fsum`` fallbacks run once per chunk of
+#: this many atoms, on three arrays of one double per atom.
+CHUNK_ATOMS = BLOCK_DOUBLES // 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,12 +202,11 @@ class EmpiricalRiskProfile(GridAtoms):
         return self.values_at(self.risks, m, "risk")
 
 
-def _block_risks(
+def _losses(
     thetas: np.ndarray, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> np.ndarray:
-    """Empirical risk of each (C, model_dim) model row, in one pass over the data."""
-    losses = loss.loss_all(pred.predict_all(thetas, data.patterns), data.labels)
-    return exact_row_sums(losses) / data.n
+    """(C, n) pointwise losses of the (C, model_dim) model rows on the data."""
+    return loss.loss_all(pred.predict_all(thetas, data.patterns), data.labels)
 
 
 def empirical_risk(
@@ -198,12 +215,12 @@ def empirical_risk(
     """Average loss of the model row ``theta`` over the dataset.
 
     (1/n) times the exact sum of the pointwise losses, rounded once: the
-    one-row case of :func:`risk_profile`'s blocked kernel, equal to
-    ``math.fsum`` of the losses over n. The result does not depend on the
-    order of the data or on evaluation scheduling.
+    one-atom case of :func:`risk_profile`, equal to ``math.fsum`` of the
+    losses over n. The result does not depend on the order of the data or
+    on evaluation scheduling.
     """
     thetas = np.asarray(theta, dtype=float)[None, :]
-    return float(_block_risks(thetas, data, pred, loss)[0])
+    return exact_sum(_losses(thetas, data, pred, loss)[0]) / data.n
 
 
 def risk_profile(
@@ -211,14 +228,30 @@ def risk_profile(
 ) -> EmpiricalRiskProfile:
     """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid.
 
-    Each atom's risk equals :func:`empirical_risk` at its coordinates; the
-    atoms are evaluated :data:`BLOCK_DOUBLES` // n at a time.
+    Each atom's risk equals :func:`empirical_risk` at its coordinates. The
+    atoms are split :data:`BLOCK_DOUBLES` // n at a time and certified
+    :data:`CHUNK_ATOMS` at a time; an atom the certificate rejects has its
+    losses evaluated again and summed by ``math.fsum``.
     """
     coords = q.coords
-    step = max(1, BLOCK_DOUBLES // data.n)
-    risks = np.empty(coords.shape[0])
-    for start in range(0, coords.shape[0], step):
-        risks[start:start + step] = _block_risks(coords[start:start + step], data, pred, loss)
+    m, n = coords.shape[0], data.n
+    step = max(1, min(BLOCK_DOUBLES // n, CHUNK_ATOMS))
+    chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
+    risks = np.empty(m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        r, t, bound = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows = slice(start - lo, stop - lo)
+            block = _losses(coords[start:stop], data, pred, loss)
+            r[rows], t[rows], bound[rows] = split_nonnegative(block)
+        bound[(r == 0.0) & (t == 0.0)] = 0.0  # all-zero rows of losses are exact
+        sums, certified = certify_sums(r, t, bound)
+        for i in np.flatnonzero(~certified).tolist():
+            row = _losses(coords[lo + i:lo + i + 1], data, pred, loss)[0]
+            sums[i] = math.fsum(row.tolist())
+        risks[lo:hi] = sums / n
     return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
 
 

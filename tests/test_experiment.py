@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -234,6 +235,60 @@ class TestConfigFuzz:
             ExperimentConfig.from_dict(raw)
         except ConfigError:
             pass
+
+
+def per_float_digest(q, data: Dataset) -> str:
+    """The instance digest's canonical text, each float formatted on its own: the oracle."""
+    h = hashlib.sha256()
+    for left, right in ((q.coords, q.weights), (data.patterns, data.labels)):
+        table = np.column_stack([left, right])
+        line = ",".join(["%.17g"] * left.shape[1]) + ";%.17g\n"
+        h.update(((line * len(table)) % tuple(table.ravel().tolist())).encode())
+    return h.hexdigest()
+
+
+#: Doubles whose renderings are easy to merge or to get wrong.
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestInstanceDigest:
+    def test_hand_instance(self):
+        q = make_measure([[0.5], [-0.0], [1.0]], [1.0, 1.0, 2.0])
+        big = 1.7976931348623157e308
+        data = Dataset([[0.0], [-0.0], [5e-324]], [-big, 0.1, big])
+        text = (
+            "0.5;0.25\n-0;0.25\n1;0.5\n"
+            "0;-1.7976931348623157e+308\n-0;0.10000000000000001\n"
+            "4.9406564584124654e-324;1.7976931348623157e+308\n"
+        )
+        digest = "57e96dbb5a3a6e4de3f82fcbed82b1da7ed12aeb9e7d57756478245fb21a1f67"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert instance_digest(q, data) == per_float_digest(q, data) == digest
+
+    @pytest.mark.parametrize("model_dim", [1, 3])
+    @pytest.mark.parametrize("pattern_dim", [1, 3])
+    def test_equals_per_float_rendering(self, rng, model_dim, pattern_dim):
+        # Uniform weights repeat one value; 0.0 and -0.0 share a column of the
+        # patterns and of the labels, and of the coordinates where rows differ.
+        coords = rng.uniform(-1.0, 1.0, (12, model_dim))
+        coords[: len(EDGE_DOUBLES) - 1, -1] = EDGE_DOUBLES[1:]
+        if model_dim > 1:
+            coords[len(EDGE_DOUBLES) - 1, -1] = 0.0
+        patterns = rng.uniform(-1.0, 1.0, (9, pattern_dim))
+        patterns[: len(EDGE_DOUBLES), 0] = EDGE_DOUBLES
+        labels = np.array([*EDGE_DOUBLES[::-1], 0.0, -0.0, 1.0, 1.0])
+        data = Dataset(patterns, labels)
+        for weights in (np.ones(12), np.tile([1.0, 3.0], 6)):
+            q = make_measure(coords, weights)
+            assert instance_digest(q, data) == per_float_digest(q, data)
+
+    def test_tables_longer_than_a_rendering_block(self, rng):
+        # 5,000 atoms of 2 values and 9,000 data points of 4: several blocks
+        # each, with more distinct values than the memo of renderings keeps.
+        q = make_measure(rng.uniform(-1.0, 1.0, (5_000, 1)), rng.uniform(0.5, 1.0, 5_000))
+        patterns = np.round(rng.uniform(-1.0, 1.0, (9_000, 3)), 2)
+        data = Dataset(patterns, np.where(rng.random(9_000) < 0.5, -0.0, 0.0))
+        assert instance_digest(q, data) == per_float_digest(q, data)
 
 
 class TestInstanceGeneration:

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrisk import risk
 from entrisk.errors import DimensionMismatch, SupportMismatch
 from entrisk.measures import make_measure
 from entrisk.risk import (
     BLOCK_DOUBLES,
+    CHUNK_ATOMS,
     Dataset,
     EmpiricalRiskProfile,
     LossSpec,
@@ -32,6 +35,50 @@ def regression(dim=1):
 
 def classifier(dim=1):
     return PredictorSpec("linear_threshold_classifier", dim)
+
+
+def assert_fsum_loop_risks(
+    q, data: Dataset, pred: PredictorSpec, loss_kind: str
+) -> None:
+    """``risk_profile`` on ``q`` equals ``math.fsum`` of each atom's losses over n, bit for bit.
+
+    The losses are recomputed one atom at a time from the scoring formula
+    and summed by the ``fsum`` bound at import, which a fixture counting
+    ``math.fsum`` calls does not see.
+    """
+    prof = risk_profile(q, data, pred, LossSpec(loss_kind))
+    x, y, n = data.patterns, data.labels, data.n
+    for theta, risk in zip(q.coords, prof.risks):
+        score = x[:, 0] * theta[0]
+        for j in range(1, pred.pattern_dim):
+            score = score + x[:, j] * theta[j]
+        if pred.intercept:
+            score = score + theta[-1]
+        if pred.kind == "linear_threshold_classifier":
+            score = np.where(score >= 0.0, 1.0, -1.0)
+        losses = {
+            "squared": (score - y) ** 2,
+            "absolute": np.abs(score - y),
+            "zero_one": (score != y).astype(float),
+        }[loss_kind]
+        assert risk == fsum(losses.tolist()) / n
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch) -> list:
+    """Names of the certificate's tail in ``risk`` and of ``math.fsum``, once per call."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(math, "fsum", counting("math.fsum", math.fsum))
+    monkeypatch.setattr(risk, "certify_sums", counting("certify_sums", risk.certify_sums))
+    return calls
 
 
 class TestEmpiricalRisk:
@@ -113,7 +160,9 @@ class TestRiskProfile:
     @pytest.mark.parametrize("pattern_dim", [1, 2])
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("kind", ["linear_regression", "linear_threshold_classifier"])
-    def test_blocked_risks_equal_per_atom_fsum_loop(self, rng, n, pattern_dim, intercept, kind):
+    def test_blocked_risks_equal_per_atom_fsum_loop(
+        self, rng, certificate_calls, n, pattern_dim, intercept, kind
+    ):
         # 37 atoms: not a multiple of the 16 atoms per block at n = 1000.
         pred = PredictorSpec(kind, pattern_dim, intercept)
         coords = rng.uniform(-1.0, 1.0, (37, pred.model_dim))
@@ -121,24 +170,40 @@ class TestRiskProfile:
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         if kind == "linear_regression":
             y = y * rng.uniform(0.0, 2.0, n)
-        data = Dataset(x, y)
         q = make_measure(coords, np.ones(37))
         for loss_kind in ("squared", "absolute", "zero_one"):
-            prof = risk_profile(q, data, pred, LossSpec(loss_kind))
-            for theta, risk in zip(coords, prof.risks):
-                score = x[:, 0] * theta[0]
-                for j in range(1, pattern_dim):
-                    score = score + x[:, j] * theta[j]
-                if intercept:
-                    score = score + theta[-1]
-                if kind == "linear_threshold_classifier":
-                    score = np.where(score >= 0.0, 1.0, -1.0)
-                losses = {
-                    "squared": (score - y) ** 2,
-                    "absolute": np.abs(score - y),
-                    "zero_one": (score != y).astype(float),
-                }[loss_kind]
-                assert risk == math.fsum(losses.tolist()) / n
+            assert_fsum_loop_risks(q, Dataset(x, y), pred, loss_kind)
+        # Labels predicted by the tiny model theta0, which sits in the first
+        # block with theta0 * 2 and order-1 models: theta0's losses are all
+        # zero, and a regression's losses at theta0 * 2 are of order 1e-100
+        # (absolute) or 1e-200 (squared), too small to certify under the
+        # block's sigma, so that row falls back to math.fsum.
+        theta0 = 1e-100 * coords[0]
+        edge = make_measure(np.vstack([coords[1:3], theta0, 2.0 * theta0, coords[3:]]), np.ones(38))
+        labels = Dataset(x, pred.predict_all(theta0[None], x)[0])
+        for loss_kind in ("squared", "absolute", "zero_one"):
+            certificate_calls.clear()
+            assert_fsum_loop_risks(edge, labels, pred, loss_kind)
+            fallbacks = certificate_calls.count("math.fsum")
+            if kind == "linear_threshold_classifier":
+                assert fallbacks == 0  # integer losses and all-zero rows certify
+            elif loss_kind != "zero_one" and n < BLOCK_DOUBLES:
+                assert fallbacks >= 1
+
+    def test_blocked_risks_across_certificate_chunks(self, rng, certificate_calls):
+        # At n = 100 a block holds 163 atoms and a chunk 25 blocks (4,075
+        # atoms); 4,112 atoms make a full chunk and a remainder of 37.
+        n = 100
+        step = BLOCK_DOUBLES // n
+        chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
+        atoms = chunk + 37
+        pred = PredictorSpec("linear_regression", 1, intercept=True)
+        q = make_measure(rng.uniform(-1.0, 1.0, (atoms, 2)), np.ones(atoms))
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(-1.0, 1.0, n))
+        for loss_kind in ("squared", "absolute"):
+            certificate_calls.clear()
+            assert_fsum_loop_risks(q, data, pred, loss_kind)
+            assert certificate_calls.count("certify_sums") == math.ceil(atoms / chunk) == 2
 
     @pytest.mark.parametrize("loss_kind", ["squared", "zero_one"])
     def test_temporaries_stay_within_a_few_blocks(self, loss_kind):
