@@ -667,27 +667,31 @@ def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
 
     Each atom, then each data point, is one line: its coordinates (or pattern)
     comma-separated, ``;``, its weight (or label), all with 17 significant
-    digits. Each distinct value of a table is formatted once, remembered by
-    its 64-bit pattern, which keeps ``0.0`` (``0``) apart from ``-0.0``
-    (``-0``). The lines are assembled by one ``%s`` format call per block of
+    digits (``%.17g``, so ``0.0`` is ``0`` and ``-0.0`` is ``-0``). The
+    lines are assembled by one format call per block of
     ``BLOCK_DOUBLES // 16`` values, and the hash reads the blocks in order.
-    The memo is dropped whenever it holds more than two blocks' worth of
-    strings; with blocks this small the digest's peak memory stays near that
-    of formatting every float.
+    Grid coordinates repeat by construction, so each distinct value of the
+    atoms' table is formatted once, remembered by its 64-bit pattern; the
+    memo is dropped whenever it holds more than two blocks' worth of
+    strings, which keeps the digest's peak memory near that of formatting
+    every float. Data values are mostly distinct and are formatted directly.
     """
     values = BLOCK_DOUBLES // 16
     h = hashlib.sha256()
-    for left, right in ((q.coords, q.weights), (data.patterns, data.labels)):
+    for left, right, memo in ((q.coords, q.weights, _Renderings()), (data.patterns, data.labels, None)):
         table = np.column_stack([left, right])
-        line = ",".join(["%s"] * left.shape[1]) + ";%s\n"
+        cell = "%.17g" if memo is None else "%s"
+        line = ",".join([cell] * left.shape[1]) + f";{cell}\n"
         step = max(1, values // table.shape[1])
-        text = _Renderings()
         for start in range(0, len(table), step):
             block = table[start:start + step]
-            if len(text) > 2 * values:
-                text.clear()
-            strings = tuple(map(text.__getitem__, block.ravel().view(np.uint64).tolist()))
-            h.update(((line * len(block)) % strings).encode())
+            if memo is None:
+                cells = tuple(block.ravel().tolist())
+            else:
+                if len(memo) > 2 * values:
+                    memo.clear()
+                cells = tuple(map(memo.__getitem__, block.ravel().view(np.uint64).tolist()))
+            h.update(((line * len(block)) % cells).encode())
     return h.hexdigest()
 
 

@@ -364,8 +364,12 @@ class GridAtoms:
     def values_at(self, values: np.ndarray, m: GridAtoms, what: str) -> np.ndarray:
         """``values`` (one per atom here) in the order of ``m``'s atoms.
 
-        Raises SupportMismatch naming the first atom of ``m`` missing here.
+        ``values`` itself when ``m`` shares this object's grid and index
+        arrays, as the measures built on supp(Q) do. Raises SupportMismatch
+        naming the first atom of ``m`` missing here.
         """
+        if m.index is self.index and m.grid is self.grid:
+            return values
         at = positions(m, self)
         missing = np.flatnonzero(at < 0)
         if missing.size:
@@ -444,7 +448,10 @@ def measure_on(
 
     Zero-weight atoms are dropped and the rest renormalized. ``grid`` must
     come from :func:`as_grid` (or be the grid of an existing measure), so
-    that distinct indices mean distinct points.
+    that distinct indices mean distinct points. When no atom is dropped and
+    ``index`` is already a read-only ``intp`` array, the measure shares it,
+    so that objects on that index align by identity
+    (:meth:`GridAtoms.values_at`).
 
     Raises
     ------
@@ -458,7 +465,10 @@ def measure_on(
     index = np.asarray(index, dtype=np.intp)
     w = _checked_weights(weights, index.shape[0])
     keep = w > 0.0
-    kept, index = w[keep], index[keep]
+    if keep.all() and not index.flags.writeable:
+        kept = w
+    else:
+        kept, index = w[keep], index[keep]
     if np.bincount(index, minlength=grid.shape[0]).max() > 1:
         raise DuplicateSupportPoint("support points with positive mass must be distinct")
     normalized = kept / exact_sum(kept)

@@ -26,11 +26,14 @@ denominator is computed without cancellation, which keeps the residual
 ``|g - 1|`` resolvable to ~1e-15 regardless of how large ``delta_star`` is.
 (Shifting all risks by a constant shifts the root by the same constant and
 leaves the solution measure unchanged, so this is a pure reparametrization.)
-The iteration is a bracket-preserving bisection/secant hybrid: secant steps
-accelerate convergence, a bisection step every other iteration guarantees the
-bracket keeps shrinking, and g is evaluated with exact summation
+The iteration takes Newton steps on ``1/g - 1``, which is increasing and
+concave in ``t`` and nearly linear next to the pole, from the bracket's left
+end, and bisects where a step would leave the bracket or fails to shrink
+fast enough (see :func:`solve_k_bar`). g is evaluated with exact summation
 (:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through a
-certified lone-row sum from a few hundred atoms on, where it is faster).
+certified lone-row sum from a few hundred atoms on, where it is faster),
+and only that value decides whether a point is the root; the derivative
+that steers each step is a float sum.
 
 Constant risk vectors collapse the bracket to a point; they are solved in
 closed form (``k_bar = lam - c``) without iterating.
@@ -98,16 +101,6 @@ class TypeIISolution:
     delta_star: float
 
 
-def _secant(lo: float, hi: float, g_lo: float, g_hi: float) -> float | None:
-    denom = g_hi - g_lo
-    if denom == 0.0:
-        return None
-    cand = lo + (1.0 - g_lo) * (hi - lo) / denom
-    if lo < cand < hi:
-        return cand
-    return None
-
-
 def solve_k_bar(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
@@ -121,8 +114,23 @@ def solve_k_bar(
     left, below 1 on the right, or an endpoint already a root) is checked
     before iterating.
 
-    No iteration cap is needed: every other step bisects, and halving a bracket
-    no wider than lam < 2**1024 to adjacent floats >= 2**-40 takes ~2,230 steps.
+    The iteration is Newton's method on ``h(t) = 1/g(t) - 1``, started at the
+    left end (the reciprocal of a secular function, as in More and Sorensen,
+    "Computing a trust region step", SIAM J. Sci. Stat. Comput. 4(3), 1983).
+    1/g is a weighted harmonic mean of the affine functions
+    ``t + L - delta_star``, so h is increasing and concave: from the left of
+    the root a Newton step stays left of it, and it converges quadratically.
+    The derivative, a float sum, only steers the step; a point is accepted on
+    the exact g alone. A step that would leave the open bracket, or that does
+    not halve the step before last, bisects instead (the ``rtsafe`` rule).
+    ``iterations`` counts the Newton and bisection steps after the two
+    endpoint evaluations.
+
+    No iteration cap is needed: every step lands strictly inside the bracket
+    and shrinks it. Each run of Newton steps shrinks geometrically, so a run
+    that stalls soon moves by less than a float spacing, lands on its own
+    start and bisects; halving a bracket no wider than lam < 2**1024 to
+    adjacent floats >= 2**-40 takes ~2,230 bisections.
 
     Raises
     ------
@@ -141,21 +149,24 @@ def solve_k_bar(
     qlam = np.asarray(q.weights, dtype=float) * lam
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
 
-    def g(t: float) -> float:
-        return exact_sum(qlam / (t + shifted))
+    def g(t: float) -> tuple[float, float]:
+        """g(t), an exact sum, and -g'(t), a float sum."""
+        gaps = t + shifted
+        terms = qlam / gaps
+        return exact_sum(terms), float((terms / gaps).sum())
 
     lo = max(eps0, lam - spread)
     hi = lam
     # hi is always inside the domain; constant or near-constant risks
     # collapse the bracket onto it, where it already satisfies the residual.
-    g_hi = g(hi)
+    g_hi, _ = g(hi)
     if abs(g_hi - 1.0) <= DEFAULT_TOL:
         return _result(hi, g_hi, 0, delta_star)
     if not lo < hi:
         raise BracketFailure(
             f"empty bracket: lam={lam} does not exceed the pole guard {eps0}"
         )
-    g_lo = g(lo)
+    g_lo, slope = g(lo)
     if abs(g_lo - 1.0) <= DEFAULT_TOL:
         return _result(lo, g_lo, 0, delta_star)
     if not (g_lo > 1.0 > g_hi):
@@ -163,17 +174,23 @@ def solve_k_bar(
             f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi} do not straddle 1"
         )
 
+    t, g_t = lo, g_lo
+    last = before = hi - lo
     for it in itertools.count(1):
-        cand = _secant(lo, hi, g_lo, g_hi) if it % 2 else None
-        if cand is None:
+        # Newton on h: t - h/h' = t + g (g - 1) / (-g'). An underflowed
+        # slope gives an infinite step, which bisects.
+        cand = t + (g_t * (g_t - 1.0) / slope if slope else math.inf)
+        if not lo < cand < hi or abs(cand - t) > 0.5 * before:
             cand = 0.5 * (lo + hi)
-        g_c = g(cand)
-        if abs(g_c - 1.0) <= DEFAULT_TOL:
-            return _result(cand, g_c, it, delta_star)
-        if g_c > 1.0:
-            lo, g_lo = cand, g_c
+        before, last = last, abs(cand - t)
+        t = cand
+        g_t, slope = g(t)
+        if abs(g_t - 1.0) <= DEFAULT_TOL:
+            return _result(t, g_t, it, delta_star)
+        if g_t > 1.0:
+            lo, g_lo = t, g_t
         else:
-            hi, g_hi = cand, g_c
+            hi, g_hi = t, g_t
         if hi - lo <= math.ulp(hi):
             break
     raise ToleranceNotReached(

@@ -395,20 +395,18 @@ def run_benchmark_workload(name: str, tmp_path: Path, capsys) -> tuple[dict, byt
 class TestBenchmarkOutputs:
     """The benchmark workloads at seed 1001 keep their output bytes.
 
-    The sha256 values are of the sweep CSV (sweep workloads), as printed
-    once the two KL columns were summed in phi form from the solves' own
-    log-ratios; of the standard output (verify) that the code printed
-    before single exact sums went through the certified row kernel and the
-    optimality fuzz was blocked; and of the sweep summary JSON and standard
-    output, which hold the invariant values and the instance digest, as
-    printed before a lone row's certificate ran on Python floats from 384
-    terms on. A performance change must leave them as they are.
+    The sha256 values are of the sweep CSV (sweep workloads), of the
+    standard output (verify), and of the sweep summary JSON and standard
+    output, which hold the invariant values and the instance digest, all as
+    printed once k_bar was found by Newton steps on 1/g: that moved every
+    Type-2 column and invariant value in its last bits. A performance change
+    that keeps the solver's iteration must leave them as they are.
     """
 
     @pytest.mark.parametrize("name, sha256", [
-        ("sweep-path", "69239711869d94138b389362b8826da66a7d10c8879315282a5cd1f21992fccb"),
-        ("sweep-wide", "1a1c6f162833515615e3699e752fff57b7c9770e3419d17800792773a4f593b1"),
-        ("verify-misspecified", "b4e82f3b7cb8a6160d001c70e45a0f9c2d1b7eaaa16ba5e9b3cfeae6c8526016"),
+        ("sweep-path", "fccc0cbfc28ef69d97846faa1b70007abdfbc102b5719a4e971429a9ab857948"),
+        ("sweep-wide", "5b462b3291b6f93e99b3dcf7ed7b4ac54d4a855b8489fb0f70ad26b4ea70b3f6"),
+        ("verify-misspecified", "cf7ea128dfe9d4e31c29af5aee32001d45309b7f617d4a30802cf10aa35ece3c"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):
         config, stdout = run_benchmark_workload(name, tmp_path, capsys)
@@ -419,13 +417,13 @@ class TestBenchmarkOutputs:
     @pytest.mark.parametrize("name, summary_sha256, stdout_sha256", [
         (
             "sweep-path",
-            "a4058de51f14fcde2559d8a96389155c7c77cdb93520442197edecd4201b9d8d",
-            "4f88905b92173b34bbe83734e8475d936826fc956a860aebb98cb6e1b80cc1da",
+            "0b4015a9132c05df14550eae604ebd90c61b0f87d66e08fc7d87c107c6c2cff8",
+            "0953329cb16bbf12419da0b478ceb8af5242728aa2b2ff597461f0d2dc36d317",
         ),
         (
             "sweep-wide",
-            "923f12dc6742127faa53f466d462a1fe8a520eff58c9a172be6d86ebee3df595",
-            "efd54bb9c8c6cb44b7ec9fceafe2fceea1f50b4c01f052cdccec3d4590172f49",
+            "8fb227bbadbc402eeff2ec9c8dc137a1d267a1fbb65108396d7f17eb512148bc",
+            "901be6e615d059ae91d173c32b6dc83c3032a877259df3efe5057974e6079870",
         ),
     ])
     def test_sweep_summary_bytes(self, name, summary_sha256, stdout_sha256, tmp_path, capsys):

@@ -17,6 +17,7 @@ from entrisk.errors import (
 from entrisk.experiment import sweep_records
 from entrisk.measures import (
     check_abs_continuity,
+    exact_sum,
     kl_divergence,
     make_measure,
     positions,
@@ -58,6 +59,47 @@ def bisect_cubic(tol_width: float = 1e-12) -> float:
 def normalization(q, prof, lam: float, beta: float) -> float:
     """Independent g(beta) = sum q * lam / (beta + L), in the unshifted form."""
     return math.fsum((q.weights * lam / (beta + prof.aligned(q))).tolist())
+
+
+def solve_with_points(monkeypatch, q, prof, lam: float):
+    """solve_k_bar's result and the (t, g(t)) pairs it evaluated, in order.
+
+    t = k_bar + delta_star is recovered, to about 2 ulps, from the term
+    q * lam / t of an atom at the risk floor in each exact sum of g.
+    """
+    sums = []
+
+    def spy(x):
+        total = exact_sum(x)
+        sums.append((x.copy(), total))
+        return total
+
+    monkeypatch.setattr(type2, "exact_sum", spy)
+    res = solve_k_bar(q, prof, lam)
+    floor = int(np.argmin(prof.aligned(q)))
+    qlam = q.weights[floor] * lam
+    return res, [(float(qlam / x[floor]), total) for x, total in sums]
+
+
+def newton_steps(q, prof, lam: float, points):
+    """Each step after the endpoints as (t, lo, hi, Newton point from the previous t).
+
+    ``points`` come from :func:`solve_with_points`; ``lo`` and ``hi`` bound
+    the bracket the earlier points left.
+    """
+    shifted = prof.aligned(q) - prof.delta_star
+    (hi, _), (lo, _) = points[:2]
+    prev_t, prev_g = points[1]
+    steps = []
+    for t, g in points[2:]:
+        slope = math.fsum((q.weights * lam / (prev_t + shifted) ** 2).tolist())
+        steps.append((t, lo, hi, prev_t + prev_g * (prev_g - 1.0) / slope))
+        if g > 1.0:
+            lo = t
+        else:
+            hi = t
+        prev_t, prev_g = t, g
+    return steps
 
 
 class TestNormalizationValue:
@@ -139,6 +181,19 @@ class TestSolveKBar:
         with pytest.raises(ToleranceNotReached):
             solve_k_bar(q, prof, 1.1468121583112396)
 
+    @pytest.mark.parametrize("lam", [0.1, 100.0])
+    def test_newton_point_on_a_bracket_end_bisects(self, monkeypatch, lam):
+        # Under a tolerance only g == 1 meets, a Newton point here lands on a
+        # bracket end already evaluated; the step bisects instead, so g is
+        # evaluated at no point twice before it reaches 1 exactly.
+        q = make_measure([[0.0], [1.0]], [0.47843625292835584, 0.5215637470716442])
+        prof = EmpiricalRiskProfile.from_risks(q.coords, [1.5652392940996884, 2.88349858126476])
+        evaluated = []
+        monkeypatch.setattr(type2, "exact_sum", lambda x: evaluated.append(x.tobytes()) or exact_sum(x))
+        monkeypatch.setattr(type2, "DEFAULT_TOL", 1e-30)
+        assert solve_k_bar(q, prof, lam).residual == 0.0
+        assert len(set(evaluated)) == len(evaluated)
+
     def test_root_satisfies_residual_contract(self, rng):
         for _ in range(30):
             q, prof = random_solver_instance(rng)
@@ -193,6 +248,62 @@ class TestSolveKBar:
         shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + c)
         shifted = solve_k_bar(q, shifted_prof, lam)
         assert shifted.k_bar == pytest.approx(base.k_bar - c, abs=1e-10)
+
+    def test_newton_iterates_stay_in_the_shrinking_bracket(self, rng, monkeypatch):
+        # Two endpoint evaluations (hi, then lo), then one per step; every
+        # step lands strictly inside the bracket the earlier points left.
+        u = 2.0**-52
+        for _ in range(200):
+            q, prof = random_solver_instance(rng)
+            risks = prof.aligned(q)
+            for lam in np.logspace(-3, 3, 13):
+                lam = float(lam)
+                res, points = solve_with_points(monkeypatch, q, prof, lam)
+                assert res.residual <= type2.DEFAULT_TOL
+                assert res.iterations <= 16
+                if res.iterations == 0 and len(points) == 1:
+                    continue  # the root is hi itself
+                assert len(points) == res.iterations + 2
+                spread = float(risks.max() - risks.min())
+                eps0 = type2.POLE_GUARD_SCALE * (1.0 + float(risks.min()))
+                assert points[0][0] == pytest.approx(lam, rel=4 * u)
+                assert points[1][0] == pytest.approx(max(eps0, lam - spread), rel=4 * u)
+                for t, lo, hi, _ in newton_steps(q, prof, lam, points):
+                    assert lo * (1.0 - 4 * u) < t < hi * (1.0 + 4 * u)
+
+    def test_newton_steps_failing_the_safeguard_bisect(self, monkeypatch):
+        # From lo = 2**-40 the Newton point lands near the root at 0.995:
+        # inside the bracket [2**-40, 1], but more than half of it away, so
+        # the first step bisects.
+        q = make_measure([[0.0], [1.0]], [0.99, 0.01])
+        prof = EmpiricalRiskProfile.from_risks(q.coords, [0.0, 1.0])
+        res, points = solve_with_points(monkeypatch, q, prof, 1.0)
+        t, lo, hi, newton = newton_steps(q, prof, 1.0, points)[0]
+        assert 0.5 * (lo + hi) < newton < hi
+        assert t == pytest.approx(0.5 * (lo + hi), rel=2.0**-50)
+        assert res.residual <= type2.DEFAULT_TOL
+        # Here a bisection lands right of the root, and the Newton point from
+        # there falls below the bracket, so that step bisects too.
+        q = make_measure([[0.0], [1.0]], [0.9199238590252775, 0.08007614097472236])
+        prof = EmpiricalRiskProfile.from_risks(q.coords, [1.1364402185250917, 1.0149847928951012])
+        res, points = solve_with_points(monkeypatch, q, prof, 0.1)
+        assert any(
+            newton < lo and t == pytest.approx(0.5 * (lo + hi), rel=2.0**-50)
+            for t, lo, hi, newton in newton_steps(q, prof, 0.1, points)
+        )
+        assert res.residual <= type2.DEFAULT_TOL
+
+    @pytest.mark.parametrize("shift, first_exponent", [(0.0, -10), (1e6, -4), (1e12, 1)])
+    def test_extreme_factors_and_shifts_still_solve(self, shift, first_exponent):
+        # A 50-atom Dirichlet instance swept over lam = 1e-11 .. 1e12: every
+        # factor from 10**first_exponent on solves. The smaller factors fail
+        # the pole-guarded bracket (ROADMAP item 3) and are not pinned here.
+        rng = np.random.default_rng(0)
+        coords = np.arange(50.0)[:, None]
+        q = make_measure(coords, rng.dirichlet(np.ones(50)))
+        prof = EmpiricalRiskProfile.from_risks(coords, rng.uniform(0.0, 1.0, 50) + shift)
+        for lam in np.logspace(first_exponent, 12, 12 - first_exponent + 1):
+            assert solve_k_bar(q, prof, float(lam)).residual <= type2.DEFAULT_TOL
 
 
 class TestSolveType2:
