@@ -22,8 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from entrisk.experiment import ExperimentConfig, generate_instance, outside_profile
-from entrisk.measures import check_abs_continuity
-from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
+from entrisk.type2 import (
+    escape_threshold,
+    solve_type2,
+    support_escape_slope,
+    type2_objective_rows,
+)
 
 CONFIG = {
     "predictor": "linear_regression",
@@ -59,13 +63,16 @@ def main() -> None:
 
     lam = 1.0
     sol = solve_type2(q, profile, lam)
-    print(f"solution support == supp(Q): {check_abs_continuity(sol.measure, q).mutually}")
-    top = int(sol.measure.weights.argmax())
-    theta, weight = sol.measure.coords[top, 0], sol.measure.weights[top]
+    # The solution's weights are aligned with q's: it charges all of supp(Q)
+    # exactly when every weight is positive.
+    print(f"solution support == supp(Q): {bool((sol.weights > 0.0).all())}")
+    top = int(sol.weights.argmax())
+    theta, weight = q.coords[top, 0], sol.weights[top]
     print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
     slope = support_escape_slope(outside, sol)
-    print(f"optimal objective on supp(Q):        {type2_objective(sol.measure, q, profile, lam):.6f}")
+    objective = type2_objective_rows(sol.weights[None], q.weights, profile.aligned(q), lam)[0]
+    print(f"optimal objective on supp(Q):        {objective:.6f}")
     print(f"escape slope (min_out L + k_bar):    {slope:.3e}")
     print(f"escape pays below lambda* =          {escape_threshold(q, profile, outside):.6f}")
 

@@ -35,10 +35,8 @@ from .errors import (
     ToleranceNotReached,
 )
 from .measures import (
-    AbsoluteContinuityRelation,
     DiscreteMeasure,
     as_grid,
-    check_abs_continuity,
     kl_divergence,
     make_measure,
     measure_on,
@@ -55,7 +53,6 @@ from .risk import (
 )
 from .type1 import (
     GibbsSolution,
-    log_partition,
     solve_type1,
     type1_objective,
 )
@@ -76,7 +73,6 @@ from .logrisk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsoluteContinuityRelation",
     "BracketFailure",
     "ConfigError",
     "Dataset",
@@ -104,12 +100,10 @@ __all__ = [
     "ToleranceNotReached",
     "TypeIISolution",
     "as_grid",
-    "check_abs_continuity",
     "empirical_risk",
     "escape_threshold",
     "expected_risk",
     "kl_divergence",
-    "log_partition",
     "log_risk_profile",
     "make_measure",
     "measure_on",

@@ -124,13 +124,14 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
     else:
         sol = solve_type2(q, profile, lam)
         extra = {"k_bar": sol.k_bar, "residual": sol.residual, "iterations": sol.iterations}
-    # A Gibbs tilt can underflow atoms to zero weight; those leave the
-    # measure, so the support comes from the solution, not from Q.
+    # A Gibbs tilt can underflow atoms to zero weight; those are left out,
+    # so the support printed is the solution's, not all of Q's.
+    charged = sol.weights > 0.0
     out = {
         "lambda": lam,
         "type": int(direction),
-        "support": sol.measure.coords.tolist(),
-        "weights": sol.measure.weights.tolist(),
+        "support": q.coords[charged].tolist(),
+        "weights": sol.weights[charged].tolist(),
         **extra,
     }
     print(json.dumps(out, sort_keys=True))

@@ -45,8 +45,8 @@ from .measures import (
     DiscreteMeasure,
     as_grid,
     exact_row_sums,
+    mean_rows,
     measure_on,
-    positions,
     tv_rows,
 )
 from .risk import (
@@ -57,11 +57,10 @@ from .risk import (
     EmpiricalRiskProfile,
     LossSpec,
     PredictorSpec,
-    expected_risk,
     risk_profile,
 )
-from .type1 import kl_p1_q, solve_type1, type1_objective, type1_objective_rows
-from .type2 import kl_q_p2, solve_type2, type2_objective, type2_objective_rows
+from .type1 import kl_p1_q, solve_type1, type1_objective_rows
+from .type2 import kl_q_p2, solve_type2, type2_objective_rows
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -478,9 +477,8 @@ def sweep_records(
         lam = float(lam)
         try:
             sol1 = solve_type1(q, profile, lam)
-            risk1 = expected_risk(sol1.measure, profile)
             sol2 = solve_type2(q, profile, lam)
-            risk2 = expected_risk(sol2.measure, profile)
+            risk1, risk2 = mean_rows(np.stack([sol1.weights, sol2.weights]), risks).tolist()
             _, gap = verify_theorem2(q, profile, sol2)
             records.append(
                 SweepRecord(
@@ -788,16 +786,12 @@ def optimality_fuzz(
     variation and objective functions that score a single measure. So every
     verdict, though not every value, is the one those functions give.
     """
-    sol1 = solve_type1(q, profile, lam)
-    sol2 = solve_type2(q, profile, lam)
-    obj1 = type1_objective(sol1.measure, q, profile, lam)
-    obj2 = type2_objective(sol2.measure, q, profile, lam)
     risks = profile.aligned(q)
-    # Both solutions as weights on q's atoms; a tilt may have dropped some.
-    on_q1, on_q2 = np.zeros(q.num_atoms), np.zeros(q.num_atoms)
-    on_q1[positions(sol1.measure, q)] = sol1.measure.weights
-    on_q2[positions(sol2.measure, q)] = sol2.measure.weights
-    directions = ((on_q1, obj1, type1_objective_rows), (on_q2, obj2, type2_objective_rows))
+    directions = []
+    for solve, objective_rows in ((solve_type1, type1_objective_rows),
+                                  (solve_type2, type2_objective_rows)):
+        w = solve(q, profile, lam).weights
+        directions.append((w, objective_rows(w[None], q.weights, risks, lam)[0], objective_rows))
     rng = np.random.default_rng(seed)
     step = max(1, BLOCK_DOUBLES // 4 // q.num_atoms)
     ok = [True, True]
@@ -805,10 +799,10 @@ def optimality_fuzz(
         draws = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
         rand = draws / exact_row_sums(draws)[:, None]
         for d, floor in enumerate(_objective_floors(rand, q.weights, risks, lam)):
-            on_q, obj, objective_rows = directions[d]
+            sol_weights, obj, objective_rows = directions[d]
             rows = rand[~(floor > obj)]  # the draws the screen leaves open
             if ok[d] and rows.shape[0]:
-                far = tv_rows(rows, on_q) > 1e-9
+                far = tv_rows(rows, sol_weights) > 1e-9
                 ok[d] = bool(np.all(objective_rows(rows, q.weights, risks, lam)[far] > obj))
     return ok[0], ok[1]
 

@@ -13,9 +13,10 @@ constraint that defined k_bar: it equals 1, so the tilt normalizer is 1/lam.
 
 ``verify_theorem2`` takes a reversed-direction solution from the
 implicit-normalization root solve, computes the Gibbs tilt on the transformed
-risk, and reports their maximum atom-wise weight gap. The two paths share no
-arithmetic beyond the risk profile, which makes this the strongest internal
-consistency check in the package.
+risk, and reports their maximum atom-wise weight gap. Both are weight rows
+aligned with the reference's atoms, so they are compared entry by entry.
+The two paths share no arithmetic beyond the risk profile, which makes this
+the strongest internal consistency check in the package.
 
 Note that V may be negative (unlike raw risks); downstream consumers accept
 that, and the tilt used here deliberately does not assume nonnegativity.
@@ -27,8 +28,8 @@ import math
 
 import numpy as np
 
-from .errors import InvariantViolation, NonPositiveArgument
-from .measures import DiscreteMeasure, positions
+from .errors import InvariantViolation, NonPositiveArgument, SupportMismatch
+from .measures import DiscreteMeasure
 from .risk import EmpiricalRiskProfile
 from .type1 import _tilt
 from .type2 import TypeIISolution
@@ -38,9 +39,11 @@ NORMALIZATION_TOL = 1e-10
 
 
 def log_risk_profile(
-    profile: EmpiricalRiskProfile, sol: TypeIISolution
+    q: DiscreteMeasure, profile: EmpiricalRiskProfile, sol: TypeIISolution
 ) -> np.ndarray:
-    """V = log(k_bar + L) per atom, read-only, in the order of ``sol.measure``'s atoms.
+    """V = log(k_bar + L) per atom, read-only, aligned with ``q.weights``.
+
+    ``sol`` is :func:`entrisk.type2.solve_type2`'s solution on ``q``.
 
     The arguments are positive for every valid solution (k_bar stays strictly
     above -delta_star); a nonpositive argument means the solution object was
@@ -57,7 +60,7 @@ def log_risk_profile(
             f"k_bar + L = {sol.k_bar + sol.delta_star} is not positive; "
             "solution is inconsistent"
         )
-    args = sol.pole_gap + (profile.aligned(sol.measure) - sol.delta_star)
+    args = sol.pole_gap + (profile.aligned(q) - sol.delta_star)
     values = np.log(args)
     values.flags.writeable = False
     return values
@@ -65,8 +68,8 @@ def log_risk_profile(
 
 def verify_theorem2(
     q: DiscreteMeasure, profile: EmpiricalRiskProfile, sol: TypeIISolution
-) -> tuple[DiscreteMeasure, float]:
-    """Tilt Q by exp(-V) and return (tilted, max weight gap to ``sol.measure``).
+) -> tuple[np.ndarray, float]:
+    """Tilt Q by exp(-V) and return (tilted weights, max weight gap to ``sol.weights``).
 
     ``sol`` is the root finder's solution of the reversed-direction problem
     on ``q`` at factor ``sol.lam``; the transformed problem is solved by the
@@ -74,19 +77,16 @@ def verify_theorem2(
     comparing, the hidden normalization identity lam * sum q*exp(-V) = 1 (the
     defining constraint of k_bar, restated through the transform) is asserted
     as |log Z + log lam| <= NORMALIZATION_TOL, where log Z is the tilt's own
-    log normalizer.
+    log normalizer. The tilted weights are aligned with ``q.weights``, with
+    a 0 where an atom's tilt underflows. Raises SupportMismatch when ``sol``
+    does not hold one weight per atom of ``q``.
     """
-    values = sol.measure.values_at(log_risk_profile(profile, sol), q, "log-risk")
-    tilted, log_z = _tilt(q, values, 1.0)
+    if sol.weights.shape != q.weights.shape:
+        raise SupportMismatch(f"{sol.weights.size} solution weights for {q.num_atoms} atoms")
+    tilted, log_z = _tilt(q.weights, log_risk_profile(q, profile, sol), 1.0)
     log_total = log_z + math.log(sol.lam)
     if not abs(log_total) <= NORMALIZATION_TOL:
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = exp({log_total}) deviates from 1 beyond {NORMALIZATION_TOL}"
         )
-
-    at = positions(sol.measure, tilted)
-    hit = at >= 0
-    matched = np.zeros(sol.measure.num_atoms)
-    matched[hit] = tilted.weights[at[hit]]
-    gap = float(np.max(np.abs(sol.measure.weights - matched)))
-    return tilted, gap
+    return tilted, float(np.max(np.abs(sol.weights - tilted)))

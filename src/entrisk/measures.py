@@ -1,10 +1,12 @@
 """Finite discrete probability measures on a d-dimensional model space.
 
-A :class:`DiscreteMeasure` is the package's common currency: it represents the
-reference measure, every solution measure, and any candidate measure entering
-an objective. Continuous references are expected to arrive here already
-reduced to a particle cloud (i.i.d. draws with uniform weights), so every
-integral in the package is a finite sum.
+A :class:`DiscreteMeasure` represents the reference measure and any
+candidate measure handed to an objective. A solution is not a measure of its
+own: it is a density with respect to the reference, held as one read-only
+row of weights aligned with the reference's (:func:`normalized`), where an
+atom without mass is a 0. Continuous references are expected to arrive here
+already reduced to a particle cloud (i.i.d. draws with uniform weights), so
+every integral in the package is a finite sum.
 
 Measures and risk profiles are both :class:`GridAtoms`: an index array into
 one shared, read-only grid of coordinates, plus one value per atom. An atom
@@ -365,8 +367,8 @@ class GridAtoms:
         """``values`` (one per atom here) in the order of ``m``'s atoms.
 
         ``values`` itself when ``m`` shares this object's grid and index
-        arrays, as the measures built on supp(Q) do. Raises SupportMismatch
-        naming the first atom of ``m`` missing here.
+        arrays, as a reference and the risk profile evaluated on it do.
+        Raises SupportMismatch naming the first atom of ``m`` missing here.
         """
         if m.index is self.index and m.grid is self.grid:
             return values
@@ -414,18 +416,6 @@ class DiscreteMeasure(GridAtoms):
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class AbsoluteContinuityRelation:
-    """Support containment in both directions for a pair of discrete measures."""
-
-    p_ll_q: bool
-    q_ll_p: bool
-
-    @property
-    def mutually(self) -> bool:
-        return self.p_ll_q and self.q_ll_p
-
-
 def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if count == 0 or w.size == 0:
@@ -441,6 +431,13 @@ def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
     return w
 
 
+def normalized(weights: np.ndarray) -> np.ndarray:
+    """Read-only ``weights`` divided by their exact sum, as :func:`measure_on` normalizes."""
+    row = weights / exact_sum(weights)
+    row.flags.writeable = False
+    return row
+
+
 def measure_on(
     grid: np.ndarray, index: Sequence[int], weights: Sequence[float]
 ) -> DiscreteMeasure:
@@ -448,10 +445,7 @@ def measure_on(
 
     Zero-weight atoms are dropped and the rest renormalized. ``grid`` must
     come from :func:`as_grid` (or be the grid of an existing measure), so
-    that distinct indices mean distinct points. When no atom is dropped and
-    ``index`` is already a read-only ``intp`` array, the measure shares it,
-    so that objects on that index align by identity
-    (:meth:`GridAtoms.values_at`).
+    that distinct indices mean distinct points.
 
     Raises
     ------
@@ -465,16 +459,11 @@ def measure_on(
     index = np.asarray(index, dtype=np.intp)
     w = _checked_weights(weights, index.shape[0])
     keep = w > 0.0
-    if keep.all() and not index.flags.writeable:
-        kept = w
-    else:
-        kept, index = w[keep], index[keep]
+    kept, index = w[keep], index[keep]
     if np.bincount(index, minlength=grid.shape[0]).max() > 1:
         raise DuplicateSupportPoint("support points with positive mass must be distinct")
-    normalized = kept / exact_sum(kept)
-    normalized.flags.writeable = False
     index.flags.writeable = False
-    return DiscreteMeasure(grid, index, normalized)
+    return DiscreteMeasure(grid, index, normalized(kept))
 
 
 def make_measure(coords, weights: Sequence[float]) -> DiscreteMeasure:
@@ -489,16 +478,6 @@ def make_measure(coords, weights: Sequence[float]) -> DiscreteMeasure:
     keep = w > 0.0
     grid = as_grid(_coordinate_rows(coords)[keep])
     return measure_on(grid, np.arange(grid.shape[0]), w[keep])
-
-
-def check_abs_continuity(
-    p: DiscreteMeasure, q: DiscreteMeasure
-) -> AbsoluteContinuityRelation:
-    """Exact support-containment test: P << Q iff supp(P) is a subset of supp(Q)."""
-    return AbsoluteContinuityRelation(
-        p_ll_q=bool(np.all(positions(p, q) >= 0)),
-        q_ll_p=bool(np.all(positions(q, p) >= 0)),
-    )
 
 
 def kl_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

@@ -6,16 +6,17 @@ risk. On a finite support the minimizer is the exponential tilt of Q,
 
     p(theta)  proportional to  q(theta) * exp(-L(theta) / lam),
 
-with log normalizer ``log_partition(q, profile, -1/lam)``. The log-partition
+whose log normalizer, log of the sum over atoms of q * exp(-L/lam), the
+solution reports as ``log_partition_at_minus_inv_lambda``. The log-partition
 function is finite for every real argument on a finite support, so every
 positive regularization factor is feasible here; the feasibility set only
 bites for unbounded risks.
 
 All exponentials go through a log-sum-exp shift: weights are formed in log
 space and exponentiated once, so small ``lam`` does not underflow the whole
-vector. Atoms whose tilted weight underflows below the smallest positive
-double are dropped by measure construction; at that point the weight is zero
-at working precision.
+vector. An atom whose tilted weight underflows below the smallest positive
+double keeps a 0 in the solution's weight row; at that point the weight is
+zero at working precision.
 """
 
 from __future__ import annotations
@@ -32,49 +33,37 @@ from .measures import (
     kl_log_ratios,
     kl_rows,
     mean_rows,
-    measure_on,
+    normalized,
     positions,
 )
 from .risk import EmpiricalRiskProfile
 
 
 def _tilt(
-    q: DiscreteMeasure, values: np.ndarray, lam: float
-) -> tuple[DiscreteMeasure, float]:
-    """Normalized tilt q(theta)*exp(-values(theta)/lam) and its log normalizer.
+    q_weights: np.ndarray, values: np.ndarray, lam: float
+) -> tuple[np.ndarray, float]:
+    """Normalized tilt q(theta)*exp(-values(theta)/lam) as a row, and its log normalizer.
 
-    ``values`` may be any finite reals; nonnegativity is not assumed. This is
-    the relaxed entry point used by the log-risk equivalence, where the
-    transformed risk can be negative. The public solver keeps the nonnegative
-    contract via the risk profile type.
+    ``q_weights`` and ``values`` are aligned (m,) rows. ``values`` may be any
+    finite reals; nonnegativity is not assumed. This is the relaxed entry
+    point used by the log-risk equivalence, where the transformed risk can
+    be negative. The public solver keeps the nonnegative contract via the
+    risk profile type.
     """
-    logits = np.log(q.weights) - values / lam
+    logits = np.log(q_weights) - values / lam
     shift = float(logits.max())
     unnorm = np.exp(logits - shift)
     z = exact_sum(unnorm)
-    measure = measure_on(q.grid, q.index, unnorm / z)
-    return measure, shift + math.log(z)
+    return normalized(unnorm / z), shift + math.log(z)
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsSolution:
-    """Tilted measure, its regularization factor, and the log normalizer used."""
+    """Tilted weights aligned with ``q.weights``, the factor, and the log normalizer used."""
 
-    measure: DiscreteMeasure
+    weights: np.ndarray
     lam: float
     log_partition_at_minus_inv_lambda: float
-
-
-def log_partition(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, t: float
-) -> float:
-    """log of sum over atoms of q(theta) * exp(t * L(theta)), via log-sum-exp."""
-    if t == 0.0:
-        return 0.0  # total mass of a probability measure
-    risks = profile.aligned(q)
-    logits = np.log(q.weights) + t * risks
-    shift = float(logits.max())
-    return shift + math.log(exact_sum(np.exp(logits - shift)))
 
 
 def solve_type1(
@@ -82,15 +71,14 @@ def solve_type1(
 ) -> GibbsSolution:
     """Minimize R(P) + lam * D(P || Q) over P << Q.
 
-    Returns the Gibbs tilt of Q by exp(-L/lam) together with the log
-    normalizer; deterministic, and invariant to adding a constant to all
-    risks.
+    Returns the Gibbs tilt of Q by exp(-L/lam), as weights aligned with
+    ``q.weights``, together with the log normalizer; deterministic, and
+    invariant to adding a constant to all risks.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    risks = profile.aligned(q)
-    measure, log_z = _tilt(q, risks, lam)
-    return GibbsSolution(measure=measure, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
+    weights, log_z = _tilt(q.weights, profile.aligned(q), lam)
+    return GibbsSolution(weights=weights, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
 
 
 def kl_p1_q(sol: GibbsSolution, q: DiscreteMeasure, risks: np.ndarray) -> float:

@@ -59,7 +59,7 @@ from .measures import (
     kl_log_ratios,
     kl_rows,
     mean_rows,
-    measure_on,
+    normalized,
     positions,
 )
 from .risk import EmpiricalRiskProfile
@@ -90,9 +90,9 @@ class KBarResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TypeIISolution:
-    """Solution measure at factor ``lam``, plus the :class:`KBarResult` of its root solve."""
+    """Weights aligned with ``q.weights`` at factor ``lam``, plus the :class:`KBarResult`."""
 
-    measure: DiscreteMeasure
+    weights: np.ndarray
     lam: float
     k_bar: float
     residual: float
@@ -222,17 +222,18 @@ def solve_type2(
     """Minimize R(P) + lam * D(Q || P) over P with Q << P supported on supp(Q).
 
     The solution has exactly the support of Q, with weights
-    q(theta) * lam / (k_bar + L(theta)). It need not stay optimal once P may
-    also charge atoms outside supp(Q): moving mass to such an atom changes
-    the objective at the rate L(outside) + k_bar, so escaping lowers it
-    wherever that slope is negative (see :func:`support_escape_slope`).
+    q(theta) * lam / (k_bar + L(theta)), one per atom of ``q``. It need not
+    stay optimal once P may also charge atoms outside supp(Q): moving mass
+    to such an atom changes the objective at the rate L(outside) + k_bar, so
+    escaping lowers it wherever that slope is negative (see
+    :func:`support_escape_slope`).
     Weights are assembled from the pole-shifted denominators, so no
     cancellation enters even when the root sits close to the pole.
     """
     root = solve_k_bar(q, profile, lam)
     shifted = profile.aligned(q) - root.delta_star
-    weights = q.weights * lam / (root.pole_gap + shifted)
-    return TypeIISolution(measure_on(q.grid, q.index, weights), float(lam), **root._asdict())
+    weights = normalized(q.weights * lam / (root.pole_gap + shifted))
+    return TypeIISolution(weights, float(lam), **root._asdict())
 
 
 def kl_q_p2(sol: TypeIISolution, q: DiscreteMeasure, risks: np.ndarray) -> float:

@@ -36,6 +36,16 @@ def measure_with(weights) -> DiscreteMeasure:
     return make_measure(lattice_points(len(weights)), weights)
 
 
+def solution_measure(q: DiscreteMeasure, sol) -> DiscreteMeasure:
+    """A solution's weight row as a measure on the atoms of ``q`` it charges.
+
+    The weights are taken as they are, not normalized again, so the
+    single-measure functions score the solution's own bits.
+    """
+    charged = sol.weights > 0.0
+    return DiscreteMeasure(q.grid, q.index[charged], sol.weights[charged])
+
+
 def two_atom_instance() -> tuple[DiscreteMeasure, EmpiricalRiskProfile]:
     """Uniform reference on two atoms with risks (0, 1)."""
     return uniform_on(2), profile_from([0.0, 1.0])

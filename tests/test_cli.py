@@ -381,14 +381,21 @@ class TestBenchmarkContract:
         assert check.check_sweep_summary(capsys.readouterr().out, lambda_count) == []
 
 
-def run_benchmark_workload(name: str, tmp_path: Path, capsys) -> tuple[dict, bytes]:
-    """Run benchmark workload ``name`` at seed 1001 in ``tmp_path``: its config and stdout."""
+def run_benchmark_workload(
+    name: str, tmp_path: Path, capsys, *argv: str
+) -> tuple[dict, bytes]:
+    """Run benchmark workload ``name`` at seed 1001 in ``tmp_path``: its config and stdout.
+
+    ``argv``, when given, replaces the workload's command: the same config
+    runs under another subcommand and its options.
+    """
     workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
     workload = workloads["workloads"][name]
     config = dict(workload["config"], **{key: 1001 for key in workloads["seed_fields"]})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert cli_main([workload["command"], "--config", str(path)]) == 0
+    command, *options = argv or [workload["command"]]
+    assert cli_main([command, "--config", str(path), *options]) == 0
     return config, capsys.readouterr().out.encode()
 
 
@@ -400,7 +407,9 @@ class TestBenchmarkOutputs:
     output, which hold the invariant values and the instance digest, all as
     printed once k_bar was found by Newton steps on 1/g: that moved every
     Type-2 column and invariant value in its last bits. A performance change
-    that keeps the solver's iteration must leave them as they are.
+    that keeps the solver's iteration must leave them as they are. The
+    ``solve`` pins hold the JSON that command prints for one factor on the
+    ``sweep-path`` config.
     """
 
     @pytest.mark.parametrize("name, sha256", [
@@ -431,3 +440,15 @@ class TestBenchmarkOutputs:
         summary = (tmp_path / config["output_json"]).read_bytes()
         assert hashlib.sha256(summary).hexdigest() == summary_sha256
         assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
+
+    @pytest.mark.parametrize("direction, lam, sha256", [
+        # The tilt underflows 3,157 of the 4,096 atoms to zero weight.
+        ("1", "0.001", "146d7ea9eca98aaba2898ae474a1a44e96e5d09e2081a57f90cae36ff72d122f"),
+        ("1", "50", "9f163b84146053603391f0f9b91035b54d62958c8cc329d5be1064bc9a476204"),
+        ("2", "0.37", "f243994a5f2d7ea6156ff54ad3f96f456f3c1e1ff5f30bcab2e69eae78c839dc"),
+    ])
+    def test_solve_bytes(self, direction, lam, sha256, tmp_path, capsys):
+        _, stdout = run_benchmark_workload(
+            "sweep-path", tmp_path, capsys, "solve", "--type", direction, "--lambda", lam
+        )
+        assert hashlib.sha256(stdout).hexdigest() == sha256

@@ -56,7 +56,13 @@ from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
 
-from conftest import lattice_points, profile_from, random_solver_instance, uniform_on
+from conftest import (
+    lattice_points,
+    profile_from,
+    random_solver_instance,
+    solution_measure,
+    uniform_on,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -403,6 +409,34 @@ def load_script(monkeypatch, name: str):
     return module
 
 
+class TestScriptOutputs:
+    """The example scripts keep their output bytes."""
+
+    def test_demo_sweep_files(self, monkeypatch, tmp_path, capsys):
+        script = load_script(monkeypatch, "demo_sweep")
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        script.main()
+        capsys.readouterr()
+        digests = {name: hashlib.sha256((tmp_path / "results" / name).read_bytes()).hexdigest()
+                   for name in ("demo_sweep.csv", "demo_sweep.json")}
+        assert digests == {
+            "demo_sweep.csv": "8a867655a7fff7e1aa0902b23ff0c73ff9c3d01c5f53d4cd6bfe9f15da12f100",
+            "demo_sweep.json": "208fcf405a7eca4eba551fe0cf737251fdd9bd47c9f44e287a10f79be36ae1d2",
+        }
+
+    def test_misspecified_reference_stdout(self, monkeypatch, capsys):
+        load_script(monkeypatch, "misspecified_reference").main()
+        assert capsys.readouterr().out == (
+            "reference support: 21 atoms in [-1, 0]\n"
+            "whole-grid risk minimizer(s) at theta = [0.8] (outside supp Q)\n"
+            "solution support == supp(Q): True\n"
+            "heaviest solution atom: theta = +0.000, weight 0.0701\n"
+            "optimal objective on supp(Q):        0.571215\n"
+            "escape slope (min_out L + k_bar):    4.616e-01\n"
+            "escape pays below lambda* =          0.480541\n"
+        )
+
+
 class TestMisspecifiedReference:
     def test_main_reports_collapse_and_a_positive_escape_slope(self, monkeypatch, capsys):
         load_script(monkeypatch, "misspecified_reference").main()
@@ -469,26 +503,42 @@ def per_draw_fuzz(q, profile, lam, seed):
     Returns ``(type1_ok, type2_ok)`` and, per direction, the smallest
     objective of a draw farther than 1e-9 from the solution.
     """
-    # Solves and the solutions' objectives go through experiment's bindings,
-    # which the tests below replace to move the verdict.
-    sol1 = experiment.solve_type1(q, profile, lam)
-    sol2 = experiment.solve_type2(q, profile, lam)
-    obj1 = experiment.type1_objective(sol1.measure, q, profile, lam)
-    obj2 = experiment.type2_objective(sol2.measure, q, profile, lam)
+    # The solves go through experiment's bindings, which the tests below
+    # replace to move the verdict.
+    p1 = solution_measure(q, experiment.solve_type1(q, profile, lam))
+    p2 = solution_measure(q, experiment.solve_type2(q, profile, lam))
+    obj1 = type1_objective(p1, q, profile, lam)
+    obj2 = type2_objective(p2, q, profile, lam)
     rng = np.random.default_rng(seed)
     ok1 = ok2 = True
     best1 = best2 = math.inf
     for _ in range(200):
         rand = measure_on(q.grid, q.index, rng.dirichlet(np.ones(q.num_atoms)))
-        if total_variation(rand, sol1.measure) > 1e-9:
+        if total_variation(rand, p1) > 1e-9:
             value = type1_objective(rand, q, profile, lam)
             ok1 = ok1 and value > obj1
             best1 = min(best1, value)
-        if total_variation(rand, sol2.measure) > 1e-9:
+        if total_variation(rand, p2) > 1e-9:
             value = type2_objective(rand, q, profile, lam)
             ok2 = ok2 and value > obj2
             best2 = min(best2, value)
     return (ok1, ok2), (best1, best2)
+
+
+def score_solution_at(monkeypatch, name: str, value: float) -> None:
+    """Make ``optimality_fuzz`` score one direction's solution at ``value``.
+
+    The fuzz scores each solution by the first call of that direction's
+    ``experiment.<name>``, before any draw; later calls score draws as before.
+    """
+    original = getattr(experiment, name)
+    calls = []
+
+    def patched(rows, *args):
+        calls.append(rows)
+        return np.array([value]) if len(calls) == 1 else original(rows, *args)
+
+    monkeypatch.setattr(experiment, name, patched)
 
 
 def scripted_generator(rows: np.ndarray):
@@ -517,16 +567,16 @@ class TestOptimalityFuzz:
         # A solution objective equal to the best draw's fails the check, one
         # ulp below it passes, one ulp above it fails: the blocked fuzz saw
         # exactly that smallest value, rescoring the draws its screen leaves open.
-        for direction, name in enumerate(("type1_objective", "type2_objective")):
+        for direction, name in enumerate(("type1_objective_rows", "type2_objective_rows")):
             if not math.isfinite(best[direction]):
                 continue
             original = getattr(experiment, name)
             for threshold, expected in ((best[direction], False),
                                         (math.nextafter(best[direction], -math.inf), True),
                                         (math.nextafter(best[direction], math.inf), False)):
-                monkeypatch.setattr(experiment, name, lambda *args, t=threshold: t)
+                score_solution_at(monkeypatch, name, threshold)
                 assert optimality_fuzz(q, profile, lam, seed)[direction] is expected
-            monkeypatch.setattr(experiment, name, original)
+                monkeypatch.setattr(experiment, name, original)
         return verdicts
 
     def test_random_instances(self, monkeypatch):
@@ -540,7 +590,8 @@ class TestOptimalityFuzz:
     def test_tilt_that_drops_atoms(self, monkeypatch):
         q, profile = random_solver_instance(np.random.default_rng(3), max_atoms=30)
         lam = 1e-3
-        assert experiment.solve_type1(q, profile, lam).measure.num_atoms < q.num_atoms
+        weights = experiment.solve_type1(q, profile, lam).weights
+        assert weights.shape == q.weights.shape and np.any(weights == 0.0)
         self.assert_matches_oracle(monkeypatch, q, profile, lam)
 
     def test_hand_built_block_with_a_zero_weight_and_a_solution_draw(self, monkeypatch):
@@ -548,8 +599,8 @@ class TestOptimalityFuzz:
         q = make_measure(lattice_points(m), np.linspace(1.0, 2.0, m))
         profile = EmpiricalRiskProfile.from_risks(lattice_points(m), [0.3, 1.0, 0.1, 2.0, 0.7, 1.4])
         rows = np.random.default_rng(9).dirichlet(np.ones(m), size=200)
-        rows[0] = experiment.solve_type1(q, profile, lam).measure.weights  # skipped for Type 1
-        rows[1] = experiment.solve_type2(q, profile, lam).measure.weights  # skipped for Type 2
+        rows[0] = experiment.solve_type1(q, profile, lam).weights  # skipped for Type 1
+        rows[1] = experiment.solve_type2(q, profile, lam).weights  # skipped for Type 2
         rows[2, 4] = 0.0  # D(Q || P) is +inf, D(P || Q) skips the atom
         rows[3, [0, 5]] = 0.0
         monkeypatch.setattr(np.random, "default_rng", scripted_generator(rows))
@@ -571,14 +622,10 @@ class TestOptimalityFuzz:
 
     def test_screen_settles_every_draw_of_the_verify_shape(self, monkeypatch):
         q, profile = self.verify_shape_instance()
-        # The solutions and their objectives first, so that every count below
-        # belongs to the draws.
-        for solve, objective in (("solve_type1", "type1_objective"),
-                                 ("solve_type2", "type2_objective")):
+        # The solutions first, so that every count below belongs to scoring.
+        for solve in ("solve_type1", "solve_type2"):
             sol = getattr(experiment, solve)(q, profile, 1.0)
-            value = getattr(experiment, objective)(sol.measure, q, profile, 1.0)
             monkeypatch.setattr(experiment, solve, lambda *args, s=sol: s)
-            monkeypatch.setattr(experiment, objective, lambda *args, v=value: v)
         calls = collections.Counter()
 
         def counted(module, name):
@@ -594,7 +641,9 @@ class TestOptimalityFuzz:
             counted(experiment, name)
         counted(math, "log")
         assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)
-        assert calls == {}
+        # Only the two solutions are scored exactly, one math.log per atom each.
+        assert calls == {"type1_objective_rows": 1, "type2_objective_rows": 1,
+                         "log": 2 * q.num_atoms}
 
     def test_temporaries_stay_within_a_few_blocks(self):
         # The 200 draws of 900 atoms alone take 1.4 MB at once.
@@ -797,7 +846,7 @@ class TestSweepDivergences:
         # less, which underflows: P1 is the point mass at the argmin, and
         # D(P1 || Q) = log 5 on a uniform Q over five atoms.
         q, profile = uniform_on(5), profile_from([0.0, 1.0, 2.0, 3.0, 5.0])
-        assert solve_type1(q, profile, 1e-3).measure.num_atoms == 1
+        assert solve_type1(q, profile, 1e-3).weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             record, = sweep_records(q, profile, [1e-3])
@@ -829,8 +878,8 @@ class TestSweepDivergences:
         q, profile = random_solver_instance(np.random.default_rng(seed))
         lambdas = np.logspace(-3.0, 0.0, 7)
         for lam, record in zip(lambdas, sweep_records(q, profile, lambdas)):
-            p1 = solve_type1(q, profile, lam).measure
-            p2 = solve_type2(q, profile, lam).measure
+            p1 = solution_measure(q, solve_type1(q, profile, lam))
+            p2 = solution_measure(q, solve_type2(q, profile, lam))
             assert record.kl_p_q_type1 == pytest.approx(kl_divergence(p1, q), rel=1e-12)
             assert record.kl_q_p_type2 == pytest.approx(kl_divergence(q, p2), rel=1e-12)
 
@@ -843,6 +892,28 @@ class TestSweepDivergences:
         q, profile = random_solver_instance(np.random.default_rng(5))
         records = sweep_records(q, profile, np.logspace(-3.0, 3.0, 7))
         assert all(r.status == "ok" for r in records)
+
+
+class TestSolutionRows:
+    def test_sweep_and_fuzz_never_match_atoms_by_coordinates(self, monkeypatch):
+        # A generated instance's profile is on q's own index, and solutions are
+        # rows aligned with q, so nothing is looked up by position, not even
+        # where the tilt underflows (lam = 1e-4) or supp(Q) is a sub-box.
+        cfg = ExperimentConfig.from_dict(base_config(
+            grid_resolution=[41], reference="restricted", reference_box_min=[-1.0],
+            reference_box_max=[0.0], lambda_min=1e-4, lambda_max=1e2, lambda_count=7,
+        ))
+        q, _, profile = generate_instance(cfg)
+
+        def refuse(*args):
+            raise AssertionError("atoms were matched by coordinates")
+
+        for module in (measures, type1, type2):
+            monkeypatch.setattr(module, "positions", refuse)
+        records = sweep_records(q, profile, lambda_grid(cfg))
+        assert [r.status for r in records] == ["ok"] * 7
+        assert np.any(solve_type1(q, profile, 1e-4).weights == 0.0)
+        assert optimality_fuzz(q, profile, 1.0, cfg.seed) == (True, True)
 
 
 class TestEmitCsv:

@@ -16,7 +16,6 @@ from entrisk.errors import (
 )
 from entrisk.experiment import sweep_records
 from entrisk.measures import (
-    check_abs_continuity,
     exact_sum,
     kl_divergence,
     make_measure,
@@ -37,6 +36,7 @@ from conftest import (
     profile_from,
     random_solver_instance,
     risk_vectors,
+    solution_measure,
     three_atom_instance,
     two_atom_instance,
     uniform_on,
@@ -311,20 +311,20 @@ class TestSolveType2:
         q = uniform_on(4)
         prof = profile_from([1.2, 1.2, 1.2, 1.2])
         sol = solve_type2(q, prof, 0.9)
-        assert np.allclose(sol.measure.weights, q.weights, atol=1e-14)
+        assert np.allclose(sol.weights, q.weights, atol=1e-14)
 
     def test_two_atom_oracle_weights(self):
         q, prof = two_atom_instance()
         sol = solve_type2(q, prof, 1.0)
         root = math.sqrt(0.5)
-        assert sol.measure.weights == pytest.approx(
+        assert sol.weights == pytest.approx(
             (0.5 / root, 0.5 / (root + 1.0)), abs=1e-6
         )
 
     def test_large_lambda_approaches_reference(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10)
         sol = solve_type2(q, prof, 1e6)
-        assert np.max(np.abs(sol.measure.weights - q.weights)) <= 1e-5
+        assert np.max(np.abs(sol.weights - q.weights)) <= 1e-5
 
     def test_weights_reproduce_density_formula(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=2.0)
@@ -332,14 +332,14 @@ class TestSolveType2:
         sol = solve_type2(q, prof, lam)
         risks = prof.aligned(q)
         expected = q.weights * lam / (sol.k_bar + risks)
-        assert np.max(np.abs(sol.measure.weights - expected)) <= 1e-12
+        assert np.max(np.abs(sol.weights - expected)) <= 1e-12
 
     def test_support_collapse_exact(self, rng):
         for _ in range(10):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-2, 2))
             sol = solve_type2(q, prof, lam)
-            assert np.array_equal(sol.measure.coords, q.coords)
+            assert sol.weights.shape == q.weights.shape and np.all(sol.weights > 0.0)
 
     def test_support_collapse_with_better_atom_outside(self):
         # The enlarged grid has a zero-risk atom outside supp(Q); the solution
@@ -347,13 +347,13 @@ class TestSolveType2:
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [0.5, 1.0, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         sol = solve_type2(q, prof, 1.0)
-        assert check_abs_continuity(sol.measure, q).mutually
+        assert sol.weights.shape == q.weights.shape and np.all(sol.weights > 0.0)
 
     def test_shift_covariance_measure_unchanged(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=3.0)
         shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 1.75)
-        a = solve_type2(q, prof, 0.45).measure.weights
-        b = solve_type2(q, shifted_prof, 0.45).measure.weights
+        a = solve_type2(q, prof, 0.45).weights
+        b = solve_type2(q, shifted_prof, 0.45).weights
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -373,10 +373,11 @@ class TestType2Objective:
         q, prof = random_solver_instance(rng, max_atoms=8)
         lam = 1.3
         sol = solve_type2(q, prof, lam)
-        best = type2_objective(sol.measure, q, prof, lam)
+        p2 = solution_measure(q, sol)
+        best = type2_objective(p2, q, prof, lam)
         for _ in range(100):
             p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
-            if total_variation(p, sol.measure) > 1e-9:
+            if total_variation(p, p2) > 1e-9:
                 assert type2_objective(p, q, prof, lam) > best
 
 
@@ -450,12 +451,12 @@ def mixture_oracle(q, prof, lam: float, alpha: float) -> float:
     ``-lam * log(1 - alpha)``, and the risk term ``alpha * L`` is least at
     the cheapest outside atom.
     """
-    inner = solve_type2(q, prof, lam / (1.0 - alpha))
+    inner = solution_measure(q, solve_type2(q, prof, lam / (1.0 - alpha)))
     min_out = float(prof.risks[positions(prof, q) < 0].min())
     return (
-        (1.0 - alpha) * expected_risk(inner.measure, prof)
+        (1.0 - alpha) * expected_risk(inner, prof)
         + alpha * min_out
-        + lam * kl_divergence(q, inner.measure)
+        + lam * kl_divergence(q, inner)
         - lam * math.log1p(-alpha)
     )
 
@@ -490,7 +491,7 @@ class TestSupportEscape:
     def test_oracle_alpha_zero_reduces_to_inside_objective(self):
         q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
-        inside_obj = type2_objective(sol.measure, q, prof, 1.0)
+        inside_obj = type2_objective(solution_measure(q, sol), q, prof, 1.0)
         assert mixture_oracle(q, prof, 1.0, 0.0) == pytest.approx(
             inside_obj, abs=1e-12
         )
@@ -500,7 +501,7 @@ class TestSupportEscape:
         q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
         slope = support_escape_slope(outside_of(q, prof), sol)
-        opt = type2_objective(sol.measure, q, prof, 1.0)
+        opt = type2_objective(solution_measure(q, sol), q, prof, 1.0)
         prev = math.inf
         for alpha in (0.1, 0.01, 0.001, 0.0001):
             quotient = (mixture_oracle(q, prof, 1.0, alpha) - opt) / alpha
@@ -511,7 +512,8 @@ class TestSupportEscape:
         q, prof = self._instance()
         sol = solve_type2(q, prof, 1.0)
         assert support_escape_slope(outside_of(q, prof), sol) > 0.0
-        assert best_escape(q, prof, 1.0, SIGN_ALPHAS) > type2_objective(sol.measure, q, prof, 1.0)
+        optimal = type2_objective(solution_measure(q, sol), q, prof, 1.0)
+        assert best_escape(q, prof, 1.0, SIGN_ALPHAS) > optimal
 
     def test_escape_lowers_the_objective_where_the_slope_is_negative(self):
         # supp(Q) risks 1.0 and 1.2, one outside atom of risk 0: at lam = 0.1
@@ -524,11 +526,12 @@ class TestSupportEscape:
         assert slope == pytest.approx(-0.938, abs=5e-4)
         assert slope == 0.0 + sol.k_bar
         assert best_escape(q, prof, 0.1, FINE_ALPHAS) == pytest.approx(0.3394, abs=5e-5)
-        assert type2_objective(sol.measure, q, prof, 0.1) == pytest.approx(1.0623, abs=5e-5)
+        optimal = type2_objective(solution_measure(q, sol), q, prof, 0.1)
+        assert optimal == pytest.approx(1.0623, abs=5e-5)
         # Escaping pays exactly where the slope is negative.
         for lam in (0.5, 1.0, 2.0, 5.0):
             sol = solve_type2(q, prof, lam)
-            optimal = type2_objective(sol.measure, q, prof, lam)
+            optimal = type2_objective(solution_measure(q, sol), q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (
                 support_escape_slope(outside_of(q, prof), sol) < 0.0
             )
@@ -539,7 +542,7 @@ class TestSupportEscape:
             q, prof, lam = escape_instance(rng)
             sol = solve_type2(q, prof, lam)
             slope = support_escape_slope(outside_of(q, prof), sol)
-            optimal = type2_objective(sol.measure, q, prof, lam)
+            optimal = type2_objective(solution_measure(q, sol), q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (slope < 0.0)
             signs.add(slope < 0.0)
         assert signs == {True, False}  # both verdicts were tested
