@@ -43,7 +43,8 @@ def log_risk_profile(
 ) -> np.ndarray:
     """V = log(k_bar + L) per atom, read-only, aligned with ``q.weights``.
 
-    ``sol`` is :func:`entrisk.type2.solve_type2`'s solution on ``q``.
+    ``sol`` must be :func:`entrisk.type2.solve_type2`'s solution on this
+    same ``q``; its row carries no atoms, so that is not checked here.
 
     The arguments are positive for every valid solution (k_bar stays strictly
     above -delta_star); a nonpositive argument means the solution object was
@@ -78,8 +79,10 @@ def verify_theorem2(
     defining constraint of k_bar, restated through the transform) is asserted
     as |log Z + log lam| <= NORMALIZATION_TOL, where log Z is the tilt's own
     log normalizer. The tilted weights are aligned with ``q.weights``, with
-    a 0 where an atom's tilt underflows. Raises SupportMismatch when ``sol``
-    does not hold one weight per atom of ``q``.
+    a 0 where an atom's tilt underflows. ``sol`` must come from a solve on
+    this same ``q``: a row carries no atoms, so one solved on another
+    reference with as many atoms is compared entry by entry without error.
+    Only a row of another length raises SupportMismatch.
     """
     if sol.weights.shape != q.weights.shape:
         raise SupportMismatch(f"{sol.weights.size} solution weights for {q.num_atoms} atoms")

@@ -432,8 +432,15 @@ def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
 
 
 def normalized(weights: np.ndarray) -> np.ndarray:
-    """Read-only ``weights`` divided by their exact sum, as :func:`measure_on` normalizes."""
-    row = weights / exact_sum(weights)
+    """Read-only ``weights`` divided by their exact sum, as :func:`measure_on` normalizes.
+
+    ``weights`` are nonnegative, so a nan or infinite weight makes the sum
+    nan or infinite; NonFiniteWeight is raised then.
+    """
+    total = exact_sum(weights)
+    if not math.isfinite(total):
+        raise NonFiniteWeight("weights must be finite")
+    row = weights / total
     row.flags.writeable = False
     return row
 

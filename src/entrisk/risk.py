@@ -129,10 +129,8 @@ class PredictorSpec:
                 f"predictor needs {self.pattern_dim}"
             )
         s = np.multiply.outer(thetas[:, 0], patterns[:, 0])
-        if self.pattern_dim > 1:
-            term = np.empty_like(s)  # one buffer for every later dimension's products
-            for j in range(1, self.pattern_dim):
-                s += np.multiply.outer(thetas[:, j], patterns[:, j], out=term)
+        for j in range(1, self.pattern_dim):
+            s += np.multiply.outer(thetas[:, j], patterns[:, j])
         if self.intercept:
             s += thetas[:, -1:]
         return s

@@ -59,7 +59,10 @@ def _tilt(
 
 @dataclass(frozen=True, eq=False)
 class GibbsSolution:
-    """Tilted weights aligned with ``q.weights``, the factor, and the log normalizer used."""
+    """Tilted weights aligned with ``q.weights``, the factor, and the log normalizer used.
+
+    The row carries no atoms: use it only with the ``q`` it was solved on.
+    """
 
     weights: np.ndarray
     lam: float

@@ -90,7 +90,10 @@ class KBarResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TypeIISolution:
-    """Weights aligned with ``q.weights`` at factor ``lam``, plus the :class:`KBarResult`."""
+    """Weights aligned with ``q.weights`` at factor ``lam``, plus the :class:`KBarResult`.
+
+    The row carries no atoms: use it only with the ``q`` it was solved on.
+    """
 
     weights: np.ndarray
     lam: float

@@ -8,6 +8,7 @@ import shutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entrisk
@@ -146,6 +147,15 @@ class TestSolve:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["support"]) == len(payload["weights"]) < 9
+
+    def test_type1_tilt_that_is_not_finite_is_an_error(self, tmp_path, capsys):
+        # The one risk of this instance is positive; risk / 5e-324 overflows.
+        cfg = write_config(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["solve", "--config", str(cfg), "--lambda", "5e-324", "--type", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: weights must be finite\n"
 
     @pytest.mark.parametrize("direction", ["1", "2"])
     def test_infinite_lambda_is_validation_error(self, tmp_path, capsys, direction):

@@ -895,6 +895,13 @@ class TestSweepDivergences:
 
 
 class TestSolutionRows:
+    def test_non_finite_tilt_marks_its_row(self):
+        # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
+        q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = sweep_records(q, profile, [1e-309, 0.5])
+        assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
+
     def test_sweep_and_fuzz_never_match_atoms_by_coordinates(self, monkeypatch):
         # A generated instance's profile is on q's own index, and solutions are
         # rows aligned with q, so nothing is looked up by position, not even

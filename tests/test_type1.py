@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from entrisk.errors import NonPositiveLambda, SupportMismatch
+from entrisk.errors import NonFiniteWeight, NonPositiveLambda, SupportMismatch
 from entrisk.measures import make_measure, total_variation
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type1 import solve_type1, type1_objective
@@ -102,6 +102,13 @@ class TestSolveType1:
         q, prof = two_atom_instance()
         with pytest.raises(NonPositiveLambda):
             solve_type1(q, prof, 0.0)
+
+    def test_factor_overflowing_every_risk_raises(self):
+        # Every risk / lam overflows, so every logit is -inf and the tilt is nan.
+        q = uniform_on(3)
+        prof = profile_from([1.0, 2.0, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteWeight):
+            solve_type1(q, prof, 1e-309)
 
     def test_shift_invariance(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
