@@ -712,9 +712,12 @@ def grid_argmin_outside_support(
 ) -> bool:
     """Whether the full-grid empirical risk minimizers all fall outside supp(Q).
 
-    True on misspecified-reference instances: the solution support still
-    collapses onto supp(Q) even though the data points elsewhere. False
-    without evaluating any risk when supp(Q) is the whole grid.
+    True when the lowest risk of an atom outside supp(Q)
+    (:func:`outside_profile`) is below every risk on supp(Q), as on
+    misspecified-reference instances. This compares risks only and says
+    nothing about the solutions: below :func:`entrisk.type2.escape_threshold`
+    moving mass off supp(Q) lowers the Type-II objective under its optimum on
+    supp(Q). False without evaluating any risk when supp(Q) is the whole grid.
     """
     outside = outside_profile(cfg, q, data)
     return outside is not None and outside.delta_star < float(profile.aligned(q).min())
@@ -751,16 +754,24 @@ def _objective_floors(
     so that it lies below the exact value ``type1_objective_rows`` or
     ``type2_objective_rows`` gives.
     A row with a zero weight has no floor (nan).
+
+    Every (k, m) step writes into one buffer the shape of ``rand``, in this
+    order: the products ``p*L`` and their absolute values, then per
+    direction the ratios, their log, ``p*log`` and its absolute values.
+    Neither ``rand`` nor ``q_weights`` is written.
     """
+    buf = np.empty(rand.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        products = rand * risks
-        risk = products.sum(axis=1)
-        risk_mass = np.abs(products).sum(axis=1)
+        np.multiply(rand, risks, out=buf)
+        risk = buf.sum(axis=1)
+        risk_mass = np.abs(buf, out=buf).sum(axis=1)
         floors = []
-        for p, ratios in ((rand, rand / q_weights), (q_weights, q_weights / rand)):
-            terms = p * np.log(ratios)
-            estimate = risk + lam * np.maximum(terms.sum(axis=1), 0.0)
-            bound = _SCREEN_EPS * (risk_mass + lam * np.abs(terms).sum(axis=1))
+        for p, other in ((rand, q_weights), (q_weights, rand)):
+            np.divide(p, other, out=buf)
+            np.log(buf, out=buf)
+            np.multiply(p, buf, out=buf)
+            estimate = risk + lam * np.maximum(buf.sum(axis=1), 0.0)
+            bound = _SCREEN_EPS * (risk_mass + lam * np.abs(buf, out=buf).sum(axis=1))
             floors.append(estimate - (bound + _SCREEN_TINY * (1.0 + lam)))
     return floors[0], floors[1]
 
@@ -778,9 +789,11 @@ def optimality_fuzz(
     of the draw's support. A draw within total variation 1e-9 of a solution
     is not compared against it. Returns ``(type1_ok, type2_ok)``.
 
-    The draws are drawn and scored a block of at most ``BLOCK_DOUBLES // 4``
-    weights at a time, which consumes the generator exactly as drawing them
-    one by one. A draw whose certified lower bound (:func:`_objective_floors`)
+    The draws are drawn and scored a block of at most :data:`BLOCK_DOUBLES`
+    weights at a time (one draw when a draw has more atoms), which consumes
+    the generator exactly as drawing them one by one; each block is
+    normalized in place and screened in one buffer of its size. A draw whose
+    certified lower bound (:func:`_objective_floors`)
     already exceeds the solution's objective beats it; every other draw, one
     with a zero weight included, is rescored by the same row-wise total
     variation and objective functions that score a single measure. So every
@@ -793,11 +806,11 @@ def optimality_fuzz(
         w = solve(q, profile, lam).weights
         directions.append((w, objective_rows(w[None], q.weights, risks, lam)[0], objective_rows))
     rng = np.random.default_rng(seed)
-    step = max(1, BLOCK_DOUBLES // 4 // q.num_atoms)
+    step = max(1, BLOCK_DOUBLES // q.num_atoms)
     ok = [True, True]
     for start in range(0, 200, step):
-        draws = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
-        rand = draws / exact_row_sums(draws)[:, None]
+        rand = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
+        rand /= exact_row_sums(rand)[:, None]
         for d, floor in enumerate(_objective_floors(rand, q.weights, risks, lam)):
             sol_weights, obj, objective_rows = directions[d]
             rows = rand[~(floor > obj)]  # the draws the screen leaves open

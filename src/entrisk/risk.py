@@ -18,7 +18,10 @@ nonnegative, so one ``sigma`` per block, from the block's largest loss,
 serves every row. The certificate itself (:func:`entrisk.measures.certify_sums`)
 runs once per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects
 has its losses evaluated again and summed by ``math.fsum``, so every risk
-carries ``math.fsum``'s bits. A block holds at most :data:`BLOCK_DOUBLES`
+carries ``math.fsum``'s bits. Zero-one losses are the integers 0 and 1,
+so an atom's loss sum is its count of mispredicted points, already exact:
+that loss counts the mismatches of each block and runs no split,
+certificate or fallback. A block holds at most :data:`BLOCK_DOUBLES`
 pairs (one atom at a time when a single atom has more data points), so the
 temporaries stay small whatever the grid size.
 """
@@ -229,15 +232,23 @@ def risk_profile(
     """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid.
 
     Each atom's risk equals :func:`empirical_risk` at its coordinates. The
-    atoms are split :data:`BLOCK_DOUBLES` // n at a time and certified
-    :data:`CHUNK_ATOMS` at a time; an atom the certificate rejects has its
-    losses evaluated again and summed by ``math.fsum``.
+    atoms are scored :data:`BLOCK_DOUBLES` // n at a time. With zero-one
+    loss an atom's risk is its count of predictions that differ from the
+    labels, over n: ``math.fsum`` of n <= 2**53 zeros and ones is that count
+    exactly. Other losses are certified :data:`CHUNK_ATOMS` atoms at a time;
+    an atom the certificate rejects has its losses evaluated again and
+    summed by ``math.fsum``.
     """
     coords = q.coords
     m, n = coords.shape[0], data.n
     step = max(1, min(BLOCK_DOUBLES // n, CHUNK_ATOMS))
-    chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
     risks = np.empty(m)
+    if loss.kind == "zero_one":
+        for start in range(0, m, step):
+            predicted = pred.predict_all(coords[start:start + step], data.patterns)
+            risks[start:start + step] = np.count_nonzero(predicted != data.labels, axis=1) / n
+        return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
+    chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         r, t, bound = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)

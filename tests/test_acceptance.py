@@ -23,14 +23,13 @@ from entrisk.experiment import (
     outside_profile,
 )
 from entrisk.logrisk import log_risk_profile, verify_theorem2
-from entrisk.measures import make_measure, total_variation
-from entrisk.type1 import solve_type1, type1_objective
-from entrisk.type2 import solve_type2, support_escape_slope, type2_objective
+from entrisk.measures import exact_row_sums, tv_rows
+from entrisk.type1 import solve_type1, type1_objective_rows
+from entrisk.type2 import solve_type2, support_escape_slope, type2_objective_rows
 
 from conftest import (
     random_pipeline_instance,
     random_solver_instance,
-    solution_measure,
     three_atom_instance,
     two_atom_instance,
 )
@@ -209,17 +208,16 @@ def test_criterion_08_optimality_against_random_measures():
     for _ in range(20):
         q, prof = random_solver_instance(rng, max_atoms=8)
         lam = float(10.0 ** rng.uniform(-1.5, 1.5))
-        sol2 = solve_type2(q, prof, lam)
-        sol1 = solve_type1(q, prof, lam)
-        p2, p1 = solution_measure(q, sol2), solution_measure(q, sol1)
-        best2 = type2_objective(p2, q, prof, lam)
-        best1 = type1_objective(p1, q, prof, lam)
-        for _ in range(1000):
-            p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
-            if total_variation(p, p2) > 1e-9:
-                ok = ok and type2_objective(p, q, prof, lam) > best2
-            if total_variation(p, p1) > 1e-9:
-                ok = ok and type1_objective(p, q, prof, lam) > best1
+        risks = prof.aligned(q)
+        # One block of 1,000 draws takes the stream of 1,000 single draws, and
+        # each row is normalized as make_measure normalizes a single draw.
+        draws = rng.dirichlet(np.ones(q.num_atoms), size=1000)
+        draws /= exact_row_sums(draws)[:, None]
+        for sol, objective_rows in ((solve_type2(q, prof, lam), type2_objective_rows),
+                                    (solve_type1(q, prof, lam), type1_objective_rows)):
+            best = objective_rows(sol.weights[None], q.weights, risks, lam)[0]
+            far = tv_rows(draws, sol.weights) > 1e-9
+            ok = ok and bool(np.all(objective_rows(draws[far], q.weights, risks, lam) > best))
         if not ok:
             break
     report(8, "solutions strictly beat 1000 random measures per instance, both directions", ok)

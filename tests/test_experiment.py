@@ -479,22 +479,41 @@ class TestMisspecifiedReference:
         assert below == pytest.approx(-3.8e-10, rel=0.01)
         assert above == pytest.approx(3.8e-10, rel=0.01)
 
-    @pytest.mark.parametrize("seed, expected", [(1001, 0.6747), (7, 0.6599)])
-    def test_escape_threshold_on_the_misspecified_benchmark(self, seed, expected):
-        # The factors below lambda* are exactly those where escaping pays:
-        # 9 of the 20 factors of the verify-misspecified workload.
+    @staticmethod
+    def misspecified_benchmark(seed: int):
+        """The verify-misspecified workload's config at ``seed``, its instance and outside profile."""
         workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
         config = dict(workloads["workloads"]["verify-misspecified"]["config"],
                       **{key: seed for key in workloads["seed_fields"]})
         cfg = ExperimentConfig.from_dict(config)
         q, data, profile = generate_instance(cfg)
-        outside = outside_profile(cfg, q, data)
+        return cfg, q, profile, outside_profile(cfg, q, data)
+
+    @pytest.mark.parametrize("seed, expected", [(1001, 0.6747), (7, 0.6599)])
+    def test_escape_threshold_on_the_misspecified_benchmark(self, seed, expected):
+        # The factors below lambda* are exactly those where escaping pays:
+        # 9 of the 20 factors of the verify-misspecified workload.
+        cfg, q, profile, outside = self.misspecified_benchmark(seed)
         lam_star = escape_threshold(q, profile, outside)
         assert lam_star == pytest.approx(expected, abs=5e-5)
         lambdas = lambda_grid(cfg)
         slopes = [support_escape_slope(outside, solve_type2(q, profile, lam)) for lam in lambdas]
         assert [s <= 0.0 for s in slopes] == [lam < lam_star for lam in lambdas]
         assert sum(s <= 0.0 for s in slopes) == 9
+
+    @pytest.mark.parametrize("seed, profile_sha256, outside_sha256", [
+        (1001, "aca8ad37be7e6a718804e9a64ab105f81581015e38c8af5f96a9319a344c7ceb",
+         "6e1a84fe95270a55fa9f7384c48ac5c01634865b8a96d16c1f361f6d88b3d03b"),
+        (7, "4af2836af88148bbba0bc927c60083da15ffde07896d5f5d839d16c83f1715b4",
+         "64074102a4a41e3a3479b8effc26d2059585120c331581b1b1132c3be73c7a8b"),
+    ])
+    def test_risk_bits_on_the_misspecified_benchmark(self, seed, profile_sha256, outside_sha256):
+        # The zero-one risks of the 900 atoms in supp(Q) and the 2,700 outside
+        # it, as math.fsum of each atom's losses over n gives them.
+        _, _, profile, outside = self.misspecified_benchmark(seed)
+        assert (profile.risks.size, outside.risks.size) == (900, 2700)
+        assert hashlib.sha256(profile.risks.tobytes()).hexdigest() == profile_sha256
+        assert hashlib.sha256(outside.risks.tobytes()).hexdigest() == outside_sha256
 
 
 def per_draw_fuzz(q, profile, lam, seed):
@@ -523,6 +542,21 @@ def per_draw_fuzz(q, profile, lam, seed):
             ok2 = ok2 and value > obj2
             best2 = min(best2, value)
     return (ok1, ok2), (best1, best2)
+
+
+def reference_floors(rand, q_weights, risks, lam):
+    """The screen's floors with every step in an array of its own, as first written."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        products = rand * risks
+        risk = products.sum(axis=1)
+        risk_mass = np.abs(products).sum(axis=1)
+        floors = []
+        for p, ratios in ((rand, rand / q_weights), (q_weights, q_weights / rand)):
+            terms = p * np.log(ratios)
+            estimate = risk + lam * np.maximum(terms.sum(axis=1), 0.0)
+            bound = experiment._SCREEN_EPS * (risk_mass + lam * np.abs(terms).sum(axis=1))
+            floors.append(estimate - (bound + experiment._SCREEN_TINY * (1.0 + lam)))
+    return floors[0], floors[1]
 
 
 def score_solution_at(monkeypatch, name: str, value: float) -> None:
@@ -644,6 +678,54 @@ class TestOptimalityFuzz:
         # Only the two solutions are scored exactly, one math.log per atom each.
         assert calls == {"type1_objective_rows": 1, "type2_objective_rows": 1,
                          "log": 2 * q.num_atoms}
+
+    @staticmethod
+    def fuzz_with_rows_per_block(monkeypatch, q, profile, lam, seed, rows):
+        """The fuzz's verdicts and both directions' floors, screening ``rows`` draws at a time."""
+        monkeypatch.setattr(experiment, "BLOCK_DOUBLES", rows * q.num_atoms)
+        floors = []
+        original = experiment._objective_floors
+
+        def recorded(rand, *args):
+            assert rand.shape[0] <= rows
+            floors.append(original(rand, *args))
+            return floors[-1]
+
+        monkeypatch.setattr(experiment, "_objective_floors", recorded)
+        verdicts = optimality_fuzz(q, profile, lam, seed)
+        monkeypatch.undo()
+        return verdicts, [np.concatenate(f).tobytes() for f in zip(*floors)]
+
+    def test_floors_and_verdicts_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        instances = [(*self.verify_shape_instance(), 1.0, 7)]
+        for _ in range(4):
+            q, profile = random_solver_instance(rng, max_atoms=60)
+            instances.append((q, profile, float(10.0 ** rng.uniform(-2.0, 2.0)),
+                              int(rng.integers(0, 2**31))))
+        for q, profile, lam, seed in instances:
+            # The floors of the draws scored one at a time, by the same formula
+            # with every step in an array of its own.
+            rand = np.random.default_rng(seed).dirichlet(np.ones(q.num_atoms), size=200)
+            rand /= experiment.exact_row_sums(rand)[:, None]
+            risks = profile.aligned(q)
+            expected = [np.concatenate(f).tobytes() for f in zip(*(
+                reference_floors(row[None], q.weights, risks, lam) for row in rand))]
+            results = [self.fuzz_with_rows_per_block(monkeypatch, q, profile, lam, seed, rows)
+                       for rows in (1, 4, 18)]
+            assert results[0][1] == expected
+            assert results[1] == results[0] and results[2] == results[0]
+
+    def test_floors_write_neither_input(self):
+        q, profile = self.verify_shape_instance()
+        rand = np.random.default_rng(1).dirichlet(np.ones(q.num_atoms), size=18)
+        rand[3, :5] = 0.0  # a zero weight: nan ratios and an infinite log
+        kept = rand.copy(), q.weights.copy()
+        rand.flags.writeable = False
+        assert not q.weights.flags.writeable
+        floors = experiment._objective_floors(rand, q.weights, profile.aligned(q), 1.0)
+        assert np.array_equal(rand, kept[0]) and np.array_equal(q.weights, kept[1])
+        assert all(np.isnan(f[3]) and np.isfinite(np.delete(f, 3)).all() for f in floors)
 
     def test_temporaries_stay_within_a_few_blocks(self):
         # The 200 draws of 900 atoms alone take 1.4 MB at once.

@@ -166,13 +166,19 @@ class TestRiskProfile:
         # 37 atoms: not a multiple of the 16 atoms per block at n = 1000.
         pred = PredictorSpec(kind, pattern_dim, intercept)
         coords = rng.uniform(-1.0, 1.0, (37, pred.model_dim))
+        coords[5] = 0.0  # scores exactly 0 everywhere: a tie, which predicts +1
         x = rng.uniform(-1.0, 1.0, (n, pattern_dim))
+        x[:4] = 0.0  # without an intercept every model ties on these points
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         if kind == "linear_regression":
             y = y * rng.uniform(0.0, 2.0, n)
+        y[4:7] = (0.0, 0.5, 2.0)  # labels no classifier predicts
         q = make_measure(coords, np.ones(37))
         for loss_kind in ("squared", "absolute", "zero_one"):
+            certificate_calls.clear()
             assert_fsum_loop_risks(q, Dataset(x, y), pred, loss_kind)
+            if loss_kind == "zero_one":
+                assert certificate_calls == []  # risks are mismatch counts over n
         # Labels predicted by the tiny model theta0, which sits in the first
         # block with theta0 * 2 and order-1 models: theta0's losses are all
         # zero, and a regression's losses at theta0 * 2 are of order 1e-100
@@ -185,9 +191,11 @@ class TestRiskProfile:
             certificate_calls.clear()
             assert_fsum_loop_risks(edge, labels, pred, loss_kind)
             fallbacks = certificate_calls.count("math.fsum")
-            if kind == "linear_threshold_classifier":
+            if loss_kind == "zero_one":
+                assert certificate_calls == []  # no certificate and no fallback
+            elif kind == "linear_threshold_classifier":
                 assert fallbacks == 0  # integer losses and all-zero rows certify
-            elif loss_kind != "zero_one" and n < BLOCK_DOUBLES:
+            elif n < BLOCK_DOUBLES:
                 assert fallbacks >= 1
 
     def test_blocked_risks_across_certificate_chunks(self, rng, certificate_calls):
