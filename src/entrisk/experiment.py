@@ -45,7 +45,7 @@ from .measures import (
     DiscreteMeasure,
     as_grid,
     exact_row_sums,
-    mean_rows,
+    exact_sum,
     measure_on,
     tv_rows,
 )
@@ -478,7 +478,7 @@ def sweep_records(
         try:
             sol1 = solve_type1(q, profile, lam)
             sol2 = solve_type2(q, profile, lam)
-            risk1, risk2 = mean_rows(np.stack([sol1.weights, sol2.weights]), risks).tolist()
+            risk1, risk2 = (exact_sum(sol.weights * risks) for sol in (sol1, sol2))
             _, gap = verify_theorem2(q, profile, sol2)
             records.append(
                 SweepRecord(

@@ -24,6 +24,15 @@ that loss counts the mismatches of each block and runs no split,
 certificate or fallback. A block holds at most :data:`BLOCK_DOUBLES`
 pairs (one atom at a time when a single atom has more data points), so the
 temporaries stay small whatever the grid size.
+
+A block's scores come from products tables, one per pattern column j: the
+products of x_j with each distinct value of the model coordinate w_j, built
+once per profile. A lattice repeats each coordinate value along the other
+axes, so an 80 x 80 grid needs 80 table rows per column, not 6,400 products
+per column. A block gathers one table row per atom and column and adds them
+in the order of :meth:`PredictorSpec.scores`, whose scores it reproduces
+bit for bit. A column whose table would exceed :data:`TABLE_DOUBLES`
+doubles is multiplied out block by block instead.
 """
 
 from __future__ import annotations
@@ -51,6 +60,11 @@ LOSS_KINDS = ("squared", "absolute", "zero_one")
 #: Most (atom, data point) pairs scored in one pass of :func:`risk_profile`:
 #: 16,384 doubles, 128 KiB per temporary.
 BLOCK_DOUBLES = 16_384
+
+#: Most doubles in the products table of one pattern column (see
+#: :func:`_column_table`); a column with more distinct model values than
+#: this allows is multiplied out block by block instead.
+TABLE_DOUBLES = 2 * BLOCK_DOUBLES
 
 #: Most atoms whose sums :func:`risk_profile` certifies at once: the tail of
 #: the certificate and the ``math.fsum`` fallbacks run once per chunk of
@@ -103,7 +117,9 @@ class PredictorSpec:
     Models come as a (C, model_dim) block of rows, and a model's score on a
     pattern x is ``x[0]*w[0] + x[1]*w[1] + ...``, added left to right, then
     ``+ b`` with an intercept: one fixed elementwise formula, not a BLAS
-    product, so the bits do not depend on the host's BLAS kernel.
+    product, so the bits do not depend on the host's BLAS kernel. Each
+    product is one rounded multiply, so :func:`risk_profile`'s products
+    tables give the same scores bit for bit.
     """
 
     kind: str
@@ -120,8 +136,8 @@ class PredictorSpec:
     def model_dim(self) -> int:
         return self.pattern_dim + (1 if self.intercept else 0)
 
-    def scores(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-        """(C, n) scores of the (C, model_dim) model rows on the (n, pattern_dim) patterns."""
+    def check_shapes(self, thetas: np.ndarray, patterns: np.ndarray) -> None:
+        """Raise DimensionMismatch unless the rows are models and patterns of this predictor."""
         if thetas.shape[1] != self.model_dim:
             raise DimensionMismatch(
                 f"model has dimension {thetas.shape[1]}, predictor needs {self.model_dim}"
@@ -131,6 +147,15 @@ class PredictorSpec:
                 f"patterns have dimension {patterns.shape[1]}, "
                 f"predictor needs {self.pattern_dim}"
             )
+
+    def scores(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """(C, n) scores of the (C, model_dim) model rows on the (n, pattern_dim) patterns.
+
+        The reference for :func:`empirical_risk` and for the ``math.fsum``
+        fallback of :func:`risk_profile`, whose table-gathered scores equal
+        these bit for bit.
+        """
+        self.check_shapes(thetas, patterns)
         s = np.multiply.outer(thetas[:, 0], patterns[:, 0])
         for j in range(1, self.pattern_dim):
             s += np.multiply.outer(thetas[:, j], patterns[:, j])
@@ -138,12 +163,15 @@ class PredictorSpec:
             s += thetas[:, -1:]
         return s
 
-    def predict_all(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-        """(C, n) predicted labels of the (C, model_dim) model rows."""
-        s = self.scores(thetas, patterns)
+    def predict(self, s: np.ndarray) -> np.ndarray:
+        """Predicted labels from scores: the scores themselves, or their signs."""
         if self.kind == "linear_regression":
             return s
         return np.where(s >= 0.0, 1.0, -1.0)
+
+    def predict_all(self, thetas: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """(C, n) predicted labels of the (C, model_dim) model rows."""
+        return self.predict(self.scores(thetas, patterns))
 
 
 @dataclass(frozen=True)
@@ -226,36 +254,111 @@ def empirical_risk(
     return exact_sum(_losses(thetas, data, pred, loss)[0]) / data.n
 
 
+def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct values of one model coordinate and their products with its pattern column.
+
+    ``col`` is the (m,) coordinate over the atoms and ``x`` the (n,) pattern
+    column. Values count as distinct by their bits, so ``-0.0`` and ``0.0``
+    keep a row each. Returns ``(values, table)``: ``values`` sorted with
+    ``0.0`` just before ``-0.0``, and ``table[k] = values[k] * x``, the row
+    ``np.multiply.outer`` gives that value. ``None`` when the table would
+    hold more than :data:`TABLE_DOUBLES` doubles.
+    """
+    ranked = col[np.lexsort((np.signbit(col), col))]
+    bits = ranked.view(np.int64)
+    values = ranked[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    if values.size * x.size > TABLE_DOUBLES:
+        return None
+    return values, np.multiply.outer(values, x)
+
+
+def _table_rows(values: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row of :func:`_column_table`'s ``values`` holding each entry of ``col``, bit for bit."""
+    at = np.searchsorted(values, col)
+    # 0.0 == -0.0, so a -0.0 lands on the 0.0 row when both are present.
+    at += ~np.signbit(values[at]) & np.signbit(col)
+    return at
+
+
+def _chunk_scorer(thetas: np.ndarray, patterns: np.ndarray, pred: PredictorSpec, tables: list):
+    """``block -> pred.scores(thetas[block], patterns)``, bit for bit, for row slices of ``thetas``.
+
+    A pattern column with a table (see :func:`_column_table`) gathers its
+    products from it; one without multiplies them out per block. The terms
+    are added in the order :meth:`PredictorSpec.scores` adds them.
+    """
+    rows = [None if t is None else _table_rows(t[0], thetas[:, j]) for j, t in enumerate(tables)]
+
+    def term(j: int, block: slice) -> np.ndarray:
+        if tables[j] is None:
+            return np.multiply.outer(thetas[block, j], patterns[:, j])
+        return tables[j][1][rows[j][block]]
+
+    def scores(block: slice) -> np.ndarray:
+        s = term(0, block)
+        for j in range(1, len(tables)):
+            s += term(j, block)
+        if pred.intercept:
+            s += thetas[block, -1:]
+        return s
+
+    return scores
+
+
+def _mismatches(pred: PredictorSpec, labels: np.ndarray):
+    """``s -> (C, n)`` mask of the predictions from scores ``s`` that differ from the labels.
+
+    The classifier compares the sign mask ``s >= 0.0`` with the labels
+    equal to +1, masks built once per dataset: a nan score predicts -1, as
+    in :meth:`PredictorSpec.predict`, and a label that is neither +1 nor -1
+    always mismatches. No float array of predicted labels is built.
+    """
+    if pred.kind == "linear_regression":
+        return lambda s: s != labels
+    positive = labels == 1.0
+    other = ~positive & (labels != -1.0)
+    if not other.any():
+        return lambda s: (s >= 0.0) != positive
+    return lambda s: ((s >= 0.0) != positive) | other
+
+
 def risk_profile(
     q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
     """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid.
 
     Each atom's risk equals :func:`empirical_risk` at its coordinates. The
-    atoms are scored :data:`BLOCK_DOUBLES` // n at a time. With zero-one
-    loss an atom's risk is its count of predictions that differ from the
-    labels, over n: ``math.fsum`` of n <= 2**53 zeros and ones is that count
-    exactly. Other losses are certified :data:`CHUNK_ATOMS` atoms at a time;
-    an atom the certificate rejects has its losses evaluated again and
-    summed by ``math.fsum``.
+    atoms are scored :data:`BLOCK_DOUBLES` // n at a time, from per-column
+    product tables where they fit (:func:`_column_table`): the scores are
+    :meth:`PredictorSpec.scores`'s bit for bit. With zero-one loss an atom's
+    risk is its count of predictions that differ from the labels
+    (:func:`_mismatches`), over n: ``math.fsum`` of n <= 2**53 zeros and
+    ones is that count exactly. Other losses are certified
+    :data:`CHUNK_ATOMS` atoms at a time; an atom the certificate rejects has
+    its losses evaluated again from :meth:`PredictorSpec.scores` and summed
+    by ``math.fsum``.
     """
     coords = q.coords
     m, n = coords.shape[0], data.n
+    patterns, labels = data.patterns, data.labels
+    pred.check_shapes(coords, patterns)
+    tables = [_column_table(coords[:, j], patterns[:, j]) for j in range(pred.pattern_dim)]
     step = max(1, min(BLOCK_DOUBLES // n, CHUNK_ATOMS))
-    risks = np.empty(m)
-    if loss.kind == "zero_one":
-        for start in range(0, m, step):
-            predicted = pred.predict_all(coords[start:start + step], data.patterns)
-            risks[start:start + step] = np.count_nonzero(predicted != data.labels, axis=1) / n
-        return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
     chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
+    mismatches = _mismatches(pred, labels) if loss.kind == "zero_one" else None
+    risks = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
+        scores = _chunk_scorer(coords[lo:hi], patterns, pred, tables)
+        blocks = [slice(start, min(start + step, hi - lo)) for start in range(0, hi - lo, step)]
+        if mismatches is not None:
+            for rows in blocks:
+                wrong = mismatches(scores(rows))
+                risks[lo + rows.start:lo + rows.stop] = np.count_nonzero(wrong, axis=1) / n
+            continue
         r, t, bound = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            rows = slice(start - lo, stop - lo)
-            block = _losses(coords[start:stop], data, pred, loss)
+        for rows in blocks:
+            block = loss.loss_all(pred.predict(scores(rows)), labels)
             r[rows], t[rows], bound[rows] = split_nonnegative(block)
         bound[(r == 0.0) & (t == 0.0)] = 0.0  # all-zero rows of losses are exact
         sums, certified = certify_sums(r, t, bound)

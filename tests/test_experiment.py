@@ -8,7 +8,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -67,6 +69,14 @@ from conftest import (
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 BENCHMARK_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.json"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def benchmark_config(workload: str, seed: int) -> dict:
+    """The raw config of a benchmark workload with ``seed`` in its seed fields."""
+    workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+    return dict(workloads["workloads"][workload]["config"],
+                **{key: seed for key in workloads["seed_fields"]})
 
 
 def base_config(**overrides) -> dict:
@@ -374,6 +384,40 @@ class TestInstanceGeneration:
         grid = grid_points(ExperimentConfig.from_json_file(cfg))
         assert sorted(evaluated) == sorted(map(tuple, grid.tolist()))
 
+    @pytest.mark.parametrize("workload, seed, atoms, risks_sha256", [
+        ("sweep-wide", 1001, 6400,
+         "79f334ea332b1072342158253a2ded782e26ce588e1a062c57ba3aebf41864e1"),
+        ("sweep-wide", 7, 6400,
+         "62056a3dd5f035544d43285187fdaf556f2d5fbff9ec11fc5e96b805652d6f5f"),
+        ("sweep-path", 1001, 4096,
+         "e9c2081300101447a797641cff776f8ed2ce4ca71d7b0e6ece27082858b75805"),
+        ("sweep-path", 7, 4096,
+         "0fb543266affa4de404513ab9c6226f6be95472580b2c8405efa69d3b2d1b7e0"),
+    ])
+    def test_risk_bits_on_the_sweep_benchmarks(self, workload, seed, atoms, risks_sha256):
+        # Absolute (sweep-wide) and squared (sweep-path) risks, as math.fsum
+        # of each atom's losses over n gives them from PredictorSpec.scores.
+        _, _, profile = generate_instance(ExperimentConfig.from_dict(benchmark_config(workload, seed)))
+        assert profile.risks.size == atoms
+        assert hashlib.sha256(profile.risks.tobytes()).hexdigest() == risks_sha256
+
+    def test_instance_build_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which costs every
+        # command start-up time and peak memory; a fresh interpreter shows it.
+        code = (
+            "import json, sys\n"
+            "from entrisk.experiment import ExperimentConfig, generate_instance\n"
+            "generate_instance(ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(benchmark_config("sweep-wide", 1001))],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == "False\n"
+
     def test_classification_labels_are_signs(self):
         cfg = ExperimentConfig.from_dict(
             base_config(
@@ -482,10 +526,7 @@ class TestMisspecifiedReference:
     @staticmethod
     def misspecified_benchmark(seed: int):
         """The verify-misspecified workload's config at ``seed``, its instance and outside profile."""
-        workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
-        config = dict(workloads["workloads"]["verify-misspecified"]["config"],
-                      **{key: seed for key in workloads["seed_fields"]})
-        cfg = ExperimentConfig.from_dict(config)
+        cfg = ExperimentConfig.from_dict(benchmark_config("verify-misspecified", seed))
         q, data, profile = generate_instance(cfg)
         return cfg, q, profile, outside_profile(cfg, q, data)
 

@@ -81,6 +81,21 @@ def certificate_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def table_columns(monkeypatch) -> list:
+    """Whether ``risk_profile`` built a products table, once per pattern column it looked at."""
+    built = []
+    original = risk._column_table
+
+    def spied(col, x):
+        table = original(col, x)
+        built.append(table is not None)
+        return table
+
+    monkeypatch.setattr(risk, "_column_table", spied)
+    return built
+
+
 class TestEmpiricalRisk:
     def test_perfect_predictor_has_zero_risk(self):
         data = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([2.0, 4.0, -6.0]))
@@ -198,6 +213,46 @@ class TestRiskProfile:
             elif n < BLOCK_DOUBLES:
                 assert fallbacks >= 1
 
+    @pytest.mark.parametrize("case", ["lattice", "signed_zeros", "over_budget"])
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("kind", ["linear_regression", "linear_threshold_classifier"])
+    def test_table_risks_equal_per_atom_fsum_loop(
+        self, rng, monkeypatch, table_columns, case, intercept, kind
+    ):
+        # A 9 x 7 lattice in the two pattern coordinates (times 3 biases):
+        # every coordinate value repeats, so each column's table has 9 or 7
+        # rows for 63 or 189 atoms.
+        n = 300
+        pred = PredictorSpec(kind, 2, intercept)
+        axes = [np.linspace(-1.0, 1.0, 9), np.linspace(-0.5, 1.0, 7)] + [
+            np.array([-0.25, 0.0, 0.5])
+        ] * intercept
+        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pred.model_dim)
+        if case == "signed_zeros":
+            # Both signs of zero in every column. Rows compare with ==, so
+            # flipping the sign of a zero keeps them distinct.
+            zeros = coords == 0.0
+            coords[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            assert np.signbit(coords[zeros]).any() and not np.signbit(coords[zeros]).all()
+        if case == "over_budget":
+            monkeypatch.setattr(risk, "TABLE_DOUBLES", 8 * n)  # 9 rows do not fit, 7 do
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        x[:4] = 0.0
+        x[4] = -0.0
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        if kind == "linear_regression":
+            y = y * rng.uniform(0.0, 2.0, n)
+        q = make_measure(coords, np.ones(len(coords)))
+        for loss_kind in ("squared", "absolute", "zero_one"):
+            table_columns.clear()
+            assert_fsum_loop_risks(q, Dataset(x, y), pred, loss_kind)
+            assert table_columns == [case != "over_budget", True]
+        # The sign of a zero score never reaches a risk, so compare the scores
+        # themselves: the gathered products are PredictorSpec.scores' bits.
+        tables = [risk._column_table(q.coords[:, j], x[:, j]) for j in range(2)]
+        scorer = risk._chunk_scorer(q.coords, x, pred, tables)
+        assert scorer(slice(0, len(coords))).tobytes() == pred.scores(q.coords, x).tobytes()
+
     def test_blocked_risks_across_certificate_chunks(self, rng, certificate_calls):
         # At n = 100 a block holds 163 atoms and a chunk 25 blocks (4,075
         # atoms); 4,112 atoms make a full chunk and a remainder of 37.
@@ -214,22 +269,32 @@ class TestRiskProfile:
             assert certificate_calls.count("certify_sums") == math.ceil(atoms / chunk) == 2
 
     @pytest.mark.parametrize("loss_kind", ["squared", "zero_one"])
-    def test_temporaries_stay_within_a_few_blocks(self, loss_kind):
-        # 200 x 200 atoms at n = 200: 8M losses, 64 MB if evaluated at once.
-        # Every label lies above every prediction (|w x + b| <= 2), so with
-        # zero-one loss all 40,000 atoms tie at the minimum risk 1.
-        axis = np.linspace(-1.0, 1.0, 200)
+    @pytest.mark.parametrize("points, n, intercept, tables", [
+        # 200 x 200 products: over the table budget, multiplied out per block
+        pytest.param(200, 200, True, [False], id="fallback"),
+        pytest.param(80, 400, False, [True, True], id="tables"),  # two 80 x 400 tables, 0.5 MB
+    ])
+    def test_temporaries_stay_within_a_few_blocks(
+        self, table_columns, loss_kind, points, n, intercept, tables
+    ):
+        # 200 x 200 atoms at n = 200: 8M losses, 64 MB if evaluated at once;
+        # 80 x 80 atoms at n = 400: 2.56M losses, 20 MB. Every label lies
+        # above every prediction (|w . x| <= 2), so with zero-one loss all
+        # atoms tie at the minimum risk 1.
+        axis = np.linspace(-1.0, 1.0, points)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q = make_measure(grid, np.ones(len(grid)))
-        x = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
-        data = Dataset(x, 0.3 * x.ravel() + 2.5)
-        pred = PredictorSpec("linear_regression", 1, intercept=True)
+        x = np.linspace(-1.0, 1.0, n)
+        x = np.stack([x, x[::-1]], axis=1)[:, :2 - intercept]
+        data = Dataset(x, 0.3 * x[:, 0] + 2.5)
+        pred = PredictorSpec("linear_regression", x.shape[1], intercept)
         tracemalloc.start()
         try:
             risk_profile(q, data, pred, LossSpec(loss_kind))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert table_columns == tables
         assert peak < 2 * 2**20
 
     @given(risk_vectors)
