@@ -31,8 +31,11 @@ once per profile. A lattice repeats each coordinate value along the other
 axes, so an 80 x 80 grid needs 80 table rows per column, not 6,400 products
 per column. A block gathers one table row per atom and column and adds them
 in the order of :meth:`PredictorSpec.scores`, whose scores it reproduces
-bit for bit. A column whose table would exceed :data:`TABLE_DOUBLES`
-doubles is multiplied out block by block instead.
+bit for bit. The tables pay only where model values repeat and the data
+rows are long, so a column whose values recur fewer than
+:data:`TABLE_MIN_REUSE` times, whose data have fewer than
+:data:`TABLE_MIN_POINTS` points, or whose table would exceed
+:data:`TABLE_DOUBLES` doubles is multiplied out block by block instead.
 """
 
 from __future__ import annotations
@@ -62,9 +65,19 @@ LOSS_KINDS = ("squared", "absolute", "zero_one")
 BLOCK_DOUBLES = 16_384
 
 #: Most doubles in the products table of one pattern column (see
-#: :func:`_column_table`); a column with more distinct model values than
-#: this allows is multiplied out block by block instead.
+#: :func:`_column_table`): two blocks, 256 KiB. A bound on memory, not a
+#: speed crossover: on 2 vCPUs (numpy 2.4.6) lattice tables beat the
+#: per-block multiply at every size measured, up to 640,000 doubles.
 TABLE_DOUBLES = 2 * BLOCK_DOUBLES
+
+#: A pattern column gets a products table only with at least this many data
+#: points, and only if each distinct model value recurs at least
+#: :data:`TABLE_MIN_REUSE` times on average. On the same host, gathering the
+#: table rows was slower than multiplying them out below either: 1.4 to 2.4
+#: times at n = 5 on an 80 x 80 lattice, 2 to 2.3 times with no repeats at
+#: n = 400, about even at n = 20 or at 4 to 8 repeats.
+TABLE_MIN_POINTS = 32
+TABLE_MIN_REUSE = 16
 
 #: Most atoms whose sums :func:`risk_profile` certifies at once: the tail of
 #: the certificate and the ``math.fsum`` fallbacks run once per chunk of
@@ -254,6 +267,13 @@ def empirical_risk(
     return exact_sum(_losses(thetas, data, pred, loss)[0]) / data.n
 
 
+def _distinct(col: np.ndarray) -> np.ndarray:
+    """The values of ``col`` distinct by bits, sorted with ``0.0`` just before ``-0.0``."""
+    ranked = col[np.lexsort((np.signbit(col), col))]
+    bits = ranked.view(np.int64)
+    return ranked[np.concatenate(([True], bits[1:] != bits[:-1]))]
+
+
 def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct values of one model coordinate and their products with its pattern column.
 
@@ -262,13 +282,23 @@ def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     keep a row each. Returns ``(values, table)``: ``values`` sorted with
     ``0.0`` just before ``-0.0``, and ``table[k] = values[k] * x``, the row
     ``np.multiply.outer`` gives that value. ``None`` when the table would
-    hold more than :data:`TABLE_DOUBLES` doubles.
+    hold more than :data:`TABLE_DOUBLES` doubles, when ``x`` has fewer than
+    :data:`TABLE_MIN_POINTS` entries, or when the values repeat fewer than
+    :data:`TABLE_MIN_REUSE` times on average.
+
+    The distinct values are merged one :data:`CHUNK_ATOMS` chunk of ``col``
+    at a time, and the search stops at the first chunk that takes them over
+    the budget: the temporaries hold a chunk and the values found so far,
+    never an (m,) array, and a column of all-distinct values stops early.
     """
-    ranked = col[np.lexsort((np.signbit(col), col))]
-    bits = ranked.view(np.int64)
-    values = ranked[np.concatenate(([True], bits[1:] != bits[:-1]))]
-    if values.size * x.size > TABLE_DOUBLES:
+    if x.size < TABLE_MIN_POINTS:
         return None
+    most = min(TABLE_DOUBLES // x.size, col.size // TABLE_MIN_REUSE)
+    values = col[:0]
+    for lo in range(0, col.size, CHUNK_ATOMS):
+        values = _distinct(np.concatenate((values, col[lo:lo + CHUNK_ATOMS])))
+        if values.size > most:
+            return None
     return values, np.multiply.outer(values, x)
 
 
@@ -317,8 +347,6 @@ def _mismatches(pred: PredictorSpec, labels: np.ndarray):
         return lambda s: s != labels
     positive = labels == 1.0
     other = ~positive & (labels != -1.0)
-    if not other.any():
-        return lambda s: (s >= 0.0) != positive
     return lambda s: ((s >= 0.0) != positive) | other
 
 

@@ -213,18 +213,24 @@ class TestRiskProfile:
             elif n < BLOCK_DOUBLES:
                 assert fallbacks >= 1
 
-    @pytest.mark.parametrize("case", ["lattice", "signed_zeros", "over_budget"])
+    @pytest.mark.parametrize("case, built", [
+        ("lattice", [True, True]),
+        ("signed_zeros", [True, True]),
+        ("over_budget", [False, True]),
+        ("few_repeats", [False, False]),
+        ("few_points", [False, False]),
+    ])
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("kind", ["linear_regression", "linear_threshold_classifier"])
     def test_table_risks_equal_per_atom_fsum_loop(
-        self, rng, monkeypatch, table_columns, case, intercept, kind
+        self, rng, monkeypatch, table_columns, case, built, intercept, kind
     ):
-        # A 9 x 7 lattice in the two pattern coordinates (times 3 biases):
-        # every coordinate value repeats, so each column's table has 9 or 7
-        # rows for 63 or 189 atoms.
-        n = 300
+        # An 18 x 17 lattice in the two pattern coordinates (times 3 biases):
+        # every coordinate value recurs at least 17 times, so each column's
+        # table has 18 or 17 rows for 306 or 918 atoms.
+        n = risk.TABLE_MIN_POINTS - 1 if case == "few_points" else 300
         pred = PredictorSpec(kind, 2, intercept)
-        axes = [np.linspace(-1.0, 1.0, 9), np.linspace(-0.5, 1.0, 7)] + [
+        axes = [np.linspace(-0.75, 3.5, 18), np.linspace(-1.0, 1.0, 17)] + [
             np.array([-0.25, 0.0, 0.5])
         ] * intercept
         coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pred.model_dim)
@@ -235,7 +241,14 @@ class TestRiskProfile:
             coords[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
             assert np.signbit(coords[zeros]).any() and not np.signbit(coords[zeros]).all()
         if case == "over_budget":
-            monkeypatch.setattr(risk, "TABLE_DOUBLES", 8 * n)  # 9 rows do not fit, 7 do
+            monkeypatch.setattr(risk, "TABLE_DOUBLES", 17 * n)  # 18 rows do not fit, 17 do
+        if case == "few_repeats":
+            # Each value recurs risk.TABLE_MIN_REUSE - 1 times in the first
+            # column and once in the second.
+            reuse = risk.TABLE_MIN_REUSE - 1
+            values = rng.uniform(-1.0, 1.0, len(coords) // reuse + 1)
+            coords[:, 0] = np.repeat(values, reuse)[:len(coords)]
+            coords[:, 1] = rng.uniform(-1.0, 1.0, len(coords))
         x = rng.uniform(-1.0, 1.0, (n, 2))
         x[:4] = 0.0
         x[4] = -0.0
@@ -246,7 +259,7 @@ class TestRiskProfile:
         for loss_kind in ("squared", "absolute", "zero_one"):
             table_columns.clear()
             assert_fsum_loop_risks(q, Dataset(x, y), pred, loss_kind)
-            assert table_columns == [case != "over_budget", True]
+            assert table_columns == built
         # The sign of a zero score never reaches a risk, so compare the scores
         # themselves: the gathered products are PredictorSpec.scores' bits.
         tables = [risk._column_table(q.coords[:, j], x[:, j]) for j in range(2)]
@@ -273,16 +286,21 @@ class TestRiskProfile:
         # 200 x 200 products: over the table budget, multiplied out per block
         pytest.param(200, 200, True, [False], id="fallback"),
         pytest.param(80, 400, False, [True, True], id="tables"),  # two 80 x 400 tables, 0.5 MB
+        # 40,000 atoms whose coordinates are all distinct: no table
+        pytest.param(None, 200, False, [False, False], id="distinct"),
     ])
     def test_temporaries_stay_within_a_few_blocks(
-        self, table_columns, loss_kind, points, n, intercept, tables
+        self, rng, table_columns, loss_kind, points, n, intercept, tables
     ):
         # 200 x 200 atoms at n = 200: 8M losses, 64 MB if evaluated at once;
         # 80 x 80 atoms at n = 400: 2.56M losses, 20 MB. Every label lies
         # above every prediction (|w . x| <= 2), so with zero-one loss all
         # atoms tie at the minimum risk 1.
-        axis = np.linspace(-1.0, 1.0, points)
-        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        if points is None:
+            grid = rng.uniform(-1.0, 1.0, (40_000, 2))
+        else:
+            axis = np.linspace(-1.0, 1.0, points)
+            grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q = make_measure(grid, np.ones(len(grid)))
         x = np.linspace(-1.0, 1.0, n)
         x = np.stack([x, x[::-1]], axis=1)[:, :2 - intercept]
