@@ -214,11 +214,13 @@ class TestRiskProfile:
                 assert fallbacks >= 1
 
     @pytest.mark.parametrize("case, built", [
-        ("lattice", [True, True]),
-        ("signed_zeros", [True, True]),
-        ("over_budget", [False, True]),
-        ("few_repeats", [False, False]),
-        ("few_points", [False, False]),
+        pytest.param(case, built, id=case) for case, built in [
+            ("lattice", [True, True]),
+            ("signed_zeros", [True, True]),
+            ("over_budget", [False, True]),
+            ("few_repeats", [False, False]),
+            ("few_points", [False, False]),
+        ]
     ])
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("kind", ["linear_regression", "linear_threshold_classifier"])
