@@ -46,6 +46,7 @@ from .measures import (
     as_grid,
     exact_row_sums,
     exact_sum,
+    kl_log_ratios,
     measure_on,
     tv_rows,
 )
@@ -57,10 +58,11 @@ from .risk import (
     EmpiricalRiskProfile,
     LossSpec,
     PredictorSpec,
+    aligned_risks,
     risk_profile,
 )
-from .type1 import kl_p1_q, solve_type1, type1_objective_rows
-from .type2 import kl_q_p2, solve_type2, type2_objective_rows
+from .type1 import log_ratios_p1_q, solve_type1, type1_objective_rows
+from .type2 import log_ratios_q_p2, solve_type2, type2_objective_rows
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -470,16 +472,26 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
 def sweep_records(
     q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
 ) -> list[SweepRecord]:
-    """Solve both directions at every factor; failures mark rows, not aborts."""
-    risks = profile.aligned(q)
+    """Solve both directions at every factor; failures mark rows, not aborts.
+
+    The rows that do not depend on the factor (:func:`entrisk.risk.aligned_risks`)
+    are built once for the whole path; each factor's KL columns and Theorem-2
+    check read the rows its own solves formed.
+    """
+    aligned = aligned_risks(q, profile)
+    risks = aligned.risks
     records: list[SweepRecord] = []
     for lam in lambdas:
         lam = float(lam)
         try:
-            sol1 = solve_type1(q, profile, lam)
-            sol2 = solve_type2(q, profile, lam)
+            sol1 = solve_type1(q, profile, lam, aligned=aligned)
+            sol2 = solve_type2(q, profile, lam, aligned=aligned)
             risk1, risk2 = (exact_sum(sol.weights * risks) for sol in (sol1, sol2))
-            _, gap = verify_theorem2(q, profile, sol2)
+            _, gap = verify_theorem2(q, profile, sol2, aligned=aligned)
+            log_ratios = np.empty((2, risks.shape[0]))
+            log_ratios_p1_q(sol1, log_ratios[0])
+            log_ratios_q_p2(sol2, aligned, log_ratios[1])
+            kl1, kl2 = kl_log_ratios((aligned.q_weights, sol2.terms), log_ratios)
             records.append(
                 SweepRecord(
                     lam=lam,
@@ -489,8 +501,8 @@ def sweep_records(
                     risk_type2=risk2,
                     identity_gap=abs(risk2 - (lam - sol2.k_bar)),
                     bound_margin=lam + sol2.delta_star - risk2,
-                    kl_p_q_type1=kl_p1_q(sol1, q, risks),
-                    kl_q_p_type2=kl_q_p2(sol2, q, risks),
+                    kl_p_q_type1=kl1,
+                    kl_q_p_type2=kl2,
                     theorem2_gap=gap,
                     iterations=sol2.iterations,
                     residual=sol2.residual,
@@ -799,11 +811,12 @@ def optimality_fuzz(
     variation and objective functions that score a single measure. So every
     verdict, though not every value, is the one those functions give.
     """
-    risks = profile.aligned(q)
+    aligned = aligned_risks(q, profile)
+    risks = aligned.risks
     directions = []
     for solve, objective_rows in ((solve_type1, type1_objective_rows),
                                   (solve_type2, type2_objective_rows)):
-        w = solve(q, profile, lam).weights
+        w = solve(q, profile, lam, aligned=aligned).weights
         directions.append((w, objective_rows(w[None], q.weights, risks, lam)[0], objective_rows))
     rng = np.random.default_rng(seed)
     step = max(1, BLOCK_DOUBLES // q.num_atoms)

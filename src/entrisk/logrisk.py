@@ -15,8 +15,13 @@ constraint that defined k_bar: it equals 1, so the tilt normalizer is 1/lam.
 implicit-normalization root solve, computes the Gibbs tilt on the transformed
 risk, and reports their maximum atom-wise weight gap. Both are weight rows
 aligned with the reference's atoms, so they are compared entry by entry.
-The two paths share no arithmetic beyond the risk profile, which makes this
-the strongest internal consistency check in the package.
+The two paths share the risk profile and the values k_bar + L: the tilt
+reads the root solve's own denominators, ``pole_gap + (L - delta_star)``,
+which the Type-II weights q * lam / (k_bar + L) were divided by. Everything
+else is the tilt's own: it takes the log of those values, exponentiates
+log q - V after a max shift, and normalizes by its own exact sum, with no
+use of the Type-II weights or of g. That independence makes this the
+strongest internal consistency check in the package.
 
 Note that V may be negative (unlike raw risks); downstream consumers accept
 that, and the tilt used here deliberately does not assume nonnegativity.
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonPositiveArgument, SupportMismatch
 from .measures import DiscreteMeasure
-from .risk import EmpiricalRiskProfile
+from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
 from .type1 import _tilt
 from .type2 import TypeIISolution
 
@@ -44,31 +49,32 @@ def log_risk_profile(
     """V = log(k_bar + L) per atom, read-only, aligned with ``q.weights``.
 
     ``sol`` must be :func:`entrisk.type2.solve_type2`'s solution on this
-    same ``q``; its row carries no atoms, so that is not checked here.
+    same ``q`` and ``profile``; its rows carry no atoms, so that is not
+    checked here. k_bar + L is the solve's own row ``sol.gaps``, formed as
+    ``pole_gap + (L - delta_star)``: the rearrangement that stays fully
+    accurate when the normalizer sits close to the pole, and the
+    denominators of the solution's weights.
 
     The arguments are positive for every valid solution (k_bar stays strictly
     above -delta_star); a nonpositive argument means the solution object was
     corrupted upstream and is rejected.
-
-    Numerically, k_bar + L is evaluated as pole_gap + (L - delta_star), with
-    the solve's own ``sol.delta_star``: the same rearrangement the solver
-    uses for its weights. The two forms agree exactly in real arithmetic, and
-    the rearranged one stays fully accurate when the normalizer sits close
-    to the pole.
     """
     if sol.k_bar + sol.delta_star <= 0.0 or sol.pole_gap <= 0.0:
         raise NonPositiveArgument(
             f"k_bar + L = {sol.k_bar + sol.delta_star} is not positive; "
             "solution is inconsistent"
         )
-    args = sol.pole_gap + (profile.aligned(q) - sol.delta_star)
-    values = np.log(args)
+    values = np.log(sol.gaps)
     values.flags.writeable = False
     return values
 
 
 def verify_theorem2(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, sol: TypeIISolution
+    q: DiscreteMeasure,
+    profile: EmpiricalRiskProfile,
+    sol: TypeIISolution,
+    *,
+    aligned: AlignedRisks | None = None,
 ) -> tuple[np.ndarray, float]:
     """Tilt Q by exp(-V) and return (tilted weights, max weight gap to ``sol.weights``).
 
@@ -82,14 +88,18 @@ def verify_theorem2(
     a 0 where an atom's tilt underflows. ``sol`` must come from a solve on
     this same ``q``: a row carries no atoms, so one solved on another
     reference with as many atoms is compared entry by entry without error.
-    Only a row of another length raises SupportMismatch.
+    Only a row of another length raises SupportMismatch. ``aligned`` is
+    :func:`entrisk.risk.aligned_risks` of ``(q, profile)``, built here when
+    not given.
     """
     if sol.weights.shape != q.weights.shape:
         raise SupportMismatch(f"{sol.weights.size} solution weights for {q.num_atoms} atoms")
-    tilted, log_z = _tilt(q.weights, log_risk_profile(q, profile, sol), 1.0)
+    if aligned is None:
+        aligned = aligned_risks(q, profile)
+    tilted, log_z = _tilt(aligned.log_q, log_risk_profile(q, profile, sol))
     log_total = log_z + math.log(sol.lam)
     if not abs(log_total) <= NORMALIZATION_TOL:
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = exp({log_total}) deviates from 1 beyond {NORMALIZATION_TOL}"
         )
-    return tilted, float(np.max(np.abs(sol.weights - tilted)))
+    return tilted, float(np.maximum.reduce(np.abs(sol.weights - tilted)))

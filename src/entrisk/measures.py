@@ -88,9 +88,8 @@ def _split_sums(rows: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
     """
     high = rows + sigma
     high -= sigma
-    r = high.sum(axis=1)
-    low = np.subtract(rows, high, out=high)
-    return r, low.sum(axis=1)
+    r = np.add.reduce(high, axis=1)
+    return r, np.add.reduce(np.subtract(rows, high, out=high), axis=1)
 
 
 def certify_sums(r: np.ndarray, t: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +133,7 @@ def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        span = 2.0 * n * np.abs(rows).max(axis=1)
+        span = 2.0 * n * np.maximum.reduce(np.abs(rows), axis=1)
         scale = np.where(span > 0.0, np.ldexp(1.0, np.frexp(span)[1]), 0.0)
         r, t = _split_sums(rows, scale[:, None])
         bound = scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
@@ -154,7 +153,7 @@ def split_nonnegative(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     when the row is all zero, so ``r == t == 0`` marks an exact row.
     """
     n = rows.shape[1]
-    span = 2.0 * n * float(rows.max())
+    span = 2.0 * n * float(np.maximum.reduce(rows, axis=None))
     scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
     if not (span == 0.0 or scale >= _TINY_SCALE):
         sums = np.full(rows.shape[0], math.nan)
@@ -175,7 +174,7 @@ def certified_sum(x: np.ndarray) -> tuple[float, bool]:
     return the same sum and verdict on every row.
     """
     n = x.shape[0]
-    span = 2.0 * n * float(np.abs(x).max())
+    span = 2.0 * n * float(np.maximum.reduce(np.abs(x)))
     # The kernel's scale; 0 where its guard fails anyway: on nan, infinity
     # and spans whose scale 2**1024 overflows, making the kernel's bound infinite.
     scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
@@ -184,7 +183,8 @@ def certified_sum(x: np.ndarray) -> tuple[float, bool]:
         return float(sums[0]), bool(certified[0])
     high = x + scale
     high -= scale
-    r, t = float(high.sum()), float((x - high).sum())
+    r = float(np.add.reduce(high))
+    t = float(np.add.reduce(np.subtract(x, high, out=high)))
     r2 = r + t
     z = r2 - r
     e2 = (r - (r2 - z)) + (t - z)
@@ -270,15 +270,18 @@ PHI_SERIES_MAX = 0.1
 _PHI_SERIES = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
 
 
-def kl_log_ratios(weights: np.ndarray, log_ratios: np.ndarray) -> float:
-    """D(P || B) from the weights of B and the log-ratios x = log(p/b), atom by atom.
+def kl_log_ratios(weights: Sequence[np.ndarray], log_ratios: np.ndarray) -> list[float]:
+    """D(P || B) of each row of log-ratios x = log(p/b), from the weights of B.
 
-    With both measures of mass 1, D(P || B) = sum of b * phi(x), where
+    ``log_ratios`` is a (k, m) block, one pair of measures per row, and
+    ``weights`` holds the k aligned (m,) weight rows of the B's. With both
+    measures of mass 1, D(P || B) = sum of b * phi(x), where
     phi(x) = x e^x - expm1(x) = (p/b) log(p/b) - (p/b - 1) >= 0. Every term
     is nonnegative and none divides weights, so the sum keeps its relative
     accuracy where P and B nearly agree and the plain sum of p log(p/b)
     cancels. An atom where P's weight underflows (a large negative x) adds
-    its weight b, as phi tends to 1. One exact sum, clamped at 0 as
+    its weight b, as phi tends to 1. phi is formed for the whole block in
+    one pass; then each row takes one exact sum, clamped at 0 as
     :func:`kl_rows` clamps.
     """
     x = log_ratios
@@ -286,13 +289,13 @@ def kl_log_ratios(weights: np.ndarray, log_ratios: np.ndarray) -> float:
     small = np.abs(x) < PHI_SERIES_MAX
     if small.any():
         xs = x[small]
-        series = np.full_like(xs, _PHI_SERIES[0])
-        for c in _PHI_SERIES[1:]:
+        series = xs * _PHI_SERIES[0] + _PHI_SERIES[1]
+        for c in _PHI_SERIES[2:]:
             series *= xs
             series += c
         phi[small] = series * xs * xs
-    total = exact_sum(weights * phi)
-    return total if total > 0.0 else 0.0
+    totals = [exact_sum(b * row) for b, row in zip(weights, phi)]
+    return [total if total > 0.0 else 0.0 for total in totals]
 
 
 def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -431,13 +434,15 @@ def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
     return w
 
 
-def normalized(weights: np.ndarray) -> np.ndarray:
+def normalized(weights: np.ndarray, total: float | None = None) -> np.ndarray:
     """Read-only ``weights`` divided by their exact sum, as :func:`measure_on` normalizes.
 
-    ``weights`` are nonnegative, so a nan or infinite weight makes the sum
-    nan or infinite; NonFiniteWeight is raised then.
+    ``total`` is that exact sum where the caller already holds it, and is
+    summed here otherwise. ``weights`` are nonnegative, so a nan or infinite
+    weight makes the sum nan or infinite; NonFiniteWeight is raised then.
     """
-    total = exact_sum(weights)
+    if total is None:
+        total = exact_sum(weights)
     if not math.isfinite(total):
         raise NonFiniteWeight("weights must be finite")
     row = weights / total

@@ -246,6 +246,37 @@ class EmpiricalRiskProfile(GridAtoms):
         return self.values_at(self.risks, m, "risk")
 
 
+@dataclass(frozen=True, eq=False)
+class AlignedRisks:
+    """A profile's risks on the atoms of a reference Q, and the rows derived from them.
+
+    The solvers read these at every factor and none of them depends on the
+    factor, so a path of factors builds them once (:func:`aligned_risks`) and
+    hands them to every solve. The rows are aligned with ``q_weights``, and
+    the solvers never write them: ``log_q`` is ``np.log`` of Q's weights and
+    ``shifted`` is ``risks - delta_star``, both read-only, with
+    ``delta_star`` the least risk on supp(Q); ``spread`` is the largest
+    entry of ``shifted``.
+    """
+
+    q_weights: np.ndarray
+    log_q: np.ndarray
+    risks: np.ndarray
+    delta_star: float
+    shifted: np.ndarray
+    spread: float
+
+
+def aligned_risks(q: DiscreteMeasure, profile: EmpiricalRiskProfile) -> AlignedRisks:
+    """The :class:`AlignedRisks` of ``profile`` on supp(Q); raises SupportMismatch on gaps."""
+    risks = profile.aligned(q)
+    delta_star = float(risks.min())
+    shifted = risks - delta_star
+    log_q = np.log(q.weights)
+    shifted.flags.writeable = log_q.flags.writeable = False
+    return AlignedRisks(q.weights, log_q, risks, delta_star, shifted, float(shifted.max()))
+
+
 def _losses(
     thetas: np.ndarray, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> np.ndarray:

@@ -30,68 +30,82 @@ from .errors import NonPositiveLambda
 from .measures import (
     DiscreteMeasure,
     exact_sum,
-    kl_log_ratios,
     kl_rows,
     mean_rows,
     normalized,
     positions,
 )
-from .risk import EmpiricalRiskProfile
+from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
 
 
-def _tilt(
-    q_weights: np.ndarray, values: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    """Normalized tilt q(theta)*exp(-values(theta)/lam) as a row, and its log normalizer.
+def _tilt(log_q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized tilt q(theta)*exp(-values(theta)) as a row, and its log normalizer.
 
-    ``q_weights`` and ``values`` are aligned (m,) rows. ``values`` may be any
-    finite reals; nonnegativity is not assumed. This is the relaxed entry
-    point used by the log-risk equivalence, where the transformed risk can
-    be negative. The public solver keeps the nonnegative contract via the
-    risk profile type.
+    ``log_q`` (``np.log`` of Q's weights) and ``values`` are aligned (m,)
+    rows, and neither is written. ``values`` may be any finite reals;
+    nonnegativity is not assumed. This is the relaxed entry point used by
+    the log-risk equivalence, where the transformed risk can be negative,
+    and by the Type-1 solve with ``values = L/lam``. The public solver keeps
+    the nonnegative contract via the risk profile type.
     """
-    logits = np.log(q_weights) - values / lam
-    shift = float(logits.max())
-    unnorm = np.exp(logits - shift)
+    logits = log_q - values
+    shift = float(np.maximum.reduce(logits))
+    # One buffer takes the shifted logits, their exponentials, then the tilt.
+    unnorm = np.exp(np.subtract(logits, shift, out=logits), out=logits)
     z = exact_sum(unnorm)
-    return normalized(unnorm / z), shift + math.log(z)
+    return normalized(np.divide(unnorm, z, out=unnorm)), shift + math.log(z)
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsSolution:
     """Tilted weights aligned with ``q.weights``, the factor, and the log normalizer used.
 
-    The row carries no atoms: use it only with the ``q`` it was solved on.
+    ``scaled_risks`` is the row L/lam the tilt was formed from, read-only.
+    The rows carry no atoms: use them only with the ``q`` they were solved on.
     """
 
     weights: np.ndarray
     lam: float
     log_partition_at_minus_inv_lambda: float
+    scaled_risks: np.ndarray
 
 
 def solve_type1(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, lam: float
+    q: DiscreteMeasure,
+    profile: EmpiricalRiskProfile,
+    lam: float,
+    *,
+    aligned: AlignedRisks | None = None,
 ) -> GibbsSolution:
     """Minimize R(P) + lam * D(P || Q) over P << Q.
 
     Returns the Gibbs tilt of Q by exp(-L/lam), as weights aligned with
     ``q.weights``, together with the log normalizer; deterministic, and
-    invariant to adding a constant to all risks.
+    invariant to adding a constant to all risks. ``aligned`` is
+    :func:`entrisk.risk.aligned_risks` of ``(q, profile)``, built here when
+    not given.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    weights, log_z = _tilt(q.weights, profile.aligned(q), lam)
-    return GibbsSolution(weights=weights, lam=float(lam), log_partition_at_minus_inv_lambda=log_z)
+    if aligned is None:
+        aligned = aligned_risks(q, profile)
+    scaled = aligned.risks / lam
+    scaled.flags.writeable = False
+    weights, log_z = _tilt(aligned.log_q, scaled)
+    return GibbsSolution(weights, float(lam), log_z, scaled)
 
 
-def kl_p1_q(sol: GibbsSolution, q: DiscreteMeasure, risks: np.ndarray) -> float:
-    """D(P1 || Q) of ``sol`` from the tilt's own log-ratios, ``risks`` aligned with ``q``.
+def log_ratios_p1_q(sol: GibbsSolution, out: np.ndarray) -> np.ndarray:
+    """log(p1/q) per atom of ``sol``, written into the (m,) row ``out`` and returned.
 
-    log(p1/q) = -L/lam - log Z exactly as the tilt defines it, so no weight
-    is divided and an atom whose tilted weight underflowed adds q * phi = q.
+    The log-ratio is -L/lam - log Z exactly as the tilt defines it, so no
+    weight is divided and an atom whose tilted weight underflowed keeps a
+    finite log-ratio: it adds q * phi = q to D(P1 || Q) in
+    :func:`entrisk.measures.kl_log_ratios`.
     """
-    log_ratios = -risks / sol.lam - sol.log_partition_at_minus_inv_lambda
-    return kl_log_ratios(q.weights, log_ratios)
+    x = np.negative(sol.scaled_risks, out=out)
+    x -= sol.log_partition_at_minus_inv_lambda
+    return x
 
 
 def type1_objective_rows(

@@ -33,7 +33,11 @@ fast enough (see :func:`solve_k_bar`). g is evaluated with exact summation
 (:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through a
 certified lone-row sum from a few hundred atoms on, where it is faster),
 and only that value decides whether a point is the root; the derivative
-that steers each step is a float sum.
+that steers each step is a float sum. The accepted evaluation's rows, the
+denominators k_bar + L and the terms q * lam / (k_bar + L) whose exact sum
+is g, are returned with the root: they are the solution's weights before
+normalization, the denominators of the log-risk transform and the
+weights and log-ratios of D(Q || P2), so no later step forms them again.
 
 Constant risk vectors collapse the bracket to a point; they are solved in
 closed form (``k_bar = lam - c``) without iterating.
@@ -56,13 +60,12 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     exact_sum,
-    kl_log_ratios,
     kl_rows,
     mean_rows,
     normalized,
     positions,
 )
-from .risk import EmpiricalRiskProfile
+from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
 #: (scaled by 1 + delta_star) from the singularity.
@@ -78,7 +81,11 @@ class KBarResult(NamedTuple):
     ``pole_gap`` is the root's distance from the singularity
     (``k_bar + delta_star``) computed in shifted coordinates, i.e. without
     cancellation; downstream weight formulas use it directly. ``delta_star``
-    records the risk floor the shift was taken against.
+    records the risk floor the shift was taken against. ``gaps`` and
+    ``terms`` are the read-only rows of the accepted evaluation of g, aligned
+    with ``q.weights``: the denominators ``pole_gap + (L - delta_star)``,
+    which are k_bar + L, and ``q * lam / gaps``, whose exact sum is ``g``,
+    within ``residual`` of 1.
     """
 
     k_bar: float
@@ -86,13 +93,16 @@ class KBarResult(NamedTuple):
     iterations: int
     pole_gap: float
     delta_star: float
+    gaps: np.ndarray
+    terms: np.ndarray
+    g: float
 
 
 @dataclass(frozen=True, eq=False)
 class TypeIISolution:
     """Weights aligned with ``q.weights`` at factor ``lam``, plus the :class:`KBarResult`.
 
-    The row carries no atoms: use it only with the ``q`` it was solved on.
+    The rows carry no atoms: use them only with the ``q`` they were solved on.
     """
 
     weights: np.ndarray
@@ -102,12 +112,17 @@ class TypeIISolution:
     iterations: int
     pole_gap: float
     delta_star: float
+    gaps: np.ndarray
+    terms: np.ndarray
+    g: float
 
 
 def solve_k_bar(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
     lam: float,
+    *,
+    aligned: AlignedRisks | None = None,
 ) -> KBarResult:
     """Find the unique k_bar with |g(k_bar) - 1| <= DEFAULT_TOL.
 
@@ -115,7 +130,8 @@ def solve_k_bar(
     bracket ``[max(eps0, lam - (max L - delta_star)), lam]`` with pole guard
     ``eps0 = 2**-40 * (1 + delta_star)``. Bracket validity (g above 1 on the
     left, below 1 on the right, or an endpoint already a root) is checked
-    before iterating.
+    before iterating. ``aligned`` is :func:`entrisk.risk.aligned_risks` of
+    ``(q, profile)``, built here when not given.
 
     The iteration is Newton's method on ``h(t) = 1/g(t) - 1``, started at the
     left end (the reciprocal of a secular function, as in More and Sorensen,
@@ -145,33 +161,40 @@ def solve_k_bar(
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    risks = profile.aligned(q)
-    delta_star = float(risks.min())
-    shifted = risks - delta_star
-    spread = float(shifted.max())
-    qlam = np.asarray(q.weights, dtype=float) * lam
+    if aligned is None:
+        aligned = aligned_risks(q, profile)
+    delta_star, shifted = aligned.delta_star, aligned.shifted
+    qlam = aligned.q_weights * lam
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
 
-    def g(t: float) -> tuple[float, float]:
-        """g(t), an exact sum, and -g'(t), a float sum."""
+    def g(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """g(t), an exact sum, with its rows gaps = t + shifted and terms = qlam / gaps."""
         gaps = t + shifted
         terms = qlam / gaps
-        return exact_sum(terms), float((terms / gaps).sum())
+        return exact_sum(terms), gaps, terms
 
-    lo = max(eps0, lam - spread)
+    def result(
+        t: float, g_t: float, iterations: int, gaps: np.ndarray, terms: np.ndarray
+    ) -> KBarResult:
+        gaps.flags.writeable = terms.flags.writeable = False
+        return KBarResult(
+            t - delta_star, abs(g_t - 1.0), iterations, t, delta_star, gaps, terms, g_t
+        )
+
+    lo = max(eps0, lam - aligned.spread)
     hi = lam
     # hi is always inside the domain; constant or near-constant risks
     # collapse the bracket onto it, where it already satisfies the residual.
-    g_hi, _ = g(hi)
+    g_hi, gaps, terms = g(hi)
     if abs(g_hi - 1.0) <= DEFAULT_TOL:
-        return _result(hi, g_hi, 0, delta_star)
+        return result(hi, g_hi, 0, gaps, terms)
     if not lo < hi:
         raise BracketFailure(
             f"empty bracket: lam={lam} does not exceed the pole guard {eps0}"
         )
-    g_lo, slope = g(lo)
+    g_lo, gaps, terms = g(lo)
     if abs(g_lo - 1.0) <= DEFAULT_TOL:
-        return _result(lo, g_lo, 0, delta_star)
+        return result(lo, g_lo, 0, gaps, terms)
     if not (g_lo > 1.0 > g_hi):
         raise BracketFailure(
             f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi} do not straddle 1"
@@ -180,16 +203,18 @@ def solve_k_bar(
     t, g_t = lo, g_lo
     last = before = hi - lo
     for it in itertools.count(1):
-        # Newton on h: t - h/h' = t + g (g - 1) / (-g'). An underflowed
-        # slope gives an infinite step, which bisects.
+        # Newton on h: t - h/h' = t + g (g - 1) / (-g'), where -g'(t) is the
+        # float sum of terms / gaps. An underflowed slope gives an infinite
+        # step, which bisects.
+        slope = float(np.add.reduce(terms / gaps))
         cand = t + (g_t * (g_t - 1.0) / slope if slope else math.inf)
         if not lo < cand < hi or abs(cand - t) > 0.5 * before:
             cand = 0.5 * (lo + hi)
         before, last = last, abs(cand - t)
         t = cand
-        g_t, slope = g(t)
+        g_t, gaps, terms = g(t)
         if abs(g_t - 1.0) <= DEFAULT_TOL:
-            return _result(t, g_t, it, delta_star)
+            return result(t, g_t, it, gaps, terms)
         if g_t > 1.0:
             lo, g_lo = t, g_t
         else:
@@ -202,25 +227,12 @@ def solve_k_bar(
     )
 
 
-def _result(
-    t: float,
-    g_t: float,
-    iterations: int,
-    delta_star: float,
-) -> KBarResult:
-    return KBarResult(
-        k_bar=t - delta_star,
-        residual=abs(g_t - 1.0),
-        iterations=iterations,
-        pole_gap=t,
-        delta_star=delta_star,
-    )
-
-
 def solve_type2(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
     lam: float,
+    *,
+    aligned: AlignedRisks | None = None,
 ) -> TypeIISolution:
     """Minimize R(P) + lam * D(Q || P) over P with Q << P supported on supp(Q).
 
@@ -230,32 +242,31 @@ def solve_type2(
     to such an atom changes the objective at the rate L(outside) + k_bar, so
     escaping lowers it wherever that slope is negative (see
     :func:`support_escape_slope`).
-    Weights are assembled from the pole-shifted denominators, so no
-    cancellation enters even when the root sits close to the pole.
+    The weights are the root solve's own ``terms`` over their exact sum
+    ``g``, formed from the pole-shifted denominators, so no cancellation
+    enters even when the root sits close to the pole. ``aligned`` is as in
+    :func:`solve_k_bar`.
     """
-    root = solve_k_bar(q, profile, lam)
-    shifted = profile.aligned(q) - root.delta_star
-    weights = normalized(q.weights * lam / (root.pole_gap + shifted))
-    return TypeIISolution(weights, float(lam), **root._asdict())
+    root = solve_k_bar(q, profile, lam, aligned=aligned)
+    return TypeIISolution(normalized(root.terms, root.g), float(lam), *root)
 
 
-def kl_q_p2(sol: TypeIISolution, q: DiscreteMeasure, risks: np.ndarray) -> float:
-    """D(Q || P2) of ``sol`` from the solve's own ratios, ``risks`` aligned with ``q``.
+def log_ratios_q_p2(sol: TypeIISolution, aligned: AlignedRisks, out: np.ndarray) -> np.ndarray:
+    """log(q/p2) per atom of ``sol`` on the Q of ``aligned``, written into ``out`` and returned.
 
-    q/p2 = (pole_gap + L - delta_star)/lam = 1 + d with
-    d = (L - delta_star - u)/lam and u = lam - pole_gap. Where |d| < 1/2 the
-    log-ratio is log1p(d), free of the cancellation that forming the ratio
-    first would cost; elsewhere it is the log of the ratio, which keeps its
-    relative accuracy where p2 dwarfs q and d nears -1. P2's weights are the
-    solve's, q * lam / (pole_gap + L - delta_star).
+    q/p2 = gaps/lam = 1 + d with d = (L - delta_star - u)/lam and
+    u = lam - pole_gap. Where |d| < 1/2 the log-ratio is log1p(d), free of
+    the cancellation that forming the ratio first would cost; elsewhere it
+    is the log of the ratio, which keeps its relative accuracy where p2
+    dwarfs q and d nears -1. D(Q || P2) weighs these by P2's unnormalized
+    weights, the solve's ``terms`` (:func:`entrisk.measures.kl_log_ratios`).
     """
     lam = sol.lam
-    shifted = risks - sol.delta_star
-    gaps = sol.pole_gap + shifted
-    d = (shifted - (lam - sol.pole_gap)) / lam
-    log_ratios = np.log(gaps / lam)
-    np.log1p(d, out=log_ratios, where=np.abs(d) < 0.5)
-    return kl_log_ratios(q.weights * lam / gaps, log_ratios)
+    d = (aligned.shifted - (lam - sol.pole_gap)) / lam
+    x = np.divide(sol.gaps, lam, out=out)
+    np.log(x, out=x)
+    np.log1p(d, out=x, where=np.abs(d) < 0.5)
+    return x
 
 
 def type2_objective_rows(

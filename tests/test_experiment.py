@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from entrisk import experiment, measures, type1, type2
 from entrisk.errors import (
     ConfigError,
+    EntriskError,
     MalformedHeader,
     NonFiniteCell,
     RowArity,
@@ -57,6 +58,7 @@ from entrisk.measures import kl_divergence, make_measure, measure_on, total_vari
 from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
+from entrisk.logrisk import verify_theorem2
 
 from conftest import (
     lattice_points,
@@ -683,7 +685,8 @@ class TestOptimalityFuzz:
         # Solutions one factor off lose to the exact optima drawn in rows 0 and 1.
         for name in ("solve_type1", "solve_type2"):
             original = getattr(experiment, name)
-            monkeypatch.setattr(experiment, name, lambda q, p, l, f=original: f(q, p, 2.0 * l))
+            monkeypatch.setattr(experiment, name,
+                                lambda q, p, l, f=original, **kw: f(q, p, 2.0 * l, **kw))
         assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (False, False)
 
     @staticmethod
@@ -700,7 +703,7 @@ class TestOptimalityFuzz:
         # The solutions first, so that every count below belongs to scoring.
         for solve in ("solve_type1", "solve_type2"):
             sol = getattr(experiment, solve)(q, profile, 1.0)
-            monkeypatch.setattr(experiment, solve, lambda *args, s=sol: s)
+            monkeypatch.setattr(experiment, solve, lambda *args, s=sol, **kw: s)
         calls = collections.Counter()
 
         def counted(module, name):
@@ -1044,6 +1047,151 @@ class TestSolutionRows:
         assert [r.status for r in records] == ["ok"] * 7
         assert np.any(solve_type1(q, profile, 1e-4).weights == 0.0)
         assert optimality_fuzz(q, profile, 1.0, cfg.seed) == (True, True)
+
+
+def reference_records(q, profile, lambdas) -> list[SweepRecord]:
+    """The sweep's rows composed one factor at a time, every row formed afresh.
+
+    Each public solver builds its own aligned rows; the Type-II row, its
+    denominators k_bar + L and both KL columns are formed again from the
+    solutions' scalars as each step once formed them, and the two
+    directions' phi sums are taken one row at a time. A row fails with the
+    first error, in the order type 1, type 2, Theorem 2.
+    """
+    risks = profile.aligned(q)
+    records = []
+    for lam in map(float, lambdas):
+        try:
+            sol1 = solve_type1(q, profile, lam)
+            sol2 = solve_type2(q, profile, lam)
+            risk1, risk2 = (measures.exact_sum(sol.weights * risks) for sol in (sol1, sol2))
+            _, gap = verify_theorem2(q, profile, sol2)
+        except EntriskError as exc:
+            records.append(experiment._failed_record(lam, type(exc).__name__))
+            continue
+        shifted = risks - sol2.delta_star
+        gaps = sol2.pole_gap + shifted
+        assert sol2.gaps.tobytes() == gaps.tobytes()
+        assert sol2.weights.tobytes() == measures.normalized(q.weights * lam / gaps).tobytes()
+        log_p1_q = -risks / lam - sol1.log_partition_at_minus_inv_lambda
+        d = (shifted - (lam - sol2.pole_gap)) / lam
+        log_q_p2 = np.log(gaps / lam)
+        np.log1p(d, out=log_q_p2, where=np.abs(d) < 0.5)
+        kl1, = measures.kl_log_ratios([q.weights], log_p1_q[None])
+        kl2, = measures.kl_log_ratios([q.weights * lam / gaps], log_q_p2[None])
+        records.append(SweepRecord(
+            lam=lam,
+            k_type1=sol1.log_partition_at_minus_inv_lambda,
+            k_bar_type2=sol2.k_bar,
+            risk_type1=risk1,
+            risk_type2=risk2,
+            identity_gap=abs(risk2 - (lam - sol2.k_bar)),
+            bound_margin=lam + sol2.delta_star - risk2,
+            kl_p_q_type1=kl1,
+            kl_q_p_type2=kl2,
+            theorem2_gap=gap,
+            iterations=sol2.iterations,
+            residual=sol2.residual,
+            status="ok",
+        ))
+    return records
+
+
+def record_bits(records) -> list[str]:
+    """Each record as the repr of its fields: equal exactly when every float has the same bits.
+
+    ``repr`` round-trips floats, keeps the sign of zero and prints every nan
+    alike, as the CSV does.
+    """
+    return [repr(dataclasses.astuple(r)) for r in records]
+
+
+class TestSweepAgainstPerFactorReference:
+    """The sweep builds the factor-free rows once and reuses each solve's rows.
+
+    Bit for bit and status for status it equals the per-factor composition of
+    :func:`reference_records`, including the rows that fail.
+    """
+
+    FACTORS = np.logspace(-11.0, 12.0, 24)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, seed, shift):
+        q, profile = random_solver_instance(np.random.default_rng(seed))
+        profile = EmpiricalRiskProfile.from_risks(profile.coords, profile.risks + shift)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = reference_records(q, profile, self.FACTORS)
+            assert record_bits(sweep_records(q, profile, self.FACTORS)) == record_bits(expected)
+
+    def test_pole_guard_failures_keep_their_status(self):
+        # The 50-atom Dirichlet instance on which the pole-guarded bracket
+        # fails at lam = 1e-11 unshifted, lam <= 1e-5 shifted by 1e6 and
+        # lam <= 1 shifted by 1e12: 20 BracketFailure rows of 72.
+        rng = np.random.default_rng(0)
+        coords = np.arange(50.0)[:, None]
+        q = make_measure(coords, rng.dirichlet(np.ones(50)))
+        base = rng.uniform(0.0, 1.0, 50)
+        statuses = []
+        for shift in (0.0, 1e6, 1e12):
+            profile = EmpiricalRiskProfile.from_risks(coords, base + shift)
+            records = sweep_records(q, profile, self.FACTORS)
+            assert record_bits(records) == record_bits(reference_records(q, profile, self.FACTORS))
+            statuses += [r.status for r in records]
+        assert collections.Counter(statuses) == {"ok": 52, "BracketFailure": 20}
+
+    def test_generated_instance_with_a_failing_row(self):
+        # Risks on a restricted reference, gathered by index, and factors from
+        # 1e-309 (below the pole guard: BracketFailure) to 1e12.
+        cfg = ExperimentConfig.from_dict(base_config(
+            grid_resolution=[41], reference="restricted", reference_box_min=[-1.0],
+            reference_box_max=[0.0], lambda_min=1e-3, lambda_max=1e12, lambda_count=9,
+        ))
+        q, _, profile = generate_instance(cfg)
+        lambdas = [1e-309, *lambda_grid(cfg)]
+        with np.errstate(over="ignore"):
+            records = sweep_records(q, profile, lambdas)
+            expected = reference_records(q, profile, lambdas)
+        assert record_bits(records) == record_bits(expected)
+        assert [r.status for r in records] == ["BracketFailure"] + ["ok"] * 9
+
+    def test_non_finite_tilt_row(self):
+        # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
+        q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = sweep_records(q, profile, [1e-309, 0.5])
+            expected = reference_records(q, profile, [1e-309, 0.5])
+        assert record_bits(records) == record_bits(expected)
+        assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
+
+    def test_fuzz_and_solve_use_the_sweeps_rows(self, monkeypatch, tmp_path, capsys):
+        # The weight rows that the sweep, the optimality fuzz and `entrisk
+        # solve` compute at one factor are the same bits.
+        raw = base_config(grid_resolution=[41], reference="restricted",
+                          reference_box_min=[-1.0], reference_box_max=[0.0])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        cfg = ExperimentConfig.from_dict(raw)
+        q, _, profile = generate_instance(cfg)
+        lam = float(lambda_grid(cfg)[2])
+        rows = collections.defaultdict(list)
+        for name in ("solve_type1", "solve_type2"):
+            def spy(*args, f=getattr(experiment, name), name=name, **kwargs):
+                sol = f(*args, **kwargs)
+                rows[name].append(sol.weights)
+                return sol
+
+            monkeypatch.setattr(experiment, name, spy)
+        assert sweep_records(q, profile, [lam])[0].status == "ok"
+        assert optimality_fuzz(q, profile, lam, cfg.seed) == (True, True)
+        for direction, name in (("1", "solve_type1"), ("2", "solve_type2")):
+            sweep_row, fuzz_row = rows[name]
+            assert sweep_row.tobytes() == fuzz_row.tobytes()
+            capsys.readouterr()
+            argv = ["solve", "--config", str(config), "--lambda", repr(lam), "--type", direction]
+            assert cli_main(argv) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["weights"] == sweep_row[sweep_row > 0.0].tolist()
 
 
 class TestEmitCsv:

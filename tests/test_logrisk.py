@@ -81,6 +81,9 @@ class TestLogRiskProfile:
             iterations=sol.iterations,
             pole_gap=sol.pole_gap,
             delta_star=sol.delta_star,
+            gaps=sol.gaps,
+            terms=sol.terms,
+            g=sol.g,
         )
         with pytest.raises(NonPositiveArgument):
             log_risk_profile(q, prof, corrupt)
@@ -158,12 +161,15 @@ class TestEquivalence:
             assert abs(log_total) <= 1e-10
 
     def test_normalization_violation_rejected(self, rng):
-        # A root off by a relative 1e-6 keeps every weight positive but moves
-        # lam * sum q*exp(-V) off 1 far beyond NORMALIZATION_TOL.
+        # A root off by a relative 1e-6, with the denominators k_bar + L it
+        # implies, keeps every weight positive but moves lam * sum q*exp(-V)
+        # off 1 far beyond NORMALIZATION_TOL.
         instances = [two_atom_instance()] + [random_solver_instance(rng) for _ in range(5)]
         for q, prof in instances:
             sol = solve_type2(q, prof, float(10.0 ** rng.uniform(-2, 2)))
-            off = dataclasses.replace(sol, pole_gap=sol.pole_gap * (1.0 + 1e-6))
+            pole_gap = sol.pole_gap * (1.0 + 1e-6)
+            gaps = pole_gap + (prof.aligned(q) - sol.delta_star)
+            off = dataclasses.replace(sol, pole_gap=pole_gap, gaps=gaps)
             with pytest.raises(InvariantViolation, match="deviates from 1"):
                 verify_theorem2(q, prof, off)
 

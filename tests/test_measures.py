@@ -452,6 +452,33 @@ class TestLoneRowCertificate:
         build, shortest = ROW_FAMILIES[family]
         assert_certificates_agree(build(np.random.default_rng(seed), 1, max(n, shortest))[0])
 
+    # The families once more on read-only rows: the certificate forms its
+    # low parts in a buffer of its own, and an ``out=`` that named the input
+    # would raise here.
+    @given(
+        st.sampled_from(sorted(ROW_FAMILIES)),
+        st.sampled_from([1, 2, 7, *EXACT_SUM_LENGTHS]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_read_only_rows_of_every_family_unwritten(self, family, n, seed):
+        build, shortest = ROW_FAMILIES[family]
+        row = build(np.random.default_rng(seed), 1, max(n, shortest))[0]
+        before = row.copy()
+        row.flags.writeable = False
+        assert_certificates_agree(row)
+        assert same_bits(np.float64(exact_sum(row)), np.float64(math.fsum(row.tolist())))
+        assert same_bits(row, before)
+
+    @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_leaves_read_only_edge_rows_unwritten(self, name, n, rng):
+        row = EDGE_ROWS[name](rng, n)
+        before = row.copy()
+        row.flags.writeable = False
+        assert_certificates_agree(row)
+        assert same_bits(row, before)
+
     @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
     @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
     def test_agrees_with_the_kernel_on_edge_rows(self, name, n, rng):
