@@ -24,7 +24,6 @@ import json
 import math
 import os
 import re
-import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
@@ -664,44 +663,24 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
     return Dataset(np.asarray(patterns), np.asarray(labels))
 
 
-class _Renderings(dict):
-    """``%.17g`` renderings of doubles keyed by their 64-bit patterns, formatted on first use."""
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = "%.17g" % struct.unpack("d", struct.pack("Q", bits))[0]
-        return text
-
-
 def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
-    """SHA-256 over a canonical text rendering of grid, weights, and data.
+    """SHA-256 over the bytes of the reference's grid and weights and of the data.
 
-    Each atom, then each data point, is one line: its coordinates (or pattern)
-    comma-separated, ``;``, its weight (or label), all with 17 significant
-    digits (``%.17g``, so ``0.0`` is ``0`` and ``-0.0`` is ``-0``). The
-    lines are assembled by one format call per block of
-    ``BLOCK_DOUBLES // 16`` values, and the hash reads the blocks in order.
-    Grid coordinates repeat by construction, so each distinct value of the
-    atoms' table is formatted once, remembered by its 64-bit pattern; the
-    memo is dropped whenever it holds more than two blocks' worth of
-    strings, which keeps the digest's peak memory near that of formatting
-    every float. Data values are mostly distinct and are formatted directly.
+    The hash reads an ASCII header, then four arrays as contiguous
+    little-endian doubles (``<f8``, C order): ``q.coords``, ``q.weights``,
+    ``data.patterns`` and ``data.labels``. The header is the format tag
+    ``entrisk-instance-v1 <f8`` followed by each array's shape, a space
+    before each and its dimensions comma-separated, then a newline; for
+    3 atoms of 1 coordinate and 2 data points of 2 features it is
+    ``entrisk-instance-v1 <f8 3,1 3 2,2 2\\n``. The shapes keep apart two
+    instances whose concatenated values agree. The digest depends on no
+    memory layout or host byte order, and ``0.0`` and ``-0.0`` differ.
     """
-    values = BLOCK_DOUBLES // 16
-    h = hashlib.sha256()
-    for left, right, memo in ((q.coords, q.weights, _Renderings()), (data.patterns, data.labels, None)):
-        table = np.column_stack([left, right])
-        cell = "%.17g" if memo is None else "%s"
-        line = ",".join([cell] * left.shape[1]) + f";{cell}\n"
-        step = max(1, values // table.shape[1])
-        for start in range(0, len(table), step):
-            block = table[start:start + step]
-            if memo is None:
-                cells = tuple(block.ravel().tolist())
-            else:
-                if len(memo) > 2 * values:
-                    memo.clear()
-                cells = tuple(map(memo.__getitem__, block.ravel().view(np.uint64).tolist()))
-            h.update(((line * len(block)) % cells).encode())
+    arrays = (q.coords, q.weights, data.patterns, data.labels)
+    shapes = "".join(" " + ",".join(map(str, a.shape)) for a in arrays)
+    h = hashlib.sha256(f"entrisk-instance-v1 <f8{shapes}\n".encode())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8"))
     return h.hexdigest()
 
 

@@ -195,6 +195,27 @@ class TestSweep:
         assert len(summary["instance_digest"]) == 64
         assert summary["config"]["loss"] == "absolute"
 
+    @pytest.mark.parametrize("change, same", [
+        ({"lambda_min": 0.25, "lambda_max": 4.0, "lambda_count": 5}, True),
+        ({"output_csv": "other.csv", "output_json": "other.json"}, True),
+        ({"seed": 2}, True),
+        ({"data_seed": 6}, False),
+        ({"reference_scale": 0.7}, False),
+    ])
+    def test_summary_digest_names_the_instance(self, tmp_path, change, same):
+        base = {"grid_min": [-1.0], "grid_max": [1.0], "grid_resolution": [5],
+                "reference": "gaussian", "reference_mean": [0.0], "reference_scale": 0.5}
+        digests = []
+        for overrides in (base, {**base, **change}):
+            path = write_config(tmp_path, **overrides)
+            assert cli_main(["sweep", "--config", str(path)]) == 0
+            cfg = ExperimentConfig.from_json_file(path)
+            summary = json.loads((tmp_path / cfg.output_json).read_text())
+            q, data, _ = experiment.generate_instance(cfg)
+            assert summary["instance_digest"] == experiment.instance_digest(q, data)
+            digests.append(summary["instance_digest"])
+        assert (digests[0] == digests[1]) == same
+
     def test_missing_output_csv_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output_csv=None)
         # json.dumps writes null; strip it to omit the key entirely
@@ -419,7 +440,9 @@ class TestBenchmarkOutputs:
     Type-2 column and invariant value in its last bits. A performance change
     that keeps the solver's iteration must leave them as they are. The
     ``solve`` pins hold the JSON that command prints for one factor on the
-    ``sweep-path`` config.
+    ``sweep-path`` config. The summary pins carry the instance digest over
+    the instance's ``<f8`` bytes (README, "JSON summary"); the CSV, verify
+    and ``solve`` pins did not move when it replaced the text digest.
     """
 
     @pytest.mark.parametrize("name, sha256", [
@@ -436,13 +459,13 @@ class TestBenchmarkOutputs:
     @pytest.mark.parametrize("name, summary_sha256, stdout_sha256", [
         (
             "sweep-path",
-            "0b4015a9132c05df14550eae604ebd90c61b0f87d66e08fc7d87c107c6c2cff8",
-            "0953329cb16bbf12419da0b478ceb8af5242728aa2b2ff597461f0d2dc36d317",
+            "b89973e3c932563b1ee601b296c9fdbc32bb1b85c468000546b2e1f86bba5f97",
+            "512db847b9782d40ac9ae8f1efc65c2b0b6ce861ac78793b75b32573a4f7ba2c",
         ),
         (
             "sweep-wide",
-            "8fb227bbadbc402eeff2ec9c8dc137a1d267a1fbb65108396d7f17eb512148bc",
-            "901be6e615d059ae91d173c32b6dc83c3032a877259df3efe5057974e6079870",
+            "24485216b15e79e009aae33ca93d34aba34b8d43ce0184c09ecb0ea80a318b75",
+            "1b0c773f7a9148b01b803291828ea3dffe5c64f3b8d4a2a18c98686269975c10",
         ),
     ])
     def test_sweep_summary_bytes(self, name, summary_sha256, stdout_sha256, tmp_path, capsys):

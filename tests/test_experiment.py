@@ -10,6 +10,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -54,7 +55,7 @@ from entrisk.experiment import (
     sweep_summary,
 )
 from entrisk.cli import cli_main
-from entrisk.measures import kl_divergence, make_measure, measure_on, total_variation
+from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on, total_variation
 from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
@@ -255,58 +256,74 @@ class TestConfigFuzz:
             pass
 
 
-def per_float_digest(q, data: Dataset) -> str:
-    """The instance digest's canonical text, each float formatted on its own: the oracle."""
-    h = hashlib.sha256()
-    for left, right in ((q.coords, q.weights), (data.patterns, data.labels)):
-        table = np.column_stack([left, right])
-        line = ",".join(["%.17g"] * left.shape[1]) + ";%.17g\n"
-        h.update(((line * len(table)) % tuple(table.ravel().tolist())).encode())
-    return h.hexdigest()
-
-
-#: Doubles whose renderings are easy to merge or to get wrong.
-EDGE_DOUBLES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+def unchecked_instance(coords, weights, patterns, labels):
+    """An instance holding exactly these arrays: the measure skips the weight checks, so a weight may be ±0."""
+    coords = np.asarray(coords, dtype=float)
+    return DiscreteMeasure(coords, np.arange(len(coords)), np.asarray(weights, dtype=float)), Dataset(patterns, labels)
 
 
 class TestInstanceDigest:
     def test_hand_instance(self):
-        q = make_measure([[0.5], [-0.0], [1.0]], [1.0, 1.0, 2.0])
+        q = make_measure([[0.5, 1.0], [-0.0, 2.0], [1.0, 0.0]], [1.0, 1.0, 2.0])
         big = 1.7976931348623157e308
         data = Dataset([[0.0], [-0.0], [5e-324]], [-big, 0.1, big])
-        text = (
-            "0.5;0.25\n-0;0.25\n1;0.5\n"
-            "0;-1.7976931348623157e+308\n-0;0.10000000000000001\n"
-            "4.9406564584124654e-324;1.7976931348623157e+308\n"
+        arrays = (
+            [0.5, 1.0, -0.0, 2.0, 1.0, 0.0],  # coordinates, row by row
+            [0.25, 0.25, 0.5],
+            [0.0, -0.0, 5e-324],
+            [-big, 0.1, big],
         )
-        digest = "57e96dbb5a3a6e4de3f82fcbed82b1da7ed12aeb9e7d57756478245fb21a1f67"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert instance_digest(q, data) == per_float_digest(q, data) == digest
+        payload = b"entrisk-instance-v1 <f8 3,2 3 3,1 3\n" + b"".join(
+            struct.pack("<%dd" % len(values), *values) for values in arrays
+        )
+        digest = "b5b064fdbcbe882ce45ba2d31e7820672c81f38899ab8b03d2bd6fbc42258de8"
+        assert hashlib.sha256(payload).hexdigest() == digest
+        assert instance_digest(q, data) == digest
 
-    @pytest.mark.parametrize("model_dim", [1, 3])
-    @pytest.mark.parametrize("pattern_dim", [1, 3])
-    def test_equals_per_float_rendering(self, rng, model_dim, pattern_dim):
-        # Uniform weights repeat one value; 0.0 and -0.0 share a column of the
-        # patterns and of the labels, and of the coordinates where rows differ.
-        coords = rng.uniform(-1.0, 1.0, (12, model_dim))
-        coords[: len(EDGE_DOUBLES) - 1, -1] = EDGE_DOUBLES[1:]
-        if model_dim > 1:
-            coords[len(EDGE_DOUBLES) - 1, -1] = 0.0
-        patterns = rng.uniform(-1.0, 1.0, (9, pattern_dim))
-        patterns[: len(EDGE_DOUBLES), 0] = EDGE_DOUBLES
-        labels = np.array([*EDGE_DOUBLES[::-1], 0.0, -0.0, 1.0, 1.0])
-        data = Dataset(patterns, labels)
-        for weights in (np.ones(12), np.tile([1.0, 3.0], 6)):
-            q = make_measure(coords, weights)
-            assert instance_digest(q, data) == per_float_digest(q, data)
+    @pytest.mark.parametrize("name", ["coords", "weights", "patterns", "labels"])
+    def test_sign_of_zero_and_one_ulp_change_the_digest(self, name):
+        def digest(first=0.0, step=0):
+            arrays = {
+                "coords": np.array([[0.0, 1.0], [0.5, 0.25]]),
+                "weights": np.array([0.0, 1.0]),
+                "patterns": np.array([[0.0, 2.0], [1.0, 3.0]]),
+                "labels": np.array([0.0, 1.0]),
+            }
+            a = arrays[name].reshape(-1)
+            a[0] = first
+            if step:
+                a[-1] = np.nextafter(a[-1], np.inf)
+            return instance_digest(*unchecked_instance(**arrays))
 
-    def test_tables_longer_than_a_rendering_block(self, rng):
-        # 5,000 atoms of 2 values and 9,000 data points of 4: several blocks
-        # each, with more distinct values than the memo of renderings keeps.
-        q = make_measure(rng.uniform(-1.0, 1.0, (5_000, 1)), rng.uniform(0.5, 1.0, 5_000))
-        patterns = np.round(rng.uniform(-1.0, 1.0, (9_000, 3)), 2)
-        data = Dataset(patterns, np.where(rng.random(9_000) < 0.5, -0.0, 0.0))
-        assert instance_digest(q, data) == per_float_digest(q, data)
+        assert len({digest(), digest(first=-0.0), digest(step=1)}) == 3
+
+    def test_shapes_keep_apart_equal_concatenated_values(self):
+        q = make_measure([[0.0], [1.0]], [1.0, 1.0])
+        values = np.arange(1.0, 7.0)
+        wide = Dataset(values[:4].reshape(2, 2), values[4:])
+        tall = Dataset(values[:3].reshape(3, 1), values[3:])
+        for data in (wide, tall):
+            assert np.concatenate([data.patterns.ravel(), data.labels]).tolist() == values.tolist()
+        assert instance_digest(q, wide) != instance_digest(q, tall)
+
+    def test_independent_of_layout_byte_order_and_grid_object(self, rng):
+        coords = rng.uniform(-1.0, 1.0, (5, 2))
+        q = make_measure(coords, np.arange(1.0, 6.0))
+        # The same atoms picked out of a larger grid of another object.
+        grid = measures.as_grid(np.concatenate([rng.uniform(2.0, 3.0, (4, 2)), coords[::-1]]))
+        on_larger_grid = measure_on(grid, [8, 7, 6, 5, 4], np.arange(1.0, 6.0))
+        patterns = rng.uniform(-1.0, 1.0, (6, 3))
+        labels = rng.uniform(-1.0, 1.0, 6)
+        expected = instance_digest(q, Dataset(patterns, labels))
+        assert instance_digest(on_larger_grid, Dataset(patterns, labels)) == expected
+        big_endian = DiscreteMeasure(q.grid, q.index, q.weights.astype(">f8"))
+        assert instance_digest(big_endian, Dataset(patterns, labels)) == expected
+        wider = np.zeros((12, 6))
+        wider[::2, ::2] = patterns
+        for layout in (np.asfortranarray(patterns), wider[::2, ::2]):
+            data = Dataset(layout, labels)
+            assert not data.patterns.flags.c_contiguous
+            assert instance_digest(q, data) == expected
 
 
 class TestInstanceGeneration:
@@ -467,7 +484,7 @@ class TestScriptOutputs:
                    for name in ("demo_sweep.csv", "demo_sweep.json")}
         assert digests == {
             "demo_sweep.csv": "8a867655a7fff7e1aa0902b23ff0c73ff9c3d01c5f53d4cd6bfe9f15da12f100",
-            "demo_sweep.json": "208fcf405a7eca4eba551fe0cf737251fdd9bd47c9f44e287a10f79be36ae1d2",
+            "demo_sweep.json": "06096815debeb6c1ad9bbd83dfd2653c9576250e4519f8193eee30e4d8536da6",
         }
 
     def test_misspecified_reference_stdout(self, monkeypatch, capsys):
