@@ -11,13 +11,22 @@ Subcommands
     line per row of its invariant table (the rows the sweep summary reports)
     and per direction of an optimality fuzz; exit 0 iff all pass.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 I/O error.
-Diagnostics go to standard error; results go to standard output.
+An option takes its value as ``--opt value`` or ``--opt=value``; a repeated
+option keeps its last value. Option names are matched in full: a prefix such
+as ``--conf`` is an unknown option. ``-h``/``--help``, before or after the
+command, prints the usage of every command and option and exits 0. A usage
+error (no or an unknown command, an unknown option, a missing value or
+required option, a ``--type`` other than 1 or 2, a ``--lambda`` that
+``float()`` rejects) prints the usage and ``error: ...`` to standard error.
+``--lambda`` is read by ``float()``, so ``-1``, ``inf`` and ``nan`` reach the
+command's own checks, which reject them as validation errors.
+
+Exit codes: 0 success, 1 validation or usage error, 2 solver failure, 3 I/O
+error. Diagnostics go to standard error; results go to standard output.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -75,26 +84,84 @@ _SOLVER_ERRORS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entrisk",
-        description="Entropy-regularized ERM solvers and experiment sweeps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: entrisk sweep  --config PATH
+       entrisk solve  --config PATH --lambda V --type {1,2}
+       entrisk verify --config PATH
+"""
 
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep and write reports")
-    p_sweep.add_argument("--config", required=True, help="path to the JSON config")
+_HELP = _USAGE + """
+Entropy-regularized ERM solvers and experiment sweeps.
 
-    p_solve = sub.add_parser("solve", help="solve one direction at one factor")
-    p_solve.add_argument("--config", required=True, help="path to the JSON config")
-    p_solve.add_argument("--lambda", dest="lam", required=True, type=float,
-                         help="regularization factor (> 0)")
-    p_solve.add_argument("--type", dest="direction", required=True, choices=("1", "2"),
-                         help="1: divergence of solution from reference; 2: reversed")
+commands:
+  sweep          run the configured sweep and write reports
+  solve          solve one direction at one factor
+  verify         run the invariant suite on the instance
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite on the instance")
-    p_verify.add_argument("--config", required=True, help="path to the JSON config")
-    return parser
+options (each one required by the commands that take it):
+  --config PATH  path to the JSON config
+  --lambda V     regularization factor (> 0)
+  --type {1,2}   1: divergence of solution from reference; 2: reversed
+  -h, --help     show this help and exit"""
+
+
+class _UsageError(Exception):
+    """A command line that names no command, an unknown option or a bad value."""
+
+
+def _direction(text: str) -> str:
+    if text not in ("1", "2"):
+        raise ValueError(text)
+    return text
+
+
+#: Each command's options: option -> (result key, parser of its value).
+#: Every option a command takes is required.
+_OPTIONS = {
+    "sweep": {"--config": ("config", str)},
+    "solve": {
+        "--config": ("config", str),
+        "--lambda": ("lam", float),
+        "--type": ("direction", _direction),
+    },
+    "verify": {"--config": ("config", str)},
+}
+
+
+def _parse_args(argv: Sequence[str]) -> tuple[str, dict] | None:
+    """The command and its option values, or None when help is asked for.
+
+    An option's value is the rest of its token after ``=`` or else the next
+    token, which may not start with ``--``; a repeated option keeps its last
+    value. Raises _UsageError.
+    """
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv:
+        raise _UsageError("a command is required: sweep, solve or verify")
+    command, *rest = argv
+    options = _OPTIONS.get(command)
+    if options is None:
+        raise _UsageError(f"unknown command {command!r}: choose sweep, solve or verify")
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name not in options:
+            raise _UsageError(f"{command}: unrecognized argument {token!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise _UsageError(f"{command}: option {name} expects a value")
+        key, parse = options[name]
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            raise _UsageError(f"{command}: option {name}: invalid value {text!r}") from None
+    missing = [name for name, (key, _) in options.items() if key not in values]
+    if missing:
+        raise _UsageError(f"{command}: required option(s) missing: {', '.join(missing)}")
+    return command, values
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -164,19 +231,22 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def cli_main(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        # argparse exits on --help (code 0) and on usage errors (code 2).
-        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
+        parsed = _parse_args(argv)
+    except _UsageError as exc:
+        print(f"{_USAGE}error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if parsed is None:
+        print(_HELP)
+        return EXIT_OK
+    command, options = parsed
 
     try:
-        cfg = ExperimentConfig.from_json_file(args.config)
-        if args.command == "sweep":
+        cfg = ExperimentConfig.from_json_file(options["config"])
+        if command == "sweep":
             return _cmd_sweep(cfg)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args.lam, args.direction)
+        if command == "solve":
+            return _cmd_solve(cfg, options["lam"], options["direction"])
         return _cmd_verify(cfg)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,8 +93,9 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        patterns = np.atleast_2d(np.asarray(self.patterns, dtype=float))
-        labels = np.asarray(self.labels, dtype=float).ravel()
+        # Copies: the frozen arrays are the dataset's own, never the caller's.
+        patterns = np.atleast_2d(np.array(self.patterns, dtype=float))
+        labels = np.array(self.labels, dtype=float).ravel()
         if patterns.shape[0] != labels.shape[0]:
             raise DimensionMismatch(
                 f"{patterns.shape[0]} patterns but {labels.shape[0]} labels"
@@ -222,8 +223,8 @@ class EmpiricalRiskProfile(GridAtoms):
     def on_grid(
         cls, grid: np.ndarray, index: np.ndarray, risks: Sequence[float]
     ) -> "EmpiricalRiskProfile":
-        """Profile holding ``risks[i]`` for the distinct grid row ``index[i]``."""
-        arr = np.asarray(risks, dtype=float)
+        """Profile holding ``risks[i]`` (copied) for the distinct grid row ``index[i]``."""
+        arr = np.array(risks, dtype=float)
         if arr.shape != np.shape(index):
             raise ValueError("one risk per support atom required")
         if arr.size == 0:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -118,15 +121,26 @@ class TestVerify:
 
 
 class TestSolve:
-    def test_negative_lambda_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lam", ["-1", "-1e5", "-inf", "nan", "0"])
+    def test_nonpositive_lambda_is_validation_error(self, tmp_path, capsys, lam):
+        # float() reads each of these, so the command's own check rejects it.
         cfg = write_config(tmp_path)
-        code = cli_main(["solve", "--config", str(cfg), "--lambda", "-1", "--type", "2"])
-        assert code == 1
-        assert "lambda" in capsys.readouterr().err
+        code = cli_main(["solve", "--config", str(cfg), "--lambda", lam, "--type", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: field '--lambda': must be > 0")
 
-    def test_solution_json_round_trips(self, tmp_path, capsys):
+    @pytest.mark.parametrize("options", [
+        ["--config", "{cfg}", "--lambda", "1.0", "--type", "2"],
+        ["--config={cfg}", "--lambda=1.0", "--type=2"],
+        ["--type", "2", "--lambda", "1.0", "--config", "{cfg}"],
+        # A repeated option keeps its last value.
+        ["--config", "missing.json", "--lambda", "5", "--type", "1",
+         "--config={cfg}", "--lambda", "1.0", "--type", "2"],
+    ], ids=["separate_values", "equals_values", "any_order", "repeated_options"])
+    def test_solution_json_round_trips(self, tmp_path, capsys, options):
         cfg = copy_two_atom_fixture(tmp_path)
-        code = cli_main(["solve", "--config", str(cfg), "--lambda", "1.0", "--type", "2"])
+        code = cli_main(["solve", *(option.format(cfg=cfg) for option in options)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["type"] == 2
@@ -164,10 +178,6 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err == "error: field '--lambda': must be finite, got inf\n"
-
-    def test_bad_type_choice_is_validation_error(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert cli_main(["solve", "--config", str(cfg), "--lambda", "1", "--type", "3"]) == 1
 
 
 class TestSweep:
@@ -378,12 +388,76 @@ class TestExitCodes:
         assert cli_main(["verify", "--config", str(cfg)]) == 1
         assert "mystery" in capsys.readouterr().err
 
-    def test_usage_error_maps_to_validation(self):
-        assert cli_main(["solve", "--nonsense"]) == 1
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["train", "--config", "{cfg}"],
+        ["--config", "{cfg}"],
+        ["solve", "--nonsense"],
+        ["verify", "--config", "{cfg}", "extra"],
+        ["sweep", "--config", "{cfg}", "--lambda", "1.0"],
+        ["sweep", "--conf", "{cfg}"],
+        ["sweep", "--config"],
+        ["verify", "--config", "--config", "{cfg}"],
+        ["solve", "--config", "{cfg}", "--type", "2", "--lambda"],
+        ["sweep"],
+        ["solve", "--config", "{cfg}", "--type", "2"],
+        ["solve", "--config", "{cfg}", "--lambda", "1.0"],
+        ["solve", "--config", "{cfg}", "--lambda", "1.0", "--type", "3"],
+        ["solve", "--config", "{cfg}", "--lambda", "1.0", "--type", "02"],
+        ["solve", "--config", "{cfg}", "--lambda", "1.0", "--type="],
+        ["solve", "--config", "{cfg}", "--lambda", "abc", "--type", "2"],
+        ["solve", "--config", "{cfg}", "--lambda=", "--type", "2"],
+        ["solve", "--config", "{cfg}", "--lambda", "abc", "--lambda", "1.0", "--type", "2"],
+    ], ids=[
+        "no_command", "unknown_command", "option_before_command", "unknown_option",
+        "positional_argument", "option_of_another_command", "option_prefix",
+        "missing_value_at_end", "option_as_value", "missing_lambda_value",
+        "missing_config", "missing_lambda", "missing_type", "type_not_a_choice",
+        "type_not_exactly_a_choice", "empty_type", "lambda_not_a_float", "empty_lambda",
+        "rejected_value_before_a_valid_one",
+    ])
+    def test_usage_error_is_validation_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        assert cli_main([arg.format(cfg=cfg) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: entrisk ")
+        assert err.splitlines()[-1].startswith("error: ")
 
-    def test_help_exits_zero(self, capsys):
-        assert cli_main(["--help"]) == 0
-        assert "sweep" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["--help"],
+        ["sweep", "-h"],
+        ["solve", "--help"],
+        ["solve", "--config", "{cfg}", "--help", "--lambda", "abc"],
+        ["--help", "train"],
+    ], ids=["short", "long", "short_after_command", "long_after_command", "among_options",
+            "before_unknown_command"])
+    def test_help_exits_zero(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        assert cli_main([arg.format(cfg=cfg) for arg in argv]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: entrisk ") and err == ""
+        for word in ("sweep", "solve", "verify", "--config", "--lambda", "--type", "--help"):
+            assert word in out
+
+    def test_sweep_loads_no_argument_parser(self, tmp_path):
+        # A fresh process: argparse, gettext and locale cost a cold start
+        # on every run, and nothing in the package needs them.
+        cfg = write_config(tmp_path)
+        script = (
+            "import sys\n"
+            "from entrisk.cli import cli_main\n"
+            f"code = cli_main(['sweep', '--config', {str(cfg)!r}])\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "print(code, loaded)\n"
+        )
+        src = str(Path(entrisk.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestBenchmarkContract:

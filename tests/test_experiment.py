@@ -318,12 +318,13 @@ class TestInstanceDigest:
         assert instance_digest(on_larger_grid, Dataset(patterns, labels)) == expected
         big_endian = DiscreteMeasure(q.grid, q.index, q.weights.astype(">f8"))
         assert instance_digest(big_endian, Dataset(patterns, labels)) == expected
+        fortran = Dataset(np.asfortranarray(patterns), labels)
+        assert not fortran.patterns.flags.c_contiguous
+        assert instance_digest(q, fortran) == expected
+        # The dataset copies a strided view into an array of its own.
         wider = np.zeros((12, 6))
         wider[::2, ::2] = patterns
-        for layout in (np.asfortranarray(patterns), wider[::2, ::2]):
-            data = Dataset(layout, labels)
-            assert not data.patterns.flags.c_contiguous
-            assert instance_digest(q, data) == expected
+        assert instance_digest(q, Dataset(wider[::2, ::2], labels)) == expected
 
 
 class TestInstanceGeneration:

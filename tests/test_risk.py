@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from entrisk import risk
 from entrisk.errors import DimensionMismatch, SupportMismatch
-from entrisk.measures import make_measure
+from entrisk.measures import as_grid, make_measure
 from entrisk.risk import (
     BLOCK_DOUBLES,
     CHUNK_ATOMS,
@@ -153,6 +153,29 @@ class TestEmpiricalRisk:
         data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))  # theta=1 misses x=2
         for kind in ("squared", "absolute", "zero_one"):
             assert empirical_risk([1.0], data, regression(), LossSpec(kind)) > 0.0
+
+
+class TestCallerArraysStayWritable:
+    """Each object freezes its own copy of its arrays, never the caller's."""
+
+    def test_dataset(self):
+        patterns, labels = np.zeros((3, 2)), np.zeros(3)
+        data = Dataset(patterns, labels)
+        patterns[0, 0] = labels[0] = 1.0
+        assert data.patterns[0, 0] == data.labels[0] == 0.0
+        assert not (data.patterns.flags.writeable or data.labels.flags.writeable)
+
+    def test_profile_on_grid(self):
+        risks = np.array([0.5, 1.0])
+        prof = EmpiricalRiskProfile.on_grid(as_grid([[0.0], [1.0]]), np.arange(2), risks)
+        risks[0] = 2.0
+        assert prof.risks[0] == 0.5 and not prof.risks.flags.writeable
+
+    def test_profile_from_risks(self):
+        risks = np.array([0.5, 1.0])
+        prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0]], risks)
+        risks[0] = 2.0
+        assert prof.risks[0] == 0.5 and not prof.risks.flags.writeable
 
 
 class TestRiskProfile:
