@@ -21,7 +21,6 @@ from entrisk.experiment import (
     emit_csv,
     emit_summary_json,
     generate_instance,
-    lambda_grid,
     sweep_records,
     sweep_summary,
 )
@@ -53,7 +52,7 @@ def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
     (ROOT / "results").mkdir(exist_ok=True)
     q, data, profile = generate_instance(cfg)
-    records = sweep_records(q, profile, lambda_grid(cfg))
+    records = sweep_records(q, profile, cfg.lambdas)
     emit_csv(records, ROOT / CONFIG["output_csv"])
     summary = sweep_summary(cfg, records, q, data, profile)
     emit_summary_json(summary, ROOT / CONFIG["output_json"])

@@ -54,7 +54,6 @@ from .experiment import (
     generate_instance,
     grid_argmin_outside_support,
     invariant_checks,
-    lambda_grid,
     optimality_fuzz,
     sweep_records,
     sweep_summary,
@@ -168,7 +167,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.output_csv:
         raise ConfigError("field 'output_csv': required by the sweep command")
     q, data, profile = generate_instance(cfg)
-    records = sweep_records(q, profile, lambda_grid(cfg))
+    records = sweep_records(q, profile, cfg.lambdas)
     # The summary evaluates the grid outside supp(Q), which can still fail
     # validation; nothing is written before it.
     summary = sweep_summary(cfg, records, q, data, profile)
@@ -207,7 +206,7 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
     q, data, profile = generate_instance(cfg)
-    lambdas = lambda_grid(cfg)
+    lambdas = cfg.lambdas
     records = sweep_records(q, profile, lambdas)
     checks = invariant_checks(records, float(profile.aligned(q).min()))
 

@@ -25,6 +25,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -152,6 +153,13 @@ class ExperimentConfig:
     def dim(self) -> int:
         return len(self.grid_resolution)
 
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """The read-only factor grid, :func:`lambda_grid`, built once per config."""
+        grid = lambda_grid(self)
+        grid.flags.writeable = False
+        return grid
+
     @classmethod
     def from_dict(cls, raw: dict[str, Any], base_dir: Path | None = None) -> "ExperimentConfig":
         unknown = set(raw) - _KNOWN_KEYS
@@ -272,7 +280,7 @@ class ExperimentConfig:
             base_dir=base_dir or Path.cwd(),
             raw=dict(raw),
         )
-        _require(lambda_count == 1 or _strictly_increasing(lambda_grid(cfg)),
+        _require(lambda_count == 1 or _strictly_increasing(cfg.lambdas),
                  f"field 'lambda_max': the {lambda_count} factors from lambda_min to "
                  "lambda_max must strictly increase")
         return cfg
@@ -465,7 +473,7 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Build the configured instance and sweep its factor grid."""
     q, _, profile = generate_instance(cfg)
-    return sweep_records(q, profile, lambda_grid(cfg))
+    return sweep_records(q, profile, cfg.lambdas)
 
 
 def sweep_records(

@@ -36,6 +36,12 @@ rows are long, so a column whose values recur fewer than
 :data:`TABLE_MIN_REUSE` times, whose data have fewer than
 :data:`TABLE_MIN_POINTS` points, or whose table would exceed
 :data:`TABLE_DOUBLES` doubles is multiplied out block by block instead.
+
+A threshold classifier with an intercept whose atoms come in long runs
+sharing their non-intercept coordinates, as on a lattice, counts its
+zero-one mismatches by sorting instead (:func:`_sorted_mismatch_counts`):
+one sorted row of partial scores per run, one binary search per atom.
+:data:`SORT_MIN_RUN` and :data:`SORT_MIN_PAIRS` choose the path.
 """
 
 from __future__ import annotations
@@ -78,6 +84,16 @@ TABLE_DOUBLES = 2 * BLOCK_DOUBLES
 #: n = 400, about even at n = 20 or at 4 to 8 repeats.
 TABLE_MIN_POINTS = 32
 TABLE_MIN_REUSE = 16
+
+#: Zero-one risks are counted by sorting when the runs average at least
+#: :data:`SORT_MIN_RUN` atoms and :data:`SORT_MIN_PAIRS` (atom, data point)
+#: pairs (mean atoms per run times n). On 2 vCPUs (numpy 2.4.6, 1 or
+#: 2 pattern columns, 32 <= n <= 10,000) sorting broke even with the blocks
+#: at 1,000 to 2,000 pairs per run for n <= 300, where a run's fixed cost
+#: rules, and at 2 to 3 atoms per run for n >= 1,000, where the sort rules:
+#: one atom per run took 2.3 times as long there, at n = 3,000.
+SORT_MIN_PAIRS = 2_000
+SORT_MIN_RUN = 3
 
 #: Most atoms whose sums :func:`risk_profile` certifies at once: the tail of
 #: the certificate and the ``math.fsum`` fallbacks run once per chunk of
@@ -170,11 +186,23 @@ class PredictorSpec:
         these bit for bit.
         """
         self.check_shapes(thetas, patterns)
-        s = np.multiply.outer(thetas[:, 0], patterns[:, 0])
+        return self.sum_terms(
+            lambda j: np.multiply.outer(thetas[:, j], patterns[:, j]), thetas[:, -1:]
+        )
+
+    def sum_terms(self, term, biases: np.ndarray) -> np.ndarray:
+        """The score formula: ``term(0) + term(1) + ...``, added left to right, then ``+ biases``.
+
+        ``term(j)`` is the (C, n) products of model coordinate j with pattern
+        column j, and ``biases`` the (C, 1) intercepts, added only with an
+        intercept. :meth:`scores` and :func:`risk_profile` both score
+        through here, so their terms meet in one order.
+        """
+        s = term(0)
         for j in range(1, self.pattern_dim):
-            s += np.multiply.outer(thetas[:, j], patterns[:, j])
+            s += term(j)
         if self.intercept:
-            s += thetas[:, -1:]
+            s += biases
         return s
 
     def predict(self, s: np.ndarray) -> np.ndarray:
@@ -346,8 +374,9 @@ def _chunk_scorer(thetas: np.ndarray, patterns: np.ndarray, pred: PredictorSpec,
     """``block -> pred.scores(thetas[block], patterns)``, bit for bit, for row slices of ``thetas``.
 
     A pattern column with a table (see :func:`_column_table`) gathers its
-    products from it; one without multiplies them out per block. The terms
-    are added in the order :meth:`PredictorSpec.scores` adds them.
+    products from it; one without multiplies them out per block.
+    :meth:`PredictorSpec.sum_terms` adds the terms, as it does for
+    :meth:`PredictorSpec.scores`.
     """
     rows = [None if t is None else _table_rows(t[0], thetas[:, j]) for j, t in enumerate(tables)]
 
@@ -356,15 +385,7 @@ def _chunk_scorer(thetas: np.ndarray, patterns: np.ndarray, pred: PredictorSpec,
             return np.multiply.outer(thetas[block, j], patterns[:, j])
         return tables[j][1][rows[j][block]]
 
-    def scores(block: slice) -> np.ndarray:
-        s = term(0, block)
-        for j in range(1, len(tables)):
-            s += term(j, block)
-        if pred.intercept:
-            s += thetas[block, -1:]
-        return s
-
-    return scores
+    return lambda block: pred.sum_terms(lambda j: term(j, block), thetas[block, -1:])
 
 
 def _mismatches(pred: PredictorSpec, labels: np.ndarray):
@@ -382,6 +403,56 @@ def _mismatches(pred: PredictorSpec, labels: np.ndarray):
     return lambda s: ((s >= 0.0) != positive) | other
 
 
+def _prefix_runs(coords: np.ndarray) -> np.ndarray:
+    """First row of each run of consecutive rows equal by bits in all coordinates but the last."""
+    bits = coords[:, :-1].view(np.int64)
+    changed = bits[1:, 0] != bits[:-1, 0]
+    for j in range(1, bits.shape[1]):
+        changed |= bits[1:, j] != bits[:-1, j]
+    return np.concatenate(([0], np.flatnonzero(changed) + 1))
+
+
+def _sorted_mismatch_counts(
+    coords: np.ndarray, starts: np.ndarray, data: Dataset, pred: PredictorSpec
+) -> np.ndarray:
+    """Each atom's count of mismatched points under a threshold classifier with an intercept.
+
+    The atoms of one run (see :func:`_prefix_runs`) share their partial
+    score P, the score before the intercept b. Under round-to-nearest and
+    with a finite b, fl(P + b) >= 0 exactly when P >= -b: a nonzero exact
+    sum of two doubles rounds to a nonzero double of its sign, an exact zero
+    to +-0, and P = +-inf or nan gives +-inf or nan. So each run's row of P
+    is formed once, on the +1 points and then the -1 points, by the
+    intercept-free predictor from the products tables of
+    :func:`_column_table`, and each class is sorted, with a nan P, which
+    predicts -1 whatever b, read as -inf. An atom then counts the +1 labels
+    with P < -b and the -1 labels with P >= -b by binary search, plus every
+    label outside {-1, +1}. The rows are formed and sorted a block of at
+    most :data:`BLOCK_DOUBLES` doubles (or one row) at a time.
+    """
+    labels = data.labels
+    positive, negative = np.flatnonzero(labels == 1.0), np.flatnonzero(labels == -1.0)
+    split = positive.size
+    patterns = data.patterns[np.concatenate((positive, negative))]
+    prefixes = coords[starts, :-1]
+    tables = [_column_table(prefixes[:, j], patterns[:, j]) for j in range(pred.pattern_dim)]
+    scores = _chunk_scorer(prefixes, patterns, PredictorSpec(pred.kind, pred.pattern_dim), tables)
+    bounds = np.append(starts, coords.shape[0]).tolist()
+    counts = np.empty(coords.shape[0])
+    step = max(1, BLOCK_DOUBLES // max(patterns.shape[0], 1))
+    for lo in range(0, starts.size, step):
+        p = scores(slice(lo, lo + step))
+        np.copyto(p, -np.inf, where=np.isnan(p))
+        p[:, :split].sort(axis=1)
+        p[:, split:].sort(axis=1)
+        for k, row in enumerate(p, lo):
+            atoms = slice(bounds[k], bounds[k + 1])
+            t = -coords[atoms, -1]
+            counts[atoms] = np.searchsorted(row[:split], t) - np.searchsorted(row[split:], t)
+    counts += data.n - split
+    return counts
+
+
 def risk_profile(
     q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
@@ -393,7 +464,12 @@ def risk_profile(
     :meth:`PredictorSpec.scores`'s bit for bit. With zero-one loss an atom's
     risk is its count of predictions that differ from the labels
     (:func:`_mismatches`), over n: ``math.fsum`` of n <= 2**53 zeros and
-    ones is that count exactly. Other losses are certified
+    ones is that count exactly. A threshold classifier with an intercept
+    whose runs of atoms sharing their non-intercept coordinates
+    (:func:`_prefix_runs`) average at least :data:`SORT_MIN_RUN` atoms and
+    :data:`SORT_MIN_PAIRS` atom-data pairs counts the same mismatches by
+    sorting instead (:func:`_sorted_mismatch_counts`), a block of at most
+    :data:`BLOCK_DOUBLES` partial scores at a time. Other losses are certified
     :data:`CHUNK_ATOMS` atoms at a time; an atom the certificate rejects has
     its losses evaluated again from :meth:`PredictorSpec.scores` and summed
     by ``math.fsum``.
@@ -402,6 +478,12 @@ def risk_profile(
     m, n = coords.shape[0], data.n
     patterns, labels = data.patterns, data.labels
     pred.check_shapes(coords, patterns)
+    if loss.kind == "zero_one" and pred.kind == "linear_threshold_classifier" and pred.intercept:
+        starts = _prefix_runs(coords)
+        if m >= SORT_MIN_RUN * starts.size and m * n >= SORT_MIN_PAIRS * starts.size:
+            risks = _sorted_mismatch_counts(coords, starts, data, pred)
+            risks /= n
+            return EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
     tables = [_column_table(coords[:, j], patterns[:, j]) for j in range(pred.pattern_dim)]
     step = max(1, min(BLOCK_DOUBLES // n, CHUNK_ATOMS))
     chunk = CHUNK_ATOMS - CHUNK_ATOMS % step

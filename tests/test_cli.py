@@ -247,6 +247,17 @@ class TestSharedPipeline:
         assert len(builds) == 1
         assert [args[2] for args in solves] == pytest.approx([0.5, 1.0, 2.0])
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("lambda_count", [1, 3])
+    def test_command_builds_lambda_grid_once(self, tmp_path, monkeypatch, command, lambda_count):
+        # The config's validation builds the grid (for more than one factor)
+        # and the command reuses it.
+        cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],
+                           lambda_count=lambda_count)
+        grids = count_calls(monkeypatch, experiment, "lambda_grid")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert len(grids) == 1
+
     @pytest.mark.parametrize("lambda_min", [0.5, 1e-20])  # 1e-20: first row fails
     def test_summary_flags_match_verify_lines(self, tmp_path, capsys, lambda_min):
         cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],

@@ -307,20 +307,25 @@ class TestRiskProfile:
             assert certificate_calls.count("certify_sums") == math.ceil(atoms / chunk) == 2
 
     @pytest.mark.parametrize("loss_kind", ["squared", "zero_one"])
-    @pytest.mark.parametrize("points, n, intercept, tables", [
+    @pytest.mark.parametrize("kind, points, n, intercept, tables", [
         # 200 x 200 products: over the table budget, multiplied out per block
-        pytest.param(200, 200, True, [False], id="fallback"),
-        pytest.param(80, 400, False, [True, True], id="tables"),  # two 80 x 400 tables, 0.5 MB
+        pytest.param("linear_regression", 200, 200, True, [False], id="fallback"),
+        # two 80 x 400 tables, 0.5 MB
+        pytest.param("linear_regression", 80, 400, False, [True, True], id="tables"),
         # 40,000 atoms whose coordinates are all distinct: no table
-        pytest.param(None, 200, False, [False, False], id="distinct"),
+        pytest.param("linear_regression", None, 200, False, [False, False], id="distinct"),
+        # runs of 200 atoms: zero-one risks by sorting, 200 partial-score
+        # rows with no table; squared loss as in "fallback"
+        pytest.param("linear_threshold_classifier", 200, 200, True, [False], id="sorted"),
     ])
     def test_temporaries_stay_within_a_few_blocks(
-        self, rng, table_columns, loss_kind, points, n, intercept, tables
+        self, rng, table_columns, sorted_runs, loss_kind, kind, points, n, intercept, tables
     ):
         # 200 x 200 atoms at n = 200: 8M losses, 64 MB if evaluated at once;
-        # 80 x 80 atoms at n = 400: 2.56M losses, 20 MB. Every label lies
-        # above every prediction (|w . x| <= 2), so with zero-one loss all
-        # atoms tie at the minimum risk 1.
+        # 80 x 80 atoms at n = 400: 2.56M losses, 20 MB. Every regression
+        # label lies above every prediction (|w . x| <= 2), so with zero-one
+        # loss all atoms tie at the minimum risk 1; the classifier's labels
+        # are the signs of x[:, 0] - 0.3.
         if points is None:
             grid = rng.uniform(-1.0, 1.0, (40_000, 2))
         else:
@@ -329,8 +334,11 @@ class TestRiskProfile:
         q = make_measure(grid, np.ones(len(grid)))
         x = np.linspace(-1.0, 1.0, n)
         x = np.stack([x, x[::-1]], axis=1)[:, :2 - intercept]
-        data = Dataset(x, 0.3 * x[:, 0] + 2.5)
-        pred = PredictorSpec("linear_regression", x.shape[1], intercept)
+        if kind == "linear_regression":
+            data = Dataset(x, 0.3 * x[:, 0] + 2.5)
+        else:
+            data = Dataset(x, np.where(x[:, 0] >= 0.3, 1.0, -1.0))
+        pred = PredictorSpec(kind, x.shape[1], intercept)
         tracemalloc.start()
         try:
             risk_profile(q, data, pred, LossSpec(loss_kind))
@@ -338,6 +346,8 @@ class TestRiskProfile:
         finally:
             tracemalloc.stop()
         assert table_columns == tables
+        sorts = kind == "linear_threshold_classifier" and loss_kind == "zero_one"
+        assert sorted_runs == ([200] if sorts else [])
         assert peak < 2 * 2**20
 
     @given(risk_vectors)
@@ -346,6 +356,130 @@ class TestRiskProfile:
         prof = profile_from(risks)
         assert np.all(prof.risks >= prof.delta_star)
         assert prof.delta_star in prof.risks
+
+
+def lattice(*axes) -> np.ndarray:
+    """The lattice of ``axes`` as (m, len(axes)) rows, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+@pytest.fixture
+def sorted_runs(monkeypatch) -> list:
+    """The number of runs of each zero-one profile ``risk_profile`` counted by sorting."""
+    runs = []
+    original = risk._sorted_mismatch_counts
+
+    def spied(coords, starts, data, pred):
+        runs.append(starts.size)
+        return original(coords, starts, data, pred)
+
+    monkeypatch.setattr(risk, "_sorted_mismatch_counts", spied)
+    return runs
+
+
+class TestSortedZeroOneRisks:
+    """Zero-one risks of a threshold classifier with an intercept, counted by sorting."""
+
+    @staticmethod
+    def assert_paths_agree(monkeypatch, sorted_runs, coords, data, sorted_path=True):
+        """The chosen path equals the fsum loop and the block path bit for bit."""
+        pred = PredictorSpec("linear_threshold_classifier", data.pattern_dim, intercept=True)
+        q = make_measure(coords, np.ones(len(coords)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_fsum_loop_risks(q, data, pred, "zero_one")
+            assert len(sorted_runs) == sorted_path
+            chosen = risk_profile(q, data, pred, LossSpec("zero_one")).risks
+            with monkeypatch.context() as blocks_only:
+                blocks_only.setattr(risk, "SORT_MIN_RUN", math.inf)
+                blocks = risk_profile(q, data, pred, LossSpec("zero_one")).risks
+        assert len(sorted_runs) == 2 * sorted_path
+        assert chosen.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    @pytest.mark.parametrize("pattern_dim", [1, 2])
+    def test_exact_ties_and_signed_zeros(
+        self, rng, monkeypatch, sorted_runs, pattern_dim, signed_zeros
+    ):
+        # Quarters, halves and eighths: every score is exact, and many are
+        # exactly 0, where x . w = -b and the classifier predicts +1. Runs of
+        # 17 atoms at n = 600, fewer where a signed zero splits a run.
+        n = 600
+        prefix = [np.arange(-4, 5) / 2] if pattern_dim == 1 else [np.arange(-2, 3) / 2] * 2
+        coords = lattice(*prefix, np.arange(-8, 9) / 8)
+        x = rng.integers(-4, 5, (n, pattern_dim)) / 4
+        if signed_zeros:
+            # Each zero gets a random sign: in the intercept, in the
+            # non-intercept coordinates, which split their runs by bits, and
+            # in the patterns, so partial scores of both signs of zero occur.
+            for a in (coords, x):
+                zeros = a == 0.0
+                a[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        data = Dataset(x, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        pred = PredictorSpec("linear_threshold_classifier", pattern_dim, intercept=True)
+        assert np.any(pred.scores(coords, x) == 0.0)
+        partial = PredictorSpec(pred.kind, pattern_dim).scores(coords[:, :-1], x)
+        zero = partial == 0.0
+        assert np.any(zero & np.signbit(partial)) and np.any(zero & ~np.signbit(partial))
+        self.assert_paths_agree(monkeypatch, sorted_runs, coords, data)
+        runs = len(coords) // 17
+        assert sorted_runs[0] > runs if signed_zeros else sorted_runs[0] == runs
+
+    @pytest.mark.parametrize("pattern_dim", [1, 2])
+    def test_infinite_and_nan_partial_scores(self, rng, monkeypatch, sorted_runs, pattern_dim):
+        # Patterns near 1e300 times weights of 1e10 overflow to +-inf, and
+        # with two columns inf - inf is nan, which predicts -1 whatever b.
+        n = 300
+        big = np.array([-1e10, -1.0, 0.0, 1.0, 1e10])
+        coords = lattice(*[big] * pattern_dim, np.linspace(-1.0, 1.0, 8))
+        x = rng.uniform(-1.0, 1.0, (n, pattern_dim))
+        x[:40] *= 1e300
+        data = Dataset(x, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            partial = PredictorSpec("linear_regression", pattern_dim).scores(coords[:, :-1], x)
+        assert np.isposinf(partial).any() and np.isneginf(partial).any()
+        assert np.isnan(partial).any() == (pattern_dim == 2)
+        self.assert_paths_agree(monkeypatch, sorted_runs, coords, data)
+
+    @pytest.mark.parametrize("labels", ["mixed", "no_minus_one", "none_signed"])
+    @pytest.mark.parametrize("pattern_dim", [1, 2])
+    def test_labels_outside_plus_minus_one(
+        self, rng, monkeypatch, sorted_runs, pattern_dim, labels
+    ):
+        # Labels no classifier predicts always mismatch.
+        n = 300
+        coords = lattice(*[np.linspace(-1.0, 1.0, 6)] * pattern_dim, np.linspace(-0.5, 0.5, 10))
+        y = rng.choice([1.0, -1.0, 0.0, 0.5, 2.0, -3.0], n)
+        if labels == "no_minus_one":
+            y[y == -1.0] = 1.0
+        elif labels == "none_signed":
+            y[np.abs(y) == 1.0] = 0.5
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, pattern_dim)), y)
+        self.assert_paths_agree(monkeypatch, sorted_runs, coords, data)
+
+    @pytest.mark.parametrize("n", [1000, BLOCK_DOUBLES + 5])
+    def test_runs_across_blocks(self, rng, monkeypatch, sorted_runs, n):
+        # 37 runs of 4 atoms with random intercepts: 16 runs per block at
+        # n = 1000 (37 is not a multiple), one run per block above
+        # BLOCK_DOUBLES points.
+        prefixes = np.repeat(rng.uniform(-1.0, 1.0, (37, 2)), 4, axis=0)
+        coords = np.column_stack((prefixes, rng.uniform(-1.0, 1.0, len(prefixes))))
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        data = Dataset(x, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        self.assert_paths_agree(monkeypatch, sorted_runs, coords, data)
+        assert sorted_runs[0] == 37
+
+    @pytest.mark.parametrize("pattern_dim", [1, 2])
+    def test_one_atom_per_prefix_takes_the_block_path(
+        self, rng, monkeypatch, sorted_runs, pattern_dim
+    ):
+        # 3,000 pairs per run clear SORT_MIN_PAIRS, but a run of one atom
+        # sorts its n points to place one threshold.
+        n = 3000
+        assert n >= risk.SORT_MIN_PAIRS and risk.SORT_MIN_RUN > 1
+        coords = rng.uniform(-1.0, 1.0, (200, pattern_dim + 1))
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, pattern_dim)),
+                       np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        self.assert_paths_agree(monkeypatch, sorted_runs, coords, data, sorted_path=False)
 
 
 class TestExpectedRisk:
