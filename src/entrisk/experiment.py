@@ -43,7 +43,6 @@ from .errors import (
 )
 from .measures import (
     DiscreteMeasure,
-    as_grid,
     exact_row_sums,
     exact_sum,
     kl_log_ratios,
@@ -154,6 +153,11 @@ class ExperimentConfig:
         return len(self.grid_resolution)
 
     @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The read-only per-axis points of the lattice, :func:`_axes`, built once per config."""
+        return _axes(self.grid_min, self.grid_max, self.grid_resolution)
+
+    @cached_property
     def lambdas(self) -> np.ndarray:
         """The read-only factor grid, :func:`lambda_grid`, built once per config."""
         grid = lambda_grid(self)
@@ -190,7 +194,8 @@ class ExperimentConfig:
                  "fields 'grid_min'/'grid_max'/'grid_resolution': lengths must agree")
         _require(all(lo <= hi for lo, hi in zip(grid_min, grid_max)),
                  "field 'grid_min': must not exceed 'grid_max' on any axis")
-        for axis, points in enumerate(_axes(grid_min, grid_max, resolution)):
+        axes = _axes(grid_min, grid_max, resolution)
+        for axis, points in enumerate(axes):
             _require(bool(np.all(np.isfinite(points))) and _strictly_increasing(points),
                      f"field 'grid_max': axis {axis} must span {len(points)} distinct finite "
                      f"points from grid_min {grid_min[axis]!r} to grid_max {grid_max[axis]!r}")
@@ -280,6 +285,7 @@ class ExperimentConfig:
             base_dir=base_dir or Path.cwd(),
             raw=dict(raw),
         )
+        vars(cfg)["axes"] = axes  # the cached property, holding the axes checked above
         _require(lambda_count == 1 or _strictly_increasing(cfg.lambdas),
                  f"field 'lambda_max': the {lambda_count} factors from lambda_min to "
                  "lambda_max must strictly increase")
@@ -311,21 +317,31 @@ def loss_spec(cfg: ExperimentConfig) -> LossSpec:
 
 def _axes(
     grid_min: Sequence[float], grid_max: Sequence[float], resolution: Sequence[int]
-) -> list[np.ndarray]:
-    """Per-axis points of the lattice: ``resolution`` evenly spaced from min to max.
+) -> tuple[np.ndarray, ...]:
+    """Read-only per-axis points of the lattice: ``resolution`` evenly spaced from min to max.
 
     A span too wide for a double gives non-finite points, which
     :meth:`ExperimentConfig.from_dict` rejects.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [np.linspace(lo, hi, res) for lo, hi, res in zip(grid_min, grid_max, resolution)]
+    axes = []
+    for lo, hi, res in zip(grid_min, grid_max, resolution):
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.linspace(lo, hi, res)
+        points.flags.writeable = False
+        axes.append(points)
+    return tuple(axes)
 
 
 def grid_points(cfg: ExperimentConfig) -> np.ndarray:
-    """Lattice of model points as a read-only (K, d) grid: per-axis linspace, last axis fastest."""
-    axes = _axes(cfg.grid_min, cfg.grid_max, cfg.grid_resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return as_grid(np.stack(mesh, axis=-1).reshape(-1, cfg.dim))
+    """Lattice of model points as a read-only (K, d) grid: per-axis linspace, last axis fastest.
+
+    The rows are distinct without a check over them, which :func:`as_grid`
+    would make by sorting them: :meth:`ExperimentConfig.from_dict` requires
+    every axis to be finite and strictly increasing.
+    """
+    grid = np.stack(np.meshgrid(*cfg.axes, indexing="ij"), axis=-1).reshape(-1, cfg.dim)
+    grid.flags.writeable = False
+    return grid
 
 
 def build_reference(cfg: ExperimentConfig, grid: np.ndarray) -> DiscreteMeasure:

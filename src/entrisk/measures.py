@@ -73,7 +73,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY_SCALE = 2.0**-900
 
 
-def _split_sums(rows: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
+def _split_sums(
+    rows: np.ndarray, sigma, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The float row sums ``r`` of the high parts and ``t`` of the low parts of ``rows``.
 
     Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point
@@ -84,9 +86,10 @@ def _split_sums(rows: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
     exact in any order, and the lows ``x - high`` are exact and at most
     ``u sigma`` each, so their float sum ``t`` is off by at most
     ``4 n^2 u^2 sigma``. :func:`certify_sums` turns the pair into a sum and
-    a verdict.
+    a verdict. The highs, then the lows, are formed in ``out``, an array
+    of ``rows``' shape, when it is given, and in a fresh one otherwise.
     """
-    high = rows + sigma
+    high = np.add(rows, sigma, out=out)
     high -= sigma
     r = np.add.reduce(high, axis=1)
     return r, np.add.reduce(np.subtract(rows, high, out=high), axis=1)
@@ -141,7 +144,9 @@ def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return certify_sums(r, t, np.where(guard, bound, math.nan))
 
 
-def split_nonnegative(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def split_nonnegative(
+    rows: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`_split_sums` of an (m, n) block of nonnegative rows at one ``sigma``, and the bound.
 
     ``sigma`` is the power of two at or above ``2 n max(rows)``, one scalar
@@ -151,6 +156,7 @@ def split_nonnegative(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     span overflows, or whose entries are all tiny. Under a positive
     ``sigma`` the highs and lows of a nonnegative row are both 0 exactly
     when the row is all zero, so ``r == t == 0`` marks an exact row.
+    ``out`` is :func:`_split_sums`' buffer for the highs.
     """
     n = rows.shape[1]
     span = 2.0 * n * float(np.maximum.reduce(rows, axis=None))
@@ -158,7 +164,7 @@ def split_nonnegative(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if not (span == 0.0 or scale >= _TINY_SCALE):
         sums = np.full(rows.shape[0], math.nan)
         return sums, sums, math.nan
-    r, t = _split_sums(rows, scale)
+    r, t = _split_sums(rows, scale, out)
     return r, t, scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
 
 

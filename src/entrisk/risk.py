@@ -15,15 +15,19 @@ Risks are evaluated a block of atoms at a time: one numpy pass scores every
 atom's losses into the high and low float sums of the package's certified
 row sum (:func:`entrisk.measures.split_nonnegative`). Losses are
 nonnegative, so one ``sigma`` per block, from the block's largest loss,
-serves every row. The certificate itself (:func:`entrisk.measures.certify_sums`)
-runs once per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects
-has its losses evaluated again and summed by ``math.fsum``, so every risk
-carries ``math.fsum``'s bits. Zero-one losses are the integers 0 and 1,
-so an atom's loss sum is its count of mispredicted points, already exact:
-that loss counts the mismatches of each block and runs no split,
-certificate or fallback. A block holds at most :data:`BLOCK_DOUBLES`
-pairs (one atom at a time when a single atom has more data points), so the
-temporaries stay small whatever the grid size.
+serves every row. The loss and the split run in place: the losses replace
+the block's scores, the labels are tiled once to a block's shape, so that
+their subtraction is a same-shape pass and not a broadcast row, and the
+split forms its highs in one buffer; both are allocated once per profile.
+The certificate itself (:func:`entrisk.measures.certify_sums`) runs once
+per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects has its
+losses evaluated again and summed by ``math.fsum``, so every risk carries
+``math.fsum``'s bits. Zero-one losses are the integers 0 and 1, so an
+atom's loss sum is its count of mispredicted points, already exact: that
+loss counts the mismatches of each block and runs no split, certificate or
+fallback. A block holds at most :data:`BLOCK_DOUBLES` pairs (one atom at a
+time when a single atom has more data points), so the temporaries stay
+small whatever the grid size.
 
 A block's scores come from products tables, one per pattern column j: the
 products of x_j with each distinct value of the model coordinate w_j, built
@@ -31,11 +35,16 @@ once per profile. A lattice repeats each coordinate value along the other
 axes, so an 80 x 80 grid needs 80 table rows per column, not 6,400 products
 per column. A block gathers one table row per atom and column and adds them
 in the order of :meth:`PredictorSpec.scores`, whose scores it reproduces
-bit for bit. The tables pay only where model values repeat and the data
-rows are long, so a column whose values recur fewer than
-:data:`TABLE_MIN_REUSE` times, whose data have fewer than
-:data:`TABLE_MIN_POINTS` points, or whose table would exceed
-:data:`TABLE_DOUBLES` doubles is multiplied out block by block instead.
+bit for bit. Where a block's atoms read consecutive rows of a later
+column's table, as along the last axis of a lattice, it adds that slice of
+the table instead of gathering it. The first term is always a fresh array,
+never a view of a table, because the other terms and then the losses are
+written into it; the tables are read-only, so such a write would raise.
+The tables pay only where model values repeat and the data rows are long,
+so a column whose values recur fewer than :data:`TABLE_MIN_REUSE` times,
+whose data have fewer than :data:`TABLE_MIN_POINTS` points, or whose table
+would exceed :data:`TABLE_DOUBLES` doubles is multiplied out block by block
+instead.
 
 A threshold classifier with an intercept whose atoms come in long runs
 sharing their non-intercept coordinates, as on a lattice, counts its
@@ -226,13 +235,21 @@ class LossSpec:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
 
-    def loss_all(self, predicted: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def loss_all(
+        self, predicted: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Pointwise losses of ``predicted`` against ``labels``, written into ``out`` when given.
+
+        ``out`` may be ``predicted`` itself, whose losses then replace it.
+        """
+        if out is None:
+            out = np.empty(np.broadcast_shapes(predicted.shape, labels.shape))
+        if self.kind == "zero_one":
+            return np.not_equal(predicted, labels, out=out)
+        np.subtract(predicted, labels, out=out)
         if self.kind == "squared":
-            d = predicted - labels
-            return d * d
-        if self.kind == "absolute":
-            return np.abs(predicted - labels)
-        return np.where(predicted == labels, 0.0, 1.0)
+            return np.multiply(out, out, out=out)
+        return np.abs(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +367,7 @@ def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     at a time, and the search stops at the first chunk that takes them over
     the budget: the temporaries hold a chunk and the values found so far,
     never an (m,) array, and a column of all-distinct values stops early.
+    The table is read-only: blocks add its rows into their own scores.
     """
     if x.size < TABLE_MIN_POINTS:
         return None
@@ -359,7 +377,9 @@ def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         values = _distinct(np.concatenate((values, col[lo:lo + CHUNK_ATOMS])))
         if values.size > most:
             return None
-    return values, np.multiply.outer(values, x)
+    table = np.multiply.outer(values, x)
+    table.flags.writeable = False
+    return values, table
 
 
 def _table_rows(values: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -370,19 +390,45 @@ def _table_rows(values: np.ndarray, col: np.ndarray) -> np.ndarray:
     return at
 
 
+def _consecutive_rows(rows: np.ndarray, breaks: np.ndarray, start: int, stop: int) -> slice | None:
+    """``rows[start:stop]`` as one slice of table rows, or None unless they are consecutive.
+
+    ``breaks[i]`` counts the atoms 1..i whose row is not one past the row
+    of the atom before, so atoms ``start`` to ``stop - 1`` read consecutive
+    rows exactly when ``breaks`` agrees at both ends.
+    """
+    if breaks[start] != breaks[stop - 1]:
+        return None
+    first = int(rows[start])
+    return slice(first, first + stop - start)
+
+
 def _chunk_scorer(thetas: np.ndarray, patterns: np.ndarray, pred: PredictorSpec, tables: list):
     """``block -> pred.scores(thetas[block], patterns)``, bit for bit, for row slices of ``thetas``.
 
     A pattern column with a table (see :func:`_column_table`) gathers its
-    products from it; one without multiplies them out per block.
-    :meth:`PredictorSpec.sum_terms` adds the terms, as it does for
-    :meth:`PredictorSpec.scores`.
+    products from it; one without multiplies them out per block. A later
+    column (j >= 1) whose atoms read consecutive table rows over the block,
+    as the last axis of a lattice does, adds that slice of its table with
+    no gather. The first term is a fresh array, never a view of a table:
+    :meth:`PredictorSpec.sum_terms` adds the other terms into it, as it does
+    for :meth:`PredictorSpec.scores`, and :func:`risk_profile` writes the
+    losses over it.
     """
     rows = [None if t is None else _table_rows(t[0], thetas[:, j]) for j, t in enumerate(tables)]
+    breaks = [
+        None if j == 0 or r is None else np.concatenate(([0], np.cumsum(np.diff(r) != 1)))
+        for j, r in enumerate(rows)
+    ]
 
     def term(j: int, block: slice) -> np.ndarray:
         if tables[j] is None:
             return np.multiply.outer(thetas[block, j], patterns[:, j])
+        if breaks[j] is not None:
+            start, stop, _ = block.indices(thetas.shape[0])
+            run = _consecutive_rows(rows[j], breaks[j], start, stop)
+            if run is not None:
+                return tables[j][1][run]
         return tables[j][1][rows[j][block]]
 
     return lambda block: pred.sum_terms(lambda j: term(j, block), thetas[block, -1:])
@@ -472,7 +518,11 @@ def risk_profile(
     :data:`BLOCK_DOUBLES` partial scores at a time. Other losses are certified
     :data:`CHUNK_ATOMS` atoms at a time; an atom the certificate rejects has
     its losses evaluated again from :meth:`PredictorSpec.scores` and summed
-    by ``math.fsum``.
+    by ``math.fsum``. Their blocks run in place, in two buffers of one block
+    allocated here: the labels tiled to the block's shape and the split's
+    highs. Each block's scores are a fresh array (:func:`_chunk_scorer`: its
+    first term is never a view of a table, and a later column whose atoms
+    read consecutive table rows adds that slice), which the losses replace.
     """
     coords = q.coords
     m, n = coords.shape[0], data.n
@@ -487,7 +537,14 @@ def risk_profile(
     tables = [_column_table(coords[:, j], patterns[:, j]) for j in range(pred.pattern_dim)]
     step = max(1, min(BLOCK_DOUBLES // n, CHUNK_ATOMS))
     chunk = CHUNK_ATOMS - CHUNK_ATOMS % step
-    mismatches = _mismatches(pred, labels) if loss.kind == "zero_one" else None
+    mismatches = None
+    if loss.kind == "zero_one":
+        mismatches = _mismatches(pred, labels)
+    else:
+        # The labels tiled to a block's shape, which a same-shape subtraction
+        # reads at half the cost of a broadcast row, and the split's highs.
+        tiled = np.tile(labels, (min(step, m), 1))
+        highs = np.empty_like(tiled)
     risks = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -500,8 +557,10 @@ def risk_profile(
             continue
         r, t, bound = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
         for rows in blocks:
-            block = loss.loss_all(pred.predict(scores(rows)), labels)
-            r[rows], t[rows], bound[rows] = split_nonnegative(block)
+            size = rows.stop - rows.start
+            block = pred.predict(scores(rows))  # a fresh array: the losses replace it
+            loss.loss_all(block, tiled[:size], out=block)
+            r[rows], t[rows], bound[rows] = split_nonnegative(block, highs[:size])
         bound[(r == 0.0) & (t == 0.0)] = 0.0  # all-zero rows of losses are exact
         sums, certified = certify_sums(r, t, bound)
         for i in np.flatnonzero(~certified).tolist():

@@ -258,6 +258,19 @@ class TestSharedPipeline:
         assert cli_main([command, "--config", str(cfg)]) == 0
         assert len(grids) == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("reference", ["uniform", "restricted"])
+    def test_command_builds_lattice_axes_once(self, tmp_path, monkeypatch, command, reference):
+        # The config's validation builds the axes and the grid reuses them;
+        # a restricted reference also scores the whole grid.
+        box = {"reference_box_min": [-1.0, -1.0], "reference_box_max": [0.0, 1.0]}
+        cfg = write_config(tmp_path, grid_min=[-1.0, -1.0], grid_max=[1.0, 1.0],
+                           grid_resolution=[5, 4], true_model=[0.5, -0.5], reference=reference,
+                           **(box if reference == "restricted" else {}))
+        axes = count_calls(monkeypatch, experiment, "_axes")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert len(axes) == 1
+
     @pytest.mark.parametrize("lambda_min", [0.5, 1e-20])  # 1e-20: first row fails
     def test_summary_flags_match_verify_lines(self, tmp_path, capsys, lambda_min):
         cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],

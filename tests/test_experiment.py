@@ -344,6 +344,23 @@ class TestInstanceGeneration:
         )
         assert len(grid_points(cfg)) == 6
 
+    @pytest.mark.parametrize("resolution", [[1], [7], [5, 4], [3, 1, 4]])
+    def test_lattice_equals_checked_grid_without_a_row_sort(self, monkeypatch, resolution):
+        d = len(resolution)
+        cfg = ExperimentConfig.from_dict(base_config(
+            grid_min=[-1.0, 0.5, -3.0][:d], grid_max=[1.0, 2.0, 3.0][:d],
+            grid_resolution=resolution, true_model=[0.5] * d,
+        ))
+        axes = [np.linspace(lo, hi, r) for lo, hi, r in zip(cfg.grid_min, cfg.grid_max, resolution)]
+        checked = measures.as_grid(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d))
+        monkeypatch.setattr(measures, "_equal_row_pairs", None)  # no sort over the rows
+        grid = grid_points(cfg)
+        assert grid.shape == checked.shape and grid.tobytes() == checked.tobytes()
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous and not grid.flags.writeable
+        assert cfg.axes is cfg.axes and not any(a.flags.writeable for a in cfg.axes)
+        # A config copied with other fields builds its own axes.
+        assert len(grid_points(dataclasses.replace(cfg, grid_resolution=(2,) * d))) == 2**d
+
     def test_same_config_gives_identical_instance(self):
         cfg = ExperimentConfig.from_dict(base_config())
         q1, d1, p1 = generate_instance(cfg)

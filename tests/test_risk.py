@@ -96,6 +96,21 @@ def table_columns(monkeypatch) -> list:
     return built
 
 
+@pytest.fixture
+def table_slices(monkeypatch) -> list:
+    """Whether a block read a later column's table rows as one slice, once per block and column."""
+    taken = []
+    original = risk._consecutive_rows
+
+    def spied(rows, breaks, start, stop):
+        run = original(rows, breaks, start, stop)
+        taken.append(run is not None)
+        return run
+
+    monkeypatch.setattr(risk, "_consecutive_rows", spied)
+    return taken
+
+
 class TestEmpiricalRisk:
     def test_perfect_predictor_has_zero_risk(self):
         data = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([2.0, 4.0, -6.0]))
@@ -306,7 +321,7 @@ class TestRiskProfile:
             assert_fsum_loop_risks(q, data, pred, loss_kind)
             assert certificate_calls.count("certify_sums") == math.ceil(atoms / chunk) == 2
 
-    @pytest.mark.parametrize("loss_kind", ["squared", "zero_one"])
+    @pytest.mark.parametrize("loss_kind", ["squared", "absolute", "zero_one"])
     @pytest.mark.parametrize("kind, points, n, intercept, tables", [
         # 200 x 200 products: over the table budget, multiplied out per block
         pytest.param("linear_regression", 200, 200, True, [False], id="fallback"),
@@ -480,6 +495,111 @@ class TestSortedZeroOneRisks:
         data = Dataset(rng.uniform(-1.0, 1.0, (n, pattern_dim)),
                        np.where(rng.random(n) < 0.5, 1.0, -1.0))
         self.assert_paths_agree(monkeypatch, sorted_runs, coords, data, sorted_path=False)
+
+
+class TestBlocksInPlace:
+    """Blocks read table slices, and their losses and splits run in place, with the same bits."""
+
+    @pytest.mark.parametrize("order", ["lattice", "shuffled", "descending", "signed_zeros"])
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("kind, loss_kinds", [
+        ("linear_regression", ("squared", "absolute")),
+        # predict allocates the block of signs that the losses replace
+        ("linear_threshold_classifier", ("squared",)),
+    ])
+    def test_slices_and_gathers_equal_per_atom_fsum_loop(
+        self, rng, table_columns, table_slices, kind, loss_kinds, intercept, order
+    ):
+        # An 80 x 80 lattice at n = 300: blocks of 54 atoms, which straddle
+        # the runs of 80 atoms along the last axis. Within a run the second
+        # column reads consecutive table rows, and across a straddle it
+        # gathers. With an intercept each atom gets a bias of its own, so
+        # the second column's rows still step by one along a run.
+        n = 300
+        pred = PredictorSpec(kind, 2, intercept)
+        axis = np.arange(-40, 40) / 32
+        coords = lattice(axis, axis[::-1] if order == "descending" else axis)
+        if order == "signed_zeros":
+            # 0.0 and -0.0 both in the last axis: the table has a row for
+            # each, so a run steps over the row of the other sign. Runs of
+            # even rank take -0.0.
+            zeros = np.flatnonzero(coords[:, 1] == 0.0)
+            coords[zeros[::2], 1] = -0.0
+        if order == "shuffled":
+            coords = coords[rng.permutation(len(coords))]
+        if intercept:
+            coords = np.column_stack((coords, rng.uniform(-0.5, 0.5, len(coords))))
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        x[:4] = 0.0
+        x[4] = -0.0
+        if kind == "linear_regression":
+            y = 0.6 * x[:, 0] - 1.1 * x[:, 1] + rng.uniform(-0.3, 0.3, n)
+        else:
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        q = make_measure(coords, np.ones(len(coords)))
+        data = Dataset(x, y)
+        for loss_kind in loss_kinds:
+            table_columns.clear()
+            table_slices.clear()
+            assert_fsum_loop_risks(q, data, pred, loss_kind)
+            assert table_columns == [True, True]
+            if order in ("lattice", "signed_zeros"):
+                assert any(table_slices) and not all(table_slices)
+            else:
+                assert table_slices and not any(table_slices)
+        # The scores themselves, signed zeros included, block by block: in
+        # the profile's blocks, and in blocks shifted by 27 atoms, of which
+        # the first ends on the first atom of a run.
+        step = BLOCK_DOUBLES // n
+        tables = [risk._column_table(q.coords[:, j], x[:, j]) for j in range(2)]
+        scorer = risk._chunk_scorer(q.coords, x, pred, tables)
+        for first in (0, 27):
+            blocks = [scorer(slice(lo, lo + step)) for lo in range(first, len(coords), step)]
+            expected = pred.scores(q.coords[first:], x)
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind, loss_kind, biases, sorts", [
+        pytest.param("linear_regression", "squared", 0, False, id="squared"),
+        pytest.param("linear_regression", "absolute", 1, False, id="absolute"),
+        pytest.param("linear_regression", "zero_one", 0, False, id="zero_one_blocks"),
+        pytest.param("linear_threshold_classifier", "zero_one", 10, True, id="zero_one_sorted"),
+    ])
+    def test_leaves_tables_data_and_grid_unchanged(
+        self, rng, monkeypatch, sorted_runs, kind, loss_kind, biases, sorts
+    ):
+        # A 20 x 120 lattice (times the biases) at n = 200, its first column
+        # the fastest: every column gets a table, blocks of 81 atoms (or
+        # prefixes) read consecutive rows of the first column, and the
+        # classifier's runs of 10 atoms sort. A kernel that added into a
+        # slice of the first column's table would write the table.
+        built = []
+        original = risk._column_table
+
+        def kept(col, x):
+            table = original(col, x)
+            if table is not None:
+                built.append((table[1], table[1].tobytes()))
+            return table
+
+        monkeypatch.setattr(risk, "_column_table", kept)
+        n = 200
+        coords = lattice(np.arange(-10, 10) / 8, np.arange(-60, 60) / 32,
+                         *[np.linspace(-0.5, 0.5, biases)] * (biases > 0))
+        coords[:, [0, 1]] = coords[:, [1, 0]]
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        if kind == "linear_regression":
+            y = y * rng.uniform(0.5, 1.5, n)
+        q = make_measure(coords, np.ones(len(coords)))
+        data = Dataset(x, y)
+        inputs = (q.grid, data.patterns, data.labels)
+        before = [a.tobytes() for a in inputs]
+        risk_profile(q, data, PredictorSpec(kind, 2, biases > 0), LossSpec(loss_kind))
+        assert sorted_runs == ([2400] if sorts else [])
+        assert len(built) == 2
+        for table, snapshot in built:
+            assert not table.flags.writeable and table.tobytes() == snapshot
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestExpectedRisk:
