@@ -50,10 +50,10 @@ def _tilt(log_q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     """
     logits = log_q - values
     shift = float(np.maximum.reduce(logits))
-    # One buffer takes the shifted logits, their exponentials, then the tilt.
+    # One buffer takes the shifted logits, then their exponentials.
     unnorm = np.exp(np.subtract(logits, shift, out=logits), out=logits)
     z = exact_sum(unnorm)
-    return normalized(np.divide(unnorm, z, out=unnorm)), shift + math.log(z)
+    return normalized(unnorm, z), shift + math.log(z)
 
 
 @dataclass(frozen=True, eq=False)

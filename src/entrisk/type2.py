@@ -29,10 +29,12 @@ leaves the solution measure unchanged, so this is a pure reparametrization.)
 The iteration takes Newton steps on ``1/g - 1``, which is increasing and
 concave in ``t`` and nearly linear next to the pole, from the bracket's left
 end, and bisects where a step would leave the bracket or fails to shrink
-fast enough (see :func:`solve_k_bar`). g is evaluated with exact summation
+fast enough (see :func:`solve_k_bar`). Each evaluation of g takes a float
+sum first; where an error bound shows it more than the tolerance from 1,
+the step reads it, and anywhere else g is summed exactly
 (:func:`entrisk.measures.exact_sum`: ``math.fsum``'s bits, through a
-certified lone-row sum from a few hundred atoms on, where it is faster),
-and only that value decides whether a point is the root; the derivative
+certified lone-row sum from a few hundred atoms on, where it is faster).
+Only an exact value decides whether a point is the root; the derivative
 that steers each step is a float sum. The accepted evaluation's rows, the
 denominators k_bar + L and the terms q * lam / (k_bar + L) whose exact sum
 is g, are returned with the root: they are the solution's weights before
@@ -117,6 +119,21 @@ class TypeIISolution:
     g: float
 
 
+def _g_sum(terms: np.ndarray) -> float:
+    """The sum of g's m positive ``terms``: exact where it may be within DEFAULT_TOL of 1.
+
+    The float sum g_hat is returned where
+    ``|g_hat - 1| > 2 * m * u * g_hat + DEFAULT_TOL``, with u = 2**-53:
+    there the exact sum is certainly more than DEFAULT_TOL from 1, on the
+    same side as g_hat (see :func:`solve_k_bar`). Anywhere else the exact
+    sum is returned.
+    """
+    g_hat = float(np.add.reduce(terms))
+    if abs(g_hat - 1.0) > terms.shape[0] * 2.0**-52 * g_hat + DEFAULT_TOL:
+        return g_hat
+    return exact_sum(terms)
+
+
 def solve_k_bar(
     q: DiscreteMeasure,
     profile: EmpiricalRiskProfile,
@@ -139,11 +156,27 @@ def solve_k_bar(
     1/g is a weighted harmonic mean of the affine functions
     ``t + L - delta_star``, so h is increasing and concave: from the left of
     the root a Newton step stays left of it, and it converges quadratically.
-    The derivative, a float sum, only steers the step; a point is accepted on
-    the exact g alone. A step that would leave the open bracket, or that does
-    not halve the step before last, bisects instead (the ``rtsafe`` rule).
-    ``iterations`` counts the Newton and bisection steps after the two
-    endpoint evaluations.
+    The derivative, a float sum, only steers the step. A step that would
+    leave the open bracket, or that does not halve the step before last,
+    bisects instead (the ``rtsafe`` rule). ``iterations`` counts the Newton
+    and bisection steps after the two endpoint evaluations.
+
+    Each evaluation, the two endpoint checks included, sums g's m positive
+    terms in floats first (:func:`_g_sum`). In any order that float sum
+    g_hat is within gamma_(m-1) * g of the exact sum g, with
+    gamma_k = k*u / (1 - k*u) and u = 2**-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2).
+    As g <= g_hat / (1 - gamma_(m-1)), that is within
+    (m-1)*u / (1 - 2*(m-1)*u) * g_hat <= 2*(m-1)*u * g_hat while
+    (m-1)*u <= 1/4; ``math.fsum`` rounds g once more, by at most about
+    u * g_hat. So the exact sum G lies within 2*m*u * g_hat of g_hat, and
+    where ``|g_hat - 1| > 2*m*u * g_hat + DEFAULT_TOL`` G - 1 has g_hat - 1's
+    sign and exceeds DEFAULT_TOL in size: the point is not the root, and the
+    bracket update and the Newton step read g_hat. The slack of about
+    u * g_hat left over covers the rounding of that test next to g_hat = 1.
+    Anywhere else G is taken. A point is accepted only on G, so ``gaps``,
+    ``terms``, ``g`` and ``residual`` are those of an exactly summed
+    evaluation.
 
     No iteration cap is needed: every step lands strictly inside the bracket
     and shrinks it. Each run of Newton steps shrinks geometrically, so a run
@@ -168,10 +201,10 @@ def solve_k_bar(
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
 
     def g(t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """g(t), an exact sum, with its rows gaps = t + shifted and terms = qlam / gaps."""
+        """g(t) by :func:`_g_sum`, with its rows gaps = t + shifted and terms = qlam / gaps."""
         gaps = t + shifted
         terms = qlam / gaps
-        return exact_sum(terms), gaps, terms
+        return _g_sum(terms), gaps, terms
 
     def result(
         t: float, g_t: float, iterations: int, gaps: np.ndarray, terms: np.ndarray

@@ -534,9 +534,11 @@ class TestBenchmarkOutputs:
     The sha256 values are of the sweep CSV (sweep workloads), of the
     standard output (verify), and of the sweep summary JSON and standard
     output, which hold the invariant values and the instance digest, all as
-    printed once k_bar was found by Newton steps on 1/g: that moved every
-    Type-2 column and invariant value in its last bits. A performance change
-    that keeps the solver's iteration must leave them as they are. The
+    printed once the Newton steps on 1/g read float sums of g where their
+    distance from 1 is certain, and the Gibbs tilt was divided once by its
+    exact sum: that moved Type-1 and Type-2 columns and invariant values in
+    their last bits. A performance change that keeps the solver's iterates
+    must leave them as they are. The
     ``solve`` pins hold the JSON that command prints for one factor on the
     ``sweep-path`` config. The summary pins carry the instance digest over
     the instance's ``<f8`` bytes (README, "JSON summary"); the CSV, verify
@@ -544,9 +546,9 @@ class TestBenchmarkOutputs:
     """
 
     @pytest.mark.parametrize("name, sha256", [
-        ("sweep-path", "fccc0cbfc28ef69d97846faa1b70007abdfbc102b5719a4e971429a9ab857948"),
-        ("sweep-wide", "5b462b3291b6f93e99b3dcf7ed7b4ac54d4a855b8489fb0f70ad26b4ea70b3f6"),
-        ("verify-misspecified", "cf7ea128dfe9d4e31c29af5aee32001d45309b7f617d4a30802cf10aa35ece3c"),
+        ("sweep-path", "7c8b9d35767c3a3ce20356e7335ccf2d678d8c3771f5b31ec3491057ec06283d"),
+        ("sweep-wide", "5f38a9e75fc25220ec37909d4528beca6a18665d88398c9afeae86f1f9c4e04e"),
+        ("verify-misspecified", "fdfeee850b4f068338a98a31e3c91aa5d8440526a479e9d02e94a98b4eb7677c"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):
         config, stdout = run_benchmark_workload(name, tmp_path, capsys)
@@ -557,13 +559,13 @@ class TestBenchmarkOutputs:
     @pytest.mark.parametrize("name, summary_sha256, stdout_sha256", [
         (
             "sweep-path",
-            "b89973e3c932563b1ee601b296c9fdbc32bb1b85c468000546b2e1f86bba5f97",
-            "512db847b9782d40ac9ae8f1efc65c2b0b6ce861ac78793b75b32573a4f7ba2c",
+            "e310551c57d410454e827009f826ebbaab5aa018d27321642016bd629432c9ef",
+            "f38885633a1bec8a1fe321673accdf30527501e8ffae6b2ab02774dbcd2b0e8b",
         ),
         (
             "sweep-wide",
-            "24485216b15e79e009aae33ca93d34aba34b8d43ce0184c09ecb0ea80a318b75",
-            "1b0c773f7a9148b01b803291828ea3dffe5c64f3b8d4a2a18c98686269975c10",
+            "06e95da674dfbc41e1180e9d0b67f2d1378ed99adb5ad47f361c1d47c69a8f68",
+            "d458923d133edcdd8590211318755ec94b33200b6eb5f0bd03283daadc229dd5",
         ),
     ])
     def test_sweep_summary_bytes(self, name, summary_sha256, stdout_sha256, tmp_path, capsys):

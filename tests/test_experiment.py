@@ -494,16 +494,19 @@ class TestScriptOutputs:
     """The example scripts keep their output bytes."""
 
     def test_demo_sweep_files(self, monkeypatch, tmp_path, capsys):
+        # The committed results/ files are the script's output, byte for byte.
         script = load_script(monkeypatch, "demo_sweep")
         monkeypatch.setattr(script, "ROOT", tmp_path)
         script.main()
         capsys.readouterr()
-        digests = {name: hashlib.sha256((tmp_path / "results" / name).read_bytes()).hexdigest()
+        written = {name: (tmp_path / "results" / name).read_bytes()
                    for name in ("demo_sweep.csv", "demo_sweep.json")}
-        assert digests == {
-            "demo_sweep.csv": "8a867655a7fff7e1aa0902b23ff0c73ff9c3d01c5f53d4cd6bfe9f15da12f100",
-            "demo_sweep.json": "06096815debeb6c1ad9bbd83dfd2653c9576250e4519f8193eee30e4d8536da6",
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == {
+            "demo_sweep.csv": "22a5346ab80c4dfdbd0949a3cc205383c48f49350657779006502d8fa319e6d2",
+            "demo_sweep.json": "cee28712a55ba2a69ff0bca8716f13eb3bbe49e9caeb7c792a8b0e9aac589c7a",
         }
+        for name, data in written.items():
+            assert (SCRIPTS.parent / "results" / name).read_bytes() == data
 
     def test_misspecified_reference_stdout(self, monkeypatch, capsys):
         load_script(monkeypatch, "misspecified_reference").main()

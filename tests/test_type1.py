@@ -98,6 +98,20 @@ class TestSolveType1:
         expected = q.weights * np.exp(-k - risks / lam)
         assert np.max(np.abs(sol.weights - expected)) <= 1e-12
 
+    def test_weights_are_the_tilt_over_its_exact_sum(self, rng):
+        # One division by z, the exact sum of the shifted exponentials, which
+        # the log normalizer reads too.
+        for max_atoms in (40,) * 10 + (2000,) * 2:
+            q, prof = random_solver_instance(rng, max_atoms=max_atoms)
+            for lam in (1e-2, 1.0, 1e2):
+                sol = solve_type1(q, prof, lam)
+                logits = np.log(q.weights) - prof.aligned(q) / lam
+                shift = float(logits.max())
+                unnorm = np.exp(logits - shift)
+                z = math.fsum(unnorm.tolist())
+                assert sol.weights.tobytes() == (unnorm / z).tobytes()
+                assert sol.log_partition_at_minus_inv_lambda == shift + math.log(z)
+
     def test_nonpositive_lambda_rejected(self):
         q, prof = two_atom_instance()
         with pytest.raises(NonPositiveLambda):

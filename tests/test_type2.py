@@ -24,6 +24,7 @@ from entrisk.measures import (
 )
 from entrisk.risk import EmpiricalRiskProfile, expected_risk
 from entrisk.type2 import (
+    _g_sum,
     escape_threshold,
     solve_k_bar,
     solve_type2,
@@ -64,17 +65,18 @@ def normalization(q, prof, lam: float, beta: float) -> float:
 def solve_with_points(monkeypatch, q, prof, lam: float):
     """solve_k_bar's result and the (t, g(t)) pairs it evaluated, in order.
 
-    t = k_bar + delta_star is recovered, to about 2 ulps, from the term
-    q * lam / t of an atom at the risk floor in each exact sum of g.
+    g(t) is the value the solver read, a float or an exact sum. t =
+    k_bar + delta_star is recovered, to about 2 ulps, from the term
+    q * lam / t of an atom at the risk floor in each sum of g.
     """
     sums = []
 
     def spy(x):
-        total = exact_sum(x)
+        total = _g_sum(x)
         sums.append((x.copy(), total))
         return total
 
-    monkeypatch.setattr(type2, "exact_sum", spy)
+    monkeypatch.setattr(type2, "_g_sum", spy)
     res = solve_k_bar(q, prof, lam)
     floor = int(np.argmin(prof.aligned(q)))
     qlam = q.weights[floor] * lam
@@ -189,7 +191,7 @@ class TestSolveKBar:
         q = make_measure([[0.0], [1.0]], [0.47843625292835584, 0.5215637470716442])
         prof = EmpiricalRiskProfile.from_risks(q.coords, [1.5652392940996884, 2.88349858126476])
         evaluated = []
-        monkeypatch.setattr(type2, "exact_sum", lambda x: evaluated.append(x.tobytes()) or exact_sum(x))
+        monkeypatch.setattr(type2, "_g_sum", lambda x: evaluated.append(x.tobytes()) or _g_sum(x))
         monkeypatch.setattr(type2, "DEFAULT_TOL", 1e-30)
         assert solve_k_bar(q, prof, lam).residual == 0.0
         assert len(set(evaluated)) == len(evaluated)
@@ -304,6 +306,75 @@ class TestSolveKBar:
         prof = EmpiricalRiskProfile.from_risks(coords, rng.uniform(0.0, 1.0, 50) + shift)
         for lam in np.logspace(first_exponent, 12, 12 - first_exponent + 1):
             assert solve_k_bar(q, prof, float(lam)).residual <= type2.DEFAULT_TOL
+
+
+def float_sum_is_open(x: np.ndarray) -> bool:
+    """Whether the float sum of g's terms ``x`` leaves the sign of g - 1 open."""
+    g_hat = float(np.add.reduce(x))
+    return not abs(g_hat - 1.0) > x.shape[0] * 2.0**-52 * g_hat + type2.DEFAULT_TOL
+
+
+class TestCertifiedSign:
+    """g is a float sum where Higham's bound settles its distance from 1, else an exact one."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 384, 4096, 100_000])
+    def test_float_sum_within_the_bound(self, rng, m):
+        # Rows spread over 30 decades, one dominant term among tiny ones, and
+        # the terms of a unit sum.
+        dominant = np.full(m, 1e-17)
+        dominant[rng.integers(m)] = 1.0
+        for x in (10.0 ** rng.uniform(-15.0, 15.0, m), dominant, rng.dirichlet(np.ones(m))):
+            g_hat = float(np.add.reduce(x))
+            assert abs(g_hat - math.fsum(x.tolist())) <= m * 2.0**-52 * g_hat
+
+    @pytest.mark.parametrize("m", [3, 1000, 5000])
+    def test_sums_near_one_take_the_exact_branch(self, monkeypatch, m):
+        # Terms (1 + offset)/m sum to about 1 + offset: inside the bound up to
+        # its width, outside past it.
+        width = m * 2.0**-52 + type2.DEFAULT_TOL
+        exact = []
+        monkeypatch.setattr(type2, "exact_sum", lambda x: exact.append(1) or exact_sum(x))
+        for offset, inside in [(0.0, True), (0.9 * width, True), (-0.9 * width, True),
+                               (1.1 * width, False), (-1.1 * width, False)]:
+            x = np.full(m, (1.0 + offset) / m)
+            assert float_sum_is_open(x) == inside
+            exact.clear()
+            total = _g_sum(x)
+            assert len(exact) == inside
+            assert total == (math.fsum(x.tolist()) if inside else float(np.add.reduce(x)))
+
+    def test_non_finite_sums_take_the_exact_branch(self, monkeypatch):
+        exact = []
+        monkeypatch.setattr(type2, "exact_sum", lambda x: exact.append(1) or exact_sum(x))
+        assert _g_sum(np.array([0.5, math.inf])) == math.inf
+        assert math.isnan(_g_sum(np.array([0.5, math.nan])))
+        assert len(exact) == 2
+
+    def test_exact_sums_only_where_the_sign_is_open(self, rng, monkeypatch):
+        # One exact sum for the accepted evaluation, plus one for each earlier
+        # evaluation whose float sum the bound left open.
+        opens, exact = [], []
+        monkeypatch.setattr(type2, "_g_sum", lambda x: opens.append(float_sum_is_open(x)) or _g_sum(x))
+        monkeypatch.setattr(type2, "exact_sum", lambda x: exact.append(1) or exact_sum(x))
+        solves = total = 0
+        for max_atoms in (40,) * 20 + (2000,) * 2:
+            q, prof = random_solver_instance(rng, max_atoms=max_atoms)
+            for lam in np.logspace(-3, 3, 13):
+                opens.clear()
+                exact.clear()
+                solve_k_bar(q, prof, float(lam))
+                assert opens[-1]
+                assert len(exact) == 1 + sum(opens[:-1])
+                solves, total = solves + 1, total + len(exact)
+        assert total <= 1.1 * solves
+
+    def test_returned_rows_are_exactly_summed(self, rng):
+        for max_atoms in (40,) * 20 + (2000,) * 2:
+            q, prof = random_solver_instance(rng, max_atoms=max_atoms)
+            for lam in np.logspace(-3, 3, 13):
+                res = solve_k_bar(q, prof, float(lam))
+                assert res.g == math.fsum(res.terms.tolist())
+                assert res.residual == abs(res.g - 1.0) <= type2.DEFAULT_TOL
 
 
 class TestSolveType2:
