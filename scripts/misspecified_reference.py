@@ -52,7 +52,7 @@ CONFIG = {
 
 def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
-    q, data, profile = generate_instance(cfg)
+    q, data, aligned = generate_instance(cfg)
 
     # Only the atoms outside supp(Q) are evaluated: on this instance the
     # whole-grid risk minimizers lie among them.
@@ -62,7 +62,7 @@ def main() -> None:
     print(f"whole-grid risk minimizer(s) at theta = {argmin_atoms} (outside supp Q)")
 
     lam = 1.0
-    sol = solve_type2(q, profile, lam)
+    sol = solve_type2(aligned, lam)
     # The solution's weights are aligned with q's: it charges all of supp(Q)
     # exactly when every weight is positive.
     print(f"solution support == supp(Q): {bool((sol.weights > 0.0).all())}")
@@ -71,10 +71,10 @@ def main() -> None:
     print(f"heaviest solution atom: theta = {theta:+.3f}, weight {weight:.4f}")
 
     slope = support_escape_slope(outside, sol)
-    objective = type2_objective_rows(sol.weights[None], q.weights, profile.aligned(q), lam)[0]
+    objective = type2_objective_rows(sol.weights[None], aligned.q_weights, aligned.risks, lam)[0]
     print(f"optimal objective on supp(Q):        {objective:.6f}")
     print(f"escape slope (min_out L + k_bar):    {slope:.3e}")
-    print(f"escape pays below lambda* =          {escape_threshold(q, profile, outside):.6f}")
+    print(f"escape pays below lambda* =          {escape_threshold(aligned, outside):.6f}")
 
 
 if __name__ == "__main__":

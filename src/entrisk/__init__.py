@@ -43,10 +43,12 @@ from .measures import (
     total_variation,
 )
 from .risk import (
+    AlignedRisks,
     Dataset,
     EmpiricalRiskProfile,
     LossSpec,
     PredictorSpec,
+    aligned_risks,
     empirical_risk,
     expected_risk,
     risk_profile,
@@ -73,6 +75,7 @@ from .logrisk import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AlignedRisks",
     "BracketFailure",
     "ConfigError",
     "Dataset",
@@ -99,6 +102,7 @@ __all__ = [
     "SupportMismatch",
     "ToleranceNotReached",
     "TypeIISolution",
+    "aligned_risks",
     "as_grid",
     "empirical_risk",
     "escape_threshold",

@@ -166,11 +166,11 @@ def _parse_args(argv: Sequence[str]) -> tuple[str, dict] | None:
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.output_csv:
         raise ConfigError("field 'output_csv': required by the sweep command")
-    q, data, profile = generate_instance(cfg)
-    records = sweep_records(q, profile, cfg.lambdas)
+    q, data, aligned = generate_instance(cfg)
+    records = sweep_records(aligned, cfg.lambdas)
     # The summary evaluates the grid outside supp(Q), which can still fail
     # validation; nothing is written before it.
-    summary = sweep_summary(cfg, records, q, data, profile)
+    summary = sweep_summary(cfg, records, q, data, aligned)
     emit_csv(records, cfg.base_dir / cfg.output_csv)
     if cfg.output_json:
         emit_summary_json(summary, cfg.base_dir / cfg.output_json)
@@ -183,12 +183,12 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
         raise NonPositiveLambda(f"field '--lambda': must be > 0, got {lam}")
     if not math.isfinite(lam):
         raise ConfigError(f"field '--lambda': must be finite, got {lam}")
-    q, _, profile = generate_instance(cfg)
+    q, _, aligned = generate_instance(cfg)
     if direction == "1":
-        sol = solve_type1(q, profile, lam)
+        sol = solve_type1(aligned, lam)
         extra = {"log_partition": sol.log_partition_at_minus_inv_lambda}
     else:
-        sol = solve_type2(q, profile, lam)
+        sol = solve_type2(aligned, lam)
         extra = {"k_bar": sol.k_bar, "residual": sol.residual, "iterations": sol.iterations}
     # A Gibbs tilt can underflow atoms to zero weight; those are left out,
     # so the support printed is the solution's, not all of Q's.
@@ -205,16 +205,16 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
-    q, data, profile = generate_instance(cfg)
+    q, data, aligned = generate_instance(cfg)
     lambdas = cfg.lambdas
-    records = sweep_records(q, profile, lambdas)
-    checks = invariant_checks(records, float(profile.aligned(q).min()))
+    records = sweep_records(aligned, lambdas)
+    checks = invariant_checks(records, aligned.delta_star)
 
     # Optimality spot check at the median factor, both directions. A failed
     # solve there fails both checks and leaves the other lines to be printed.
     lam = float(lambdas[len(lambdas) // 2])
     try:
-        ok1, ok2 = optimality_fuzz(q, profile, lam, cfg.seed)
+        ok1, ok2 = optimality_fuzz(aligned, lam, cfg.seed)
         reason = ""
     except EntriskError as exc:
         ok1 = ok2 = False
@@ -222,7 +222,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     checks.append(Invariant("type1_optimality_fuzz", None, None, ok1, reason))
     checks.append(Invariant("type2_optimality_fuzz", None, None, ok2, reason))
 
-    print(f"info grid_argmin_outside_support: {grid_argmin_outside_support(cfg, q, data, profile)}")
+    print(f"info grid_argmin_outside_support: {grid_argmin_outside_support(cfg, q, data, aligned)}")
     for check in checks:
         suffix = f" ({check.detail})" if check.detail else ""
         print(f"{'pass' if check.holds else 'FAIL'} {check.name}{suffix}")

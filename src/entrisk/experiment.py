@@ -43,6 +43,7 @@ from .errors import (
 )
 from .measures import (
     DiscreteMeasure,
+    GridAtoms,
     exact_row_sums,
     exact_sum,
     kl_log_ratios,
@@ -53,6 +54,7 @@ from .risk import (
     BLOCK_DOUBLES,
     LOSS_KINDS,
     PREDICTOR_KINDS,
+    AlignedRisks,
     Dataset,
     EmpiricalRiskProfile,
     LossSpec,
@@ -392,9 +394,7 @@ def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
         raise ConfigError("field 'true_model'/'noise': the synthetic labels overflow") from None
 
 
-def _configured_risks(
-    cfg: ExperimentConfig, m: DiscreteMeasure, data: Dataset
-) -> EmpiricalRiskProfile:
+def _configured_risks(cfg: ExperimentConfig, m: GridAtoms, data: Dataset) -> EmpiricalRiskProfile:
     """The configured empirical risk on ``m``'s atoms; a risk that overflows is a ConfigError."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -406,11 +406,11 @@ def _configured_risks(
         ) from None
 
 
-def generate_instance(
-    cfg: ExperimentConfig,
-) -> tuple[DiscreteMeasure, Dataset, EmpiricalRiskProfile]:
-    """Build (reference measure, dataset, risk profile) deterministically.
+def generate_instance(cfg: ExperimentConfig) -> tuple[DiscreteMeasure, Dataset, AlignedRisks]:
+    """Build (reference measure, dataset, instance record) deterministically.
 
+    The record is :func:`entrisk.risk.aligned_risks` of Q and the risk
+    profile on supp(Q): the one instance argument of every solver and check.
     Package errors and ``OSError`` (for example a missing ``csv_path``) pass
     through; any other failure is raised as InstanceGenerationFailure.
     """
@@ -430,12 +430,12 @@ def generate_instance(
                 f"field 'csv_path': dataset pattern dimension {data.pattern_dim} "
                 f"does not match predictor dimension {pred.pattern_dim}"
             )
-        profile = _configured_risks(cfg, q, data)
+        aligned = aligned_risks(q, _configured_risks(cfg, q, data))
     except (EntriskError, OSError):
         raise
-    except Exception as exc:  # unexpected failure, e.g. a non-UTF-8 data file
+    except Exception as exc:  # unexpected failure, e.g. a MemoryError
         raise InstanceGenerationFailure(str(exc)) from exc
-    return q, data, profile
+    return q, data, aligned
 
 
 def lambda_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -488,29 +488,25 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Build the configured instance and sweep its factor grid."""
-    q, _, profile = generate_instance(cfg)
-    return sweep_records(q, profile, cfg.lambdas)
+    _, _, aligned = generate_instance(cfg)
+    return sweep_records(aligned, cfg.lambdas)
 
 
-def sweep_records(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, lambdas: Sequence[float]
-) -> list[SweepRecord]:
+def sweep_records(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[SweepRecord]:
     """Solve both directions at every factor; failures mark rows, not aborts.
 
-    The rows that do not depend on the factor (:func:`entrisk.risk.aligned_risks`)
-    are built once for the whole path; each factor's KL columns and Theorem-2
-    check read the rows its own solves formed.
+    Every solve reads the one instance record ``aligned``; each factor's KL
+    columns and Theorem-2 check read the rows its own solves formed.
     """
-    aligned = aligned_risks(q, profile)
     risks = aligned.risks
     records: list[SweepRecord] = []
     for lam in lambdas:
         lam = float(lam)
         try:
-            sol1 = solve_type1(q, profile, lam, aligned=aligned)
-            sol2 = solve_type2(q, profile, lam, aligned=aligned)
+            sol1 = solve_type1(aligned, lam)
+            sol2 = solve_type2(aligned, lam)
             risk1, risk2 = (exact_sum(sol.weights * risks) for sol in (sol1, sol2))
-            _, gap = verify_theorem2(q, profile, sol2, aligned=aligned)
+            _, gap = verify_theorem2(aligned, sol2)
             log_ratios = np.empty((2, risks.shape[0]))
             log_ratios_p1_q(sol1, log_ratios[0])
             log_ratios_q_p2(sol2, aligned, log_ratios[1])
@@ -648,12 +644,17 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
     """Read a dataset CSV with header ``x1,...,xd,y``; strict and coordinate-exact.
 
     Every cell must match :data:`_DECIMAL_CELL` and be finite as a double.
-    Errors carry 1-based row and column coordinates. Ingesting a file written
-    by :func:`emit_dataset_csv` reproduces the dataset bit for bit.
+    Errors carry 1-based row and column coordinates. A file that is not
+    UTF-8, or that the csv module cannot read (a cell over its field size
+    limit), raises ConfigError. Ingesting a file written by
+    :func:`emit_dataset_csv` reproduces the dataset bit for bit.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"field 'csv_path': {path} is not a readable UTF-8 CSV: {exc}") from None
     if not rows:
         raise MalformedHeader(f"{path}: empty file, header row required")
     header = rows[0]
@@ -716,14 +717,11 @@ def outside_profile(cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset) ->
     outside = np.setdiff1d(np.arange(len(q.grid)), q.index, assume_unique=True)
     if not outside.size:
         return None
-    return _configured_risks(cfg, measure_on(q.grid, outside, np.ones(outside.size)), data)
+    return _configured_risks(cfg, GridAtoms(q.grid, outside), data)
 
 
 def grid_argmin_outside_support(
-    cfg: ExperimentConfig,
-    q: DiscreteMeasure,
-    data: Dataset,
-    profile: EmpiricalRiskProfile,
+    cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset, aligned: AlignedRisks
 ) -> bool:
     """Whether the full-grid empirical risk minimizers all fall outside supp(Q).
 
@@ -735,7 +733,7 @@ def grid_argmin_outside_support(
     supp(Q). False without evaluating any risk when supp(Q) is the whole grid.
     """
     outside = outside_profile(cfg, q, data)
-    return outside is not None and outside.delta_star < float(profile.aligned(q).min())
+    return outside is not None and outside.delta_star < aligned.delta_star
 
 
 #: Relative error bound of a screened fuzz objective, in units of its
@@ -791,15 +789,10 @@ def _objective_floors(
     return floors[0], floors[1]
 
 
-def optimality_fuzz(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    lam: float,
-    seed: int,
-) -> tuple[bool, bool]:
+def optimality_fuzz(aligned: AlignedRisks, lam: float, seed: int) -> tuple[bool, bool]:
     """Whether both solutions at ``lam`` beat 200 random measures on supp(Q).
 
-    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of ``q``,
+    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of Q,
     renormalized as :func:`measure_on` does; a zero weight leaves its atom out
     of the draw's support. A draw within total variation 1e-9 of a solution
     is not compared against it. Returns ``(type1_ok, type2_ok)``.
@@ -814,25 +807,25 @@ def optimality_fuzz(
     variation and objective functions that score a single measure. So every
     verdict, though not every value, is the one those functions give.
     """
-    aligned = aligned_risks(q, profile)
-    risks = aligned.risks
+    q_weights, risks = aligned.q_weights, aligned.risks
+    m = q_weights.shape[0]
     directions = []
     for solve, objective_rows in ((solve_type1, type1_objective_rows),
                                   (solve_type2, type2_objective_rows)):
-        w = solve(q, profile, lam, aligned=aligned).weights
-        directions.append((w, objective_rows(w[None], q.weights, risks, lam)[0], objective_rows))
+        w = solve(aligned, lam).weights
+        directions.append((w, objective_rows(w[None], q_weights, risks, lam)[0], objective_rows))
     rng = np.random.default_rng(seed)
-    step = max(1, BLOCK_DOUBLES // q.num_atoms)
+    step = max(1, BLOCK_DOUBLES // m)
     ok = [True, True]
     for start in range(0, 200, step):
-        rand = rng.dirichlet(np.ones(q.num_atoms), size=min(step, 200 - start))
+        rand = rng.dirichlet(np.ones(m), size=min(step, 200 - start))
         rand /= exact_row_sums(rand)[:, None]
-        for d, floor in enumerate(_objective_floors(rand, q.weights, risks, lam)):
+        for d, floor in enumerate(_objective_floors(rand, q_weights, risks, lam)):
             sol_weights, obj, objective_rows = directions[d]
             rows = rand[~(floor > obj)]  # the draws the screen leaves open
             if ok[d] and rows.shape[0]:
                 far = tv_rows(rows, sol_weights) > 1e-9
-                ok[d] = bool(np.all(objective_rows(rows, q.weights, risks, lam)[far] > obj))
+                ok[d] = bool(np.all(objective_rows(rows, q_weights, risks, lam)[far] > obj))
     return ok[0], ok[1]
 
 
@@ -841,16 +834,16 @@ def sweep_summary(
     records: Sequence[SweepRecord],
     q: DiscreteMeasure,
     data: Dataset,
-    profile: EmpiricalRiskProfile,
+    aligned: AlignedRisks,
 ) -> dict[str, Any]:
     """Config echo, instance digest, and each invariant's verdict, threshold and worst value."""
-    checks = invariant_checks(records, float(profile.aligned(q).min()))
+    checks = invariant_checks(records, aligned.delta_star)
     return {
         "config": cfg.raw,
         "instance_digest": instance_digest(q, data),
         "rows": len(records),
         "rows_ok": sum(r.status == "ok" for r in records),
-        "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data, profile),
+        "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data, aligned),
         "invariants": {c.name: c.holds for c in checks},
         # A worst value that is not finite is reported as None: JSON has no NaN or Infinity.
         "invariant_values": {

@@ -34,8 +34,7 @@ import math
 import numpy as np
 
 from .errors import InvariantViolation, NonPositiveArgument, SupportMismatch
-from .measures import DiscreteMeasure
-from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
+from .risk import AlignedRisks
 from .type1 import _tilt
 from .type2 import TypeIISolution
 
@@ -43,14 +42,10 @@ from .type2 import TypeIISolution
 NORMALIZATION_TOL = 1e-10
 
 
-def log_risk_profile(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, sol: TypeIISolution
-) -> np.ndarray:
-    """V = log(k_bar + L) per atom, read-only, aligned with ``q.weights``.
+def log_risk_profile(sol: TypeIISolution) -> np.ndarray:
+    """V = log(k_bar + L) per atom, read-only, aligned with ``sol.weights``.
 
-    ``sol`` must be :func:`entrisk.type2.solve_type2`'s solution on this
-    same ``q`` and ``profile``; its rows carry no atoms, so that is not
-    checked here. k_bar + L is the solve's own row ``sol.gaps``, formed as
+    k_bar + L is the solve's own row ``sol.gaps``, formed as
     ``pole_gap + (L - delta_star)``: the rearrangement that stays fully
     accurate when the normalizer sits close to the pole, and the
     denominators of the solution's weights.
@@ -69,34 +64,26 @@ def log_risk_profile(
     return values
 
 
-def verify_theorem2(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    sol: TypeIISolution,
-    *,
-    aligned: AlignedRisks | None = None,
-) -> tuple[np.ndarray, float]:
+def verify_theorem2(aligned: AlignedRisks, sol: TypeIISolution) -> tuple[np.ndarray, float]:
     """Tilt Q by exp(-V) and return (tilted weights, max weight gap to ``sol.weights``).
 
     ``sol`` is the root finder's solution of the reversed-direction problem
-    on ``q`` at factor ``sol.lam``; the transformed problem is solved by the
-    Gibbs tilt of Q by exp(-V) with unit regularization factor. Before
+    on ``aligned`` at factor ``sol.lam``; the transformed problem is solved
+    by the Gibbs tilt of Q by exp(-V) with unit regularization factor. Before
     comparing, the hidden normalization identity lam * sum q*exp(-V) = 1 (the
     defining constraint of k_bar, restated through the transform) is asserted
     as |log Z + log lam| <= NORMALIZATION_TOL, where log Z is the tilt's own
-    log normalizer. The tilted weights are aligned with ``q.weights``, with
-    a 0 where an atom's tilt underflows. ``sol`` must come from a solve on
-    this same ``q``: a row carries no atoms, so one solved on another
+    log normalizer. The tilted weights are aligned with ``aligned.q_weights``,
+    with a 0 where an atom's tilt underflows. ``sol`` must come from a solve
+    on this same instance: a row carries no atoms, so one solved on another
     reference with as many atoms is compared entry by entry without error.
-    Only a row of another length raises SupportMismatch. ``aligned`` is
-    :func:`entrisk.risk.aligned_risks` of ``(q, profile)``, built here when
-    not given.
+    Only a row of another length raises SupportMismatch.
     """
-    if sol.weights.shape != q.weights.shape:
-        raise SupportMismatch(f"{sol.weights.size} solution weights for {q.num_atoms} atoms")
-    if aligned is None:
-        aligned = aligned_risks(q, profile)
-    tilted, log_z = _tilt(aligned.log_q, log_risk_profile(q, profile, sol))
+    if sol.weights.shape != aligned.q_weights.shape:
+        raise SupportMismatch(
+            f"{sol.weights.size} solution weights for {aligned.q_weights.size} atoms"
+        )
+    tilted, log_z = _tilt(aligned.log_q, log_risk_profile(sol))
     log_total = log_z + math.log(sol.lam)
     if not abs(log_total) <= NORMALIZATION_TOL:
         raise InvariantViolation(

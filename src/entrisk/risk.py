@@ -296,11 +296,10 @@ class EmpiricalRiskProfile(GridAtoms):
 class AlignedRisks:
     """A profile's risks on the atoms of a reference Q, and the rows derived from them.
 
-    The solvers read these at every factor and none of them depends on the
-    factor, so a path of factors builds them once (:func:`aligned_risks`) and
-    hands them to every solve. The rows are aligned with ``q_weights``, and
-    the solvers never write them: ``log_q`` is ``np.log`` of Q's weights and
-    ``shifted`` is ``risks - delta_star``, both read-only, with
+    The one instance argument of every solver and check: built once by
+    :func:`aligned_risks`, read at every factor, and never written. The rows
+    are aligned with ``q_weights``: ``log_q`` is ``np.log`` of Q's weights
+    and ``shifted`` is ``risks - delta_star``, both read-only, with
     ``delta_star`` the least risk on supp(Q); ``spread`` is the largest
     entry of ``shifted``.
     """
@@ -500,9 +499,9 @@ def _sorted_mismatch_counts(
 
 
 def risk_profile(
-    q: DiscreteMeasure, data: Dataset, pred: PredictorSpec, loss: LossSpec
+    q: GridAtoms, data: Dataset, pred: PredictorSpec, loss: LossSpec
 ) -> EmpiricalRiskProfile:
-    """Evaluate the empirical risk on every atom of ``q``'s support, on ``q``'s grid.
+    """Evaluate the empirical risk on every atom of ``q``, on ``q``'s grid.
 
     Each atom's risk equals :func:`empirical_risk` at its coordinates. The
     atoms are scored :data:`BLOCK_DOUBLES` // n at a time, from per-column

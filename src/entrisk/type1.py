@@ -35,7 +35,7 @@ from .measures import (
     normalized,
     positions,
 )
-from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
+from .risk import AlignedRisks, EmpiricalRiskProfile
 
 
 def _tilt(log_q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -70,25 +70,15 @@ class GibbsSolution:
     scaled_risks: np.ndarray
 
 
-def solve_type1(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    lam: float,
-    *,
-    aligned: AlignedRisks | None = None,
-) -> GibbsSolution:
-    """Minimize R(P) + lam * D(P || Q) over P << Q.
+def solve_type1(aligned: AlignedRisks, lam: float) -> GibbsSolution:
+    """Minimize R(P) + lam * D(P || Q) over P << Q, on the instance ``aligned``.
 
     Returns the Gibbs tilt of Q by exp(-L/lam), as weights aligned with
-    ``q.weights``, together with the log normalizer; deterministic, and
-    invariant to adding a constant to all risks. ``aligned`` is
-    :func:`entrisk.risk.aligned_risks` of ``(q, profile)``, built here when
-    not given.
+    ``aligned.q_weights``, together with the log normalizer; deterministic,
+    and invariant to adding a constant to all risks.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    if aligned is None:
-        aligned = aligned_risks(q, profile)
     scaled = aligned.risks / lam
     scaled.flags.writeable = False
     weights, log_z = _tilt(aligned.log_q, scaled)

@@ -67,7 +67,7 @@ from .measures import (
     normalized,
     positions,
 )
-from .risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks
+from .risk import AlignedRisks, EmpiricalRiskProfile
 
 #: Pole guard: the left bracket endpoint keeps at least this distance
 #: (scaled by 1 + delta_star) from the singularity.
@@ -134,21 +134,14 @@ def _g_sum(terms: np.ndarray) -> float:
     return exact_sum(terms)
 
 
-def solve_k_bar(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    lam: float,
-    *,
-    aligned: AlignedRisks | None = None,
-) -> KBarResult:
-    """Find the unique k_bar with |g(k_bar) - 1| <= DEFAULT_TOL.
+def solve_k_bar(aligned: AlignedRisks, lam: float) -> KBarResult:
+    """Find the unique k_bar with |g(k_bar) - 1| <= DEFAULT_TOL on the instance ``aligned``.
 
     The search runs on the shifted variable ``t = beta + delta_star`` over the
     bracket ``[max(eps0, lam - (max L - delta_star)), lam]`` with pole guard
     ``eps0 = 2**-40 * (1 + delta_star)``. Bracket validity (g above 1 on the
     left, below 1 on the right, or an endpoint already a root) is checked
-    before iterating. ``aligned`` is :func:`entrisk.risk.aligned_risks` of
-    ``(q, profile)``, built here when not given.
+    before iterating.
 
     The iteration is Newton's method on ``h(t) = 1/g(t) - 1``, started at the
     left end (the reciprocal of a secular function, as in More and Sorensen,
@@ -194,8 +187,6 @@ def solve_k_bar(
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    if aligned is None:
-        aligned = aligned_risks(q, profile)
     delta_star, shifted = aligned.delta_star, aligned.shifted
     qlam = aligned.q_weights * lam
     eps0 = POLE_GUARD_SCALE * (1.0 + delta_star)
@@ -260,27 +251,20 @@ def solve_k_bar(
     )
 
 
-def solve_type2(
-    q: DiscreteMeasure,
-    profile: EmpiricalRiskProfile,
-    lam: float,
-    *,
-    aligned: AlignedRisks | None = None,
-) -> TypeIISolution:
+def solve_type2(aligned: AlignedRisks, lam: float) -> TypeIISolution:
     """Minimize R(P) + lam * D(Q || P) over P with Q << P supported on supp(Q).
 
     The solution has exactly the support of Q, with weights
-    q(theta) * lam / (k_bar + L(theta)), one per atom of ``q``. It need not
-    stay optimal once P may also charge atoms outside supp(Q): moving mass
-    to such an atom changes the objective at the rate L(outside) + k_bar, so
-    escaping lowers it wherever that slope is negative (see
-    :func:`support_escape_slope`).
+    q(theta) * lam / (k_bar + L(theta)), aligned with ``aligned.q_weights``.
+    It need not stay optimal once P may also charge atoms outside supp(Q):
+    moving mass to such an atom changes the objective at the rate
+    L(outside) + k_bar, so escaping lowers it wherever that slope is
+    negative (see :func:`support_escape_slope`).
     The weights are the root solve's own ``terms`` over their exact sum
     ``g``, formed from the pole-shifted denominators, so no cancellation
-    enters even when the root sits close to the pole. ``aligned`` is as in
-    :func:`solve_k_bar`.
+    enters even when the root sits close to the pole.
     """
-    root = solve_k_bar(q, profile, lam, aligned=aligned)
+    root = solve_k_bar(aligned, lam)
     return TypeIISolution(normalized(root.terms, root.g), float(lam), *root)
 
 
@@ -344,16 +328,13 @@ def support_escape_slope(outside: EmpiricalRiskProfile, sol: TypeIISolution) -> 
     return (outside.delta_star - sol.delta_star) + sol.pole_gap
 
 
-def escape_threshold(
-    q: DiscreteMeasure, profile: EmpiricalRiskProfile, outside: EmpiricalRiskProfile
-) -> float:
+def escape_threshold(aligned: AlignedRisks, outside: EmpiricalRiskProfile) -> float:
     """The factor below which :func:`support_escape_slope` is negative; 0.0 if none.
 
     g(beta) is linear in lam and decreasing in beta, so ``min_out L + k_bar < 0``
     exactly when g(-min_out L) < 1: when ``min_out L < delta_star`` and lam is
     below the Q-harmonic mean ``1 / E_Q[1 / (L - min_out L)]``.
     """
-    risks = profile.aligned(q)
-    if not outside.delta_star < float(risks.min()):
+    if not outside.delta_star < aligned.delta_star:
         return 0.0
-    return 1.0 / exact_sum(q.weights / (risks - outside.delta_star))
+    return 1.0 / exact_sum(aligned.q_weights / (aligned.risks - outside.delta_star))

@@ -24,6 +24,7 @@ from entrisk.experiment import (
 )
 from entrisk.logrisk import log_risk_profile, verify_theorem2
 from entrisk.measures import exact_row_sums, tv_rows
+from entrisk.risk import aligned_risks
 from entrisk.type1 import solve_type1, type1_objective_rows
 from entrisk.type2 import solve_type2, support_escape_slope, type2_objective_rows
 
@@ -61,7 +62,7 @@ def sweep_results():
         k_prev = -math.inf
         for lam in LAMBDA_SWEEP:
             lam = float(lam)
-            sol = solve_type2(q, prof, lam)
+            sol = solve_type2(aligned_risks(q, prof), lam)
             risk = math.fsum((sol.weights * risks).tolist())
             rows.append(
                 {
@@ -83,18 +84,18 @@ def sweep_results():
 def test_criterion_01_two_atom_quadratic_oracle():
     q, prof = two_atom_instance()
     analytic_root = math.sqrt(0.5)  # positive root of 2 b^2 = 1
-    sol = solve_type2(q, prof, 1.0)
+    sol = solve_type2(aligned_risks(q, prof), 1.0)
     k_ok = abs(sol.k_bar - analytic_root) <= 1e-9
     w_ok = (
         abs(float(sol.weights[0]) - 0.707107) <= 1e-6
         and abs(float(sol.weights[1]) - 0.292893) <= 1e-6
     )
     for _ in range(5):  # warm-up
-        solve_type2(q, prof, 1.0)
+        solve_type2(aligned_risks(q, prof), 1.0)
     runtime = math.inf
     for _ in range(20):
         t0 = time.perf_counter()
-        solve_type2(q, prof, 1.0)
+        solve_type2(aligned_risks(q, prof), 1.0)
         runtime = min(runtime, time.perf_counter() - t0)
     time_ok = runtime < 1e-3
     ok = k_ok and w_ok and time_ok
@@ -114,7 +115,7 @@ def test_criterion_02_three_atom_cubic_oracle():
         else:
             lo = mid
     oracle = 0.5 * (lo + hi)
-    sol = solve_type2(q, prof, 1.0)
+    sol = solve_type2(aligned_risks(q, prof), 1.0)
     ok = abs(sol.k_bar - oracle) <= 1e-9
     report(2, f"three-atom k_bar vs cubic bisection (|diff|={abs(sol.k_bar - oracle):.2e})", ok)
     assert ok
@@ -149,8 +150,8 @@ def test_criterion_05_normalizer_monotone_and_continuous(sweep_results):
         q, prof = random_solver_instance(rng, max_atoms=30)
         for lam in LAMBDA_SWEEP:
             lam = float(lam)
-            a = solve_type2(q, prof, lam).k_bar
-            b = solve_type2(q, prof, lam * (1.0 + 1e-6)).k_bar
+            a = solve_type2(aligned_risks(q, prof), lam).k_bar
+            b = solve_type2(aligned_risks(q, prof), lam * (1.0 + 1e-6)).k_bar
             bound = 1e-4 * (1.0 + abs(a))
             worst_rel = max(worst_rel, abs(b - a) / bound)
             continuous = continuous and abs(b - a) <= bound
@@ -185,10 +186,10 @@ def test_criterion_07_equivalence_of_directions():
     for _ in range(50):
         q, _, prof = random_pipeline_instance(rng)
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
-        sol = solve_type2(q, prof, lam)
-        _, gap = verify_theorem2(q, prof, sol)
+        sol = solve_type2(aligned_risks(q, prof), lam)
+        _, gap = verify_theorem2(aligned_risks(q, prof), sol)
         worst_gap = max(worst_gap, gap)
-        values = log_risk_profile(q, prof, sol)
+        values = log_risk_profile(sol)
         log_total = math.log(lam * math.fsum(q.weights * np.exp(-values)))
         worst_logz = max(worst_logz, abs(log_total))
     ok = worst_gap <= 1e-9 and worst_logz <= 1e-10
@@ -209,12 +210,13 @@ def test_criterion_08_optimality_against_random_measures():
         q, prof = random_solver_instance(rng, max_atoms=8)
         lam = float(10.0 ** rng.uniform(-1.5, 1.5))
         risks = prof.aligned(q)
+        inst = aligned_risks(q, prof)
         # One block of 1,000 draws takes the stream of 1,000 single draws, and
         # each row is normalized as make_measure normalizes a single draw.
         draws = rng.dirichlet(np.ones(q.num_atoms), size=1000)
         draws /= exact_row_sums(draws)[:, None]
-        for sol, objective_rows in ((solve_type2(q, prof, lam), type2_objective_rows),
-                                    (solve_type1(q, prof, lam), type1_objective_rows)):
+        for sol, objective_rows in ((solve_type2(inst, lam), type2_objective_rows),
+                                    (solve_type1(inst, lam), type1_objective_rows)):
             best = objective_rows(sol.weights[None], q.weights, risks, lam)[0]
             far = tv_rows(draws, sol.weights) > 1e-9
             ok = ok and bool(np.all(objective_rows(draws[far], q.weights, risks, lam) > best))
@@ -246,11 +248,11 @@ def test_criterion_09_support_escape_slope():
             "seed": 0,
         }
     )
-    q, data, profile = generate_instance(cfg)
-    misspecified = grid_argmin_outside_support(cfg, q, data, profile)
+    q, data, aligned = generate_instance(cfg)
+    misspecified = grid_argmin_outside_support(cfg, q, data, aligned)
 
     # The atoms outside supp(Q) carry the risks escaped mass would pay.
-    sol = solve_type2(q, profile, 1.0)
+    sol = solve_type2(aligned, 1.0)
     slope = support_escape_slope(outside_profile(cfg, q, data), sol)
     collapse = bool(np.all(sol.weights > 0.0))
     ok = misspecified and slope > 0.0 and collapse

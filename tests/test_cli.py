@@ -19,6 +19,7 @@ from entrisk import cli, experiment, logrisk, type2
 from entrisk.cli import cli_main
 from entrisk.errors import ConfigError
 from entrisk.experiment import ExperimentConfig
+from entrisk.risk import EmpiricalRiskProfile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCHMARK_CHECK = Path(__file__).parent.parent / "perfbench" / "check.py"
@@ -245,7 +246,7 @@ class TestSharedPipeline:
         solves = count_calls(monkeypatch, type2, "solve_type2")
         assert cli_main(["sweep", "--config", str(cfg)]) == 0
         assert len(builds) == 1
-        assert [args[2] for args in solves] == pytest.approx([0.5, 1.0, 2.0])
+        assert [args[1] for args in solves] == pytest.approx([0.5, 1.0, 2.0])
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("lambda_count", [1, 3])
@@ -271,6 +272,32 @@ class TestSharedPipeline:
         assert cli_main([command, "--config", str(cfg)]) == 0
         assert len(axes) == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("reference", ["uniform", "restricted"])
+    def test_command_builds_instance_record_once(self, tmp_path, monkeypatch, command, reference):
+        # The risks on supp(Q) are aligned once, into the record every solve
+        # and check reads; the risks outside supp(Q) are evaluated once for a
+        # restricted reference and never for a uniform one.
+        box = {"reference_box_min": [-1.0, -1.0], "reference_box_max": [0.0, 1.0]}
+        cfg = write_config(tmp_path, grid_min=[-1.0, -1.0], grid_max=[1.0, 1.0],
+                           grid_resolution=[5, 4], true_model=[0.5, -0.5], reference=reference,
+                           **(box if reference == "restricted" else {}))
+        aligned = []
+        original = EmpiricalRiskProfile.aligned
+
+        def counted(profile, atoms):
+            aligned.append(atoms)
+            return original(profile, atoms)
+
+        # On the class: experiment binds aligned_risks, not the method.
+        monkeypatch.setattr(EmpiricalRiskProfile, "aligned", counted)
+        profiles = count_calls(monkeypatch, experiment, "risk_profile")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert len(aligned) == 1
+        inside, *outside = (args[0] for args in profiles)
+        assert len(outside) == (reference == "restricted")
+        assert all(not np.isin(atoms.index, inside.index).any() for atoms in outside)
+
     @pytest.mark.parametrize("lambda_min", [0.5, 1e-20])  # 1e-20: first row fails
     def test_summary_flags_match_verify_lines(self, tmp_path, capsys, lambda_min):
         cfg = write_config(tmp_path, grid_min=[-1.0], grid_max=[1.0], grid_resolution=[5],
@@ -295,11 +322,17 @@ class TestInstanceFailures:
         assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_non_utf8_data_csv_is_solver_error(self, tmp_path, capsys, command):
-        (tmp_path / "data.csv").write_bytes(b"x1,y\n0.5,\xff\xfe\n")
+    @pytest.mark.parametrize("content", [
+        b"x1,y\n0.5,\xff\xfe\n",  # not UTF-8
+        b"x1,y\n0.5," + b"1" * 200_000 + b"\n",  # a cell over the csv module's field limit
+    ], ids=["non_utf8", "oversize_cell"])
+    def test_unreadable_data_csv_is_validation_error(self, tmp_path, capsys, command, content):
+        (tmp_path / "data.csv").write_bytes(content)
         cfg = write_config(tmp_path, dataset="csv", csv_path="data.csv")
-        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 2
-        assert "solver error" in capsys.readouterr().err
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'csv_path': ") and "data.csv" in err
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("cell", ["1_5", " 0.5 ", "\uff11"])  # \uff11: full-width 1

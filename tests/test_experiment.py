@@ -56,7 +56,7 @@ from entrisk.experiment import (
 )
 from entrisk.cli import cli_main
 from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on, total_variation
-from entrisk.risk import Dataset, EmpiricalRiskProfile, risk_profile
+from entrisk.risk import Dataset, EmpiricalRiskProfile, aligned_risks, risk_profile
 from entrisk.type1 import solve_type1, type1_objective
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
 from entrisk.logrisk import verify_theorem2
@@ -207,7 +207,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'csv_path'.*5 atoms x 3 data rows"):
             generate_instance(cfg)
         monkeypatch.undo()
-        assert generate_instance(cfg)[2].num_atoms == 5
+        assert generate_instance(cfg)[2].risks.size == 5
 
     def test_label_flip_noise_at_most_one(self):
         classifier = {"predictor": "linear_threshold_classifier", "loss": "zero_one"}
@@ -392,20 +392,20 @@ class TestInstanceGeneration:
                 n=30,
             )
         )
-        q, data, profile = generate_instance(cfg)
+        q, data, aligned = generate_instance(cfg)
         assert np.all(q.coords[:, 0] <= 0.0)
-        assert grid_argmin_outside_support(cfg, q, data, profile)
+        assert grid_argmin_outside_support(cfg, q, data, aligned)
 
     def test_full_grid_reference_argmin_is_inside_without_risk_evaluation(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(true_model=[0.8]))
-        q, data, profile = generate_instance(cfg)
+        q, data, aligned = generate_instance(cfg)
 
         def no_risks(*args):
             raise AssertionError("whole-grid risk evaluated")
 
         monkeypatch.setattr(experiment, "risk_profile", no_risks)
         assert outside_profile(cfg, q, data) is None
-        assert not grid_argmin_outside_support(cfg, q, data, profile)
+        assert not grid_argmin_outside_support(cfg, q, data, aligned)
 
     def test_restricted_reference_evaluates_each_grid_risk_once(self, tmp_path, monkeypatch):
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
@@ -434,9 +434,10 @@ class TestInstanceGeneration:
     def test_risk_bits_on_the_sweep_benchmarks(self, workload, seed, atoms, risks_sha256):
         # Absolute (sweep-wide) and squared (sweep-path) risks, as math.fsum
         # of each atom's losses over n gives them from PredictorSpec.scores.
-        _, _, profile = generate_instance(ExperimentConfig.from_dict(benchmark_config(workload, seed)))
-        assert profile.risks.size == atoms
-        assert hashlib.sha256(profile.risks.tobytes()).hexdigest() == risks_sha256
+        cfg = ExperimentConfig.from_dict(benchmark_config(workload, seed))
+        _, _, aligned = generate_instance(cfg)
+        assert aligned.risks.size == atoms
+        assert hashlib.sha256(aligned.risks.tobytes()).hexdigest() == risks_sha256
 
     def test_instance_build_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, which costs every
@@ -470,10 +471,10 @@ class TestInstanceGeneration:
 class TestHotPaths:
     def test_sweep_and_verify_pass_on_restricted_grid(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(FIXTURES / "grid10_restricted_config.json")
-        q, data, profile = generate_instance(cfg)
-        records = sweep_records(q, profile, lambda_grid(cfg))
+        q, data, aligned = generate_instance(cfg)
+        records = sweep_records(aligned, lambda_grid(cfg))
         assert all(r.status == "ok" for r in records)
-        assert optimality_fuzz(q, profile, float(lambda_grid(cfg)[2]), cfg.seed) == (True, True)
+        assert optimality_fuzz(aligned, float(lambda_grid(cfg)[2]), cfg.seed) == (True, True)
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
         for command in ("sweep", "verify"):
             argv = [command, "--config", str(tmp_path / "grid10_restricted_config.json")]
@@ -533,7 +534,7 @@ class TestMisspecifiedReference:
     def test_outside_profile_holds_the_grid_atoms_outside_supp_q(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, profile = generate_instance(cfg)
+        q, data, _ = generate_instance(cfg)
         outside = outside_profile(cfg, q, data)
         assert outside.grid is q.grid
         assert sorted(outside.index.tolist() + q.index.tolist()) == list(range(len(q.grid)))
@@ -543,22 +544,22 @@ class TestMisspecifiedReference:
     def test_escape_slope_changes_sign_as_lambda_falls(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, profile = generate_instance(cfg)
+        q, data, aligned = generate_instance(cfg)
         outside = outside_profile(cfg, q, data)
         for lam, expected in ((1.0, 0.46), (0.5, 0.016), (0.3, -0.13), (0.1, -0.21),
                               (0.01, -0.22)):
-            slope = support_escape_slope(outside, solve_type2(q, profile, lam))
+            slope = support_escape_slope(outside, solve_type2(aligned, lam))
             assert (slope > 0.0) == (expected > 0.0)
             assert slope == pytest.approx(expected, abs=5e-3)
 
     def test_escape_threshold_is_where_the_slope_changes_sign(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, profile = generate_instance(cfg)
+        q, data, aligned = generate_instance(cfg)
         outside = outside_profile(cfg, q, data)
-        lam_star = escape_threshold(q, profile, outside)
+        lam_star = escape_threshold(aligned, outside)
         assert lam_star == pytest.approx(0.48054101363, rel=1e-10)
-        below, above = (support_escape_slope(outside, solve_type2(q, profile, lam_star * f))
+        below, above = (support_escape_slope(outside, solve_type2(aligned, lam_star * f))
                         for f in (1.0 - 1e-9, 1.0 + 1e-9))
         assert below == pytest.approx(-3.8e-10, rel=0.01)
         assert above == pytest.approx(3.8e-10, rel=0.01)
@@ -567,18 +568,18 @@ class TestMisspecifiedReference:
     def misspecified_benchmark(seed: int):
         """The verify-misspecified workload's config at ``seed``, its instance and outside profile."""
         cfg = ExperimentConfig.from_dict(benchmark_config("verify-misspecified", seed))
-        q, data, profile = generate_instance(cfg)
-        return cfg, q, profile, outside_profile(cfg, q, data)
+        q, data, aligned = generate_instance(cfg)
+        return cfg, q, aligned, outside_profile(cfg, q, data)
 
     @pytest.mark.parametrize("seed, expected", [(1001, 0.6747), (7, 0.6599)])
     def test_escape_threshold_on_the_misspecified_benchmark(self, seed, expected):
         # The factors below lambda* are exactly those where escaping pays:
         # 9 of the 20 factors of the verify-misspecified workload.
-        cfg, q, profile, outside = self.misspecified_benchmark(seed)
-        lam_star = escape_threshold(q, profile, outside)
+        cfg, q, aligned, outside = self.misspecified_benchmark(seed)
+        lam_star = escape_threshold(aligned, outside)
         assert lam_star == pytest.approx(expected, abs=5e-5)
         lambdas = lambda_grid(cfg)
-        slopes = [support_escape_slope(outside, solve_type2(q, profile, lam)) for lam in lambdas]
+        slopes = [support_escape_slope(outside, solve_type2(aligned, lam)) for lam in lambdas]
         assert [s <= 0.0 for s in slopes] == [lam < lam_star for lam in lambdas]
         assert sum(s <= 0.0 for s in slopes) == 9
 
@@ -591,9 +592,9 @@ class TestMisspecifiedReference:
     def test_risk_bits_on_the_misspecified_benchmark(self, seed, profile_sha256, outside_sha256):
         # The zero-one risks of the 900 atoms in supp(Q) and the 2,700 outside
         # it, as math.fsum of each atom's losses over n gives them.
-        _, _, profile, outside = self.misspecified_benchmark(seed)
-        assert (profile.risks.size, outside.risks.size) == (900, 2700)
-        assert hashlib.sha256(profile.risks.tobytes()).hexdigest() == profile_sha256
+        _, _, aligned, outside = self.misspecified_benchmark(seed)
+        assert (aligned.risks.size, outside.risks.size) == (900, 2700)
+        assert hashlib.sha256(aligned.risks.tobytes()).hexdigest() == profile_sha256
         assert hashlib.sha256(outside.risks.tobytes()).hexdigest() == outside_sha256
 
 
@@ -605,8 +606,8 @@ def per_draw_fuzz(q, profile, lam, seed):
     """
     # The solves go through experiment's bindings, which the tests below
     # replace to move the verdict.
-    p1 = solution_measure(q, experiment.solve_type1(q, profile, lam))
-    p2 = solution_measure(q, experiment.solve_type2(q, profile, lam))
+    p1 = solution_measure(q, experiment.solve_type1(aligned_risks(q, profile), lam))
+    p2 = solution_measure(q, experiment.solve_type2(aligned_risks(q, profile), lam))
     obj1 = type1_objective(p1, q, profile, lam)
     obj2 = type2_objective(p2, q, profile, lam)
     rng = np.random.default_rng(seed)
@@ -678,7 +679,7 @@ class TestOptimalityFuzz:
 
     def assert_matches_oracle(self, monkeypatch, q, profile, lam, seed=5):
         verdicts, best = per_draw_fuzz(q, profile, lam, seed)
-        assert optimality_fuzz(q, profile, lam, seed) == verdicts
+        assert optimality_fuzz(aligned_risks(q, profile), lam, seed) == verdicts
         # A solution objective equal to the best draw's fails the check, one
         # ulp below it passes, one ulp above it fails: the blocked fuzz saw
         # exactly that smallest value, rescoring the draws its screen leaves open.
@@ -690,7 +691,7 @@ class TestOptimalityFuzz:
                                         (math.nextafter(best[direction], -math.inf), True),
                                         (math.nextafter(best[direction], math.inf), False)):
                 score_solution_at(monkeypatch, name, threshold)
-                assert optimality_fuzz(q, profile, lam, seed)[direction] is expected
+                assert optimality_fuzz(aligned_risks(q, profile), lam, seed)[direction] is expected
                 monkeypatch.setattr(experiment, name, original)
         return verdicts
 
@@ -705,7 +706,7 @@ class TestOptimalityFuzz:
     def test_tilt_that_drops_atoms(self, monkeypatch):
         q, profile = random_solver_instance(np.random.default_rng(3), max_atoms=30)
         lam = 1e-3
-        weights = experiment.solve_type1(q, profile, lam).weights
+        weights = experiment.solve_type1(aligned_risks(q, profile), lam).weights
         assert weights.shape == q.weights.shape and np.any(weights == 0.0)
         self.assert_matches_oracle(monkeypatch, q, profile, lam)
 
@@ -714,8 +715,9 @@ class TestOptimalityFuzz:
         q = make_measure(lattice_points(m), np.linspace(1.0, 2.0, m))
         profile = EmpiricalRiskProfile.from_risks(lattice_points(m), [0.3, 1.0, 0.1, 2.0, 0.7, 1.4])
         rows = np.random.default_rng(9).dirichlet(np.ones(m), size=200)
-        rows[0] = experiment.solve_type1(q, profile, lam).weights  # skipped for Type 1
-        rows[1] = experiment.solve_type2(q, profile, lam).weights  # skipped for Type 2
+        inst = aligned_risks(q, profile)
+        rows[0] = experiment.solve_type1(inst, lam).weights  # skipped for Type 1
+        rows[1] = experiment.solve_type2(inst, lam).weights  # skipped for Type 2
         rows[2, 4] = 0.0  # D(Q || P) is +inf, D(P || Q) skips the atom
         rows[3, [0, 5]] = 0.0
         monkeypatch.setattr(np.random, "default_rng", scripted_generator(rows))
@@ -724,7 +726,7 @@ class TestOptimalityFuzz:
         for name in ("solve_type1", "solve_type2"):
             original = getattr(experiment, name)
             monkeypatch.setattr(experiment, name,
-                                lambda q, p, l, f=original, **kw: f(q, p, 2.0 * l, **kw))
+                                lambda aligned, l, f=original: f(aligned, 2.0 * l))
         assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (False, False)
 
     @staticmethod
@@ -740,8 +742,8 @@ class TestOptimalityFuzz:
         q, profile = self.verify_shape_instance()
         # The solutions first, so that every count below belongs to scoring.
         for solve in ("solve_type1", "solve_type2"):
-            sol = getattr(experiment, solve)(q, profile, 1.0)
-            monkeypatch.setattr(experiment, solve, lambda *args, s=sol, **kw: s)
+            sol = getattr(experiment, solve)(aligned_risks(q, profile), 1.0)
+            monkeypatch.setattr(experiment, solve, lambda *args, s=sol: s)
         calls = collections.Counter()
 
         def counted(module, name):
@@ -756,7 +758,7 @@ class TestOptimalityFuzz:
         for name in ("tv_rows", "type1_objective_rows", "type2_objective_rows"):
             counted(experiment, name)
         counted(math, "log")
-        assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)
+        assert optimality_fuzz(aligned_risks(q, profile), 1.0, 7) == (True, True)
         # Only the two solutions are scored exactly, one math.log per atom each.
         assert calls == {"type1_objective_rows": 1, "type2_objective_rows": 1,
                          "log": 2 * q.num_atoms}
@@ -774,7 +776,7 @@ class TestOptimalityFuzz:
             return floors[-1]
 
         monkeypatch.setattr(experiment, "_objective_floors", recorded)
-        verdicts = optimality_fuzz(q, profile, lam, seed)
+        verdicts = optimality_fuzz(aligned_risks(q, profile), lam, seed)
         monkeypatch.undo()
         return verdicts, [np.concatenate(f).tobytes() for f in zip(*floors)]
 
@@ -814,7 +816,7 @@ class TestOptimalityFuzz:
         q, profile = self.verify_shape_instance()
         tracemalloc.start()
         try:
-            assert optimality_fuzz(q, profile, 1.0, 7) == (True, True)
+            assert optimality_fuzz(aligned_risks(q, profile), 1.0, 7) == (True, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -852,8 +854,8 @@ class TestRunSweep:
                 lambda_count=3,
             )
         )
-        q, _, profile = generate_instance(cfg)
-        c = float(profile.risks[0])
+        q, _, aligned = generate_instance(cfg)
+        c = float(aligned.risks[0])
         records = run_sweep(cfg)
         assert [r.status for r in records] == ["ok"] * 3
         for r in records:
@@ -885,8 +887,8 @@ class TestRunSweep:
     def test_summary_flags_all_pass(self):
         cfg = ExperimentConfig.from_dict(base_config())
         records = run_sweep(cfg)
-        q, data, profile = generate_instance(cfg)
-        summary = sweep_summary(cfg, records, q, data, profile)
+        q, data, aligned = generate_instance(cfg)
+        summary = sweep_summary(cfg, records, q, data, aligned)
         assert all(summary["invariants"].values())
         assert summary["rows_ok"] == len(records)
 
@@ -894,10 +896,10 @@ class TestRunSweep:
         cfg = ExperimentConfig.from_dict(
             base_config(lambda_min=1e-20, lambda_max=1.0, lambda_count=3)
         )
-        q, _, profile = generate_instance(cfg)
-        records = sweep_records(q, profile, lambda_grid(cfg))
+        q, _, aligned = generate_instance(cfg)
+        records = sweep_records(aligned, lambda_grid(cfg))
         ok = records[1:]
-        checks = {c.name: c for c in invariant_checks(records, profile.delta_star)}
+        checks = {c.name: c for c in invariant_checks(records, aligned.delta_star)}
         assert checks["all_rows_ok"] == Invariant("all_rows_ok", None, None, False, "")
         worst = max(r.residual for r in ok)
         assert checks["residual_le_1e-12"] == Invariant(
@@ -907,7 +909,7 @@ class TestRunSweep:
         assert checks["bound_margin_positive"] == Invariant(
             "bound_margin_positive", 0.0, margin, True, f"min={margin:.3g}"
         )
-        gap = min(r.k_bar_type2 for r in ok) + profile.delta_star
+        gap = min(r.k_bar_type2 for r in ok) + aligned.delta_star
         assert checks["k_bar_above_pole"] == Invariant(
             "k_bar_above_pole", 0.0, gap, True, f"min={gap:.3g}"
         )
@@ -932,10 +934,10 @@ class TestRunSweep:
 
     def test_summary_reports_the_invariant_table(self):
         cfg = ExperimentConfig.from_dict(base_config(lambda_count=4))
-        q, data, profile = generate_instance(cfg)
-        records = sweep_records(q, profile, lambda_grid(cfg))
-        summary = sweep_summary(cfg, records, q, data, profile)
-        checks = invariant_checks(records, profile.delta_star)
+        q, data, aligned = generate_instance(cfg)
+        records = sweep_records(aligned, lambda_grid(cfg))
+        summary = sweep_summary(cfg, records, q, data, aligned)
+        checks = invariant_checks(records, aligned.delta_star)
         assert list(summary["invariants"]) == [c.name for c in checks]
         assert list(summary["invariant_values"]) == [c.name for c in checks]
         for c in checks:
@@ -952,13 +954,13 @@ class TestRunSweep:
         cfg = ExperimentConfig.from_dict(
             base_config(lambda_min=1e-21, lambda_max=1e-20, lambda_count=2)
         )
-        q, data, profile = generate_instance(cfg)
-        records = sweep_records(q, profile, lambda_grid(cfg))
-        margin = invariant_checks(records, profile.delta_star)[3]
+        q, data, aligned = generate_instance(cfg)
+        records = sweep_records(aligned, lambda_grid(cfg))
+        margin = invariant_checks(records, aligned.delta_star)[3]
         assert (margin.name, margin.worst, margin.detail) == (
             "bound_margin_positive", None, "min=n/a"
         )
-        summary = sweep_summary(cfg, records, q, data, profile)
+        summary = sweep_summary(cfg, records, q, data, aligned)
         assert summary["invariant_values"]["bound_margin_positive"]["worst"] is None
         path = tmp_path / "summary.json"
         emit_summary_json(summary, path)
@@ -969,10 +971,10 @@ class TestRunSweep:
         cfg = ExperimentConfig.from_dict(
             base_config(lambda_min=1e-21, lambda_max=1e-19, lambda_count=3)
         )
-        q, data, profile = generate_instance(cfg)
-        records = sweep_records(q, profile, lambda_grid(cfg))
+        q, data, aligned = generate_instance(cfg)
+        records = sweep_records(aligned, lambda_grid(cfg))
         assert {r.status for r in records} == {"BracketFailure"}
-        checks = invariant_checks(records, profile.delta_star)
+        checks = invariant_checks(records, aligned.delta_star)
         assert not checks[0].holds
         measured = [(c.name, c.worst, c.holds, c.detail) for c in checks if c.threshold is not None]
         assert measured == [
@@ -982,7 +984,7 @@ class TestRunSweep:
             ("theorem2_gap_le_1e-9", None, True, "worst=n/a"),
             ("k_bar_above_pole", None, True, "min=n/a"),
         ]
-        summary = sweep_summary(cfg, records, q, data, profile)
+        summary = sweep_summary(cfg, records, q, data, aligned)
         assert all(v["worst"] is None for v in summary["invariant_values"].values())
 
     def test_solver_failure_marks_row_without_abort(self, tmp_path):
@@ -1010,10 +1012,11 @@ class TestSweepDivergences:
         # less, which underflows: P1 is the point mass at the argmin, and
         # D(P1 || Q) = log 5 on a uniform Q over five atoms.
         q, profile = uniform_on(5), profile_from([0.0, 1.0, 2.0, 3.0, 5.0])
-        assert solve_type1(q, profile, 1e-3).weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        inst = aligned_risks(q, profile)
+        assert solve_type1(inst, 1e-3).weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            record, = sweep_records(q, profile, [1e-3])
+            record, = sweep_records(inst, [1e-3])
         assert record.status == "ok"
         assert record.kl_p_q_type1 == pytest.approx(math.log(5.0), rel=1e-15)
 
@@ -1025,7 +1028,7 @@ class TestSweepDivergences:
         profile = EmpiricalRiskProfile.from_risks(support, rng.uniform(0.0, 1.0, 50) + shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = sweep_records(q, profile, np.logspace(-11.0, 12.0, 24))
+            records = sweep_records(aligned_risks(q, profile), np.logspace(-11.0, 12.0, 24))
         # Rows whose root solve fails at the smallest factors keep their status.
         ok = [r for r in records if r.status == "ok"]
         assert len(ok) >= 16
@@ -1041,9 +1044,9 @@ class TestSweepDivergences:
         # oracle of test_oracle.py is the ruler.
         q, profile = random_solver_instance(np.random.default_rng(seed))
         lambdas = np.logspace(-3.0, 0.0, 7)
-        for lam, record in zip(lambdas, sweep_records(q, profile, lambdas)):
-            p1 = solution_measure(q, solve_type1(q, profile, lam))
-            p2 = solution_measure(q, solve_type2(q, profile, lam))
+        for lam, record in zip(lambdas, sweep_records(aligned_risks(q, profile), lambdas)):
+            p1 = solution_measure(q, solve_type1(aligned_risks(q, profile), lam))
+            p2 = solution_measure(q, solve_type2(aligned_risks(q, profile), lam))
             assert record.kl_p_q_type1 == pytest.approx(kl_divergence(p1, q), rel=1e-12)
             assert record.kl_q_p_type2 == pytest.approx(kl_divergence(q, p2), rel=1e-12)
 
@@ -1054,7 +1057,7 @@ class TestSweepDivergences:
         for module in (measures, type1, type2):
             monkeypatch.setattr(module, "kl_rows", refuse)
         q, profile = random_solver_instance(np.random.default_rng(5))
-        records = sweep_records(q, profile, np.logspace(-3.0, 3.0, 7))
+        records = sweep_records(aligned_risks(q, profile), np.logspace(-3.0, 3.0, 7))
         assert all(r.status == "ok" for r in records)
 
 
@@ -1063,34 +1066,34 @@ class TestSolutionRows:
         # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
         q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            records = sweep_records(q, profile, [1e-309, 0.5])
+            records = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
 
     def test_sweep_and_fuzz_never_match_atoms_by_coordinates(self, monkeypatch):
-        # A generated instance's profile is on q's own index, and solutions are
+        # A generated instance's risks are on q's own index, and solutions are
         # rows aligned with q, so nothing is looked up by position, not even
         # where the tilt underflows (lam = 1e-4) or supp(Q) is a sub-box.
         cfg = ExperimentConfig.from_dict(base_config(
             grid_resolution=[41], reference="restricted", reference_box_min=[-1.0],
             reference_box_max=[0.0], lambda_min=1e-4, lambda_max=1e2, lambda_count=7,
         ))
-        q, _, profile = generate_instance(cfg)
+        q, _, aligned = generate_instance(cfg)
 
         def refuse(*args):
             raise AssertionError("atoms were matched by coordinates")
 
         for module in (measures, type1, type2):
             monkeypatch.setattr(module, "positions", refuse)
-        records = sweep_records(q, profile, lambda_grid(cfg))
+        records = sweep_records(aligned, lambda_grid(cfg))
         assert [r.status for r in records] == ["ok"] * 7
-        assert np.any(solve_type1(q, profile, 1e-4).weights == 0.0)
-        assert optimality_fuzz(q, profile, 1.0, cfg.seed) == (True, True)
+        assert np.any(solve_type1(aligned, 1e-4).weights == 0.0)
+        assert optimality_fuzz(aligned, 1.0, cfg.seed) == (True, True)
 
 
 def reference_records(q, profile, lambdas) -> list[SweepRecord]:
     """The sweep's rows composed one factor at a time, every row formed afresh.
 
-    Each public solver builds its own aligned rows; the Type-II row, its
+    Each solve gets an instance record built afresh; the Type-II row, its
     denominators k_bar + L and both KL columns are formed again from the
     solutions' scalars as each step once formed them, and the two
     directions' phi sums are taken one row at a time. A row fails with the
@@ -1100,10 +1103,10 @@ def reference_records(q, profile, lambdas) -> list[SweepRecord]:
     records = []
     for lam in map(float, lambdas):
         try:
-            sol1 = solve_type1(q, profile, lam)
-            sol2 = solve_type2(q, profile, lam)
+            sol1 = solve_type1(aligned_risks(q, profile), lam)
+            sol2 = solve_type2(aligned_risks(q, profile), lam)
             risk1, risk2 = (measures.exact_sum(sol.weights * risks) for sol in (sol1, sol2))
-            _, gap = verify_theorem2(q, profile, sol2)
+            _, gap = verify_theorem2(aligned_risks(q, profile), sol2)
         except EntriskError as exc:
             records.append(experiment._failed_record(lam, type(exc).__name__))
             continue
@@ -1145,7 +1148,7 @@ def record_bits(records) -> list[str]:
 
 
 class TestSweepAgainstPerFactorReference:
-    """The sweep builds the factor-free rows once and reuses each solve's rows.
+    """The sweep reads one instance record for every factor and reuses each solve's rows.
 
     Bit for bit and status for status it equals the per-factor composition of
     :func:`reference_records`, including the rows that fail.
@@ -1160,7 +1163,8 @@ class TestSweepAgainstPerFactorReference:
         profile = EmpiricalRiskProfile.from_risks(profile.coords, profile.risks + shift)
         with np.errstate(over="ignore", under="ignore"):
             expected = reference_records(q, profile, self.FACTORS)
-            assert record_bits(sweep_records(q, profile, self.FACTORS)) == record_bits(expected)
+            records = sweep_records(aligned_risks(q, profile), self.FACTORS)
+            assert record_bits(records) == record_bits(expected)
 
     def test_pole_guard_failures_keep_their_status(self):
         # The 50-atom Dirichlet instance on which the pole-guarded bracket
@@ -1173,7 +1177,7 @@ class TestSweepAgainstPerFactorReference:
         statuses = []
         for shift in (0.0, 1e6, 1e12):
             profile = EmpiricalRiskProfile.from_risks(coords, base + shift)
-            records = sweep_records(q, profile, self.FACTORS)
+            records = sweep_records(aligned_risks(q, profile), self.FACTORS)
             assert record_bits(records) == record_bits(reference_records(q, profile, self.FACTORS))
             statuses += [r.status for r in records]
         assert collections.Counter(statuses) == {"ok": 52, "BracketFailure": 20}
@@ -1185,10 +1189,11 @@ class TestSweepAgainstPerFactorReference:
             grid_resolution=[41], reference="restricted", reference_box_min=[-1.0],
             reference_box_max=[0.0], lambda_min=1e-3, lambda_max=1e12, lambda_count=9,
         ))
-        q, _, profile = generate_instance(cfg)
+        q, _, aligned = generate_instance(cfg)
+        profile = EmpiricalRiskProfile.on_grid(q.grid, q.index, aligned.risks)
         lambdas = [1e-309, *lambda_grid(cfg)]
         with np.errstate(over="ignore"):
-            records = sweep_records(q, profile, lambdas)
+            records = sweep_records(aligned, lambdas)
             expected = reference_records(q, profile, lambdas)
         assert record_bits(records) == record_bits(expected)
         assert [r.status for r in records] == ["BracketFailure"] + ["ok"] * 9
@@ -1197,7 +1202,7 @@ class TestSweepAgainstPerFactorReference:
         # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
         q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            records = sweep_records(q, profile, [1e-309, 0.5])
+            records = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
             expected = reference_records(q, profile, [1e-309, 0.5])
         assert record_bits(records) == record_bits(expected)
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
@@ -1210,7 +1215,7 @@ class TestSweepAgainstPerFactorReference:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         cfg = ExperimentConfig.from_dict(raw)
-        q, _, profile = generate_instance(cfg)
+        q, _, aligned = generate_instance(cfg)
         lam = float(lambda_grid(cfg)[2])
         rows = collections.defaultdict(list)
         for name in ("solve_type1", "solve_type2"):
@@ -1220,8 +1225,8 @@ class TestSweepAgainstPerFactorReference:
                 return sol
 
             monkeypatch.setattr(experiment, name, spy)
-        assert sweep_records(q, profile, [lam])[0].status == "ok"
-        assert optimality_fuzz(q, profile, lam, cfg.seed) == (True, True)
+        assert sweep_records(aligned, [lam])[0].status == "ok"
+        assert optimality_fuzz(aligned, lam, cfg.seed) == (True, True)
         for direction, name in (("1", "solve_type1"), ("2", "solve_type2")):
             sweep_row, fuzz_row = rows[name]
             assert sweep_row.tobytes() == fuzz_row.tobytes()

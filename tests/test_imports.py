@@ -1,0 +1,55 @@
+"""Every name that a package module or a script imports is read by that module.
+
+No linter is a dependency, so this stands in for the unused-import check:
+a name bound by ``import`` or ``from ... import`` must be read somewhere in
+its module. Names listed in ``__all__`` count as read, and
+``from __future__ import ...`` is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*ROOT.glob("src/entrisk/*.py"), *ROOT.glob("scripts/*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, each with the line of its import."""
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import inf, pi\n"
+        "from .risk import AlignedRisks\n"
+        "__all__ = ['AlignedRisks']\n"
+        "x = np.zeros(1) + pi\n"
+    )
+    assert unused_imports(source) == ["os (line 2)", "inf (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

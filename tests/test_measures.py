@@ -32,7 +32,7 @@ from entrisk.measures import (
     total_variation,
     tv_rows,
 )
-from entrisk.risk import BLOCK_DOUBLES, EmpiricalRiskProfile, expected_risk
+from entrisk.risk import BLOCK_DOUBLES, EmpiricalRiskProfile, aligned_risks, expected_risk
 from entrisk.type2 import solve_k_bar
 
 from conftest import lattice_points, measure_with, positive_weights, profile_from, uniform_on
@@ -567,7 +567,7 @@ class TestLoneRowFastPath:
         n = 4_096
         q, prof = uniform_on(n), profile_from(rng.uniform(0.0, 2.0, n))
         slow_sum_calls.clear()  # building q renormalises its weights
-        res = solve_k_bar(q, prof, 0.5)
+        res = solve_k_bar(aligned_risks(q, prof), 0.5)
         assert res.iterations > 0
         assert slow_sum_calls == []
 

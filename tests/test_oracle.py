@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from entrisk.experiment import sweep_records
+from entrisk.risk import aligned_risks
 
 from conftest import random_solver_instance, two_atom_instance
 from oracle import reference
@@ -54,7 +55,7 @@ def assert_columns_match(instance: int, lambdas: np.ndarray, bounds: dict[str, f
     rng = np.random.default_rng(4200 + instance)
     q, prof = random_solver_instance(rng, max_atoms=50)
     risks = prof.aligned(q)
-    records = sweep_records(q, prof, lambdas)
+    records = sweep_records(aligned_risks(q, prof), lambdas)
     for lam, record in zip(lambdas, records):
         assert record.status == "ok"
         ref = reference(q.weights, risks, lam)

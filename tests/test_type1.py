@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from entrisk.errors import NonFiniteWeight, NonPositiveLambda, SupportMismatch
 from entrisk.measures import make_measure, total_variation
-from entrisk.risk import EmpiricalRiskProfile, expected_risk
+from entrisk.risk import EmpiricalRiskProfile, aligned_risks, expected_risk
 from entrisk.type1 import solve_type1, type1_objective
 
 from conftest import (
@@ -31,7 +31,7 @@ GIBBS_TWO_ATOM = (0.73105857863000490, 0.26894142136999512)
 
 def log_partition(q, prof, t: float) -> float:
     """log of sum q * exp(t * L) at t < 0, as the solve at lam = -1/t reports it."""
-    return solve_type1(q, prof, -1.0 / t).log_partition_at_minus_inv_lambda
+    return solve_type1(aligned_risks(q, prof), -1.0 / t).log_partition_at_minus_inv_lambda
 
 
 class TestLogPartition:
@@ -49,7 +49,7 @@ class TestLogPartition:
         q = uniform_on(3)
         prof = profile_from([0.0, 1.0])
         with pytest.raises(SupportMismatch):
-            log_partition(q, prof, -1.0)
+            aligned_risks(q, prof)
 
     @given(risk_vectors, lambdas, lambdas)
     @settings(max_examples=100)
@@ -67,12 +67,12 @@ class TestSolveType1:
     def test_constant_risks_return_reference(self):
         q = uniform_on(3)
         prof = profile_from([2.0, 2.0, 2.0])
-        sol = solve_type1(q, prof, 0.7)
+        sol = solve_type1(aligned_risks(q, prof), 0.7)
         assert np.allclose(sol.weights, q.weights, atol=1e-15)
 
     def test_two_atom_softmax_oracle(self):
         q, prof = two_atom_instance()
-        sol = solve_type1(q, prof, 1.0)
+        sol = solve_type1(aligned_risks(q, prof), 1.0)
         assert sol.weights == pytest.approx(GIBBS_TWO_ATOM, abs=1e-9)
         assert sol.log_partition_at_minus_inv_lambda == pytest.approx(
             K_AT_MINUS_ONE, abs=1e-12
@@ -80,19 +80,19 @@ class TestSolveType1:
 
     def test_large_lambda_approaches_reference(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10)
-        sol = solve_type1(q, prof, 1e6)
+        sol = solve_type1(aligned_risks(q, prof), 1e6)
         assert np.max(np.abs(sol.weights - q.weights)) <= 1e-5
 
     def test_support_equals_reference_support(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=12)
-        sol = solve_type1(q, prof, 0.5)
+        sol = solve_type1(aligned_risks(q, prof), 0.5)
         assert sol.weights.shape == q.weights.shape and np.all(sol.weights > 0.0)
         assert not sol.weights.flags.writeable
 
     def test_weights_reproduce_tilt_formula(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
         lam = 0.8
-        sol = solve_type1(q, prof, lam)
+        sol = solve_type1(aligned_risks(q, prof), lam)
         k = sol.log_partition_at_minus_inv_lambda
         risks = prof.aligned(q)
         expected = q.weights * np.exp(-k - risks / lam)
@@ -104,7 +104,7 @@ class TestSolveType1:
         for max_atoms in (40,) * 10 + (2000,) * 2:
             q, prof = random_solver_instance(rng, max_atoms=max_atoms)
             for lam in (1e-2, 1.0, 1e2):
-                sol = solve_type1(q, prof, lam)
+                sol = solve_type1(aligned_risks(q, prof), lam)
                 logits = np.log(q.weights) - prof.aligned(q) / lam
                 shift = float(logits.max())
                 unnorm = np.exp(logits - shift)
@@ -115,27 +115,28 @@ class TestSolveType1:
     def test_nonpositive_lambda_rejected(self):
         q, prof = two_atom_instance()
         with pytest.raises(NonPositiveLambda):
-            solve_type1(q, prof, 0.0)
+            solve_type1(aligned_risks(q, prof), 0.0)
 
     def test_factor_overflowing_every_risk_raises(self):
         # Every risk / lam overflows, so every logit is -inf and the tilt is nan.
         q = uniform_on(3)
         prof = profile_from([1.0, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteWeight):
-            solve_type1(q, prof, 1e-309)
+            solve_type1(aligned_risks(q, prof), 1e-309)
 
     def test_shift_invariance(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)
         shifted = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 3.0)
-        a = solve_type1(q, prof, 0.6).weights
-        b = solve_type1(q, shifted, 0.6).weights
+        a = solve_type1(aligned_risks(q, prof), 0.6).weights
+        b = solve_type1(aligned_risks(q, shifted), 0.6).weights
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_argmin_weight_nonincreasing_in_lambda(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=9)
         argmin = int(np.argmin(prof.risks))
         grid = np.logspace(-2, 2, 15)
-        weights = [float(solve_type1(q, prof, float(l)).weights[argmin]) for l in grid]
+        inst = aligned_risks(q, prof)
+        weights = [float(solve_type1(inst, float(l)).weights[argmin]) for l in grid]
         assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))
 
 
@@ -156,7 +157,7 @@ class TestType1Objective:
         for _ in range(20):
             q, prof = random_solver_instance(rng, max_atoms=10)
             lam = float(rng.uniform(0.05, 20.0))
-            sol = solve_type1(q, prof, lam)
+            sol = solve_type1(aligned_risks(q, prof), lam)
             obj = type1_objective(solution_measure(q, sol), q, prof, lam)
             assert obj == pytest.approx(
                 -lam * sol.log_partition_at_minus_inv_lambda, abs=1e-9
@@ -165,7 +166,7 @@ class TestType1Objective:
     def test_solution_beats_random_feasible_measures(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8)
         lam = 0.7
-        sol = solve_type1(q, prof, lam)
+        sol = solve_type1(aligned_risks(q, prof), lam)
         p1 = solution_measure(q, sol)
         best = type1_objective(p1, q, prof, lam)
         for _ in range(100):

@@ -22,7 +22,7 @@ from entrisk.measures import (
     positions,
     total_variation,
 )
-from entrisk.risk import EmpiricalRiskProfile, expected_risk
+from entrisk.risk import EmpiricalRiskProfile, aligned_risks, expected_risk
 from entrisk.type2 import (
     _g_sum,
     escape_threshold,
@@ -77,7 +77,7 @@ def solve_with_points(monkeypatch, q, prof, lam: float):
         return total
 
     monkeypatch.setattr(type2, "_g_sum", spy)
-    res = solve_k_bar(q, prof, lam)
+    res = solve_k_bar(aligned_risks(q, prof), lam)
     floor = int(np.argmin(prof.aligned(q)))
     qlam = q.weights[floor] * lam
     return res, [(float(qlam / x[floor]), total) for x, total in sums]
@@ -111,12 +111,12 @@ class TestNormalizationValue:
         q = uniform_on(3)
         prof = profile_from([0.4, 0.4, 0.4])
         for lam in (1.0, 2.0, 0.5):
-            k_bar = solve_k_bar(q, prof, lam).k_bar
+            k_bar = solve_k_bar(aligned_risks(q, prof), lam).k_bar
             assert lam / (k_bar + 0.4) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_term_hand_evaluation(self):
         q, prof = two_atom_instance()
-        k_bar = solve_k_bar(q, prof, 1.0).k_bar
+        k_bar = solve_k_bar(aligned_risks(q, prof), 1.0).k_bar
         assert 0.5 / k_bar + 0.5 / (k_bar + 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_root_satisfies_unshifted_constraint(self, rng):
@@ -125,7 +125,7 @@ class TestNormalizationValue:
         for _ in range(30):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            k_bar = solve_k_bar(q, prof, lam).k_bar
+            k_bar = solve_k_bar(aligned_risks(q, prof), lam).k_bar
             slope = math.fsum((q.weights * lam / (k_bar + prof.aligned(q)) ** 2).tolist())
             assert abs(normalization(q, prof, lam, k_bar) - 1.0) <= 1e-12 + slope * math.ulp(k_bar)
 
@@ -136,7 +136,7 @@ class TestNormalizationValue:
         # below it as far to the right.
         q = uniform_on(len(risks))
         prof = profile_from(risks)
-        res = solve_k_bar(q, prof, lam)
+        res = solve_k_bar(aligned_risks(q, prof), lam)
         half = 0.5 * res.pole_gap
         assert normalization(q, prof, lam, res.k_bar - half) > 1.0
         assert normalization(q, prof, lam, res.k_bar + half) < 1.0
@@ -147,30 +147,30 @@ class TestSolveKBar:
         q = uniform_on(2)
         prof = profile_from([0.7, 0.7])
         for lam in (1e-3, 0.25, 1.0, 1e3):
-            res = solve_k_bar(q, prof, lam)
+            res = solve_k_bar(aligned_risks(q, prof), lam)
             assert res.k_bar == lam - 0.7
             assert res.iterations == 0
             assert res.residual <= 1e-13
 
     def test_two_atom_quadratic_root(self):
         q, prof = two_atom_instance()
-        res = solve_k_bar(q, prof, 1.0)
+        res = solve_k_bar(aligned_risks(q, prof), 1.0)
         assert res.k_bar == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_three_atom_cubic_vs_independent_bisection(self):
         q, prof = three_atom_instance()
-        res = solve_k_bar(q, prof, 1.0)
+        res = solve_k_bar(aligned_risks(q, prof), 1.0)
         assert res.k_bar == pytest.approx(bisect_cubic(), abs=1e-9)
 
     def test_nonpositive_lambda_rejected(self):
         q, prof = two_atom_instance()
         with pytest.raises(NonPositiveLambda):
-            solve_k_bar(q, prof, -2.0)
+            solve_k_bar(aligned_risks(q, prof), -2.0)
 
     def test_lambda_below_pole_guard_fails_bracket(self):
         q, prof = two_atom_instance()
         with pytest.raises(BracketFailure):
-            solve_k_bar(q, prof, 1e-300)
+            solve_k_bar(aligned_risks(q, prof), 1e-300)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
         # A tolerance below the evaluation floor fails deterministically on an
@@ -181,7 +181,7 @@ class TestSolveKBar:
         )
         monkeypatch.setattr(type2, "DEFAULT_TOL", 1e-30)
         with pytest.raises(ToleranceNotReached):
-            solve_k_bar(q, prof, 1.1468121583112396)
+            solve_k_bar(aligned_risks(q, prof), 1.1468121583112396)
 
     @pytest.mark.parametrize("lam", [0.1, 100.0])
     def test_newton_point_on_a_bracket_end_bisects(self, monkeypatch, lam):
@@ -193,14 +193,14 @@ class TestSolveKBar:
         evaluated = []
         monkeypatch.setattr(type2, "_g_sum", lambda x: evaluated.append(x.tobytes()) or _g_sum(x))
         monkeypatch.setattr(type2, "DEFAULT_TOL", 1e-30)
-        assert solve_k_bar(q, prof, lam).residual == 0.0
+        assert solve_k_bar(aligned_risks(q, prof), lam).residual == 0.0
         assert len(set(evaluated)) == len(evaluated)
 
     def test_root_satisfies_residual_contract(self, rng):
         for _ in range(30):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            res = solve_k_bar(q, prof, lam)
+            res = solve_k_bar(aligned_risks(q, prof), lam)
             assert res.residual <= 1e-12
 
     def test_root_within_mean_risk_range(self, rng):
@@ -210,7 +210,7 @@ class TestSolveKBar:
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
             risks = prof.aligned(q)
-            k_bar = solve_k_bar(q, prof, lam).k_bar
+            k_bar = solve_k_bar(aligned_risks(q, prof), lam).k_bar
             assert lam - risks.max() - 1e-12 <= k_bar <= lam - risks.min() + 1e-12
 
     @given(risk_vectors, lambdas, lambdas)
@@ -221,14 +221,15 @@ class TestSolveKBar:
         q = uniform_on(len(risks))
         prof = profile_from(risks)
         lo, hi = min(l1, l2), max(l1, l2)
-        assert solve_k_bar(q, prof, lo).k_bar < solve_k_bar(q, prof, hi).k_bar
+        inst = aligned_risks(q, prof)
+        assert solve_k_bar(inst, lo).k_bar < solve_k_bar(inst, hi).k_bar
 
     def test_continuity_under_small_lambda_changes(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=15)
         for lam in np.logspace(-3, 3, 7):
             lam = float(lam)
-            a = solve_k_bar(q, prof, lam).k_bar
-            b = solve_k_bar(q, prof, lam * (1.0 + 1e-6)).k_bar
+            a = solve_k_bar(aligned_risks(q, prof), lam).k_bar
+            b = solve_k_bar(aligned_risks(q, prof), lam * (1.0 + 1e-6)).k_bar
             assert abs(b - a) <= 1e-4 * (1.0 + abs(a))
 
     def test_range_constraints(self, rng):
@@ -237,7 +238,7 @@ class TestSolveKBar:
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
             risks = prof.aligned(q)
-            res = solve_k_bar(q, prof, lam)
+            res = solve_k_bar(aligned_risks(q, prof), lam)
             assert res.k_bar > -float(risks.min())
             slack = 1e-12 * (1.0 + abs(res.k_bar))
             assert lam - float(risks.max()) - slack <= res.k_bar <= lam - float(risks.min()) + slack
@@ -246,9 +247,9 @@ class TestSolveKBar:
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=3.0)
         lam = 0.8
         c = 2.5
-        base = solve_k_bar(q, prof, lam)
+        base = solve_k_bar(aligned_risks(q, prof), lam)
         shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + c)
-        shifted = solve_k_bar(q, shifted_prof, lam)
+        shifted = solve_k_bar(aligned_risks(q, shifted_prof), lam)
         assert shifted.k_bar == pytest.approx(base.k_bar - c, abs=1e-10)
 
     def test_newton_iterates_stay_in_the_shrinking_bracket(self, rng, monkeypatch):
@@ -305,7 +306,7 @@ class TestSolveKBar:
         q = make_measure(coords, rng.dirichlet(np.ones(50)))
         prof = EmpiricalRiskProfile.from_risks(coords, rng.uniform(0.0, 1.0, 50) + shift)
         for lam in np.logspace(first_exponent, 12, 12 - first_exponent + 1):
-            assert solve_k_bar(q, prof, float(lam)).residual <= type2.DEFAULT_TOL
+            assert solve_k_bar(aligned_risks(q, prof), float(lam)).residual <= type2.DEFAULT_TOL
 
 
 def float_sum_is_open(x: np.ndarray) -> bool:
@@ -362,7 +363,7 @@ class TestCertifiedSign:
             for lam in np.logspace(-3, 3, 13):
                 opens.clear()
                 exact.clear()
-                solve_k_bar(q, prof, float(lam))
+                solve_k_bar(aligned_risks(q, prof), float(lam))
                 assert opens[-1]
                 assert len(exact) == 1 + sum(opens[:-1])
                 solves, total = solves + 1, total + len(exact)
@@ -372,7 +373,7 @@ class TestCertifiedSign:
         for max_atoms in (40,) * 20 + (2000,) * 2:
             q, prof = random_solver_instance(rng, max_atoms=max_atoms)
             for lam in np.logspace(-3, 3, 13):
-                res = solve_k_bar(q, prof, float(lam))
+                res = solve_k_bar(aligned_risks(q, prof), float(lam))
                 assert res.g == math.fsum(res.terms.tolist())
                 assert res.residual == abs(res.g - 1.0) <= type2.DEFAULT_TOL
 
@@ -381,12 +382,12 @@ class TestSolveType2:
     def test_constant_risks_return_reference(self):
         q = uniform_on(4)
         prof = profile_from([1.2, 1.2, 1.2, 1.2])
-        sol = solve_type2(q, prof, 0.9)
+        sol = solve_type2(aligned_risks(q, prof), 0.9)
         assert np.allclose(sol.weights, q.weights, atol=1e-14)
 
     def test_two_atom_oracle_weights(self):
         q, prof = two_atom_instance()
-        sol = solve_type2(q, prof, 1.0)
+        sol = solve_type2(aligned_risks(q, prof), 1.0)
         root = math.sqrt(0.5)
         assert sol.weights == pytest.approx(
             (0.5 / root, 0.5 / (root + 1.0)), abs=1e-6
@@ -394,13 +395,13 @@ class TestSolveType2:
 
     def test_large_lambda_approaches_reference(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10)
-        sol = solve_type2(q, prof, 1e6)
+        sol = solve_type2(aligned_risks(q, prof), 1e6)
         assert np.max(np.abs(sol.weights - q.weights)) <= 1e-5
 
     def test_weights_reproduce_density_formula(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=2.0)
         lam = 0.6
-        sol = solve_type2(q, prof, lam)
+        sol = solve_type2(aligned_risks(q, prof), lam)
         risks = prof.aligned(q)
         expected = q.weights * lam / (sol.k_bar + risks)
         assert np.max(np.abs(sol.weights - expected)) <= 1e-12
@@ -409,7 +410,7 @@ class TestSolveType2:
         for _ in range(10):
             q, prof = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-2, 2))
-            sol = solve_type2(q, prof, lam)
+            sol = solve_type2(aligned_risks(q, prof), lam)
             assert sol.weights.shape == q.weights.shape and np.all(sol.weights > 0.0)
 
     def test_support_collapse_with_better_atom_outside(self):
@@ -417,14 +418,14 @@ class TestSolveType2:
         # still puts mass exactly on supp(Q).
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [0.5, 1.0, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        sol = solve_type2(q, prof, 1.0)
+        sol = solve_type2(aligned_risks(q, prof), 1.0)
         assert sol.weights.shape == q.weights.shape and np.all(sol.weights > 0.0)
 
     def test_shift_covariance_measure_unchanged(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=10, risk_scale=3.0)
         shifted_prof = EmpiricalRiskProfile.from_risks(prof.coords, prof.risks + 1.75)
-        a = solve_type2(q, prof, 0.45).weights
-        b = solve_type2(q, shifted_prof, 0.45).weights
+        a = solve_type2(aligned_risks(q, prof), 0.45).weights
+        b = solve_type2(aligned_risks(q, shifted_prof), 0.45).weights
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -443,7 +444,7 @@ class TestType2Objective:
     def test_solution_beats_random_dominating_measures(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8)
         lam = 1.3
-        sol = solve_type2(q, prof, lam)
+        sol = solve_type2(aligned_risks(q, prof), lam)
         p2 = solution_measure(q, sol)
         best = type2_objective(p2, q, prof, lam)
         for _ in range(100):
@@ -454,7 +455,7 @@ class TestType2Objective:
 
 def sweep_row(q, prof, lam: float):
     """The sweep's row at ``lam``: mean risk, identity gap and bound margin of Type 2."""
-    (row,) = sweep_records(q, prof, [lam])
+    (row,) = sweep_records(aligned_risks(q, prof), [lam])
     assert row.status == "ok"
     return row
 
@@ -522,7 +523,7 @@ def mixture_oracle(q, prof, lam: float, alpha: float) -> float:
     ``-lam * log(1 - alpha)``, and the risk term ``alpha * L`` is least at
     the cheapest outside atom.
     """
-    inner = solution_measure(q, solve_type2(q, prof, lam / (1.0 - alpha)))
+    inner = solution_measure(q, solve_type2(aligned_risks(q, prof), lam / (1.0 - alpha)))
     min_out = float(prof.risks[positions(prof, q) < 0].min())
     return (
         (1.0 - alpha) * expected_risk(inner, prof)
@@ -561,7 +562,7 @@ class TestSupportEscape:
 
     def test_oracle_alpha_zero_reduces_to_inside_objective(self):
         q, prof = self._instance()
-        sol = solve_type2(q, prof, 1.0)
+        sol = solve_type2(aligned_risks(q, prof), 1.0)
         inside_obj = type2_objective(solution_measure(q, sol), q, prof, 1.0)
         assert mixture_oracle(q, prof, 1.0, 0.0) == pytest.approx(
             inside_obj, abs=1e-12
@@ -570,7 +571,7 @@ class TestSupportEscape:
     def test_slope_is_the_oracle_derivative_at_no_escape(self):
         # (f(alpha) - f(0)) / alpha falls to the slope from above as alpha -> 0.
         q, prof = self._instance()
-        sol = solve_type2(q, prof, 1.0)
+        sol = solve_type2(aligned_risks(q, prof), 1.0)
         slope = support_escape_slope(outside_of(q, prof), sol)
         opt = type2_objective(solution_measure(q, sol), q, prof, 1.0)
         prev = math.inf
@@ -581,7 +582,7 @@ class TestSupportEscape:
 
     def test_escape_strictly_penalized_even_with_zero_risk_outside(self):
         q, prof = self._instance()
-        sol = solve_type2(q, prof, 1.0)
+        sol = solve_type2(aligned_risks(q, prof), 1.0)
         assert support_escape_slope(outside_of(q, prof), sol) > 0.0
         optimal = type2_objective(solution_measure(q, sol), q, prof, 1.0)
         assert best_escape(q, prof, 1.0, SIGN_ALPHAS) > optimal
@@ -592,7 +593,7 @@ class TestSupportEscape:
         # supp(Q) beats the optimum on supp(Q) by far.
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        sol = solve_type2(q, prof, 0.1)
+        sol = solve_type2(aligned_risks(q, prof), 0.1)
         slope = support_escape_slope(outside_of(q, prof), sol)
         assert slope == pytest.approx(-0.938, abs=5e-4)
         assert slope == 0.0 + sol.k_bar
@@ -601,7 +602,7 @@ class TestSupportEscape:
         assert optimal == pytest.approx(1.0623, abs=5e-5)
         # Escaping pays exactly where the slope is negative.
         for lam in (0.5, 1.0, 2.0, 5.0):
-            sol = solve_type2(q, prof, lam)
+            sol = solve_type2(aligned_risks(q, prof), lam)
             optimal = type2_objective(solution_measure(q, sol), q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (
                 support_escape_slope(outside_of(q, prof), sol) < 0.0
@@ -611,7 +612,7 @@ class TestSupportEscape:
         signs = set()
         for _ in range(20):
             q, prof, lam = escape_instance(rng)
-            sol = solve_type2(q, prof, lam)
+            sol = solve_type2(aligned_risks(q, prof), lam)
             slope = support_escape_slope(outside_of(q, prof), sol)
             optimal = type2_objective(solution_measure(q, sol), q, prof, lam)
             assert (best_escape(q, prof, lam, SIGN_ALPHAS) < optimal) == (slope < 0.0)
@@ -623,14 +624,15 @@ class TestSupportEscape:
         # the one with theta = 7 alone, whatever the order in the profile.
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         cheapest = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [7.0]], [0.5, 1.0, 0.0])
-        sol = solve_type2(q, cheapest, 1.0)
+        sol = solve_type2(aligned_risks(q, cheapest), 1.0)
         expected = support_escape_slope(outside_of(q, cheapest), sol)
         for coords, risks in (
             ([[5.0], [0.0], [7.0], [1.0]], [0.25, 0.5, 0.0, 1.0]),
             ([[7.0], [1.0], [0.0], [5.0]], [0.0, 1.0, 0.5, 0.25]),
         ):
             prof = EmpiricalRiskProfile.from_risks(coords, risks)
-            slope = support_escape_slope(outside_of(q, prof), solve_type2(q, prof, 1.0))
+            sol = solve_type2(aligned_risks(q, prof), 1.0)
+            slope = support_escape_slope(outside_of(q, prof), sol)
             assert slope == expected
 
 
@@ -641,15 +643,15 @@ class TestEscapeThreshold:
         positive = 0
         for _ in range(20):
             q, prof, _ = escape_instance(rng)
-            outside = outside_of(q, prof)
-            lam_star = escape_threshold(q, prof, outside)
+            outside, inst = outside_of(q, prof), aligned_risks(q, prof)
+            lam_star = escape_threshold(inst, outside)
             if lam_star == 0.0:
                 for lam in np.logspace(-3, 3, 7):
-                    assert support_escape_slope(outside, solve_type2(q, prof, lam)) > 0.0
+                    assert support_escape_slope(outside, solve_type2(inst, lam)) > 0.0
                 continue
             positive += 1
             for f in factors:
-                slope = support_escape_slope(outside, solve_type2(q, prof, lam_star * f))
+                slope = support_escape_slope(outside, solve_type2(inst, lam_star * f))
                 assert (slope < 0.0) == (f < 1.0)
         assert 0 < positive < 20  # both kinds of instance were tested
 
@@ -658,10 +660,11 @@ class TestEscapeThreshold:
         # lambda* = 1 / (0.5 / 1.0 + 0.5 / 1.2) = 12 / 11.
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [2.0]], [1.0, 1.2, 0.0])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
-        lam_star = escape_threshold(q, prof, outside_of(q, prof))
+        inst = aligned_risks(q, prof)
+        lam_star = escape_threshold(inst, outside_of(q, prof))
         assert lam_star == pytest.approx(12.0 / 11.0, rel=1e-15)
         # There g(-min_out L) = 1, so k_bar = 0 = -min_out L and the slope vanishes.
-        assert support_escape_slope(outside_of(q, prof), solve_type2(q, prof, lam_star)) == (
+        assert support_escape_slope(outside_of(q, prof), solve_type2(inst, lam_star)) == (
             pytest.approx(0.0, abs=1e-12))
 
     @pytest.mark.parametrize("outside_risk", [0.5, 0.7])
@@ -670,6 +673,6 @@ class TestEscapeThreshold:
         prof = EmpiricalRiskProfile.from_risks([[0.0], [1.0], [5.0]], [0.5, 1.0, outside_risk])
         q = make_measure([[0.0], [1.0]], [1.0, 1.0])
         outside = outside_of(q, prof)
-        assert escape_threshold(q, prof, outside) == 0.0
+        assert escape_threshold(aligned_risks(q, prof), outside) == 0.0
         for lam in (1e-3, 1.0, 1e3):
-            assert support_escape_slope(outside, solve_type2(q, prof, lam)) > 0.0
+            assert support_escape_slope(outside, solve_type2(aligned_risks(q, prof), lam)) > 0.0
