@@ -7,13 +7,14 @@ geometric grid of regularization factors. ``sweep_records`` solves both
 regularization directions at every factor and records the identities and
 bounds each solution must satisfy; ``invariant_checks`` judges those records
 in one table of (name, threshold, worst, holds) rows, which both the sweep
-summary and the verify command report, and ``optimality_fuzz`` pits both
-solutions against random measures for verify; ``emit_csv`` writes the
-records with 17-significant-digit floats so output files are byte-stable.
+summary and the verify command report, and ``optimality_checks`` adds
+verify's two rows that check both solutions' optimality by exact excess
+identities, against Q and each other; ``emit_csv`` writes the records with
+17-significant-digit floats so output files are byte-stable.
 
-Everything is deterministic: randomness is confined to explicitly seeded
-generators, sums are exactly accumulated, and rows are ordered by ascending
-regularization factor.
+Everything is deterministic: the only random draws are the synthetic
+dataset's, from a generator seeded by ``data_seed``; sums are exactly
+accumulated, and rows are ordered by ascending regularization factor.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from .measures import (
     exact_sum,
     kl_log_ratios,
     measure_on,
-    tv_rows,
 )
 from .risk import (
-    BLOCK_DOUBLES,
     LOSS_KINDS,
     PREDICTOR_KINDS,
     AlignedRisks,
@@ -420,10 +419,7 @@ def generate_instance(cfg: ExperimentConfig) -> tuple[DiscreteMeasure, Dataset, 
         if cfg.dataset == "synthetic":
             data = synthesize_dataset(cfg)
         else:
-            data = ingest_csv_dataset(cfg.base_dir / cfg.csv_path)
-            _require(len(grid) * data.n <= MAX_LOSS_EVALUATIONS,
-                     f"field 'csv_path': {len(grid)} atoms x {data.n} data rows exceed "
-                     f"the limit {MAX_LOSS_EVALUATIONS}")
+            data = ingest_csv_dataset(cfg.base_dir / cfg.csv_path, atoms=len(grid))
         pred = predictor_spec(cfg)
         if data.pattern_dim != pred.pattern_dim:
             raise ConfigError(
@@ -548,6 +544,24 @@ class Invariant(NamedTuple):
     detail: str = ""
 
 
+def _measured(label: str, worst: float | None) -> str:
+    return f"{label}=n/a" if worst is None else f"{label}={worst:.3g}"
+
+
+def _at_most(name: str, values: list[float], limit: float) -> Invariant:
+    """A capped check: its worst value is the largest."""
+    worst = max(values, default=None)
+    return Invariant(name, limit, worst, all(v <= limit for v in values),
+                     _measured("worst", worst))
+
+
+def _above(name: str, values: list[float], limit: float) -> Invariant:
+    """A floored check: its worst value is the smallest."""
+    worst = min(values, default=None)
+    return Invariant(name, limit, worst, all(v > limit for v in values),
+                     _measured("min", worst))
+
+
 def invariant_checks(records: Sequence[SweepRecord], delta_star: float) -> list[Invariant]:
     """The invariant table of a sweep, in a fixed order; ``delta_star`` is min L on supp(Q).
 
@@ -555,29 +569,15 @@ def invariant_checks(records: Sequence[SweepRecord], delta_star: float) -> list[
     """
     ok = [r for r in records if r.status == "ok"]
     k_bars = [r.k_bar_type2 for r in ok]
-
-    def measured(label: str, worst: float | None) -> str:
-        return f"{label}=n/a" if worst is None else f"{label}={worst:.3g}"
-
-    def at_most(name: str, values: list[float], limit: float) -> Invariant:
-        worst = max(values, default=None)
-        return Invariant(name, limit, worst, all(v <= limit for v in values),
-                         measured("worst", worst))
-
-    def above(name: str, values: list[float], limit: float) -> Invariant:
-        worst = min(values, default=None)
-        return Invariant(name, limit, worst, all(v > limit for v in values),
-                         measured("min", worst))
-
     return [
         Invariant("all_rows_ok", None, None, len(ok) == len(records)),
-        at_most("residual_le_1e-12", [r.residual for r in ok], 1e-12),
-        at_most("identity_gap_le_1e-9", [r.identity_gap for r in ok], 1e-9),
-        above("bound_margin_positive", [r.bound_margin for r in ok], 0.0),
-        at_most("theorem2_gap_le_1e-9", [r.theorem2_gap for r in ok], 1e-9),
+        _at_most("residual_le_1e-12", [r.residual for r in ok], 1e-12),
+        _at_most("identity_gap_le_1e-9", [r.identity_gap for r in ok], 1e-9),
+        _above("bound_margin_positive", [r.bound_margin for r in ok], 0.0),
+        _at_most("theorem2_gap_le_1e-9", [r.theorem2_gap for r in ok], 1e-9),
         Invariant("k_bar_strictly_increasing", None, None,
                   all(a < b for a, b in zip(k_bars, k_bars[1:]))),
-        above("k_bar_above_pole", [k + delta_star for k in k_bars], 0.0),
+        _above("k_bar_above_pole", [k + delta_star for k in k_bars], 0.0),
         # This row checks the construction only: supp(P2) is a subset of
         # supp(Q), so a finite D(Q || P2) means the two supports coincide.
         # Whether escaping supp(Q) would lower the objective is the sign of
@@ -640,7 +640,7 @@ def emit_dataset_csv(data: Dataset, path: str | Path) -> None:
 _DECIMAL_CELL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-def ingest_csv_dataset(path: str | Path) -> Dataset:
+def ingest_csv_dataset(path: str | Path, atoms: int = 1) -> Dataset:
     """Read a dataset CSV with header ``x1,...,xd,y``; strict and coordinate-exact.
 
     Every cell must match :data:`_DECIMAL_CELL` and be finite as a double.
@@ -648,11 +648,17 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
     UTF-8, or that the csv module cannot read (a cell over its field size
     limit), raises ConfigError. Ingesting a file written by
     :func:`emit_dataset_csv` reproduces the dataset bit for bit.
+
+    An instance of ``atoms`` grid atoms fits at most
+    ``MAX_LOSS_EVALUATIONS // atoms`` data rows. Reading stops at the first
+    row past them, which raises ConfigError on ``csv_path`` before any row
+    is parsed.
     """
     path = Path(path)
+    max_rows = MAX_LOSS_EVALUATIONS // atoms
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for _, row in zip(range(max_rows + 2), csv.reader(fh))]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"field 'csv_path': {path} is not a readable UTF-8 CSV: {exc}") from None
     if not rows:
@@ -664,6 +670,9 @@ def ingest_csv_dataset(path: str | Path) -> Dataset:
         raise MalformedHeader(
             f"{path}: header must be x1,...,xd,y (got {','.join(header)!r})"
         )
+    _require(len(rows) <= max_rows + 1,
+             f"field 'csv_path': {atoms} atoms x {len(rows) - 1} data rows exceed the limit "
+             f"{MAX_LOSS_EVALUATIONS}; reading stopped at row {len(rows)}")
     if len(rows) == 1:
         raise RowArity(f"{path}: no data rows")
     patterns: list[list[float]] = []
@@ -736,97 +745,87 @@ def grid_argmin_outside_support(
     return outside is not None and outside.delta_star < aligned.delta_star
 
 
-#: Relative error bound of a screened fuzz objective, in units of its
-#: magnitude ``sum|p*L| + lam*sum|p*log(ratio)|`` (see :func:`_objective_floors`).
-#: The screen and the exact scoring form the same products ``p*L`` and the same
-#: ratios; what differs, each as a share of that magnitude (u = 2**-53):
-#:
-#: * the float row sums, of at most MAX_GRID_ATOMS < 2**20 terms in any order,
-#:   are off by at most (n - 1)u / (1 - (n - 1)u) < 2**-33, and the exact sums'
-#:   own rounding by u;
-#: * ``np.log`` against ``math.log``: within 1 ulp (2.2e-16 relative) where
-#:   measured, assumed within 2**-40 (``tests/test_measures.py`` checks it),
-#:   plus u for rounding each product ``p*log`` either way;
-#: * the final multiply by lam, the add and the subtraction of the bound: a few u.
-#:
-#: Together that is below 2**-32, so 2**-30 covers the worst case four times
-#: over and the measured log gap about 2**22 times. Products that underflow
-#: are off by an absolute 2**-1075 each, which ``_SCREEN_TINY * (1 + lam)``
-#: covers for every atom.
-_SCREEN_EPS = 2.0**-30
-_SCREEN_TINY = 2.0**-1000
+#: Largest gap of an excess identity (:func:`optimality_checks`), relative to
+#: F(P) + lam, the scales of the objective's rounding and of the log-ratio
+#: rows'. At an accepted root the Type-2 gap is about
+#: |g - 1| * |R(P2) - R(P)| / (F(P) + lam) <= type2.DEFAULT_TOL = 1e-13; the
+#: largest measured are 5.8e-16 (Type 1) and 8.7e-14 (Type 2; see the README).
+EXCESS_GAP_MAX = 1e-12
 
 
-def _objective_floors(
-    rand: np.ndarray, q_weights: np.ndarray, risks: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bounds on the Type-1 and Type-2 objective of each row of ``rand``.
+def excess_identities(
+    aligned: AlignedRisks, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both solutions at ``lam`` against their competitors, by the exact excess identities.
 
-    Each row is scored with ``np.log`` and float row sums, minus a bound of
-    :data:`_SCREEN_EPS` times its magnitude (plus the underflow allowance),
-    so that it lies below the exact value ``type1_objective_rows`` or
-    ``type2_objective_rows`` gives.
-    A row with a zero weight has no floor (nan).
+    For any P on supp(Q), with F1 and F2 the Type-1 and Type-2 objectives,
 
-    Every (k, m) step writes into one buffer the shape of ``rand``, in this
-    order: the products ``p*L`` and their absolute values, then per
-    direction the ratios, their log, ``p*log`` and its absolute values.
-    Neither ``rand`` nor ``q_weights`` is written.
-    """
-    buf = np.empty(rand.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(rand, risks, out=buf)
-        risk = buf.sum(axis=1)
-        risk_mass = np.abs(buf, out=buf).sum(axis=1)
-        floors = []
-        for p, other in ((rand, q_weights), (q_weights, rand)):
-            np.divide(p, other, out=buf)
-            np.log(buf, out=buf)
-            np.multiply(p, buf, out=buf)
-            estimate = risk + lam * np.maximum(buf.sum(axis=1), 0.0)
-            bound = _SCREEN_EPS * (risk_mass + lam * np.abs(buf, out=buf).sum(axis=1))
-            floors.append(estimate - (bound + _SCREEN_TINY * (1.0 + lam)))
-    return floors[0], floors[1]
+    * F1(P) - F1(P1) = lam * D(P || P1), the Gibbs variational principle;
+    * F2(P) - F2(P2) = lam * sum of q * (r - 1 - log r), with r = p/p2.
 
+    Both directions are solved at ``lam``, and Q, P1 and P2 are scored as one
+    (3, m) block by :func:`type1_objective_rows` and by
+    :func:`type2_objective_rows`. Each solution's competitors are Q and the
+    other direction's solution. Returns ``(objectives, differences,
+    excesses)``, each (2, 2): row 0 holds P1 against Q and P2, row 1 P2
+    against Q and P1; ``objectives`` are F(P), ``differences`` F(P) - F(P*)
+    and ``excesses`` the right-hand sides.
 
-def optimality_fuzz(aligned: AlignedRisks, lam: float, seed: int) -> tuple[bool, bool]:
-    """Whether both solutions at ``lam`` beat 200 random measures on supp(Q).
+    The right-hand sides are formed in log form from the solver's own
+    log-ratio rows and from each competitor's weights, through the ratio
+    the objective takes for them:
 
-    Each draw is a seeded Dirichlet(1, ..., 1) reweighting of Q,
-    renormalized as :func:`measure_on` does; a zero weight leaves its atom out
-    of the draw's support. A draw within total variation 1e-9 of a solution
-    is not compared against it. Returns ``(type1_ok, type2_ok)``.
+    * Type 1: lam * (sum over supp(P) of p * (log(p/q) - log(p1/q))), with
+      log(p1/q) from :func:`log_ratios_p1_q`;
+    * Type 2: lam * (sum of q * (expm1(z) - z)), with
+      z = log(p/p2) = log(q/p2) - log(q/p). log(q/p2) is
+      :func:`log_ratios_q_p2`, the log of q over the solve's terms, plus
+      log g, since P2's weights are those terms over their sum g.
 
-    The draws are drawn and scored a block of at most :data:`BLOCK_DOUBLES`
-    weights at a time (one draw when a draw has more atoms), which consumes
-    the generator exactly as drawing them one by one; each block is
-    normalized in place and screened in one buffer of its size. A draw whose
-    certified lower bound (:func:`_objective_floors`)
-    already exceeds the solution's objective beats it; every other draw, one
-    with a zero weight included, is rescored by the same row-wise total
-    variation and objective functions that score a single measure. So every
-    verdict, though not every value, is the one those functions give.
+    So a wrong log Z, weights normalized by a wrong g or a k_bar off its
+    root moves one side and not the other. A competitor with a zero weight,
+    as a tilt that underflowed an atom, has F2 = +inf and a Type-2
+    right-hand side of +inf.
     """
     q_weights, risks = aligned.q_weights, aligned.risks
-    m = q_weights.shape[0]
-    directions = []
-    for solve, objective_rows in ((solve_type1, type1_objective_rows),
-                                  (solve_type2, type2_objective_rows)):
-        w = solve(aligned, lam).weights
-        directions.append((w, objective_rows(w[None], q_weights, risks, lam)[0], objective_rows))
-    rng = np.random.default_rng(seed)
-    step = max(1, BLOCK_DOUBLES // m)
-    ok = [True, True]
-    for start in range(0, 200, step):
-        rand = rng.dirichlet(np.ones(m), size=min(step, 200 - start))
-        rand /= exact_row_sums(rand)[:, None]
-        for d, floor in enumerate(_objective_floors(rand, q_weights, risks, lam)):
-            sol_weights, obj, objective_rows = directions[d]
-            rows = rand[~(floor > obj)]  # the draws the screen leaves open
-            if ok[d] and rows.shape[0]:
-                far = tv_rows(rows, sol_weights) > 1e-9
-                ok[d] = bool(np.all(objective_rows(rows, q_weights, risks, lam)[far] > obj))
-    return ok[0], ok[1]
+    sol1, sol2 = solve_type1(aligned, lam), solve_type2(aligned, lam)
+    block = np.stack([q_weights, sol1.weights, sol2.weights])
+    log_p1_q = log_ratios_p1_q(sol1, np.empty_like(q_weights))
+    log_q_p2 = log_ratios_q_p2(sol2, aligned, np.empty_like(q_weights))
+    # A ratio q/p overflows to +inf where a tilted weight is subnormal, on both sides alike.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scores = np.stack([type1_objective_rows(block, q_weights, risks, lam),
+                           type2_objective_rows(block, q_weights, risks, lam)])
+        rivals = block[[0, 2]]
+        y = np.log(rivals / q_weights) - log_p1_q
+        type1 = exact_row_sums(np.where(rivals > 0.0, rivals * y, 0.0))
+        z = (log_q_p2 + math.log(sol2.g)) - np.log(q_weights / block[:2])
+        type2 = exact_row_sums(q_weights * (np.expm1(z) - z))
+    objectives = np.array([scores[0, [0, 2]], scores[1, [0, 1]]])
+    return objectives, objectives - scores[[0, 1], [1, 2], None], lam * np.stack([type1, type2])
+
+
+def optimality_checks(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[Invariant]:
+    """Verify's two optimality rows, one per direction, at the median factor.
+
+    A row's gaps are those of :func:`excess_identities` for its solution
+    against Q and the other solution: the larger of |difference - excess|
+    and -excess, over F(P) + lam; 0 where both sides agree, +inf with +inf
+    included, and +inf where they cannot be compared. The row holds when
+    every gap is at most :data:`EXCESS_GAP_MAX`. A failed solve fails both
+    rows with the error's class name.
+    """
+    lam = float(lambdas[len(lambdas) // 2])
+    names = ("type1_optimality_fuzz", "type2_optimality_fuzz")
+    try:
+        objectives, differences, excesses = excess_identities(aligned, lam)
+    except EntriskError as exc:
+        return [Invariant(name, EXCESS_GAP_MAX, None, False, type(exc).__name__) for name in names]
+    with np.errstate(invalid="ignore"):
+        gaps = np.maximum(np.abs(differences - excesses), -excesses) / (objectives + lam)
+    gaps[differences == excesses] = 0.0
+    gaps = np.nan_to_num(gaps, nan=math.inf)
+    return [_at_most(name, row.tolist(), EXCESS_GAP_MAX) for name, row in zip(names, gaps)]
 
 
 def sweep_summary(

@@ -250,9 +250,8 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     outside supp(P) and adds nothing; a row where ``p`` charges an atom that
     ``q`` does not is ``+inf``. The logarithms go through ``math.log``
     (libm), not numpy's vectorized ``log``, whose last bits can differ. This
-    scores arbitrary measures (the objectives and the optimality fuzz); the
-    sweep's columns, whose log-ratios the solves already know, go through
-    :func:`kl_log_ratios`.
+    scores arbitrary measures (the objectives); the sweep's columns, whose
+    log-ratios the solves already know, go through :func:`kl_log_ratios`.
     """
     charged = p > 0.0
     inside = charged & (q > 0.0)

@@ -535,6 +535,15 @@ class TestBenchmarkContract:
         assert check.check_verify(out) == []
         assert set(check.verify_worst(out)) == set(check.THRESHOLDS)
 
+    def test_verify_workload_prints_and_passes_every_benchmark_check(self, check, tmp_path, capsys):
+        # check.py fails a run on a missing or failing line among VERIFY_CHECKS;
+        # every other line verify prints must pass too.
+        _, stdout = run_benchmark_workload("verify-misspecified", tmp_path, capsys)
+        printed = check.parse_verify(stdout.decode())
+        assert set(check.VERIFY_CHECKS) <= set(printed)
+        assert {"all_rows_ok", "k_bar_above_pole"} <= set(printed)
+        assert [name for name, (ok, _) in printed.items() if not ok] == []
+
     def test_sweep_summary_satisfies_the_benchmark_check(self, check, tmp_path, capsys):
         shutil.copy(FIXTURES / "grid12_gaussian_config.json", tmp_path)
         cfg = tmp_path / "grid12_gaussian_config.json"
@@ -575,13 +584,15 @@ class TestBenchmarkOutputs:
     ``solve`` pins hold the JSON that command prints for one factor on the
     ``sweep-path`` config. The summary pins carry the instance digest over
     the instance's ``<f8`` bytes (README, "JSON summary"); the CSV, verify
-    and ``solve`` pins did not move when it replaced the text digest.
+    and ``solve`` pins did not move when it replaced the text digest. The
+    verify pin moved when its two optimality lines became the excess
+    identities and began printing their worst gap.
     """
 
     @pytest.mark.parametrize("name, sha256", [
         ("sweep-path", "7c8b9d35767c3a3ce20356e7335ccf2d678d8c3771f5b31ec3491057ec06283d"),
         ("sweep-wide", "5f38a9e75fc25220ec37909d4528beca6a18665d88398c9afeae86f1f9c4e04e"),
-        ("verify-misspecified", "fdfeee850b4f068338a98a31e3c91aa5d8440526a479e9d02e94a98b4eb7677c"),
+        ("verify-misspecified", "a0d376a2ac4f8c47f4b3296f2c5be855a05e1e333c0ae212dbd9ca892dca76e7"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):
         config, stdout = run_benchmark_workload(name, tmp_path, capsys)

@@ -13,8 +13,8 @@ import shutil
 import struct
 import subprocess
 import sys
-import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from entrisk.experiment import (
     emit_csv,
     emit_dataset_csv,
     emit_summary_json,
+    excess_identities,
     generate_instance,
     grid_argmin_outside_support,
     grid_points,
@@ -47,7 +48,7 @@ from entrisk.experiment import (
     invariant_checks,
     lambda_grid,
     loss_spec,
-    optimality_fuzz,
+    optimality_checks,
     outside_profile,
     predictor_spec,
     run_sweep,
@@ -55,12 +56,13 @@ from entrisk.experiment import (
     sweep_summary,
 )
 from entrisk.cli import cli_main
-from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on, total_variation
+from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on
 from entrisk.risk import Dataset, EmpiricalRiskProfile, aligned_risks, risk_profile
-from entrisk.type1 import solve_type1, type1_objective
-from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope, type2_objective
+from entrisk.type1 import solve_type1
+from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope
 from entrisk.logrisk import verify_theorem2
 
+import oracle
 from conftest import (
     lattice_points,
     profile_from,
@@ -208,6 +210,21 @@ class TestConfigValidation:
             generate_instance(cfg)
         monkeypatch.undo()
         assert generate_instance(cfg)[2].risks.size == 5
+
+    def test_csv_rows_past_the_cap_are_never_parsed(self, tmp_path, monkeypatch):
+        # Rows 3 and 4 are malformed, but the cap of 14 // 5 = 2 data rows stops
+        # the read at the first of them.
+        (tmp_path / "data.csv").write_text("x1,y\n0,1\n2,3\n4\nnan,x\n", encoding="utf-8")
+        raw = {key: value for key, value in base_config(dataset="csv", csv_path="data.csv").items()
+               if key not in ("true_model", "noise", "n", "data_seed")}
+        cfg = ExperimentConfig.from_dict(raw, base_dir=tmp_path)
+        monkeypatch.setattr(experiment, "MAX_LOSS_EVALUATIONS", 14)
+        with pytest.raises(ConfigError, match="'csv_path'.*5 atoms x 3 data rows.*stopped at row 4"):
+            generate_instance(cfg)
+        # When every row fits, the first malformed one raises its own error.
+        monkeypatch.setattr(experiment, "MAX_LOSS_EVALUATIONS", 20)
+        with pytest.raises(RowArity, match="row 4 has 1 cells"):
+            generate_instance(cfg)
 
     def test_label_flip_noise_at_most_one(self):
         classifier = {"predictor": "linear_threshold_classifier", "loss": "zero_one"}
@@ -474,7 +491,7 @@ class TestHotPaths:
         q, data, aligned = generate_instance(cfg)
         records = sweep_records(aligned, lambda_grid(cfg))
         assert all(r.status == "ok" for r in records)
-        assert optimality_fuzz(aligned, float(lambda_grid(cfg)[2]), cfg.seed) == (True, True)
+        assert all(c.holds for c in optimality_checks(aligned, [lambda_grid(cfg)[2]]))
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
         for command in ("sweep", "verify"):
             argv = [command, "--config", str(tmp_path / "grid10_restricted_config.json")]
@@ -598,229 +615,118 @@ class TestMisspecifiedReference:
         assert hashlib.sha256(outside.risks.tobytes()).hexdigest() == outside_sha256
 
 
-def per_draw_fuzz(q, profile, lam, seed):
-    """The optimality fuzz one measure at a time, as first written: the oracle.
+class TestExcessIdentities:
+    """Verify's optimality rows: each solution against Q and the other solution, by identity."""
 
-    Returns ``(type1_ok, type2_ok)`` and, per direction, the smallest
-    objective of a draw farther than 1e-9 from the solution.
-    """
-    # The solves go through experiment's bindings, which the tests below
-    # replace to move the verdict.
-    p1 = solution_measure(q, experiment.solve_type1(aligned_risks(q, profile), lam))
-    p2 = solution_measure(q, experiment.solve_type2(aligned_risks(q, profile), lam))
-    obj1 = type1_objective(p1, q, profile, lam)
-    obj2 = type2_objective(p2, q, profile, lam)
-    rng = np.random.default_rng(seed)
-    ok1 = ok2 = True
-    best1 = best2 = math.inf
-    for _ in range(200):
-        rand = measure_on(q.grid, q.index, rng.dirichlet(np.ones(q.num_atoms)))
-        if total_variation(rand, p1) > 1e-9:
-            value = type1_objective(rand, q, profile, lam)
-            ok1 = ok1 and value > obj1
-            best1 = min(best1, value)
-        if total_variation(rand, p2) > 1e-9:
-            value = type2_objective(rand, q, profile, lam)
-            ok2 = ok2 and value > obj2
-            best2 = min(best2, value)
-    return (ok1, ok2), (best1, best2)
+    @staticmethod
+    def rows(aligned, lam):
+        """The block the check scores: Q's weights, then P1's and P2's."""
+        return [aligned.q_weights, solve_type1(aligned, lam).weights,
+                solve_type2(aligned, lam).weights]
 
-
-def reference_floors(rand, q_weights, risks, lam):
-    """The screen's floors with every step in an array of its own, as first written."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        products = rand * risks
-        risk = products.sum(axis=1)
-        risk_mass = np.abs(products).sum(axis=1)
-        floors = []
-        for p, ratios in ((rand, rand / q_weights), (q_weights, q_weights / rand)):
-            terms = p * np.log(ratios)
-            estimate = risk + lam * np.maximum(terms.sum(axis=1), 0.0)
-            bound = experiment._SCREEN_EPS * (risk_mass + lam * np.abs(terms).sum(axis=1))
-            floors.append(estimate - (bound + experiment._SCREEN_TINY * (1.0 + lam)))
-    return floors[0], floors[1]
-
-
-def score_solution_at(monkeypatch, name: str, value: float) -> None:
-    """Make ``optimality_fuzz`` score one direction's solution at ``value``.
-
-    The fuzz scores each solution by the first call of that direction's
-    ``experiment.<name>``, before any draw; later calls score draws as before.
-    """
-    original = getattr(experiment, name)
-    calls = []
-
-    def patched(rows, *args):
-        calls.append(rows)
-        return np.array([value]) if len(calls) == 1 else original(rows, *args)
-
-    monkeypatch.setattr(experiment, name, patched)
-
-
-def scripted_generator(rows: np.ndarray):
-    """A ``default_rng`` stand-in whose Dirichlet draws are ``rows``, in order."""
-
-    class Scripted:
-        def __init__(self, seed):
-            self.next = 0
-
-        def dirichlet(self, alpha, size=None):
-            count = 1 if size is None else size
-            block = rows[self.next:self.next + count].copy()
-            self.next += count
-            assert block.shape == (count, len(alpha))
-            return block[0] if size is None else block
-
-    return Scripted
-
-
-class TestOptimalityFuzz:
-    """The blocked fuzz agrees with the per-draw oracle, down to the best draw's bits."""
-
-    def assert_matches_oracle(self, monkeypatch, q, profile, lam, seed=5):
-        verdicts, best = per_draw_fuzz(q, profile, lam, seed)
-        assert optimality_fuzz(aligned_risks(q, profile), lam, seed) == verdicts
-        # A solution objective equal to the best draw's fails the check, one
-        # ulp below it passes, one ulp above it fails: the blocked fuzz saw
-        # exactly that smallest value, rescoring the draws its screen leaves open.
-        for direction, name in enumerate(("type1_objective_rows", "type2_objective_rows")):
-            if not math.isfinite(best[direction]):
-                continue
-            original = getattr(experiment, name)
-            for threshold, expected in ((best[direction], False),
-                                        (math.nextafter(best[direction], -math.inf), True),
-                                        (math.nextafter(best[direction], math.inf), False)):
-                score_solution_at(monkeypatch, name, threshold)
-                assert optimality_fuzz(aligned_risks(q, profile), lam, seed)[direction] is expected
-                monkeypatch.setattr(experiment, name, original)
-        return verdicts
-
-    def test_random_instances(self, monkeypatch):
-        rng = np.random.default_rng(808)
+    def test_identities_against_the_decimal_oracle(self):
+        rng = np.random.default_rng(2026)
         for _ in range(12):
-            q, profile = random_solver_instance(rng, max_atoms=60)
+            q, profile = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-2.0, 2.0))
-            seed = int(rng.integers(0, 2**31))
-            assert self.assert_matches_oracle(monkeypatch, q, profile, lam, seed) == (True, True)
+            aligned = aligned_risks(q, profile)
+            objectives, differences, excesses = excess_identities(aligned, lam)
+            exact = oracle.excesses(q.weights, aligned.risks, lam, self.rows(aligned, lam))
+            # At 50 digits each objective difference is its excess: the identities hold.
+            for row in exact:
+                for difference, excess in ((row.difference_type1, row.excess_type1),
+                                           (row.difference_type2, row.excess_type2)):
+                    assert abs(difference - excess) <= Decimal("1e-40") * (1 + abs(difference))
+            # P1 against Q and P2, then P2 against Q and P1. The float P2 is
+            # off the exact root by |g - 1| <= DEFAULT_TOL, which moves its
+            # excess by at most that much relative to F(P) + lam.
+            for d, rivals in enumerate(((0, 2), (0, 1))):
+                for c, j in enumerate(rivals):
+                    scale = objectives[d, c] + lam
+                    assert abs(differences[d, c] - float(exact[j][2 * d])) <= 1e-14 * scale
+                    assert abs(excesses[d, c] - float(exact[j][2 * d + 1])) <= (
+                        2.0 * type2.DEFAULT_TOL * scale)
+            assert all(c.holds for c in optimality_checks(aligned, [lam]))
 
-    def test_tilt_that_drops_atoms(self, monkeypatch):
+    def test_checks_pass_across_factors_and_shifts(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            q, profile = random_solver_instance(rng, max_atoms=int(rng.choice([10, 60, 400])))
+            shift = float(rng.choice([0.0, 1e3, 1e6]))
+            profile = EmpiricalRiskProfile.from_risks(profile.coords, profile.risks + shift)
+            lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+            checks = optimality_checks(aligned_risks(q, profile), [lam])
+            assert [c.name for c in checks] == ["type1_optimality_fuzz", "type2_optimality_fuzz"]
+            # The Type-2 gap is at most the root's |g - 1| <= DEFAULT_TOL, plus rounding.
+            assert all(c.holds and c.worst <= type2.DEFAULT_TOL + 1e-14 for c in checks)
+
+    def test_tilt_that_underflows_an_atom_agrees_at_infinity(self):
+        # Under F2, P1 leaves an atom of supp(Q) without weight: both the
+        # objective and the excess are +inf, and that pair agrees.
         q, profile = random_solver_instance(np.random.default_rng(3), max_atoms=30)
-        lam = 1e-3
-        weights = experiment.solve_type1(aligned_risks(q, profile), lam).weights
-        assert weights.shape == q.weights.shape and np.any(weights == 0.0)
-        self.assert_matches_oracle(monkeypatch, q, profile, lam)
-
-    def test_hand_built_block_with_a_zero_weight_and_a_solution_draw(self, monkeypatch):
-        m, lam = 6, 0.5
-        q = make_measure(lattice_points(m), np.linspace(1.0, 2.0, m))
-        profile = EmpiricalRiskProfile.from_risks(lattice_points(m), [0.3, 1.0, 0.1, 2.0, 0.7, 1.4])
-        rows = np.random.default_rng(9).dirichlet(np.ones(m), size=200)
-        inst = aligned_risks(q, profile)
-        rows[0] = experiment.solve_type1(inst, lam).weights  # skipped for Type 1
-        rows[1] = experiment.solve_type2(inst, lam).weights  # skipped for Type 2
-        rows[2, 4] = 0.0  # D(Q || P) is +inf, D(P || Q) skips the atom
-        rows[3, [0, 5]] = 0.0
-        monkeypatch.setattr(np.random, "default_rng", scripted_generator(rows))
-        assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (True, True)
-        # Solutions one factor off lose to the exact optima drawn in rows 0 and 1.
-        for name in ("solve_type1", "solve_type2"):
-            original = getattr(experiment, name)
-            monkeypatch.setattr(experiment, name,
-                                lambda aligned, l, f=original: f(aligned, 2.0 * l))
-        assert self.assert_matches_oracle(monkeypatch, q, profile, lam) == (False, False)
+        aligned, lam = aligned_risks(q, profile), 1e-3
+        assert np.any(solve_type1(aligned, lam).weights == 0.0)
+        objectives, differences, excesses = excess_identities(aligned, lam)
+        assert objectives[1, 1] == differences[1, 1] == excesses[1, 1] == math.inf
+        assert np.isfinite(np.delete(excesses.ravel(), 3)).all()
+        exact = oracle.excesses(q.weights, aligned.risks, lam, self.rows(aligned, lam))
+        assert exact[1].excess_type2 == exact[1].difference_type2 == Decimal("Infinity")
+        checks = optimality_checks(aligned, [lam])
+        assert all(c.holds for c in checks) and checks[1].worst <= type2.DEFAULT_TOL + 1e-14
 
     @staticmethod
-    def verify_shape_instance():
-        """900 atoms in supp(Q), as on the verify-misspecified workload."""
-        axis = np.linspace(-2.0, 0.0, 30)
-        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        q = make_measure(grid, np.ones(len(grid)))
-        risks = np.random.default_rng(4).uniform(0.0, 1.0, len(grid))
-        return q, EmpiricalRiskProfile.on_grid(q.grid, q.index, risks)
-
-    def test_screen_settles_every_draw_of_the_verify_shape(self, monkeypatch):
-        q, profile = self.verify_shape_instance()
-        # The solutions first, so that every count below belongs to scoring.
-        for solve in ("solve_type1", "solve_type2"):
-            sol = getattr(experiment, solve)(aligned_risks(q, profile), 1.0)
-            monkeypatch.setattr(experiment, solve, lambda *args, s=sol: s)
-        calls = collections.Counter()
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for name in ("tv_rows", "type1_objective_rows", "type2_objective_rows"):
-            counted(experiment, name)
-        counted(math, "log")
-        assert optimality_fuzz(aligned_risks(q, profile), 1.0, 7) == (True, True)
-        # Only the two solutions are scored exactly, one math.log per atom each.
-        assert calls == {"type1_objective_rows": 1, "type2_objective_rows": 1,
-                         "log": 2 * q.num_atoms}
+    def verify_instance():
+        """The verify-misspecified workload's instance at seed 1001 and its median factor."""
+        cfg = ExperimentConfig.from_dict(benchmark_config("verify-misspecified", 1001))
+        return generate_instance(cfg)[2], cfg.lambdas
 
     @staticmethod
-    def fuzz_with_rows_per_block(monkeypatch, q, profile, lam, seed, rows):
-        """The fuzz's verdicts and both directions' floors, screening ``rows`` draws at a time."""
-        monkeypatch.setattr(experiment, "BLOCK_DOUBLES", rows * q.num_atoms)
-        floors = []
-        original = experiment._objective_floors
+    def holding(aligned, lambdas) -> list[bool]:
+        return [c.holds for c in optimality_checks(aligned, lambdas)]
 
-        def recorded(rand, *args):
-            assert rand.shape[0] <= rows
-            floors.append(original(rand, *args))
-            return floors[-1]
+    def test_weights_divided_by_a_wrong_g_fail(self, monkeypatch):
+        aligned, lambdas = self.verify_instance()
+        assert self.holding(aligned, lambdas) == [True, True]
 
-        monkeypatch.setattr(experiment, "_objective_floors", recorded)
-        verdicts = optimality_fuzz(aligned_risks(q, profile), lam, seed)
-        monkeypatch.undo()
-        return verdicts, [np.concatenate(f).tobytes() for f in zip(*floors)]
+        def wrong_g(aligned, lam, solve=experiment.solve_type2):
+            sol = solve(aligned, lam)
+            return dataclasses.replace(sol, weights=sol.terms / (sol.g * (1.0 + 1e-9)))
 
-    def test_floors_and_verdicts_do_not_depend_on_the_block_size(self, monkeypatch):
-        rng = np.random.default_rng(99)
-        instances = [(*self.verify_shape_instance(), 1.0, 7)]
-        for _ in range(4):
-            q, profile = random_solver_instance(rng, max_atoms=60)
-            instances.append((q, profile, float(10.0 ** rng.uniform(-2.0, 2.0)),
-                              int(rng.integers(0, 2**31))))
-        for q, profile, lam, seed in instances:
-            # The floors of the draws scored one at a time, by the same formula
-            # with every step in an array of its own.
-            rand = np.random.default_rng(seed).dirichlet(np.ones(q.num_atoms), size=200)
-            rand /= experiment.exact_row_sums(rand)[:, None]
-            risks = profile.aligned(q)
-            expected = [np.concatenate(f).tobytes() for f in zip(*(
-                reference_floors(row[None], q.weights, risks, lam) for row in rand))]
-            results = [self.fuzz_with_rows_per_block(monkeypatch, q, profile, lam, seed, rows)
-                       for rows in (1, 4, 18)]
-            assert results[0][1] == expected
-            assert results[1] == results[0] and results[2] == results[0]
+        monkeypatch.setattr(experiment, "solve_type2", wrong_g)
+        # P2 is a competitor of P1 and the optimum of Type 2: both rows fail.
+        assert self.holding(aligned, lambdas) == [False, False]
 
-    def test_floors_write_neither_input(self):
-        q, profile = self.verify_shape_instance()
-        rand = np.random.default_rng(1).dirichlet(np.ones(q.num_atoms), size=18)
-        rand[3, :5] = 0.0  # a zero weight: nan ratios and an infinite log
-        kept = rand.copy(), q.weights.copy()
-        rand.flags.writeable = False
-        assert not q.weights.flags.writeable
-        floors = experiment._objective_floors(rand, q.weights, profile.aligned(q), 1.0)
-        assert np.array_equal(rand, kept[0]) and np.array_equal(q.weights, kept[1])
-        assert all(np.isnan(f[3]) and np.isfinite(np.delete(f, 3)).all() for f in floors)
+    def test_k_bar_off_its_root_fails(self, monkeypatch):
+        aligned, lambdas = self.verify_instance()
 
-    def test_temporaries_stay_within_a_few_blocks(self):
-        # The 200 draws of 900 atoms alone take 1.4 MB at once.
-        q, profile = self.verify_shape_instance()
-        tracemalloc.start()
-        try:
-            assert optimality_fuzz(aligned_risks(q, profile), 1.0, 7) == (True, True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * 2**20
+        def off_root(aligned, lam, solve=experiment.solve_type2):
+            # Every row re-formed at a pole gap 1e-8 off the root, then
+            # normalized by its own exact sum: |g - 1| is about 1e-8.
+            sol = solve(aligned, lam)
+            pole_gap = sol.pole_gap * (1.0 + 1e-8)
+            gaps = pole_gap + aligned.shifted
+            terms = aligned.q_weights * lam / gaps
+            g = measures.exact_sum(terms)
+            return dataclasses.replace(
+                sol, weights=measures.normalized(terms, g), k_bar=pole_gap - sol.delta_star,
+                residual=abs(g - 1.0), pole_gap=pole_gap, gaps=gaps, terms=terms, g=g)
+
+        monkeypatch.setattr(experiment, "solve_type2", off_root)
+        assert self.holding(aligned, lambdas) == [True, False]
+
+    def test_log_z_shifted_in_the_log_ratio_row_fails(self, monkeypatch):
+        aligned, lambdas = self.verify_instance()
+
+        def shifted(sol, out, log_ratios=experiment.log_ratios_p1_q):
+            return log_ratios(sol, out) - 1e-9  # log Z larger by 1e-9
+
+        monkeypatch.setattr(experiment, "log_ratios_p1_q", shifted)
+        assert self.holding(aligned, lambdas) == [False, True]
+
+    def test_failed_solve_fails_both_rows_with_its_class(self):
+        q, profile = random_solver_instance(np.random.default_rng(1))
+        checks = optimality_checks(aligned_risks(q, profile), [1e-22, 1e-21, 1.0])
+        assert [(c.holds, c.detail) for c in checks] == [(False, "BracketFailure")] * 2
 
 
 class TestLambdaGrid:
@@ -1069,7 +975,7 @@ class TestSolutionRows:
             records = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
 
-    def test_sweep_and_fuzz_never_match_atoms_by_coordinates(self, monkeypatch):
+    def test_sweep_and_optimality_checks_never_match_atoms_by_coordinates(self, monkeypatch):
         # A generated instance's risks are on q's own index, and solutions are
         # rows aligned with q, so nothing is looked up by position, not even
         # where the tilt underflows (lam = 1e-4) or supp(Q) is a sub-box.
@@ -1087,7 +993,8 @@ class TestSolutionRows:
         records = sweep_records(aligned, lambda_grid(cfg))
         assert [r.status for r in records] == ["ok"] * 7
         assert np.any(solve_type1(aligned, 1e-4).weights == 0.0)
-        assert optimality_fuzz(aligned, 1.0, cfg.seed) == (True, True)
+        assert all(c.holds for c in optimality_checks(aligned, [1.0]))
+        assert all(c.holds for c in optimality_checks(aligned, [1e-4]))
 
 
 def reference_records(q, profile, lambdas) -> list[SweepRecord]:
@@ -1207,8 +1114,8 @@ class TestSweepAgainstPerFactorReference:
         assert record_bits(records) == record_bits(expected)
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
 
-    def test_fuzz_and_solve_use_the_sweeps_rows(self, monkeypatch, tmp_path, capsys):
-        # The weight rows that the sweep, the optimality fuzz and `entrisk
+    def test_optimality_checks_and_solve_use_the_sweeps_rows(self, monkeypatch, tmp_path, capsys):
+        # The weight rows that the sweep, the optimality checks and `entrisk
         # solve` compute at one factor are the same bits.
         raw = base_config(grid_resolution=[41], reference="restricted",
                           reference_box_min=[-1.0], reference_box_max=[0.0])
@@ -1226,10 +1133,10 @@ class TestSweepAgainstPerFactorReference:
 
             monkeypatch.setattr(experiment, name, spy)
         assert sweep_records(aligned, [lam])[0].status == "ok"
-        assert optimality_fuzz(aligned, lam, cfg.seed) == (True, True)
+        assert all(c.holds for c in optimality_checks(aligned, [lam]))
         for direction, name in (("1", "solve_type1"), ("2", "solve_type2")):
-            sweep_row, fuzz_row = rows[name]
-            assert sweep_row.tobytes() == fuzz_row.tobytes()
+            sweep_row, check_row = rows[name]
+            assert sweep_row.tobytes() == check_row.tobytes()
             capsys.readouterr()
             argv = ["solve", "--config", str(config), "--lambda", repr(lam), "--type", direction]
             assert cli_main(argv) == 0

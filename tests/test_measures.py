@@ -620,36 +620,3 @@ class TestRowCores:
         assert np.isinf(kl_rows(block, off_q)[[0, 2, 4]]).all()
         assert np.isfinite(kl_rows(block, off_q)[[1, 3]]).all()
         assert np.isinf(kl_rows(q_row, block)[[1, 2, 3]]).all()
-
-
-def ulp_steps_from_one(k: int) -> float:
-    """The double ``k`` spacings above 1 (k > 0) or below it (k < 0)."""
-    return 1.0 + k * 2.0**-52 if k > 0 else 1.0 + k * 2.0**-53
-
-
-#: Ratios ``p/q`` of the kinds the optimality fuzz takes logs of.
-log_arguments = st.one_of(
-    st.integers(-(2**20), 2**20).map(ulp_steps_from_one),
-    # Near 1, where log(x) ~ x - 1 is small and a relative bound is hardest.
-    st.floats(min_value=-0.5, max_value=0.5).map(lambda d: 1.0 + d),
-    st.tuples(st.integers(-(2**20), 2**20), st.integers(21, 52)).map(
-        lambda kj: 1.0 + math.ldexp(kj[0], -kj[1])
-    ),
-    st.floats(min_value=1e-300, max_value=1e300),
-    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
-    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
-    st.just(1.0),
-)
-
-
-class TestVectorisedLog:
-    """The optimality fuzz's screen assumes ``np.log`` is within 2**-40 of ``math.log``."""
-
-    @given(st.lists(log_arguments, min_size=1, max_size=64))
-    @settings(max_examples=300)
-    def test_np_log_is_within_the_screen_assumption_of_libm(self, xs):
-        # A block as the screen holds it, so numpy takes its array loop.
-        logs = np.log(np.array(xs))
-        for x, got in zip(xs, logs.tolist()):
-            exact = math.log(x)
-            assert abs(got - exact) <= 2.0**-40 * abs(exact)
