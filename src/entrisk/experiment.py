@@ -48,6 +48,8 @@ from .measures import (
     exact_row_sums,
     exact_sum,
     kl_log_ratios,
+    kl_rows,
+    mean_rows,
     measure_on,
 )
 from .risk import (
@@ -61,8 +63,8 @@ from .risk import (
     aligned_risks,
     risk_profile,
 )
-from .type1 import log_ratios_p1_q, solve_type1, type1_objective_rows
-from .type2 import log_ratios_q_p2, solve_type2, type2_objective_rows
+from .type1 import log_ratios_p1_q, solve_type1
+from .type2 import log_ratios_q_p2, solve_type2
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -721,11 +723,13 @@ def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
 def outside_profile(cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset) -> EmpiricalRiskProfile | None:
     """The configured risks of the grid atoms outside supp(Q), on ``q``'s grid.
 
-    None, without evaluating any risk, when supp(Q) is the whole grid.
+    None, without evaluating any risk or scanning the grid, when supp(Q) is
+    the whole grid: its atoms are distinct rows of the grid, so it is the
+    whole grid exactly when it has as many.
     """
-    outside = np.setdiff1d(np.arange(len(q.grid)), q.index, assume_unique=True)
-    if not outside.size:
+    if q.num_atoms == len(q.grid):
         return None
+    outside = np.setdiff1d(np.arange(len(q.grid)), q.index, assume_unique=True)
     return _configured_risks(cfg, GridAtoms(q.grid, outside), data)
 
 
@@ -763,13 +767,17 @@ def excess_identities(
     * F1(P) - F1(P1) = lam * D(P || P1), the Gibbs variational principle;
     * F2(P) - F2(P2) = lam * sum of q * (r - 1 - log r), with r = p/p2.
 
-    Both directions are solved at ``lam``, and Q, P1 and P2 are scored as one
-    (3, m) block by :func:`type1_objective_rows` and by
-    :func:`type2_objective_rows`. Each solution's competitors are Q and the
-    other direction's solution. Returns ``(objectives, differences,
-    excesses)``, each (2, 2): row 0 holds P1 against Q and P2, row 1 P2
-    against Q and P1; ``objectives`` are F(P), ``differences`` F(P) - F(P*)
-    and ``excesses`` the right-hand sides.
+    Both directions are solved at ``lam``. R(Q), R(P1) and R(P2) are one
+    (3, m) :func:`entrisk.measures.mean_rows` block, and each direction's
+    divergence is scored by :func:`entrisk.measures.kl_rows` on the (2, m)
+    block of the two solutions only, as the ``type*_objective_rows`` of
+    :mod:`entrisk.type1` and :mod:`entrisk.type2` score it. F1(Q) and F2(Q)
+    are R(Q) itself: the divergence of Q from itself is exactly 0, since
+    every ratio is 1. Each solution's competitors are Q and the other
+    direction's solution. Returns ``(objectives, differences, excesses)``,
+    each (2, 2): row 0 holds P1 against Q and P2, row 1 P2 against Q and
+    P1; ``objectives`` are F(P), ``differences`` F(P) - F(P*) and
+    ``excesses`` the right-hand sides.
 
     The right-hand sides are formed in log form from the solver's own
     log-ratio rows and from each competitor's weights, through the ratio
@@ -780,7 +788,9 @@ def excess_identities(
     * Type 2: lam * (sum of q * (expm1(z) - z)), with
       z = log(p/p2) = log(q/p2) - log(q/p). log(q/p2) is
       :func:`log_ratios_q_p2`, the log of q over the solve's terms, plus
-      log g, since P2's weights are those terms over their sum g.
+      log g, since P2's weights are those terms over their sum g. Where
+      q/p overflows at a subnormal p, log(q/p) is log q - log p, as in
+      :func:`entrisk.measures.kl_rows`.
 
     So a wrong log Z, weights normalized by a wrong g or a k_bar off its
     root moves one side and not the other. A competitor with a zero weight,
@@ -790,19 +800,25 @@ def excess_identities(
     q_weights, risks = aligned.q_weights, aligned.risks
     sol1, sol2 = solve_type1(aligned, lam), solve_type2(aligned, lam)
     block = np.stack([q_weights, sol1.weights, sol2.weights])
+    means = mean_rows(block, risks)
     log_p1_q = log_ratios_p1_q(sol1, np.empty_like(q_weights))
     log_q_p2 = log_ratios_q_p2(sol2, aligned, np.empty_like(q_weights))
-    # A ratio q/p overflows to +inf where a tilted weight is subnormal, on both sides alike.
+    # q/p is +inf where a tilted weight is 0, on both sides alike.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scores = np.stack([type1_objective_rows(block, q_weights, risks, lam),
-                           type2_objective_rows(block, q_weights, risks, lam)])
+        type1_rows = means[1:] + lam * kl_rows(block[1:], q_weights)  # F1(P1), F1(P2)
+        type2_rows = means[1:] + lam * kl_rows(q_weights, block[1:])  # F2(P1), F2(P2)
         rivals = block[[0, 2]]
         y = np.log(rivals / q_weights) - log_p1_q
         type1 = exact_row_sums(np.where(rivals > 0.0, rivals * y, 0.0))
-        z = (log_q_p2 + math.log(sol2.g)) - np.log(q_weights / block[:2])
+        ratios = q_weights / block[:2]
+        log_ratios = np.log(ratios)
+        rows, cols = np.nonzero(np.isinf(ratios) & (block[:2] > 0.0))
+        log_ratios[rows, cols] = aligned.log_q[cols] - np.log(block[rows, cols])
+        z = (log_q_p2 + math.log(sol2.g)) - log_ratios
         type2 = exact_row_sums(q_weights * (np.expm1(z) - z))
-    objectives = np.array([scores[0, [0, 2]], scores[1, [0, 1]]])
-    return objectives, objectives - scores[[0, 1], [1, 2], None], lam * np.stack([type1, type2])
+    objectives = np.array([[means[0], type1_rows[1]], [means[0], type2_rows[0]]])
+    optima = np.array([[type1_rows[0]], [type2_rows[1]]])
+    return objectives, objectives - optima, lam * np.stack([type1, type2])
 
 
 def optimality_checks(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[Invariant]:

@@ -22,17 +22,18 @@ part, whose row sums carry a rigorous error bound, vectorised over the rows
 rounded row sum it is certified equal to ``math.fsum`` (:func:`certify_sums`);
 a row the certificate cannot vouch for, such as one that cancels heavily, is
 summed by ``math.fsum`` itself. The risk profile splits blocks of
-nonnegative losses at one scale per block (:func:`split_nonnegative`) and
-certifies many blocks at once. A single sum,
-or a block of one row, goes through :func:`exact_sum`, which hands short
-arrays to ``math.fsum`` and long ones to :func:`certified_sum`: the same split
-and certificate for one row, with the certificate on Python floats. The
-divergences of arbitrary measures, the total variation and the expected risk
-are computed row-wise on aligned weight arrays (:func:`kl_rows`,
-:func:`tv_rows`, :func:`mean_rows`): one row for a pair of measures, a block
-of rows for many candidate measures at once. A divergence whose per-atom
-log-ratios are already known, as they are to the solvers, is summed in the
-phi form of :func:`kl_log_ratios`, with no per-atom ``math.log``.
+nonnegative losses at one scale per block (:func:`split_nonnegative`), sums
+a block's rows as a matrix-vector product, and certifies many blocks at
+once. A single sum, or a block of one row, goes through :func:`exact_sum`,
+which hands short arrays to ``math.fsum`` and long ones to
+:func:`certified_sum`: the same split and certificate for one row, with the
+certificate on Python floats. The divergences of arbitrary measures, the
+total variation and the expected risk are computed row-wise on aligned
+weight arrays (:func:`kl_rows`, :func:`tv_rows`, :func:`mean_rows`): one row
+for a pair of measures, a block of rows for many candidate measures at once.
+A divergence whose per-atom log-ratios are already known, as they are to
+the solvers, is summed in the phi form of :func:`kl_log_ratios`, with no
+per-atom ``math.log``.
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -74,7 +75,7 @@ _TINY_SCALE = 2.0**-900
 
 
 def _split_sums(
-    rows: np.ndarray, sigma, out: np.ndarray | None = None
+    rows: np.ndarray, sigma, out: np.ndarray | None = None, ones: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The float row sums ``r`` of the high parts and ``t`` of the low parts of ``rows``.
 
@@ -88,11 +89,21 @@ def _split_sums(
     ``4 n^2 u^2 sigma``. :func:`certify_sums` turns the pair into a sum and
     a verdict. The highs, then the lows, are formed in ``out``, an array
     of ``rows``' shape, when it is given, and in a fresh one otherwise.
+
+    Both bounds hold for any order of the additions (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., section 4.2), so a
+    certified sum has ``math.fsum``'s bits however the rows are summed.
+    Given ``ones``, a row of n ones, they are summed as the matrix-vector
+    product ``rows @ ones`` (a BLAS ``dgemv``), faster on a block of many
+    rows than ``np.add.reduce``; without it, by ``np.add.reduce``.
     """
     high = np.add(rows, sigma, out=out)
     high -= sigma
-    r = np.add.reduce(high, axis=1)
-    return r, np.add.reduce(np.subtract(rows, high, out=high), axis=1)
+    if ones is None:
+        r = np.add.reduce(high, axis=1)
+        return r, np.add.reduce(np.subtract(rows, high, out=high), axis=1)
+    r = high @ ones
+    return r, np.subtract(rows, high, out=high) @ ones
 
 
 def certify_sums(r: np.ndarray, t: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +156,7 @@ def certified_row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split_nonnegative(
-    rows: np.ndarray, out: np.ndarray | None = None
+    rows: np.ndarray, out: np.ndarray | None = None, ones: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`_split_sums` of an (m, n) block of nonnegative rows at one ``sigma``, and the bound.
 
@@ -156,7 +167,8 @@ def split_nonnegative(
     span overflows, or whose entries are all tiny. Under a positive
     ``sigma`` the highs and lows of a nonnegative row are both 0 exactly
     when the row is all zero, so ``r == t == 0`` marks an exact row.
-    ``out`` is :func:`_split_sums`' buffer for the highs.
+    ``out`` is :func:`_split_sums`' buffer for the highs, and ``ones`` its
+    row of n ones, which sums the rows by matrix-vector product.
     """
     n = rows.shape[1]
     span = 2.0 * n * float(np.maximum.reduce(rows, axis=None))
@@ -164,7 +176,7 @@ def split_nonnegative(
     if not (span == 0.0 or scale >= _TINY_SCALE):
         sums = np.full(rows.shape[0], math.nan)
         return sums, sums, math.nan
-    r, t = _split_sums(rows, scale, out)
+    r, t = _split_sums(rows, scale, out, ones)
     return r, t, scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
 
 
@@ -249,15 +261,25 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     other (k, m) or one (m,) row for all. An atom with zero weight in ``p`` is
     outside supp(P) and adds nothing; a row where ``p`` charges an atom that
     ``q`` does not is ``+inf``. The logarithms go through ``math.log``
-    (libm), not numpy's vectorized ``log``, whose last bits can differ. This
-    scores arbitrary measures (the objectives); the sweep's columns, whose
-    log-ratios the solves already know, go through :func:`kl_log_ratios`.
+    (libm), not numpy's vectorized ``log``, whose last bits can differ. Each
+    is the log of the ratio p/q, except where that ratio overflows, as at a
+    subnormal q: there it is log p - log q, so that a finite divergence
+    stays finite. This scores arbitrary measures (the objectives); the
+    sweep's columns, whose log-ratios the solves already know, go through
+    :func:`kl_log_ratios`.
     """
     charged = p > 0.0
     inside = charged & (q > 0.0)
-    ratios = np.divide(p, q, out=np.ones(inside.shape), where=inside)
+    with np.errstate(over="ignore"):
+        ratios = np.divide(p, q, out=np.ones(inside.shape), where=inside)
     logs = np.fromiter(map(math.log, ratios.ravel().tolist()), dtype=float, count=ratios.size)
-    totals = exact_row_sums(p * logs.reshape(inside.shape))
+    logs = logs.reshape(inside.shape)
+    # p/q overflows where q is subnormal next to p; its log is then log p - log q.
+    at = np.nonzero(np.isinf(ratios))
+    if at[0].size:
+        p_at, q_at = np.broadcast_to(p, inside.shape)[at], np.broadcast_to(q, inside.shape)[at]
+        logs[at] = [math.log(a) - math.log(b) for a, b in zip(p_at.tolist(), q_at.tolist())]
+    totals = exact_row_sums(p * logs)
     totals[(charged & ~inside).any(axis=-1)] = math.inf
     # Gibbs' inequality guarantees >= 0; roundoff on nearly identical inputs
     # can leave a residual of order 1e-16, which is clamped away.

@@ -19,6 +19,9 @@ serves every row. The loss and the split run in place: the losses replace
 the block's scores, the labels are tiled once to a block's shape, so that
 their subtraction is a same-shape pass and not a broadcast row, and the
 split forms its highs in one buffer; both are allocated once per profile.
+A block of several rows sums its highs and lows as a matrix-vector product
+with a row of ones, also allocated once: a certified sum does not depend
+on the order of the additions.
 The certificate itself (:func:`entrisk.measures.certify_sums`) runs once
 per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects has its
 losses evaluated again and summed by ``math.fsum``, so every risk carries
@@ -49,7 +52,8 @@ instead.
 A threshold classifier with an intercept whose atoms come in long runs
 sharing their non-intercept coordinates, as on a lattice, counts its
 zero-one mismatches by sorting instead (:func:`_sorted_mismatch_counts`):
-one sorted row of partial scores per run, one binary search per atom.
+one sorted row of partial scores per run, and one ``searchsorted`` of the
+run's thresholds in each class.
 :data:`SORT_MIN_RUN` and :data:`SORT_MIN_PAIRS` choose the path.
 """
 
@@ -471,9 +475,11 @@ def _sorted_mismatch_counts(
     intercept-free predictor from the products tables of
     :func:`_column_table`, and each class is sorted, with a nan P, which
     predicts -1 whatever b, read as -inf. An atom then counts the +1 labels
-    with P < -b and the -1 labels with P >= -b by binary search, plus every
-    label outside {-1, +1}. The rows are formed and sorted a block of at
-    most :data:`BLOCK_DOUBLES` doubles (or one row) at a time.
+    with P < -b and the -1 labels with P >= -b, plus every label outside
+    {-1, +1}: the thresholds -b are negated once for all atoms, and each run
+    takes one ``searchsorted`` of its thresholds per sorted class. The rows
+    are formed and sorted a block of at most :data:`BLOCK_DOUBLES` doubles
+    (or one row) at a time.
     """
     labels = data.labels
     positive, negative = np.flatnonzero(labels == 1.0), np.flatnonzero(labels == -1.0)
@@ -483,17 +489,19 @@ def _sorted_mismatch_counts(
     tables = [_column_table(prefixes[:, j], patterns[:, j]) for j in range(pred.pattern_dim)]
     scores = _chunk_scorer(prefixes, patterns, PredictorSpec(pred.kind, pred.pattern_dim), tables)
     bounds = np.append(starts, coords.shape[0]).tolist()
+    thresholds = -coords[:, -1]
     counts = np.empty(coords.shape[0])
     step = max(1, BLOCK_DOUBLES // max(patterns.shape[0], 1))
     for lo in range(0, starts.size, step):
         p = scores(slice(lo, lo + step))
         np.copyto(p, -np.inf, where=np.isnan(p))
-        p[:, :split].sort(axis=1)
-        p[:, split:].sort(axis=1)
-        for k, row in enumerate(p, lo):
-            atoms = slice(bounds[k], bounds[k + 1])
-            t = -coords[atoms, -1]
-            counts[atoms] = np.searchsorted(row[:split], t) - np.searchsorted(row[split:], t)
+        pos, neg = p[:, :split], p[:, split:]
+        pos.sort(axis=1)
+        neg.sort(axis=1)
+        for k in range(p.shape[0]):
+            atoms = slice(bounds[lo + k], bounds[lo + k + 1])
+            t = thresholds[atoms]
+            counts[atoms] = pos[k].searchsorted(t) - neg[k].searchsorted(t)
     counts += data.n - split
     return counts
 
@@ -519,9 +527,13 @@ def risk_profile(
     its losses evaluated again from :meth:`PredictorSpec.scores` and summed
     by ``math.fsum``. Their blocks run in place, in two buffers of one block
     allocated here: the labels tiled to the block's shape and the split's
-    highs. Each block's scores are a fresh array (:func:`_chunk_scorer`: its
-    first term is never a view of a table, and a later column whose atoms
-    read consecutive table rows adds that slice), which the losses replace.
+    highs. Where a block holds several rows, the split sums them as a
+    product with a row of n ones (a BLAS ``dgemv``), which is faster than
+    ``np.add.reduce`` there and keeps every certified sum's bits
+    (:func:`entrisk.measures.split_nonnegative`). Each block's scores are a
+    fresh array (:func:`_chunk_scorer`: its first term is never a view of a
+    table, and a later column whose atoms read consecutive table rows adds
+    that slice), which the losses replace.
     """
     coords = q.coords
     m, n = coords.shape[0], data.n
@@ -541,9 +553,13 @@ def risk_profile(
         mismatches = _mismatches(pred, labels)
     else:
         # The labels tiled to a block's shape, which a same-shape subtraction
-        # reads at half the cost of a broadcast row, and the split's highs.
+        # reads at half the cost of a broadcast row, the split's highs, and
+        # the ones that sum a block of several rows by matrix-vector product.
+        # A block of one row is summed by np.add.reduce: at n = 1e5 the dot
+        # gains nothing and its row of ones costs a page fault per 4 KiB.
         tiled = np.tile(labels, (min(step, m), 1))
         highs = np.empty_like(tiled)
+        ones = np.ones(n) if step > 1 else None
     risks = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -559,7 +575,7 @@ def risk_profile(
             size = rows.stop - rows.start
             block = pred.predict(scores(rows))  # a fresh array: the losses replace it
             loss.loss_all(block, tiled[:size], out=block)
-            r[rows], t[rows], bound[rows] = split_nonnegative(block, highs[:size])
+            r[rows], t[rows], bound[rows] = split_nonnegative(block, highs[:size], ones)
         bound[(r == 0.0) & (t == 0.0)] = 0.0  # all-zero rows of losses are exact
         sums, certified = certify_sums(r, t, bound)
         for i in np.flatnonzero(~certified).tolist():

@@ -32,6 +32,7 @@ from entrisk.errors import (
 )
 from entrisk.experiment import (
     CSV_HEADER,
+    EXCESS_GAP_MAX,
     ExperimentConfig,
     Invariant,
     SweepRecord,
@@ -421,6 +422,10 @@ class TestInstanceGeneration:
             raise AssertionError("whole-grid risk evaluated")
 
         monkeypatch.setattr(experiment, "risk_profile", no_risks)
+        def no_scan(*args, **kwargs):
+            raise AssertionError("grid scanned for atoms outside supp(Q)")
+
+        monkeypatch.setattr(np, "setdiff1d", no_scan)
         assert outside_profile(cfg, q, data) is None
         assert not grid_argmin_outside_support(cfg, q, data, aligned)
 
@@ -673,6 +678,75 @@ class TestExcessIdentities:
         assert exact[1].excess_type2 == exact[1].difference_type2 == Decimal("Infinity")
         checks = optimality_checks(aligned, [lam])
         assert all(c.holds for c in checks) and checks[1].worst <= type2.DEFAULT_TOL + 1e-14
+
+    @staticmethod
+    def full_block(aligned, lam):
+        """:func:`excess_identities`' arrays, with Q, P1 and P2 scored by both objectives.
+
+        Every objective comes from ``type*_objective_rows`` on the (3, m)
+        block, F1(Q) and F2(Q) included; the right-hand sides are formed
+        as the docstring states, log(q/p) as log q - log p where q/p
+        overflows.
+        """
+        q_weights, risks = aligned.q_weights, aligned.risks
+        sol1, sol2 = solve_type1(aligned, lam), solve_type2(aligned, lam)
+        block = np.stack([q_weights, sol1.weights, sol2.weights])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scores = np.stack([type1.type1_objective_rows(block, q_weights, risks, lam),
+                               type2.type2_objective_rows(block, q_weights, risks, lam)])
+            rivals = block[[0, 2]]
+            y = np.log(rivals / q_weights) - type1.log_ratios_p1_q(sol1, np.empty_like(q_weights))
+            excess1 = measures.exact_row_sums(np.where(rivals > 0.0, rivals * y, 0.0))
+            ratios = q_weights / block[:2]
+            log_ratios = np.where(np.isinf(ratios) & (block[:2] > 0.0),
+                                  np.log(q_weights) - np.log(block[:2]), np.log(ratios))
+            z = ((type2.log_ratios_q_p2(sol2, aligned, np.empty_like(q_weights))
+                  + math.log(sol2.g)) - log_ratios)
+            excess2 = measures.exact_row_sums(q_weights * (np.expm1(z) - z))
+        objectives = np.array([scores[0, [0, 2]], scores[1, [0, 1]]])
+        return (objectives, objectives - scores[[0, 1], [1, 2], None],
+                lam * np.stack([excess1, excess2]))
+
+    def test_equals_the_full_block_on_random_instances_and_the_verify_workload(self):
+        # Scoring only the solutions' divergences, and R(Q) for F1(Q) and
+        # F2(Q), keeps every bit of the three arrays, +inf included.
+        rng = np.random.default_rng(77)
+        cases = []
+        for _ in range(30):
+            q, profile = random_solver_instance(rng, max_atoms=int(rng.choice([5, 60, 400])))
+            cases.append((aligned_risks(q, profile), float(10.0 ** rng.uniform(-3.0, 3.0))))
+        aligned, lambdas = self.verify_instance()
+        cases += [(aligned, float(lam)) for lam in lambdas]
+        infinite = 0
+        for aligned, lam in cases:
+            got, expected = excess_identities(aligned, lam), self.full_block(aligned, lam)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            infinite += bool(np.isinf(got[2]).any())
+        assert infinite  # some tilt underflows an atom
+
+    @pytest.mark.parametrize("top", [740.0, 800.0])
+    def test_tilt_with_a_subnormal_weight_stays_finite(self, top):
+        # Risks 0, 1 and top at lam = 1: P1's last weight is about e**-top
+        # over 1.37, subnormal and nonzero at 740, where q/p1 overflows, and
+        # 0 at 800, where F2(P1) and its excess are +inf.
+        q = make_measure(lattice_points(3), [1.0, 1.0, 1.0])
+        aligned, lam = aligned_risks(q, EmpiricalRiskProfile.from_risks(q.coords, [0.0, 1.0, top])), 1.0
+        rows = self.rows(aligned, lam)
+        weight = rows[1][2]
+        objectives, differences, excesses = excess_identities(aligned, lam)
+        if top == 740.0:
+            assert 0.0 < weight < np.finfo(float).tiny
+            with np.errstate(over="ignore"):
+                assert q.weights[2] / weight == math.inf
+            assert np.isfinite(objectives).all() and np.isfinite(excesses).all()
+            exact = oracle.excesses(q.weights, aligned.risks, lam, rows)
+            assert abs(differences[1, 1] - float(exact[1].difference_type2)) <= (
+                1e-14 * (objectives[1, 1] + lam))
+        else:
+            assert weight == 0.0
+            assert objectives[1, 1] == differences[1, 1] == excesses[1, 1] == math.inf
+        checks = optimality_checks(aligned, [lam])
+        assert all(c.holds and c.worst <= EXCESS_GAP_MAX for c in checks)
 
     @staticmethod
     def verify_instance():

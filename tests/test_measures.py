@@ -620,3 +620,15 @@ class TestRowCores:
         assert np.isinf(kl_rows(block, off_q)[[0, 2, 4]]).all()
         assert np.isfinite(kl_rows(block, off_q)[[1, 3]]).all()
         assert np.isinf(kl_rows(q_row, block)[[1, 2, 3]]).all()
+
+    def test_ratio_that_overflows_is_the_difference_of_logs(self):
+        # 0.3 over the subnormal weight 5e-324 overflows: that term is
+        # 0.3 * (log 0.3 - log 5e-324), and the divergence stays finite.
+        q, p = np.array([0.3, 0.4, 0.3]), np.array([5e-324, 0.1, 0.9])
+        with np.errstate(over="ignore"):
+            assert 0.3 / 5e-324 == math.inf
+        expected = math.fsum([0.3 * (math.log(0.3) - math.log(5e-324)),
+                              0.4 * math.log(0.4 / 0.1), 0.3 * math.log(0.3 / 0.9)])
+        assert 220.0 < expected < 230.0
+        assert kl_rows(q, np.stack([q, p])).tolist() == [0.0, expected]
+        assert kl_rows(q[None], p).tolist() == [expected]

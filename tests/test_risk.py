@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrisk import risk
-from entrisk.errors import DimensionMismatch, SupportMismatch
-from entrisk.measures import as_grid, make_measure
+from entrisk.errors import DimensionMismatch, NonFiniteValue, SupportMismatch
+from entrisk.measures import as_grid, make_measure, split_nonnegative
 from entrisk.risk import (
     BLOCK_DOUBLES,
     CHUNK_ATOMS,
@@ -27,6 +32,10 @@ from entrisk.risk import (
 )
 
 from conftest import lattice_points, measure_with, profile_from, risk_vectors
+from test_measures import EDGE_ROWS
+
+SRC = Path(__file__).parent.parent / "src"
+BENCHMARK_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.json"
 
 
 def regression(dim=1):
@@ -483,6 +492,25 @@ class TestSortedZeroOneRisks:
         self.assert_paths_agree(monkeypatch, sorted_runs, coords, data)
         assert sorted_runs[0] == 37
 
+    @pytest.mark.parametrize("part", ["inside", "outside"])
+    def test_restricted_lattice_at_eight_runs_per_block(self, rng, monkeypatch, sorted_runs, part):
+        # A 40 x 40 lattice of (w, b) restricted to w, b <= 0, as verify's
+        # misspecified reference is, at n = 2,000: a block holds 8 runs, so
+        # the 20 runs of 20 atoms inside and the 40 runs outside (20 of 20
+        # atoms, then 20 of 40) span 3 and 5 blocks.
+        n = 2000
+        assert BLOCK_DOUBLES // n == 8
+        axis = np.linspace(-2.0, 2.0, 40)
+        coords = lattice(axis, axis)
+        inside = np.all(coords <= 0.0, axis=1)
+        x = rng.uniform(-1.0, 1.0, (n, 1))
+        y = np.where(x[:, 0] + 0.5 >= 0.0, 1.0, -1.0)
+        y[rng.random(n) < 0.1] *= -1.0
+        data = Dataset(x, y)
+        self.assert_paths_agree(
+            monkeypatch, sorted_runs, coords[inside if part == "inside" else ~inside], data)
+        assert sorted_runs[0] == (20 if part == "inside" else 40)
+
     @pytest.mark.parametrize("pattern_dim", [1, 2])
     def test_one_atom_per_prefix_takes_the_block_path(
         self, rng, monkeypatch, sorted_runs, pattern_dim
@@ -600,6 +628,109 @@ class TestBlocksInPlace:
         for table, snapshot in built:
             assert not table.flags.writeable and table.tobytes() == snapshot
         assert [a.tobytes() for a in inputs] == before
+
+
+@pytest.fixture
+def split_ones(monkeypatch) -> list:
+    """Whether ``risk_profile`` handed the split a row of ones, once per block it split."""
+    passed = []
+    original = risk.split_nonnegative
+
+    def spied(rows, out=None, ones=None):
+        passed.append(ones is not None)
+        return original(rows, out, ones)
+
+    monkeypatch.setattr(risk, "split_nonnegative", spied)
+    return passed
+
+
+def fsum_risks_or_error(q, data: Dataset, pred: PredictorSpec, loss: LossSpec):
+    """``math.fsum`` of each atom's ``_losses`` over n, or the error class a profile of them raises."""
+    try:
+        sums = [math.fsum(row.tolist()) for row in risk._losses(q.coords, data, pred, loss)]
+    except OverflowError:
+        return OverflowError
+    risks = np.array(sums) / data.n
+    return risks if np.isfinite(risks).all() else NonFiniteValue
+
+
+class TestBlasSplit:
+    """A block of several rows is summed by matrix-vector product, with ``math.fsum``'s bits."""
+
+    @staticmethod
+    def bias_atoms(biases) -> tuple:
+        """Atoms (k, b) of a one-column regression with an intercept, and its predictor.
+
+        On patterns of zeros every score is the bias b, so an atom's losses
+        are those of b against the labels.
+        """
+        coords = np.column_stack((np.arange(len(biases), dtype=float), biases))
+        return make_measure(coords, np.ones(len(biases))), PredictorSpec("linear_regression", 1, True)
+
+    def test_order_dependent_lows_keep_fsum_bits(self, rng, split_ones):
+        # Losses over 60 binades with full mantissas: the low parts carry
+        # bits far below each other, so their float sum depends on the
+        # order of the additions, as the BLAS and the reduce orders show.
+        n = 400
+        y = rng.uniform(0.5, 1.0, n) * 2.0 ** -rng.integers(0, 60, n).astype(float)
+        biases = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 39) * 2.0 ** -rng.integers(60, 90, 39)])
+        q, pred = self.bias_atoms(biases)
+        data, loss = Dataset(np.zeros((n, 1)), y), LossSpec("absolute")
+        block = risk._losses(q.coords, data, pred, loss)
+        _, by_reduce, _ = split_nonnegative(block)
+        _, by_blas, _ = split_nonnegative(block, ones=np.ones(n))
+        assert np.count_nonzero(by_reduce != by_blas) >= 10
+        assert_fsum_loop_risks(q, data, pred, "absolute")
+        assert split_ones == [True]
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_edge_row_families_keep_fsum_bits(self, rng, split_ones, name):
+        # Each family's row as the labels of five atoms, blocks of five rows.
+        # Labels are finite, so a family's nan or infinity becomes a label of
+        # 1e200, whose squared loss overflows to infinity.
+        n = 50
+        y = EDGE_ROWS[name](rng, n)
+        finite = np.isfinite(y).all()
+        y[~np.isfinite(y)] = 1e200
+        q, pred = self.bias_atoms([0.0, -0.0, 5e-324, 2.0**-60, -1.0])
+        data, loss = Dataset(np.zeros((n, 1)), y), LossSpec("absolute" if finite else "squared")
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = fsum_risks_or_error(q, data, pred, loss)
+            if isinstance(expected, np.ndarray):
+                assert risk_profile(q, data, pred, loss).risks.tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(expected):
+                    risk_profile(q, data, pred, loss)
+        assert split_ones == [True]
+
+    def test_one_row_blocks_sum_by_reduce(self, rng, split_ones):
+        # Above half a block of points each block is one atom: a lone row,
+        # which the dot does not speed up.
+        n = BLOCK_DOUBLES // 2 + 1
+        q, pred = self.bias_atoms([0.0, 0.5, -1.0])
+        data = Dataset(np.zeros((n, 1)), rng.uniform(-1.0, 1.0, n))
+        assert_fsum_loop_risks(q, data, pred, "squared")
+        assert split_ones == [False] * 3
+
+    def test_blas_threads_leave_the_sweep_csv_unchanged(self, tmp_path):
+        # The sweep-wide workload's blocks of 40 rows, summed by BLAS on one
+        # thread and on two, in fresh processes: the CSV is the same bytes.
+        config = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+        raw = dict(config["workloads"]["sweep-wide"]["config"], data_seed=1001, seed=1001)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        written = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / threads
+            run_dir.mkdir()
+            (run_dir / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+            subprocess.run(
+                [sys.executable, "-m", "entrisk", "sweep", "--config", "config.json"],
+                cwd=run_dir, env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                capture_output=True,
+            )
+            written.append((run_dir / raw["output_csv"]).read_bytes())
+        assert written[0] == written[1]
 
 
 class TestExpectedRisk:

@@ -30,6 +30,7 @@ from entrisk.type2 import (
     solve_type2,
     support_escape_slope,
     type2_objective,
+    type2_objective_rows,
 )
 
 from conftest import (
@@ -451,6 +452,17 @@ class TestType2Objective:
             p = make_measure(q.coords, rng.dirichlet(np.ones(q.num_atoms)))
             if total_variation(p, p2) > 1e-9:
                 assert type2_objective(p, q, prof, lam) > best
+
+
+    def test_subnormal_weight_gives_a_finite_objective(self):
+        # q/p overflows at the subnormal weight; log q - log p does not.
+        # RuntimeWarnings fail the test suite, so none is raised either.
+        weights, q_row = np.array([[1.0 - 1e-320, 1e-320]]), np.array([0.5, 0.5])
+        (objective,) = type2_objective_rows(weights, q_row, np.array([0.0, 1.0]), 1.0)
+        divergence = math.fsum([0.5 * math.log(0.5 / weights[0, 0]),
+                                0.5 * (math.log(0.5) - math.log(1e-320))])
+        assert objective == 1e-320 + divergence
+        assert objective == pytest.approx(367.72047, rel=1e-7)
 
 
 def sweep_row(q, prof, lam: float):
