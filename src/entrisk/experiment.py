@@ -25,10 +25,10 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,15 +99,26 @@ def _number(raw: Any, key: str) -> float:
     return value
 
 
-def _float_list(raw: Any, key: str) -> tuple[float, ...]:
-    _require(isinstance(raw, (list, tuple)) and len(raw) > 0, f"field {key!r}: nonempty list required")
-    return tuple(_number(v, key) for v in raw)
-
-
 def _integer(raw: Any, key: str, minimum: int) -> int:
     """A JSON integer >= ``minimum``; booleans are rejected."""
     _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= minimum,
              f"field {key!r}: integer >= {minimum} required")
+    return raw
+
+
+def _list(raw: Any, key: str, item: Callable[..., Any], *args: Any) -> tuple:
+    """A nonempty JSON list, each entry read by ``item(entry, key, *args)``."""
+    _require(isinstance(raw, (list, tuple)) and len(raw) > 0, f"field {key!r}: nonempty list required")
+    return tuple(item(v, key, *args) for v in raw)
+
+
+def _kind(raw: Any, key: str, kinds: Sequence[str]) -> str:
+    _require(raw in kinds, f"field {key!r}: unknown kind {raw!r}")
+    return raw
+
+
+def _string(raw: Any, key: str) -> str:
+    _require(isinstance(raw, str), f"field {key!r}: string required")
     return raw
 
 
@@ -125,29 +136,29 @@ def _flag(raw: Any, key: str) -> bool:
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
 
+    # The required keys, in the order a config missing several names them.
     predictor: str
     loss: str
-    intercept: bool
     grid_min: tuple[float, ...]
     grid_max: tuple[float, ...]
     grid_resolution: tuple[int, ...]
     reference: str
-    reference_mean: tuple[float, ...] | None
-    reference_scale: float | None
-    reference_box_min: tuple[float, ...] | None
-    reference_box_max: tuple[float, ...] | None
     dataset: str
-    true_model: tuple[float, ...] | None
-    noise: float | None
-    n: int | None
-    data_seed: int | None
-    csv_path: str | None
     lambda_min: float
     lambda_max: float
     lambda_count: int
-    output_csv: str | None
-    output_json: str | None
-    seed: int
+    intercept: bool = False
+    reference_mean: tuple[float, ...] | None = None
+    reference_scale: float | None = None
+    reference_box_min: tuple[float, ...] | None = None
+    reference_box_max: tuple[float, ...] | None = None
+    true_model: tuple[float, ...] | None = None
+    noise: float | None = None
+    n: int | None = None
+    data_seed: int | None = None
+    csv_path: str | None = None
+    output_csv: str | None = None
+    output_json: str | None = None
     base_dir: Path = field(default_factory=Path.cwd)
     raw: dict[str, Any] = field(default_factory=dict)
 
@@ -171,24 +182,23 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict[str, Any], base_dir: Path | None = None) -> "ExperimentConfig":
         unknown = set(raw) - _KNOWN_KEYS
         _require(not unknown, f"unknown field(s): {', '.join(sorted(unknown))}")
-        for key in ("predictor", "loss", "grid_min", "grid_max", "grid_resolution",
-                    "reference", "dataset", "lambda_min", "lambda_max",
-                    "lambda_count", "seed"):
-            _require(key in raw, f"field {key!r}: required")
+        for f in fields(cls):  # a field without a default is a required key
+            if f.default is MISSING and f.default_factory is MISSING:
+                _require(f.name in raw, f"field {f.name!r}: required")
+        values: dict[str, Any] = {}
 
-        predictor = raw["predictor"]
-        _require(predictor in PREDICTOR_KINDS,
-                 f"field 'predictor': unknown kind {predictor!r}")
-        loss = raw["loss"]
-        _require(loss in LOSS_KINDS, f"field 'loss': unknown kind {loss!r}")
-        intercept = _flag(raw.get("intercept", False), "intercept")
+        def take(key: str, read: Callable[..., Any], *args: Any) -> Any:
+            """Field ``key`` validated as ``read(raw[key], key, *args)``; a key left out is its default."""
+            values[key] = read(raw.get(key, getattr(cls, key, None)), key, *args)
+            return values[key]
 
-        grid_min = _float_list(raw["grid_min"], "grid_min")
-        grid_max = _float_list(raw["grid_max"], "grid_max")
-        res_raw = raw["grid_resolution"]
-        _require(isinstance(res_raw, (list, tuple)) and len(res_raw) > 0,
-                 "field 'grid_resolution': nonempty list required")
-        resolution = tuple(_integer(r, "grid_resolution", 1) for r in res_raw)
+        predictor = take("predictor", _kind, PREDICTOR_KINDS)
+        take("loss", _kind, LOSS_KINDS)
+        intercept = take("intercept", _flag)
+
+        grid_min = take("grid_min", _list, _number)
+        grid_max = take("grid_max", _list, _number)
+        resolution = take("grid_resolution", _list, _integer, 1)
         atoms = math.prod(resolution)
         _require(atoms <= MAX_GRID_ATOMS,
                  f"field 'grid_resolution': {atoms} atoms exceed the limit {MAX_GRID_ATOMS}")
@@ -205,89 +215,55 @@ class ExperimentConfig:
         _require(not intercept or d >= 2,
                  "field 'intercept': needs model dimension >= 2")
 
-        reference = raw["reference"]
-        _require(reference in REFERENCE_KINDS,
-                 f"field 'reference': unknown kind {reference!r}")
-        reference_mean = reference_scale = None
-        reference_box_min = reference_box_max = None
+        reference = take("reference", _kind, REFERENCE_KINDS)
         if reference == "gaussian":
             _require("reference_mean" in raw, "field 'reference_mean': required for gaussian reference")
             _require("reference_scale" in raw, "field 'reference_scale': required for gaussian reference")
-            reference_mean = _float_list(raw["reference_mean"], "reference_mean")
+            reference_mean = take("reference_mean", _list, _number)
             _require(len(reference_mean) == d, "field 'reference_mean': length must equal grid dimension")
-            reference_scale = _number(raw["reference_scale"], "reference_scale")
+            reference_scale = take("reference_scale", _number)
             _require(reference_scale > 0.0, "field 'reference_scale': must be > 0")
         elif reference == "restricted":
             _require("reference_box_min" in raw, "field 'reference_box_min': required for restricted reference")
             _require("reference_box_max" in raw, "field 'reference_box_max': required for restricted reference")
-            reference_box_min = _float_list(raw["reference_box_min"], "reference_box_min")
-            reference_box_max = _float_list(raw["reference_box_max"], "reference_box_max")
+            reference_box_min = take("reference_box_min", _list, _number)
+            reference_box_max = take("reference_box_max", _list, _number)
             _require(len(reference_box_min) == d and len(reference_box_max) == d,
                      "field 'reference_box_min'/'reference_box_max': length must equal grid dimension")
 
-        dataset = raw["dataset"]
-        _require(dataset in DATASET_KINDS, f"field 'dataset': unknown kind {dataset!r}")
-        true_model = noise = n = data_seed = csv_path = None
+        dataset = take("dataset", _kind, DATASET_KINDS)
         if dataset == "synthetic":
             for key in ("true_model", "noise", "n", "data_seed"):
                 _require(key in raw, f"field {key!r}: required for synthetic dataset")
-            true_model = _float_list(raw["true_model"], "true_model")
+            true_model = take("true_model", _list, _number)
             _require(len(true_model) == d, "field 'true_model': length must equal grid dimension")
-            noise = _number(raw["noise"], "noise")
+            noise = take("noise", _number)
             _require(noise >= 0.0, "field 'noise': must be >= 0")
             _require(predictor == "linear_regression" or noise <= 1.0,
                      "field 'noise': a label-flip probability must be <= 1")
-            n = _integer(raw["n"], "n", 1)
+            n = take("n", _integer, 1)
             _require(atoms * n <= MAX_LOSS_EVALUATIONS,
                      f"field 'n': {atoms} atoms x {n} data points exceed the limit "
                      f"{MAX_LOSS_EVALUATIONS}")
-            data_seed = _integer(raw["data_seed"], "data_seed", 0)
+            take("data_seed", _integer, 0)
         else:
             _require("csv_path" in raw, "field 'csv_path': required for csv dataset")
-            _require(isinstance(raw["csv_path"], str), "field 'csv_path': string required")
-            csv_path = raw["csv_path"]
+            take("csv_path", _string)
 
-        lambda_min = _number(raw["lambda_min"], "lambda_min")
-        lambda_max = _number(raw["lambda_max"], "lambda_max")
+        lambda_min = take("lambda_min", _number)
+        lambda_max = take("lambda_max", _number)
         _require(lambda_min > 0.0, "field 'lambda_min': must be > 0")
         _require(lambda_max >= lambda_min, "field 'lambda_max': must be >= lambda_min")
-        lambda_count = _integer(raw["lambda_count"], "lambda_count", 1)
+        lambda_count = take("lambda_count", _integer, 1)
         _require(lambda_count <= MAX_LAMBDA_COUNT,
                  f"field 'lambda_count': {lambda_count} factors exceed the limit {MAX_LAMBDA_COUNT}")
-        seed = _integer(raw["seed"], "seed", 0)
+        if "seed" in raw:  # accepted from older configs, and otherwise ignored
+            _integer(raw["seed"], "seed", 0)
+        for key in ("output_csv", "output_json"):
+            if raw.get(key) is not None:
+                take(key, _string)
 
-        output_csv = raw.get("output_csv")
-        output_json = raw.get("output_json")
-        for key, val in (("output_csv", output_csv), ("output_json", output_json)):
-            _require(val is None or isinstance(val, str), f"field {key!r}: string required")
-
-        cfg = cls(
-            predictor=predictor,
-            loss=loss,
-            intercept=intercept,
-            grid_min=grid_min,
-            grid_max=grid_max,
-            grid_resolution=resolution,
-            reference=reference,
-            reference_mean=reference_mean,
-            reference_scale=reference_scale,
-            reference_box_min=reference_box_min,
-            reference_box_max=reference_box_max,
-            dataset=dataset,
-            true_model=true_model,
-            noise=noise,
-            n=n,
-            data_seed=data_seed,
-            csv_path=csv_path,
-            lambda_min=lambda_min,
-            lambda_max=lambda_max,
-            lambda_count=lambda_count,
-            output_csv=output_csv,
-            output_json=output_json,
-            seed=seed,
-            base_dir=base_dir or Path.cwd(),
-            raw=dict(raw),
-        )
+        cfg = cls(**values, base_dir=base_dir or Path.cwd(), raw=dict(raw))
         vars(cfg)["axes"] = axes  # the cached property, holding the axes checked above
         _require(lambda_count == 1 or _strictly_increasing(cfg.lambdas),
                  f"field 'lambda_max': the {lambda_count} factors from lambda_min to "
@@ -305,17 +281,14 @@ class ExperimentConfig:
         return cls.from_dict(raw, base_dir=path.parent)
 
 
-#: The JSON keys a config may hold: every field but the two set by the loader.
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"base_dir", "raw"}
+#: The JSON keys a config may hold: every field but the two set by the loader,
+#: and ``seed``, which older configs and the benchmark's workloads still write.
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"base_dir", "raw"} | {"seed"}
 
 
 def predictor_spec(cfg: ExperimentConfig) -> PredictorSpec:
     pattern_dim = cfg.dim - (1 if cfg.intercept else 0)
     return PredictorSpec(cfg.predictor, pattern_dim, cfg.intercept)
-
-
-def loss_spec(cfg: ExperimentConfig) -> LossSpec:
-    return LossSpec(cfg.loss)
 
 
 def _axes(
@@ -399,7 +372,7 @@ def _configured_risks(cfg: ExperimentConfig, m: GridAtoms, data: Dataset) -> Emp
     """The configured empirical risk on ``m``'s atoms; a risk that overflows is a ConfigError."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return risk_profile(m, data, predictor_spec(cfg), loss_spec(cfg))
+            return risk_profile(m, data, predictor_spec(cfg), LossSpec(cfg.loss))
     except (NonFiniteValue, OverflowError):
         raise ConfigError(
             "field 'grid_min'/'grid_max': the empirical risk of a grid atom "

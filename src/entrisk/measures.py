@@ -32,8 +32,8 @@ total variation and the expected risk are computed row-wise on aligned
 weight arrays (:func:`kl_rows`, :func:`tv_rows`, :func:`mean_rows`): one row
 for a pair of measures, a block of rows for many candidate measures at once.
 A divergence whose per-atom log-ratios are already known, as they are to
-the solvers, is summed in the phi form of :func:`kl_log_ratios`, with no
-per-atom ``math.log``.
+the solvers, is summed in the phi form of :func:`kl_log_ratios`, which
+takes no logarithm.
 
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -53,7 +53,6 @@ from .errors import (
     NegativeWeight,
     NonFiniteValue,
     NonFiniteWeight,
-    SupportMismatch,
 )
 
 #: Terms from which :func:`exact_sum` goes through :func:`certified_sum`
@@ -260,25 +259,22 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``p`` and ``q`` hold weights atom by atom, one of them (k, m) and the
     other (k, m) or one (m,) row for all. An atom with zero weight in ``p`` is
     outside supp(P) and adds nothing; a row where ``p`` charges an atom that
-    ``q`` does not is ``+inf``. The logarithms go through ``math.log``
-    (libm), not numpy's vectorized ``log``, whose last bits can differ. Each
-    is the log of the ratio p/q, except where that ratio overflows, as at a
-    subnormal q: there it is log p - log q, so that a finite divergence
-    stays finite. This scores arbitrary measures (the objectives); the
-    sweep's columns, whose log-ratios the solves already know, go through
-    :func:`kl_log_ratios`.
+    ``q`` does not is ``+inf``. Each logarithm is ``np.log`` of the ratio
+    p/q, except where that ratio overflows, as at a subnormal q: there it is
+    log p - log q, so that a finite divergence stays finite. This scores
+    arbitrary measures (the objectives); the sweep's columns, whose
+    log-ratios the solves already know, go through :func:`kl_log_ratios`.
     """
     charged = p > 0.0
     inside = charged & (q > 0.0)
     with np.errstate(over="ignore"):
         ratios = np.divide(p, q, out=np.ones(inside.shape), where=inside)
-    logs = np.fromiter(map(math.log, ratios.ravel().tolist()), dtype=float, count=ratios.size)
-    logs = logs.reshape(inside.shape)
+    logs = np.log(ratios)
     # p/q overflows where q is subnormal next to p; its log is then log p - log q.
     at = np.nonzero(np.isinf(ratios))
     if at[0].size:
         p_at, q_at = np.broadcast_to(p, inside.shape)[at], np.broadcast_to(q, inside.shape)[at]
-        logs[at] = [math.log(a) - math.log(b) for a, b in zip(p_at.tolist(), q_at.tolist())]
+        logs[at] = np.log(p_at) - np.log(q_at)
     totals = exact_row_sums(p * logs)
     totals[(charged & ~inside).any(axis=-1)] = math.inf
     # Gibbs' inequality guarantees >= 0; roundoff on nearly identical inputs
@@ -392,22 +388,6 @@ class GridAtoms:
     def coords(self) -> np.ndarray:
         """(num_atoms, d) coordinates of the atoms, in order."""
         return self.grid[self.index]
-
-    def values_at(self, values: np.ndarray, m: GridAtoms, what: str) -> np.ndarray:
-        """``values`` (one per atom here) in the order of ``m``'s atoms.
-
-        ``values`` itself when ``m`` shares this object's grid and index
-        arrays, as a reference and the risk profile evaluated on it do.
-        Raises SupportMismatch naming the first atom of ``m`` missing here.
-        """
-        if m.index is self.index and m.grid is self.grid:
-            return values
-        at = positions(m, self)
-        missing = np.flatnonzero(at < 0)
-        if missing.size:
-            atom = tuple(m.coords[missing[0]].tolist())
-            raise SupportMismatch(f"no {what} entry for atom {atom}")
-        return values[at]
 
 
 def positions(a: GridAtoms, b: GridAtoms) -> np.ndarray:

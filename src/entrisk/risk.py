@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, SupportMismatch
 from .measures import (
     DiscreteMeasure,
     GridAtoms,
@@ -73,6 +73,7 @@ from .measures import (
     certify_sums,
     exact_sum,
     mean_rows,
+    positions,
     split_nonnegative,
 )
 
@@ -292,8 +293,19 @@ class EmpiricalRiskProfile(GridAtoms):
         return cls.on_grid(grid, np.arange(grid.shape[0]), risks)
 
     def aligned(self, m: GridAtoms) -> np.ndarray:
-        """Risks in the order of ``m``'s atoms; raises SupportMismatch on gaps."""
-        return self.values_at(self.risks, m, "risk")
+        """Risks in the order of ``m``'s atoms; raises SupportMismatch on gaps.
+
+        ``risks`` itself when ``m`` shares this profile's grid and index
+        arrays, as a reference and the risk profile evaluated on it do.
+        """
+        if m.index is self.index and m.grid is self.grid:
+            return self.risks
+        at = positions(m, self)
+        missing = np.flatnonzero(at < 0)
+        if missing.size:
+            atom = tuple(m.coords[missing[0]].tolist())
+            raise SupportMismatch(f"no risk entry for atom {atom}")
+        return self.risks[at]
 
 
 @dataclass(frozen=True, eq=False)

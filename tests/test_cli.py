@@ -212,20 +212,26 @@ class TestSweep:
         ({"seed": 2}, True),
         ({"data_seed": 6}, False),
         ({"reference_scale": 0.7}, False),
+        ({"seed": None}, True),  # None leaves the key out
     ])
     def test_summary_digest_names_the_instance(self, tmp_path, change, same):
         base = {"grid_min": [-1.0], "grid_max": [1.0], "grid_resolution": [5],
                 "reference": "gaussian", "reference_mean": [0.0], "reference_scale": 0.5}
-        digests = []
+        digests, sweeps = [], []
         for overrides in (base, {**base, **change}):
             path = write_config(tmp_path, **overrides)
+            raw = json.loads(path.read_text())
+            path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
             assert cli_main(["sweep", "--config", str(path)]) == 0
             cfg = ExperimentConfig.from_json_file(path)
             summary = json.loads((tmp_path / cfg.output_json).read_text())
             q, data, _ = experiment.generate_instance(cfg)
             assert summary["instance_digest"] == experiment.instance_digest(q, data)
             digests.append(summary["instance_digest"])
+            sweeps.append((tmp_path / cfg.output_csv).read_bytes())
         assert (digests[0] == digests[1]) == same
+        if "seed" in change:  # read by nothing: the sweep keeps every byte
+            assert sweeps[0] == sweeps[1]
 
     def test_missing_output_csv_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output_csv=None)
@@ -372,6 +378,7 @@ class TestConfigBoundary:
             ("intercept", {"intercept": 0}),
             ("noise", {"predictor": "linear_threshold_classifier", "loss": "zero_one",
                        "noise": 5.0}),
+            ("seed", {"seed": -1}),
         ],
     )
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, field, overrides):

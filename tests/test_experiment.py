@@ -48,7 +48,6 @@ from entrisk.experiment import (
     instance_digest,
     invariant_checks,
     lambda_grid,
-    loss_spec,
     optimality_checks,
     outside_profile,
     predictor_spec,
@@ -58,7 +57,7 @@ from entrisk.experiment import (
 )
 from entrisk.cli import cli_main
 from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on
-from entrisk.risk import Dataset, EmpiricalRiskProfile, aligned_risks, risk_profile
+from entrisk.risk import Dataset, EmpiricalRiskProfile, LossSpec, aligned_risks, risk_profile
 from entrisk.type1 import solve_type1
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope
 from entrisk.logrisk import verify_theorem2
@@ -115,6 +114,14 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown field.*bogus"):
             ExperimentConfig.from_dict(base_config(bogus=1))
+
+    def test_seed_is_optional(self):
+        # A seed that is present is still checked: see test_cli's malformed fields.
+        raw = base_config()
+        del raw["seed"]
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.raw == raw and not hasattr(cfg, "seed")
+        assert dataclasses.replace(cfg, lambda_count=3).lambda_count == 3
 
     def test_missing_required_key_named(self):
         raw = base_config()
@@ -1018,7 +1025,7 @@ class TestSweepDivergences:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_columns_agree_with_kl_divergence_of_the_measures(self, seed):
-        # kl_divergence takes math.log of weight ratios, whose relative error
+        # kl_divergence takes the log of weight ratios, whose relative error
         # grows as lam**2 (1e-8 at lam = 100 on two atoms whose risks differ
         # by 0.04); up to lam = 1 both paths agree to 1e-12, and above it the
         # oracle of test_oracle.py is the ruler.
@@ -1328,7 +1335,7 @@ class TestIngestCsv:
             )
         )
         q, _, _ = generate_instance(cfg)
-        pred, loss = predictor_spec(cfg), loss_spec(cfg)
+        pred, loss = predictor_spec(cfg), LossSpec(cfg.loss)
         before = risk_profile(q, data, pred, loss).risks
         after = risk_profile(q, back, pred, loss).risks
         assert np.array_equal(before, after)
