@@ -52,7 +52,7 @@ def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
     (ROOT / "results").mkdir(exist_ok=True)
     q, data, aligned = generate_instance(cfg)
-    records = sweep_records(aligned, cfg.lambdas)
+    records, _ = sweep_records(aligned, cfg.lambdas)
     emit_csv(records, ROOT / CONFIG["output_csv"])
     summary = sweep_summary(cfg, records, q, data, aligned)
     emit_summary_json(summary, ROOT / CONFIG["output_json"])

@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from entrisk.experiment import ExperimentConfig, generate_instance, outside_profile
+from entrisk.experiment import ExperimentConfig, generate_instance
 from entrisk.type2 import (
     escape_threshold,
     solve_type2,
@@ -52,11 +52,11 @@ CONFIG = {
 
 def main() -> None:
     cfg = ExperimentConfig.from_dict(CONFIG, base_dir=ROOT)
-    q, data, aligned = generate_instance(cfg)
+    q, _, aligned = generate_instance(cfg)
 
-    # Only the atoms outside supp(Q) are evaluated: on this instance the
-    # whole-grid risk minimizers lie among them.
-    outside = outside_profile(cfg, q, data)
+    # The instance record holds the risks of the atoms outside supp(Q): on
+    # this instance the whole-grid risk minimizers lie among them.
+    outside = aligned.outside
     argmin_atoms = outside.coords[outside.risks == outside.delta_star, 0].tolist()
     print(f"reference support: {q.num_atoms} atoms in [-1, 0]")
     print(f"whole-grid risk minimizer(s) at theta = {argmin_atoms} (outside supp Q)")

@@ -8,8 +8,8 @@ regularization directions at every factor and records the identities and
 bounds each solution must satisfy; ``invariant_checks`` judges those records
 in one table of (name, threshold, worst, holds) rows, which both the sweep
 summary and the verify command report, and ``optimality_checks`` adds
-verify's two rows that check both solutions' optimality by exact excess
-identities, against Q and each other; ``emit_csv`` writes the records with
+verify's two rows that check the sweep's solutions' optimality by exact
+excess identities, against Q and each other; ``emit_csv`` writes the records with
 17-significant-digit floats so output files are byte-stable.
 
 Everything is deterministic: the only random draws are the synthetic
@@ -63,8 +63,8 @@ from .risk import (
     aligned_risks,
     risk_profile,
 )
-from .type1 import log_ratios_p1_q, solve_type1
-from .type2 import log_ratios_q_p2, solve_type2
+from .type1 import GibbsSolution, log_ratios_p1_q, solve_type1
+from .type2 import TypeIISolution, log_ratios_q_p2, solve_type2
 from .logrisk import verify_theorem2
 
 REFERENCE_KINDS = ("uniform", "gaussian", "restricted")
@@ -384,7 +384,8 @@ def generate_instance(cfg: ExperimentConfig) -> tuple[DiscreteMeasure, Dataset, 
     """Build (reference measure, dataset, instance record) deterministically.
 
     The record is :func:`entrisk.risk.aligned_risks` of Q and the risk
-    profile on supp(Q): the one instance argument of every solver and check.
+    profile: the one instance argument of every solver and check. The risk is
+    evaluated once, over the whole grid, which fills the record's ``outside``.
     Package errors and ``OSError`` (for example a missing ``csv_path``) pass
     through; any other failure is raised as InstanceGenerationFailure.
     """
@@ -401,7 +402,9 @@ def generate_instance(cfg: ExperimentConfig) -> tuple[DiscreteMeasure, Dataset, 
                 f"field 'csv_path': dataset pattern dimension {data.pattern_dim} "
                 f"does not match predictor dimension {pred.pattern_dim}"
             )
-        aligned = aligned_risks(q, _configured_risks(cfg, q, data))
+        # supp(Q) holds distinct grid rows: it is the whole grid when it has as many.
+        atoms = q if q.num_atoms == len(grid) else GridAtoms(grid, np.arange(len(grid)))
+        aligned = aligned_risks(q, _configured_risks(cfg, atoms, data))
     except (EntriskError, OSError):
         raise
     except Exception as exc:  # unexpected failure, e.g. a MemoryError
@@ -460,22 +463,33 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Build the configured instance and sweep its factor grid."""
     _, _, aligned = generate_instance(cfg)
-    return sweep_records(aligned, cfg.lambdas)
+    return sweep_records(aligned, cfg.lambdas)[0]
 
 
-def sweep_records(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[SweepRecord]:
+#: A sweep's median factor for verify: both solutions, or a failed solve's error class name.
+MedianSolutions = tuple[GibbsSolution, TypeIISolution] | str
+
+
+def sweep_records(
+    aligned: AlignedRisks, lambdas: Sequence[float]
+) -> tuple[list[SweepRecord], MedianSolutions]:
     """Solve both directions at every factor; failures mark rows, not aborts.
 
     Every solve reads the one instance record ``aligned``; each factor's KL
-    columns and Theorem-2 check read the rows its own solves formed.
+    columns and Theorem-2 check read the rows its own solves formed. Returns
+    the records and, once both of its solves succeed, factor
+    ``lambdas[len(lambdas) // 2]``'s :data:`MedianSolutions`.
     """
     risks = aligned.risks
     records: list[SweepRecord] = []
-    for lam in lambdas:
+    median_at, median = len(lambdas) // 2, None
+    for i, lam in enumerate(lambdas):
         lam = float(lam)
         try:
             sol1 = solve_type1(aligned, lam)
             sol2 = solve_type2(aligned, lam)
+            if i == median_at:
+                median = sol1, sol2
             risk1, risk2 = (exact_sum(sol.weights * risks) for sol in (sol1, sol2))
             _, gap = verify_theorem2(aligned, sol2)
             log_ratios = np.empty((2, risks.shape[0]))
@@ -500,8 +514,10 @@ def sweep_records(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[Sweep
                 )
             )
         except EntriskError as exc:
+            if i == median_at and median is None:
+                median = type(exc).__name__
             records.append(_failed_record(lam, type(exc).__name__))
-    return records
+    return records, median
 
 
 class Invariant(NamedTuple):
@@ -693,32 +709,17 @@ def instance_digest(q: DiscreteMeasure, data: Dataset) -> str:
     return h.hexdigest()
 
 
-def outside_profile(cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset) -> EmpiricalRiskProfile | None:
-    """The configured risks of the grid atoms outside supp(Q), on ``q``'s grid.
-
-    None, without evaluating any risk or scanning the grid, when supp(Q) is
-    the whole grid: its atoms are distinct rows of the grid, so it is the
-    whole grid exactly when it has as many.
-    """
-    if q.num_atoms == len(q.grid):
-        return None
-    outside = np.setdiff1d(np.arange(len(q.grid)), q.index, assume_unique=True)
-    return _configured_risks(cfg, GridAtoms(q.grid, outside), data)
-
-
-def grid_argmin_outside_support(
-    cfg: ExperimentConfig, q: DiscreteMeasure, data: Dataset, aligned: AlignedRisks
-) -> bool:
+def grid_argmin_outside_support(aligned: AlignedRisks) -> bool:
     """Whether the full-grid empirical risk minimizers all fall outside supp(Q).
 
-    True when the lowest risk of an atom outside supp(Q)
-    (:func:`outside_profile`) is below every risk on supp(Q), as on
-    misspecified-reference instances. This compares risks only and says
-    nothing about the solutions: below :func:`entrisk.type2.escape_threshold`
-    moving mass off supp(Q) lowers the Type-II objective under its optimum on
-    supp(Q). False without evaluating any risk when supp(Q) is the whole grid.
+    True when the lowest risk of ``aligned.outside`` is below every risk on
+    supp(Q), as on misspecified-reference instances. This compares risks
+    only and says nothing about the solutions: below
+    :func:`entrisk.type2.escape_threshold` moving mass off supp(Q) lowers the
+    Type-II objective under its optimum on supp(Q). False when supp(Q) is
+    the whole grid.
     """
-    outside = outside_profile(cfg, q, data)
+    outside = aligned.outside
     return outside is not None and outside.delta_star < aligned.delta_star
 
 
@@ -731,19 +732,19 @@ EXCESS_GAP_MAX = 1e-12
 
 
 def excess_identities(
-    aligned: AlignedRisks, lam: float
+    aligned: AlignedRisks, sol1: GibbsSolution, sol2: TypeIISolution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both solutions at ``lam`` against their competitors, by the exact excess identities.
+    """Both solutions at a factor ``lam`` against their competitors, by exact excess identities.
 
     For any P on supp(Q), with F1 and F2 the Type-1 and Type-2 objectives,
 
     * F1(P) - F1(P1) = lam * D(P || P1), the Gibbs variational principle;
     * F2(P) - F2(P2) = lam * sum of q * (r - 1 - log r), with r = p/p2.
 
-    Both directions are solved at ``lam``. R(Q), R(P1) and R(P2) are one
-    (3, m) :func:`entrisk.measures.mean_rows` block, and each direction's
-    divergence is scored by :func:`entrisk.measures.kl_rows` on the (2, m)
-    block of the two solutions only, as the ``type*_objective_rows`` of
+    ``sol1`` and ``sol2`` are the two solutions at ``lam``. R(Q), R(P1) and
+    R(P2) are one (3, m) :func:`entrisk.measures.mean_rows` block, and each
+    direction's divergence is scored by :func:`entrisk.measures.kl_rows` on
+    the (2, m) block of the two solutions only, as the ``type*_objective_rows`` of
     :mod:`entrisk.type1` and :mod:`entrisk.type2` score it. F1(Q) and F2(Q)
     are R(Q) itself: the divergence of Q from itself is exactly 0, since
     every ratio is 1. Each solution's competitors are Q and the other
@@ -770,8 +771,7 @@ def excess_identities(
     as a tilt that underflowed an atom, has F2 = +inf and a Type-2
     right-hand side of +inf.
     """
-    q_weights, risks = aligned.q_weights, aligned.risks
-    sol1, sol2 = solve_type1(aligned, lam), solve_type2(aligned, lam)
+    q_weights, risks, lam = aligned.q_weights, aligned.risks, sol1.lam
     block = np.stack([q_weights, sol1.weights, sol2.weights])
     means = mean_rows(block, risks)
     log_p1_q = log_ratios_p1_q(sol1, np.empty_like(q_weights))
@@ -794,8 +794,8 @@ def excess_identities(
     return objectives, objectives - optima, lam * np.stack([type1, type2])
 
 
-def optimality_checks(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[Invariant]:
-    """Verify's two optimality rows, one per direction, at the median factor.
+def optimality_checks(aligned: AlignedRisks, median: MedianSolutions) -> list[Invariant]:
+    """Verify's two optimality rows, one per direction, at the sweep's ``median`` factor.
 
     A row's gaps are those of :func:`excess_identities` for its solution
     against Q and the other solution: the larger of |difference - excess|
@@ -804,12 +804,11 @@ def optimality_checks(aligned: AlignedRisks, lambdas: Sequence[float]) -> list[I
     every gap is at most :data:`EXCESS_GAP_MAX`. A failed solve fails both
     rows with the error's class name.
     """
-    lam = float(lambdas[len(lambdas) // 2])
     names = ("type1_optimality_fuzz", "type2_optimality_fuzz")
-    try:
-        objectives, differences, excesses = excess_identities(aligned, lam)
-    except EntriskError as exc:
-        return [Invariant(name, EXCESS_GAP_MAX, None, False, type(exc).__name__) for name in names]
+    if isinstance(median, str):
+        return [Invariant(name, EXCESS_GAP_MAX, None, False, median) for name in names]
+    lam = median[0].lam
+    objectives, differences, excesses = excess_identities(aligned, *median)
     with np.errstate(invalid="ignore"):
         gaps = np.maximum(np.abs(differences - excesses), -excesses) / (objectives + lam)
     gaps[differences == excesses] = 0.0
@@ -831,7 +830,7 @@ def sweep_summary(
         "instance_digest": instance_digest(q, data),
         "rows": len(records),
         "rows_ok": sum(r.status == "ok" for r in records),
-        "grid_argmin_outside_support": grid_argmin_outside_support(cfg, q, data, aligned),
+        "grid_argmin_outside_support": grid_argmin_outside_support(aligned),
         "invariants": {c.name: c.holds for c in checks},
         # A worst value that is not finite is reported as None: JSON has no NaN or Infinity.
         "invariant_values": {

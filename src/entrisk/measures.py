@@ -179,7 +179,7 @@ def split_nonnegative(
     return r, t, scale * (4.0 * n * n * _UNIT_ROUNDOFF**2)
 
 
-def certified_sum(x: np.ndarray) -> tuple[float, bool]:
+def certified_sum(x: np.ndarray, top: float | None = None) -> tuple[float, bool]:
     """:func:`certified_row_sums` of a 1-D float array, n >= 1, as one row.
 
     The same vector passes (the largest magnitude, the split at ``sigma`` and
@@ -188,10 +188,14 @@ def certified_sum(x: np.ndarray) -> tuple[float, bool]:
     ``math.ulp`` instead of a few dozen numpy calls on 1-element arrays. A
     row that fails the kernel's scale guard (a nan or an infinity, an
     overflowing span, tiny nonzero entries) is handed to the kernel, so both
-    return the same sum and verdict on every row.
+    return the same sum and verdict on every row. A caller that holds an
+    upper bound ``top`` on max|x|, all that ExtractVector needs, skips the
+    ``abs`` and ``max`` passes; with ``top`` = max|x| nothing else changes.
+    A nan or an infinity (which warns of inf - inf) then makes a nan sum,
+    which the certificate rejects.
     """
     n = x.shape[0]
-    span = 2.0 * n * float(np.maximum.reduce(np.abs(x)))
+    span = 2.0 * n * (float(np.maximum.reduce(np.abs(x))) if top is None else top)
     # The kernel's scale; 0 where its guard fails anyway: on nan, infinity
     # and spans whose scale 2**1024 overflows, making the kernel's bound infinite.
     scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
@@ -212,15 +216,15 @@ def certified_sum(x: np.ndarray) -> tuple[float, bool]:
     return r2, 2.0 * (bound + away) < spacing and 2.0 * (bound - away) < below
 
 
-def exact_sum(x: np.ndarray) -> float:
+def exact_sum(x: np.ndarray, top: float | None = None) -> float:
     """``math.fsum`` of a 1-D float array, bit for bit.
 
     Below :data:`EXACT_SUM_MIN_TERMS` terms this is ``math.fsum`` of a list;
     from there on :func:`certified_sum` is faster, and ``math.fsum`` sums
-    only the rows it cannot certify.
+    only the rows it cannot certify. ``top`` is :func:`certified_sum`'s.
     """
     if x.shape[0] >= EXACT_SUM_MIN_TERMS:
-        total, certified = certified_sum(x)
+        total, certified = certified_sum(x, top)
         if certified:
             return total
     return math.fsum(x.tolist())

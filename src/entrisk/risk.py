@@ -317,7 +317,8 @@ class AlignedRisks:
     are aligned with ``q_weights``: ``log_q`` is ``np.log`` of Q's weights
     and ``shifted`` is ``risks - delta_star``, both read-only, with
     ``delta_star`` the least risk on supp(Q); ``spread`` is the largest
-    entry of ``shifted``.
+    entry of ``shifted`` and ``mean_shifted_floor`` a certified lower bound
+    on E_Q[shifted]. ``outside`` profiles the atoms outside supp(Q), if any.
     """
 
     q_weights: np.ndarray
@@ -326,16 +327,33 @@ class AlignedRisks:
     delta_star: float
     shifted: np.ndarray
     spread: float
+    mean_shifted_floor: float
+    outside: EmpiricalRiskProfile | None
 
 
 def aligned_risks(q: DiscreteMeasure, profile: EmpiricalRiskProfile) -> AlignedRisks:
-    """The :class:`AlignedRisks` of ``profile`` on supp(Q); raises SupportMismatch on gaps."""
+    """The :class:`AlignedRisks` of ``profile`` on supp(Q); raises SupportMismatch on gaps.
+
+    The profile's other atoms become ``outside``, in the profile's order.
+    """
     risks = profile.aligned(q)
     delta_star = float(risks.min())
     shifted = risks - delta_star
     log_q = np.log(q.weights)
     shifted.flags.writeable = log_q.flags.writeable = False
-    return AlignedRisks(q.weights, log_q, risks, delta_star, shifted, float(shifted.max()))
+    # Products round up by at most 2**-53 relative (2**-1075 where they
+    # underflow), the sum once more: under 2**60 atoms, 1 - 2**-50 takes a
+    # sum of 2**-960 or more below E_Q[shifted].
+    mean = exact_sum(q.weights * shifted)
+    floor = mean * (1.0 - 2.0**-50) if mean >= 2.0**-960 else 0.0
+    outside = None
+    if profile.num_atoms > q.num_atoms:  # profile.aligned(q) found every atom of Q
+        rest = np.ones(profile.num_atoms, dtype=bool)
+        rest[positions(q, profile)] = False
+        outside = EmpiricalRiskProfile.on_grid(
+            profile.grid, profile.index[rest], profile.risks[rest])
+    return AlignedRisks(q.weights, log_q, risks, delta_star, shifted, float(shifted.max()),
+                        floor, outside)
 
 
 def _losses(

@@ -52,7 +52,7 @@ def _tilt(log_q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     shift = float(np.maximum.reduce(logits))
     # One buffer takes the shifted logits, then their exponentials.
     unnorm = np.exp(np.subtract(logits, shift, out=logits), out=logits)
-    z = exact_sum(unnorm)
+    z = exact_sum(unnorm, top=1.0)  # exp(0.0), the largest entry unless a nan is there
     return normalized(unnorm, z), shift + math.log(z)
 
 

@@ -154,6 +154,14 @@ def solve_k_bar(aligned: AlignedRisks, lam: float) -> KBarResult:
     bisects instead (the ``rtsafe`` rule). ``iterations`` counts the Newton
     and bisection steps after the two endpoint evaluations.
 
+    With s = L - delta_star, 1 - g(lam) = (1 - sum q) + sum q * s / (lam + s)
+    >= (1 - sum q) + E_Q[s] / (lam + spread). Where the record's certified
+    ``mean_shifted_floor`` over (lam + spread) exceeds 2 * DEFAULT_TOL, half
+    of which covers the few units of 2**-53 that rounding the terms and
+    sum q can cost, g(lam) < 1 - DEFAULT_TOL: the right end is neither
+    returned nor fails the bracket, so it is evaluated only to word an
+    error, and iterates, result and errors stay the same.
+
     Each evaluation, the two endpoint checks included, sums g's m positive
     terms in floats first (:func:`_g_sum`). In any order that float sum
     g_hat is within gamma_(m-1) * g of the exact sum g, with
@@ -209,9 +217,12 @@ def solve_k_bar(aligned: AlignedRisks, lam: float) -> KBarResult:
     hi = lam
     # hi is always inside the domain; constant or near-constant risks
     # collapse the bracket onto it, where it already satisfies the residual.
-    g_hi, gaps, terms = g(hi)
-    if abs(g_hi - 1.0) <= DEFAULT_TOL:
-        return result(hi, g_hi, 0, gaps, terms)
+    # Elsewhere g(hi) < 1 - DEFAULT_TOL may be certain (see above).
+    g_hi = None
+    if not aligned.mean_shifted_floor / (lam + aligned.spread) > 2.0 * DEFAULT_TOL:
+        g_hi, gaps, terms = g(hi)
+        if abs(g_hi - 1.0) <= DEFAULT_TOL:
+            return result(hi, g_hi, 0, gaps, terms)
     if not lo < hi:
         raise BracketFailure(
             f"empty bracket: lam={lam} does not exceed the pole guard {eps0}"
@@ -219,9 +230,9 @@ def solve_k_bar(aligned: AlignedRisks, lam: float) -> KBarResult:
     g_lo, gaps, terms = g(lo)
     if abs(g_lo - 1.0) <= DEFAULT_TOL:
         return result(lo, g_lo, 0, gaps, terms)
-    if not (g_lo > 1.0 > g_hi):
+    if not (g_lo > 1.0 and (g_hi is None or 1.0 > g_hi)):
         raise BracketFailure(
-            f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi} do not straddle 1"
+            f"invalid bracket: g({lo})={g_lo}, g({hi})={g(hi)[0]} do not straddle 1"
         )
 
     t, g_t = lo, g_lo
@@ -245,6 +256,7 @@ def solve_k_bar(aligned: AlignedRisks, lam: float) -> KBarResult:
             hi, g_hi = t, g_t
         if hi - lo <= math.ulp(hi):
             break
+    g_hi = g(hi)[0] if g_hi is None else g_hi
     raise ToleranceNotReached(
         f"residual {min(abs(g_lo - 1.0), abs(g_hi - 1.0))} above tol={DEFAULT_TOL} "
         f"after bracket exhaustion at lam={lam}"
@@ -318,7 +330,7 @@ def support_escape_slope(outside: EmpiricalRiskProfile, sol: TypeIISolution) -> 
     """Rate at which moving mass off supp(Q) changes the objective of ``sol``.
 
     ``sol`` is :func:`solve_type2`'s optimum on supp(Q), and ``outside`` holds
-    the risks of the atoms outside supp(Q) (:func:`entrisk.experiment.outside_profile`).
+    the risks of the atoms outside supp(Q) (the instance record's ``outside``).
     Moving mass alpha to an outside atom and solving the inside part again at
     ``lam / (1 - alpha)`` gives an objective convex in alpha, with slope
     ``min_out L + k_bar`` at alpha = 0: escaping lowers the objective exactly

@@ -20,7 +20,6 @@ from entrisk.experiment import (
     ExperimentConfig,
     generate_instance,
     grid_argmin_outside_support,
-    outside_profile,
 )
 from entrisk.logrisk import log_risk_profile, verify_theorem2
 from entrisk.measures import exact_row_sums, tv_rows
@@ -248,12 +247,12 @@ def test_criterion_09_support_escape_slope():
             "seed": 0,
         }
     )
-    q, data, aligned = generate_instance(cfg)
-    misspecified = grid_argmin_outside_support(cfg, q, data, aligned)
+    _, _, aligned = generate_instance(cfg)
+    misspecified = grid_argmin_outside_support(aligned)
 
     # The atoms outside supp(Q) carry the risks escaped mass would pay.
     sol = solve_type2(aligned, 1.0)
-    slope = support_escape_slope(outside_profile(cfg, q, data), sol)
+    slope = support_escape_slope(aligned.outside, sol)
     collapse = bool(np.all(sol.weights > 0.0))
     ok = misspecified and slope > 0.0 and collapse
     report(9, f"escape strictly penalized (slope {slope:.6f} > 0); support collapses", ok)

@@ -281,9 +281,10 @@ class TestSharedPipeline:
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("reference", ["uniform", "restricted"])
     def test_command_builds_instance_record_once(self, tmp_path, monkeypatch, command, reference):
-        # The risks on supp(Q) are aligned once, into the record every solve
-        # and check reads; the risks outside supp(Q) are evaluated once for a
-        # restricted reference and never for a uniform one.
+        # The risks are evaluated in one pass and aligned once, into the
+        # record every solve and check reads: on supp(Q) for a uniform
+        # reference, over the whole grid for a restricted one, whose atoms
+        # outside supp(Q) the record then holds.
         box = {"reference_box_min": [-1.0, -1.0], "reference_box_max": [0.0, 1.0]}
         cfg = write_config(tmp_path, grid_min=[-1.0, -1.0], grid_max=[1.0, 1.0],
                            grid_resolution=[5, 4], true_model=[0.5, -0.5], reference=reference,
@@ -299,10 +300,33 @@ class TestSharedPipeline:
         monkeypatch.setattr(EmpiricalRiskProfile, "aligned", counted)
         profiles = count_calls(monkeypatch, experiment, "risk_profile")
         assert cli_main([command, "--config", str(cfg)]) == 0
-        assert len(aligned) == 1
-        inside, *outside = (args[0] for args in profiles)
-        assert len(outside) == (reference == "restricted")
-        assert all(not np.isin(atoms.index, inside.index).any() for atoms in outside)
+        (q,) = aligned
+        ((atoms, *_),) = profiles
+        if reference == "restricted":
+            assert q.num_atoms < 20 and atoms.grid is q.grid
+            assert atoms.index.tolist() == list(range(20))
+        else:
+            assert atoms is q
+
+    @pytest.mark.parametrize("seed", [1001, 7])
+    def test_verify_on_the_misspecified_benchmark_solves_each_factor_once(
+        self, tmp_path, monkeypatch, seed
+    ):
+        # One risk pass over the 3,600-atom grid, and one solve per direction
+        # and factor: the optimality checks read the sweep's median solutions.
+        workloads = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+        raw = dict(workloads["workloads"]["verify-misspecified"]["config"],
+                   **{key: seed for key in workloads["seed_fields"]})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        profiles = count_calls(monkeypatch, experiment, "risk_profile")
+        solves1 = count_calls(monkeypatch, experiment, "solve_type1")
+        solves2 = count_calls(monkeypatch, experiment, "solve_type2")
+        assert cli_main(["verify", "--config", str(config)]) == 0
+        assert [args[0].num_atoms for args in profiles] == [3600]
+        lambdas = ExperimentConfig.from_dict(raw).lambdas.tolist()
+        assert [args[1] for args in solves1] == [args[1] for args in solves2] == lambdas
+        assert len(lambdas) == 20
 
     @pytest.mark.parametrize("lambda_min", [0.5, 1e-20])  # 1e-20: first row fails
     def test_summary_flags_match_verify_lines(self, tmp_path, capsys, lambda_min):
@@ -420,15 +444,17 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
-    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_risk_overflow_outside_support_is_validation_error(self, tmp_path, capsys, command):
         # supp(Q) is the atom at 0; only the grid atoms outside it overflow.
+        # Every command builds the instance with the whole grid's risks.
         cfg = write_config(tmp_path, grid_min=[-1e200], grid_max=[1e200], grid_resolution=[3],
                            reference="restricted", reference_box_min=[-1.0],
                            reference_box_max=[1.0])
-        assert cli_main([command, "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'grid_max'" in err
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "'grid_max'" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrisk import experiment, measures, type1, type2
+from entrisk import experiment, measures, risk, type1, type2
 from entrisk.errors import (
     ConfigError,
     EntriskError,
@@ -49,14 +49,13 @@ from entrisk.experiment import (
     invariant_checks,
     lambda_grid,
     optimality_checks,
-    outside_profile,
     predictor_spec,
     run_sweep,
     sweep_records,
     sweep_summary,
 )
 from entrisk.cli import cli_main
-from entrisk.measures import DiscreteMeasure, kl_divergence, make_measure, measure_on
+from entrisk.measures import DiscreteMeasure, GridAtoms, kl_divergence, make_measure, measure_on
 from entrisk.risk import Dataset, EmpiricalRiskProfile, LossSpec, aligned_risks, risk_profile
 from entrisk.type1 import solve_type1
 from entrisk.type2 import escape_threshold, solve_type2, support_escape_slope
@@ -417,24 +416,25 @@ class TestInstanceGeneration:
                 n=30,
             )
         )
-        q, data, aligned = generate_instance(cfg)
+        q, _, aligned = generate_instance(cfg)
         assert np.all(q.coords[:, 0] <= 0.0)
-        assert grid_argmin_outside_support(cfg, q, data, aligned)
+        assert grid_argmin_outside_support(aligned)
 
-    def test_full_grid_reference_argmin_is_inside_without_risk_evaluation(self, monkeypatch):
+    def test_full_grid_reference_has_no_outside_profile(self, monkeypatch):
+        # supp(Q) is the whole grid: the one risk pass scores Q's own atoms,
+        # and the record holds no atom outside it.
         cfg = ExperimentConfig.from_dict(base_config(true_model=[0.8]))
-        q, data, aligned = generate_instance(cfg)
+        scored = []
 
-        def no_risks(*args):
-            raise AssertionError("whole-grid risk evaluated")
+        def recorded(atoms, *args):
+            scored.append(atoms)
+            return risk_profile(atoms, *args)
 
-        monkeypatch.setattr(experiment, "risk_profile", no_risks)
-        def no_scan(*args, **kwargs):
-            raise AssertionError("grid scanned for atoms outside supp(Q)")
-
-        monkeypatch.setattr(np, "setdiff1d", no_scan)
-        assert outside_profile(cfg, q, data) is None
-        assert not grid_argmin_outside_support(cfg, q, data, aligned)
+        monkeypatch.setattr(experiment, "risk_profile", recorded)
+        q, _, aligned = generate_instance(cfg)
+        assert [atoms is q for atoms in scored] == [True]
+        assert aligned.outside is None
+        assert not grid_argmin_outside_support(aligned)
 
     def test_restricted_reference_evaluates_each_grid_risk_once(self, tmp_path, monkeypatch):
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
@@ -497,18 +497,80 @@ class TestInstanceGeneration:
         assert set(np.unique(data.labels)) <= {-1.0, 1.0}
 
 
+class TestOneRiskPass:
+    """A restricted reference's one whole-grid risk pass gives each part's risks, bit for bit."""
+
+    #: Configs that take each path of risk_profile over the whole grid.
+    PATHS = {
+        "products_tables": dict(predictor="linear_regression", loss="squared",
+                                grid_resolution=[20, 20], n=50),
+        "per_block_multiply": dict(predictor="linear_regression", loss="absolute",
+                                   intercept=True, grid_resolution=[12, 9], n=10),
+        "zero_one_blocks": dict(predictor="linear_threshold_classifier", loss="zero_one",
+                                grid_resolution=[15, 15], n=40),
+        "sorted_zero_one_runs": dict(predictor="linear_threshold_classifier", loss="zero_one",
+                                     intercept=True, grid_resolution=[8, 40], n=100),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_record_equals_risk_profile_on_supp_q_and_outside(self, path, monkeypatch):
+        tables, sorts = [], []
+
+        def table(col, x, build=risk._column_table):
+            built = build(col, x)
+            tables.append(built is not None)
+            return built
+
+        def sort(*args, count=risk._sorted_mismatch_counts):
+            sorts.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(risk, "_column_table", table)
+        monkeypatch.setattr(risk, "_sorted_mismatch_counts", sort)
+        rng = np.random.default_rng(sorted(self.PATHS).index(path))
+        for _ in range(4):
+            low = rng.uniform(-1.0, -0.1, 2)
+            raw = base_config(grid_min=[-1.0, -1.0], grid_max=[1.0, 1.0],
+                              true_model=rng.uniform(-1.0, 1.0, 2).tolist(),
+                              data_seed=int(rng.integers(1000)), reference="restricted",
+                              reference_box_min=low.tolist(),
+                              reference_box_max=(low + rng.uniform(0.2, 1.5, 2)).tolist(),
+                              **self.PATHS[path])
+            cfg = ExperimentConfig.from_dict(raw)
+            tables.clear(), sorts.clear()
+            q, data, aligned = generate_instance(cfg)
+            assert {"products_tables": any(tables) and not sorts,
+                    "per_block_multiply": not any(tables) and not sorts,
+                    "zero_one_blocks": not sorts,
+                    "sorted_zero_one_runs": len(sorts) == 1}[path]
+            rest = np.setdiff1d(np.arange(len(q.grid)), q.index)
+            pred, loss = predictor_spec(cfg), LossSpec(cfg.loss)
+            inside = risk_profile(q, data, pred, loss)
+            outside = risk_profile(GridAtoms(q.grid, rest), data, pred, loss)
+            assert aligned.risks.tobytes() == inside.risks.tobytes()
+            assert aligned.outside.grid is q.grid
+            assert aligned.outside.index.tolist() == rest.tolist()
+            assert aligned.outside.risks.tobytes() == outside.risks.tobytes()
+            assert aligned.outside.delta_star == outside.delta_star
+
+
 class TestHotPaths:
     def test_sweep_and_verify_pass_on_restricted_grid(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(FIXTURES / "grid10_restricted_config.json")
         q, data, aligned = generate_instance(cfg)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, median = sweep_records(aligned, lambda_grid(cfg))
         assert all(r.status == "ok" for r in records)
-        assert all(c.holds for c in optimality_checks(aligned, [lambda_grid(cfg)[2]]))
+        assert all(c.holds for c in optimality_checks(aligned, median))
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
         for command in ("sweep", "verify"):
             argv = [command, "--config", str(tmp_path / "grid10_restricted_config.json")]
             assert cli_main(argv) == 0
 
+
+
+def solutions(aligned, lam: float):
+    """Both directions solved at ``lam``, as a sweep hands them to verify for its median factor."""
+    return solve_type1(aligned, lam), solve_type2(aligned, lam)
 
 
 def load_script(monkeypatch, name: str):
@@ -560,11 +622,11 @@ class TestMisspecifiedReference:
         assert float(slope_line.split(":")[1]) > 0.0
         assert lines[-1] == "escape pays below lambda* =          0.480541"
 
-    def test_outside_profile_holds_the_grid_atoms_outside_supp_q(self, monkeypatch):
+    def test_record_holds_the_grid_atoms_outside_supp_q(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, _ = generate_instance(cfg)
-        outside = outside_profile(cfg, q, data)
+        q, _, aligned = generate_instance(cfg)
+        outside = aligned.outside
         assert outside.grid is q.grid
         assert sorted(outside.index.tolist() + q.index.tolist()) == list(range(len(q.grid)))
         assert np.all(outside.coords[:, 0] > 0.0)
@@ -573,8 +635,8 @@ class TestMisspecifiedReference:
     def test_escape_slope_changes_sign_as_lambda_falls(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, aligned = generate_instance(cfg)
-        outside = outside_profile(cfg, q, data)
+        _, _, aligned = generate_instance(cfg)
+        outside = aligned.outside
         for lam, expected in ((1.0, 0.46), (0.5, 0.016), (0.3, -0.13), (0.1, -0.21),
                               (0.01, -0.22)):
             slope = support_escape_slope(outside, solve_type2(aligned, lam))
@@ -584,8 +646,8 @@ class TestMisspecifiedReference:
     def test_escape_threshold_is_where_the_slope_changes_sign(self, monkeypatch):
         script = load_script(monkeypatch, "misspecified_reference")
         cfg = ExperimentConfig.from_dict(script.CONFIG)
-        q, data, aligned = generate_instance(cfg)
-        outside = outside_profile(cfg, q, data)
+        _, _, aligned = generate_instance(cfg)
+        outside = aligned.outside
         lam_star = escape_threshold(aligned, outside)
         assert lam_star == pytest.approx(0.48054101363, rel=1e-10)
         below, above = (support_escape_slope(outside, solve_type2(aligned, lam_star * f))
@@ -597,8 +659,8 @@ class TestMisspecifiedReference:
     def misspecified_benchmark(seed: int):
         """The verify-misspecified workload's config at ``seed``, its instance and outside profile."""
         cfg = ExperimentConfig.from_dict(benchmark_config("verify-misspecified", seed))
-        q, data, aligned = generate_instance(cfg)
-        return cfg, q, aligned, outside_profile(cfg, q, data)
+        q, _, aligned = generate_instance(cfg)
+        return cfg, q, aligned, aligned.outside
 
     @pytest.mark.parametrize("seed, expected", [(1001, 0.6747), (7, 0.6599)])
     def test_escape_threshold_on_the_misspecified_benchmark(self, seed, expected):
@@ -642,7 +704,7 @@ class TestExcessIdentities:
             q, profile = random_solver_instance(rng)
             lam = float(10.0 ** rng.uniform(-2.0, 2.0))
             aligned = aligned_risks(q, profile)
-            objectives, differences, excesses = excess_identities(aligned, lam)
+            objectives, differences, excesses = excess_identities(aligned, *solutions(aligned, lam))
             exact = oracle.excesses(q.weights, aligned.risks, lam, self.rows(aligned, lam))
             # At 50 digits each objective difference is its excess: the identities hold.
             for row in exact:
@@ -658,7 +720,7 @@ class TestExcessIdentities:
                     assert abs(differences[d, c] - float(exact[j][2 * d])) <= 1e-14 * scale
                     assert abs(excesses[d, c] - float(exact[j][2 * d + 1])) <= (
                         2.0 * type2.DEFAULT_TOL * scale)
-            assert all(c.holds for c in optimality_checks(aligned, [lam]))
+            assert all(c.holds for c in optimality_checks(aligned, solutions(aligned, lam)))
 
     def test_checks_pass_across_factors_and_shifts(self):
         rng = np.random.default_rng(31)
@@ -667,7 +729,8 @@ class TestExcessIdentities:
             shift = float(rng.choice([0.0, 1e3, 1e6]))
             profile = EmpiricalRiskProfile.from_risks(profile.coords, profile.risks + shift)
             lam = float(10.0 ** rng.uniform(-3.0, 3.0))
-            checks = optimality_checks(aligned_risks(q, profile), [lam])
+            aligned = aligned_risks(q, profile)
+            checks = optimality_checks(aligned, solutions(aligned, lam))
             assert [c.name for c in checks] == ["type1_optimality_fuzz", "type2_optimality_fuzz"]
             # The Type-2 gap is at most the root's |g - 1| <= DEFAULT_TOL, plus rounding.
             assert all(c.holds and c.worst <= type2.DEFAULT_TOL + 1e-14 for c in checks)
@@ -678,12 +741,12 @@ class TestExcessIdentities:
         q, profile = random_solver_instance(np.random.default_rng(3), max_atoms=30)
         aligned, lam = aligned_risks(q, profile), 1e-3
         assert np.any(solve_type1(aligned, lam).weights == 0.0)
-        objectives, differences, excesses = excess_identities(aligned, lam)
+        objectives, differences, excesses = excess_identities(aligned, *solutions(aligned, lam))
         assert objectives[1, 1] == differences[1, 1] == excesses[1, 1] == math.inf
         assert np.isfinite(np.delete(excesses.ravel(), 3)).all()
         exact = oracle.excesses(q.weights, aligned.risks, lam, self.rows(aligned, lam))
         assert exact[1].excess_type2 == exact[1].difference_type2 == Decimal("Infinity")
-        checks = optimality_checks(aligned, [lam])
+        checks = optimality_checks(aligned, solutions(aligned, lam))
         assert all(c.holds for c in checks) and checks[1].worst <= type2.DEFAULT_TOL + 1e-14
 
     @staticmethod
@@ -726,7 +789,8 @@ class TestExcessIdentities:
         cases += [(aligned, float(lam)) for lam in lambdas]
         infinite = 0
         for aligned, lam in cases:
-            got, expected = excess_identities(aligned, lam), self.full_block(aligned, lam)
+            got = excess_identities(aligned, *solutions(aligned, lam))
+            expected = self.full_block(aligned, lam)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
             infinite += bool(np.isinf(got[2]).any())
         assert infinite  # some tilt underflows an atom
@@ -740,7 +804,7 @@ class TestExcessIdentities:
         aligned, lam = aligned_risks(q, EmpiricalRiskProfile.from_risks(q.coords, [0.0, 1.0, top])), 1.0
         rows = self.rows(aligned, lam)
         weight = rows[1][2]
-        objectives, differences, excesses = excess_identities(aligned, lam)
+        objectives, differences, excesses = excess_identities(aligned, *solutions(aligned, lam))
         if top == 740.0:
             assert 0.0 < weight < np.finfo(float).tiny
             with np.errstate(over="ignore"):
@@ -752,7 +816,7 @@ class TestExcessIdentities:
         else:
             assert weight == 0.0
             assert objectives[1, 1] == differences[1, 1] == excesses[1, 1] == math.inf
-        checks = optimality_checks(aligned, [lam])
+        checks = optimality_checks(aligned, solutions(aligned, lam))
         assert all(c.holds and c.worst <= EXCESS_GAP_MAX for c in checks)
 
     @staticmethod
@@ -763,7 +827,7 @@ class TestExcessIdentities:
 
     @staticmethod
     def holding(aligned, lambdas) -> list[bool]:
-        return [c.holds for c in optimality_checks(aligned, lambdas)]
+        return [c.holds for c in optimality_checks(aligned, sweep_records(aligned, lambdas)[1])]
 
     def test_weights_divided_by_a_wrong_g_fail(self, monkeypatch):
         aligned, lambdas = self.verify_instance()
@@ -806,7 +870,8 @@ class TestExcessIdentities:
 
     def test_failed_solve_fails_both_rows_with_its_class(self):
         q, profile = random_solver_instance(np.random.default_rng(1))
-        checks = optimality_checks(aligned_risks(q, profile), [1e-22, 1e-21, 1.0])
+        aligned = aligned_risks(q, profile)
+        checks = optimality_checks(aligned, sweep_records(aligned, [1e-22, 1e-21, 1.0])[1])
         assert [(c.holds, c.detail) for c in checks] == [(False, "BracketFailure")] * 2
 
 
@@ -884,7 +949,7 @@ class TestRunSweep:
             base_config(lambda_min=1e-20, lambda_max=1.0, lambda_count=3)
         )
         q, _, aligned = generate_instance(cfg)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, _ = sweep_records(aligned, lambda_grid(cfg))
         ok = records[1:]
         checks = {c.name: c for c in invariant_checks(records, aligned.delta_star)}
         assert checks["all_rows_ok"] == Invariant("all_rows_ok", None, None, False, "")
@@ -922,7 +987,7 @@ class TestRunSweep:
     def test_summary_reports_the_invariant_table(self):
         cfg = ExperimentConfig.from_dict(base_config(lambda_count=4))
         q, data, aligned = generate_instance(cfg)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, _ = sweep_records(aligned, lambda_grid(cfg))
         summary = sweep_summary(cfg, records, q, data, aligned)
         checks = invariant_checks(records, aligned.delta_star)
         assert list(summary["invariants"]) == [c.name for c in checks]
@@ -942,7 +1007,7 @@ class TestRunSweep:
             base_config(lambda_min=1e-21, lambda_max=1e-20, lambda_count=2)
         )
         q, data, aligned = generate_instance(cfg)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, _ = sweep_records(aligned, lambda_grid(cfg))
         margin = invariant_checks(records, aligned.delta_star)[3]
         assert (margin.name, margin.worst, margin.detail) == (
             "bound_margin_positive", None, "min=n/a"
@@ -959,7 +1024,7 @@ class TestRunSweep:
             base_config(lambda_min=1e-21, lambda_max=1e-19, lambda_count=3)
         )
         q, data, aligned = generate_instance(cfg)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, _ = sweep_records(aligned, lambda_grid(cfg))
         assert {r.status for r in records} == {"BracketFailure"}
         checks = invariant_checks(records, aligned.delta_star)
         assert not checks[0].holds
@@ -1003,7 +1068,7 @@ class TestSweepDivergences:
         assert solve_type1(inst, 1e-3).weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            record, = sweep_records(inst, [1e-3])
+            (record,), _ = sweep_records(inst, [1e-3])
         assert record.status == "ok"
         assert record.kl_p_q_type1 == pytest.approx(math.log(5.0), rel=1e-15)
 
@@ -1015,7 +1080,7 @@ class TestSweepDivergences:
         profile = EmpiricalRiskProfile.from_risks(support, rng.uniform(0.0, 1.0, 50) + shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = sweep_records(aligned_risks(q, profile), np.logspace(-11.0, 12.0, 24))
+            records, _ = sweep_records(aligned_risks(q, profile), np.logspace(-11.0, 12.0, 24))
         # Rows whose root solve fails at the smallest factors keep their status.
         ok = [r for r in records if r.status == "ok"]
         assert len(ok) >= 16
@@ -1031,7 +1096,7 @@ class TestSweepDivergences:
         # oracle of test_oracle.py is the ruler.
         q, profile = random_solver_instance(np.random.default_rng(seed))
         lambdas = np.logspace(-3.0, 0.0, 7)
-        for lam, record in zip(lambdas, sweep_records(aligned_risks(q, profile), lambdas)):
+        for lam, record in zip(lambdas, sweep_records(aligned_risks(q, profile), lambdas)[0]):
             p1 = solution_measure(q, solve_type1(aligned_risks(q, profile), lam))
             p2 = solution_measure(q, solve_type2(aligned_risks(q, profile), lam))
             assert record.kl_p_q_type1 == pytest.approx(kl_divergence(p1, q), rel=1e-12)
@@ -1044,7 +1109,7 @@ class TestSweepDivergences:
         for module in (measures, type1, type2):
             monkeypatch.setattr(module, "kl_rows", refuse)
         q, profile = random_solver_instance(np.random.default_rng(5))
-        records = sweep_records(aligned_risks(q, profile), np.logspace(-3.0, 3.0, 7))
+        records, _ = sweep_records(aligned_risks(q, profile), np.logspace(-3.0, 3.0, 7))
         assert all(r.status == "ok" for r in records)
 
 
@@ -1053,7 +1118,7 @@ class TestSolutionRows:
         # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
         q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            records = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
+            records, _ = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
 
     def test_sweep_and_optimality_checks_never_match_atoms_by_coordinates(self, monkeypatch):
@@ -1071,11 +1136,11 @@ class TestSolutionRows:
 
         for module in (measures, type1, type2):
             monkeypatch.setattr(module, "positions", refuse)
-        records = sweep_records(aligned, lambda_grid(cfg))
+        records, _ = sweep_records(aligned, lambda_grid(cfg))
         assert [r.status for r in records] == ["ok"] * 7
         assert np.any(solve_type1(aligned, 1e-4).weights == 0.0)
-        assert all(c.holds for c in optimality_checks(aligned, [1.0]))
-        assert all(c.holds for c in optimality_checks(aligned, [1e-4]))
+        assert all(c.holds for c in optimality_checks(aligned, solutions(aligned, 1.0)))
+        assert all(c.holds for c in optimality_checks(aligned, solutions(aligned, 1e-4)))
 
 
 def reference_records(q, profile, lambdas) -> list[SweepRecord]:
@@ -1151,7 +1216,7 @@ class TestSweepAgainstPerFactorReference:
         profile = EmpiricalRiskProfile.from_risks(profile.coords, profile.risks + shift)
         with np.errstate(over="ignore", under="ignore"):
             expected = reference_records(q, profile, self.FACTORS)
-            records = sweep_records(aligned_risks(q, profile), self.FACTORS)
+            records, _ = sweep_records(aligned_risks(q, profile), self.FACTORS)
             assert record_bits(records) == record_bits(expected)
 
     def test_pole_guard_failures_keep_their_status(self):
@@ -1165,7 +1230,7 @@ class TestSweepAgainstPerFactorReference:
         statuses = []
         for shift in (0.0, 1e6, 1e12):
             profile = EmpiricalRiskProfile.from_risks(coords, base + shift)
-            records = sweep_records(aligned_risks(q, profile), self.FACTORS)
+            records, _ = sweep_records(aligned_risks(q, profile), self.FACTORS)
             assert record_bits(records) == record_bits(reference_records(q, profile, self.FACTORS))
             statuses += [r.status for r in records]
         assert collections.Counter(statuses) == {"ok": 52, "BracketFailure": 20}
@@ -1181,7 +1246,7 @@ class TestSweepAgainstPerFactorReference:
         profile = EmpiricalRiskProfile.on_grid(q.grid, q.index, aligned.risks)
         lambdas = [1e-309, *lambda_grid(cfg)]
         with np.errstate(over="ignore"):
-            records = sweep_records(aligned, lambdas)
+            records, _ = sweep_records(aligned, lambdas)
             expected = reference_records(q, profile, lambdas)
         assert record_bits(records) == record_bits(expected)
         assert [r.status for r in records] == ["BracketFailure"] + ["ok"] * 9
@@ -1190,14 +1255,15 @@ class TestSweepAgainstPerFactorReference:
         # At lam = 1e-309 every risk / lam overflows and the Type-1 tilt is nan.
         q, profile = uniform_on(3), profile_from([1.0, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            records = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
+            records, _ = sweep_records(aligned_risks(q, profile), [1e-309, 0.5])
             expected = reference_records(q, profile, [1e-309, 0.5])
         assert record_bits(records) == record_bits(expected)
         assert [r.status for r in records] == ["NonFiniteWeight", "ok"]
 
     def test_optimality_checks_and_solve_use_the_sweeps_rows(self, monkeypatch, tmp_path, capsys):
-        # The weight rows that the sweep, the optimality checks and `entrisk
-        # solve` compute at one factor are the same bits.
+        # The sweep solves each factor once and hands its median factor's
+        # solutions to the optimality checks; `entrisk solve` computes the
+        # same bits.
         raw = base_config(grid_resolution=[41], reference="restricted",
                           reference_box_min=[-1.0], reference_box_max=[0.0])
         config = tmp_path / "config.json"
@@ -1213,11 +1279,12 @@ class TestSweepAgainstPerFactorReference:
                 return sol
 
             monkeypatch.setattr(experiment, name, spy)
-        assert sweep_records(aligned, [lam])[0].status == "ok"
-        assert all(c.holds for c in optimality_checks(aligned, [lam]))
-        for direction, name in (("1", "solve_type1"), ("2", "solve_type2")):
-            sweep_row, check_row = rows[name]
-            assert sweep_row.tobytes() == check_row.tobytes()
+        (record,), median = sweep_records(aligned, [lam])
+        assert record.status == "ok"
+        assert all(c.holds for c in optimality_checks(aligned, median))
+        for direction, name, sol in zip("12", ("solve_type1", "solve_type2"), median):
+            (sweep_row,) = rows[name]
+            assert sol.weights is sweep_row
             capsys.readouterr()
             argv = ["solve", "--config", str(config), "--lambda", repr(lam), "--type", direction]
             assert cli_main(argv) == 0

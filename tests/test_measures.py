@@ -209,13 +209,17 @@ def atoms(m):
 
 
 def loop_kl(p, q):
-    """Reference: the per-atom loop over coordinate tuples that the array code replaces."""
+    """Reference: the per-atom loop over coordinate tuples that the array code replaces.
+
+    Each log is ``np.log`` of the ratio, as :func:`kl_rows` takes it:
+    ``math.log`` differs from it in the last bit on a few ratios in 1,000.
+    """
     qw = dict(zip(atoms(q), q.weights.tolist()))
     terms = []
     for pt, pw in zip(atoms(p), p.weights.tolist()):
         if pt not in qw:
             return math.inf
-        terms.append(pw * math.log(pw / qw[pt]))
+        terms.append(pw * float(np.log(pw / qw[pt])))
     total = math.fsum(terms)
     return total if total > 0.0 else 0.0
 
@@ -395,6 +399,42 @@ class TestExactSum:
         if family == "cancelling":
             # The certificate cannot vouch for the row: the fsum fallback sums it.
             assert not certified_row_sums(row[None])[1][0]
+
+
+def tilt_row(rng, n: int, lam: float) -> np.ndarray:
+    """A max-shifted Gibbs tilt row exp(log q - L/lam - shift), as type1._tilt forms it."""
+    logits = np.log(rng.uniform(0.05, 1.0, n)) - rng.uniform(0.0, 5.0, n) / lam
+    return np.exp(logits - logits.max())
+
+
+class TestKnownMaximum:
+    """exact_sum(x, top) with the largest entry known, as the Gibbs tilts hand it over."""
+
+    @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
+    @pytest.mark.parametrize("lam", [1e-3, 0.01, 1.0, 1e3])
+    def test_tilt_rows_equal_fsum(self, rng, n, lam):
+        # At lam = 1e-3 and 0.01 most atoms underflow to 0; the largest entry is 1.0.
+        for _ in range(5):
+            row = tilt_row(rng, n, lam)
+            assert row.max() == 1.0
+            expected = np.float64(math.fsum(row.tolist()))
+            assert same_bits(np.float64(exact_sum(row, top=1.0)), expected)
+            assert certified_sum(row, top=1.0) == certified_sum(row)
+        assert lam > 1e-3 or (row == 0.0).any()
+
+    @pytest.mark.parametrize("n", EXACT_SUM_LENGTHS)
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_zero_and_non_finite_rows_equal_fsum(self, rng, n, value):
+        # All-zero rows with top = 1.0 are not certified and fall back to
+        # fsum's 0.0; a nan or infinity, where a tilt claims top = 1.0 all
+        # the same, makes a nan sum that the certificate rejects. An
+        # infinity's inf - inf in the split warns, as numpy does.
+        row = np.zeros(n) if value == 0.0 else tilt_row(rng, n, 1.0)
+        row[rng.integers(n)] = value
+        with np.errstate(invalid="ignore"):
+            assert not certified_sum(row, top=1.0)[1]
+            total = exact_sum(row, top=1.0)
+        assert same_bits(np.float64(total), np.float64(math.fsum(row.tolist())))
 
 
 def spiked(value):
@@ -604,7 +644,8 @@ class TestRowCores:
         off_q[3] = 0.0  # a reference that misses atom 3, charged by rows 0, 2 and 4
 
         def defining_sum(p, q):
-            terms = [a * math.log(a / b) if b > 0.0 else math.inf for a, b in zip(p, q) if a > 0.0]
+            terms = [a * float(np.log(a / b)) if b > 0.0 else math.inf
+                     for a, b in zip(p, q) if a > 0.0]
             return max(math.fsum(terms), 0.0)
 
         for q in (q_row, off_q):
@@ -627,8 +668,9 @@ class TestRowCores:
         q, p = np.array([0.3, 0.4, 0.3]), np.array([5e-324, 0.1, 0.9])
         with np.errstate(over="ignore"):
             assert 0.3 / 5e-324 == math.inf
-        expected = math.fsum([0.3 * (math.log(0.3) - math.log(5e-324)),
-                              0.4 * math.log(0.4 / 0.1), 0.3 * math.log(0.3 / 0.9)])
+        log = lambda x: float(np.log(x))  # the log kl_rows takes, one value at a time
+        expected = math.fsum([0.3 * (log(0.3) - log(5e-324)),
+                              0.4 * log(0.4 / 0.1), 0.3 * log(0.3 / 0.9)])
         assert 220.0 < expected < 230.0
         assert kl_rows(q, np.stack([q, p])).tolist() == [0.0, expected]
         assert kl_rows(q[None], p).tolist() == [expected]

@@ -55,7 +55,7 @@ def assert_columns_match(instance: int, lambdas: np.ndarray, bounds: dict[str, f
     rng = np.random.default_rng(4200 + instance)
     q, prof = random_solver_instance(rng, max_atoms=50)
     risks = prof.aligned(q)
-    records = sweep_records(aligned_risks(q, prof), lambdas)
+    records, _ = sweep_records(aligned_risks(q, prof), lambdas)
     for lam, record in zip(lambdas, records):
         assert record.status == "ok"
         ref = reference(q.weights, risks, lam)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +69,10 @@ def solve_with_points(monkeypatch, q, prof, lam: float):
 
     g(t) is the value the solver read, a float or an exact sum. t =
     k_bar + delta_star is recovered, to about 2 ulps, from the term
-    q * lam / t of an atom at the risk floor in each sum of g.
+    q * lam / t of an atom at the risk floor in each sum of g. The record's
+    ``mean_shifted_floor`` is set to 0, so that the right end t = lam is
+    always evaluated first; the solve is otherwise the same
+    (:class:`TestRightEndSkip`).
     """
     sums = []
 
@@ -78,7 +82,7 @@ def solve_with_points(monkeypatch, q, prof, lam: float):
         return total
 
     monkeypatch.setattr(type2, "_g_sum", spy)
-    res = solve_k_bar(aligned_risks(q, prof), lam)
+    res = solve_k_bar(dataclasses.replace(aligned_risks(q, prof), mean_shifted_floor=0.0), lam)
     floor = int(np.argmin(prof.aligned(q)))
     qlam = q.weights[floor] * lam
     return res, [(float(qlam / x[floor]), total) for x, total in sums]
@@ -310,6 +314,84 @@ class TestSolveKBar:
             assert solve_k_bar(aligned_risks(q, prof), float(lam)).residual <= type2.DEFAULT_TOL
 
 
+def kbar_outcome(aligned, lam: float):
+    """solve_k_bar's result as the bytes of each field, or its error's class and message."""
+    try:
+        res = solve_k_bar(aligned, lam)
+    except (BracketFailure, ToleranceNotReached) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(np.asarray(field).tobytes() for field in res)
+
+
+def skip_instances(rng: np.random.Generator):
+    """Random references with varied, constant and near-constant risks, shifted by 0 and 1e6."""
+    for i in range(48):
+        q, prof = random_solver_instance(rng, max_atoms=int(rng.choice([5, 40, 600])))
+        risks = prof.risks
+        if i % 4 == 1:
+            risks = np.full(risks.size, rng.uniform(0.0, 5.0))
+        elif i % 4 == 2:
+            risks = 0.7 + rng.uniform(0.0, 1e-14, risks.size)
+        elif i % 4 == 3:
+            risks = 0.7 + rng.uniform(0.0, 1e-9, risks.size)
+        for shift in (0.0, 1e6):
+            yield q, aligned_risks(q, EmpiricalRiskProfile.from_risks(prof.coords, risks + shift))
+
+
+class TestRightEndSkip:
+    """solve_k_bar skips g(lam) only where the record certifies that t = lam is no root."""
+
+    @staticmethod
+    def fires(aligned, lam: float) -> bool:
+        return aligned.mean_shifted_floor / (lam + aligned.spread) > 2.0 * type2.DEFAULT_TOL
+
+    def test_floor_is_below_the_mean_shifted_risk(self, rng):
+        for q, aligned in skip_instances(rng):
+            mean = math.fsum((q.weights * aligned.shifted).tolist())
+            assert 0.0 <= aligned.mean_shifted_floor <= mean
+            assert (aligned.mean_shifted_floor == 0.0) == (mean < 2.0**-960)
+
+    def test_skip_is_certain_and_changes_no_outcome(self, rng, monkeypatch):
+        # Every skipped right end sums below 1 - DEFAULT_TOL exactly, and the
+        # solve returns the same bits, or raises the same error, as one on a
+        # record whose floor 0 never lets the skip fire. A solve that returns
+        # makes one evaluation of g fewer exactly where the skip fires.
+        evaluations = []
+
+        def counted(terms):
+            evaluations.append(terms.shape[0])
+            return _g_sum(terms)
+
+        monkeypatch.setattr(type2, "_g_sum", counted)
+        fired = kept = straddled = fired_errors = 0
+        for q, aligned in skip_instances(rng):
+            reference = dataclasses.replace(aligned, mean_shifted_floor=0.0)
+            factors = list(np.logspace(-11.0, 12.0, 24))
+            edge = aligned.mean_shifted_floor / (2.0 * type2.DEFAULT_TOL) - aligned.spread
+            if edge > 0.0:
+                factors += [edge * (1.0 + f) for f in (-1e-6, -2.0**-50, 2.0**-50, 1e-6)]
+            for lam in map(float, factors):
+                fires = self.fires(aligned, lam)
+                if fires:
+                    terms = (aligned.q_weights * lam) / (lam + aligned.shifted)
+                    assert math.fsum(terms.tolist()) < 1.0 - type2.DEFAULT_TOL
+                evaluations.clear()
+                outcome = kbar_outcome(aligned, lam)
+                calls = len(evaluations)
+                evaluations.clear()
+                assert outcome == kbar_outcome(reference, lam)
+                if isinstance(outcome[0], bytes):
+                    assert calls == len(evaluations) - fires
+                else:
+                    fired_errors += fires
+                fired += fires
+                kept += not fires
+            if edge > 0.0:
+                straddled += [self.fires(aligned, edge * (1.0 + f)) for f in (-1e-6, 1e-6)] == [
+                    True, False]
+        assert fired > 100 and kept > 100 and straddled > 10 and fired_errors > 10
+
+
 def float_sum_is_open(x: np.ndarray) -> bool:
     """Whether the float sum of g's terms ``x`` leaves the sign of g - 1 open."""
     g_hat = float(np.add.reduce(x))
@@ -459,15 +541,17 @@ class TestType2Objective:
         # RuntimeWarnings fail the test suite, so none is raised either.
         weights, q_row = np.array([[1.0 - 1e-320, 1e-320]]), np.array([0.5, 0.5])
         (objective,) = type2_objective_rows(weights, q_row, np.array([0.0, 1.0]), 1.0)
-        divergence = math.fsum([0.5 * math.log(0.5 / weights[0, 0]),
-                                0.5 * (math.log(0.5) - math.log(1e-320))])
+        # Each log is np.log's, as kl_rows takes it, one value at a time.
+        log = lambda x: float(np.log(x))
+        divergence = math.fsum([0.5 * log(0.5 / weights[0, 0]),
+                                0.5 * (log(0.5) - log(1e-320))])
         assert objective == 1e-320 + divergence
         assert objective == pytest.approx(367.72047, rel=1e-7)
 
 
 def sweep_row(q, prof, lam: float):
     """The sweep's row at ``lam``: mean risk, identity gap and bound margin of Type 2."""
-    (row,) = sweep_records(aligned_risks(q, prof), [lam])
+    (row,), _ = sweep_records(aligned_risks(q, prof), [lam])
     assert row.status == "ok"
     return row
 
