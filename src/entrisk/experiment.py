@@ -617,15 +617,6 @@ def emit_summary_json(summary: dict[str, Any], path: str | Path) -> None:
     _write_atomically(path, [json.dumps(summary, sort_keys=True, indent=2)])
 
 
-def emit_dataset_csv(data: Dataset, path: str | Path) -> None:
-    """Write a dataset in the ingestion schema (x1..xd,y; 17-digit floats), atomically."""
-    d = data.pattern_dim
-    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y"])]
-    for x, y in zip(data.patterns, data.labels):
-        lines.append(",".join([_fmt(float(v)) for v in x] + [_fmt(float(y))]))
-    _write_atomically(path, lines)
-
-
 #: A dataset cell: an ASCII decimal literal, with an optional sign, digits
 #: with an optional fraction, and an optional exponent; nothing around it.
 _DECIMAL_CELL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -637,8 +628,8 @@ def ingest_csv_dataset(path: str | Path, atoms: int = 1) -> Dataset:
     Every cell must match :data:`_DECIMAL_CELL` and be finite as a double.
     Errors carry 1-based row and column coordinates. A file that is not
     UTF-8, or that the csv module cannot read (a cell over its field size
-    limit), raises ConfigError. Ingesting a file written by
-    :func:`emit_dataset_csv` reproduces the dataset bit for bit.
+    limit), raises ConfigError. Cells written with 17 significant digits
+    read back bit for bit.
 
     An instance of ``atoms`` grid atoms fits at most
     ``MAX_LOSS_EVALUATIONS // atoms`` data rows. Reading stops at the first
@@ -744,8 +735,9 @@ def excess_identities(
     ``sol1`` and ``sol2`` are the two solutions at ``lam``. R(Q), R(P1) and
     R(P2) are one (3, m) :func:`entrisk.measures.mean_rows` block, and each
     direction's divergence is scored by :func:`entrisk.measures.kl_rows` on
-    the (2, m) block of the two solutions only, as the ``type*_objective_rows`` of
-    :mod:`entrisk.type1` and :mod:`entrisk.type2` score it. F1(Q) and F2(Q)
+    the (2, m) block of the two solutions only, as
+    :func:`entrisk.type1.type1_objective` and
+    :func:`entrisk.type2.type2_objective_rows` score it. F1(Q) and F2(Q)
     are R(Q) itself: the divergence of Q from itself is exactly 0, since
     every ratio is 1. Each solution's competitors are Q and the other
     direction's solution. Returns ``(objectives, differences, excesses)``,

@@ -27,10 +27,10 @@ a block's rows as a matrix-vector product, and certifies many blocks at
 once. A single sum, or a block of one row, goes through :func:`exact_sum`,
 which hands short arrays to ``math.fsum`` and long ones to
 :func:`certified_sum`: the same split and certificate for one row, with the
-certificate on Python floats. The divergences of arbitrary measures, the
-total variation and the expected risk are computed row-wise on aligned
-weight arrays (:func:`kl_rows`, :func:`tv_rows`, :func:`mean_rows`): one row
-for a pair of measures, a block of rows for many candidate measures at once.
+certificate on Python floats. The divergences of arbitrary measures and
+the expected risk are computed row-wise on aligned weight arrays
+(:func:`kl_rows`, :func:`mean_rows`): one row for a pair of measures, a
+block of rows for many candidate measures at once.
 A divergence whose per-atom log-ratios are already known, as they are to
 the solvers, is summed in the phi form of :func:`kl_log_ratios`, which
 takes no logarithm.
@@ -325,14 +325,6 @@ def kl_log_ratios(weights: Sequence[np.ndarray], log_ratios: np.ndarray) -> list
     return [total if total > 0.0 else 0.0 for total in totals]
 
 
-def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Total variation distance for each row of aligned weights (0 off a support).
-
-    Shapes as in :func:`kl_rows`.
-    """
-    return 0.5 * exact_row_sums(np.abs(p - q))
-
-
 def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row numbers ``(i, j)`` of neighbouring equal rows after one lexicographic sort.
 
@@ -517,7 +509,7 @@ def kl_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 
 
 def total_variation(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Total variation distance: one row of :func:`tv_rows` over supp(P) and supp(Q)."""
+    """Total variation distance: half the exact sum of |p - q| over supp(P) and supp(Q)."""
     at = positions(p, q)
     hit = at >= 0
     in_p = np.zeros(q.num_atoms, dtype=bool)
@@ -525,4 +517,4 @@ def total_variation(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     # Both measures on the atoms of P, then on the atoms of Q outside supp(P).
     p_row = np.concatenate([p.weights, np.zeros(q.num_atoms - int(in_p.sum()))])
     q_row = np.concatenate([np.where(hit, q.weights[at], 0.0), q.weights[~in_p]])
-    return float(tv_rows(p_row[None], q_row)[0])
+    return 0.5 * exact_sum(np.abs(p_row - q_row))

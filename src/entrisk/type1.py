@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveLambda
+from .errors import NonFiniteWeight, NonPositiveLambda
 from .measures import (
     DiscreteMeasure,
     exact_sum,
@@ -42,7 +42,8 @@ def _tilt(log_q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Normalized tilt q(theta)*exp(-values(theta)) as a row, and its log normalizer.
 
     ``log_q`` (``np.log`` of Q's weights) and ``values`` are aligned (m,)
-    rows, and neither is written. ``values`` may be any finite reals;
+    rows, and neither is written. ``values`` may be any finite reals, and
+    +inf for an atom of weight 0 as long as one value is finite;
     nonnegativity is not assumed. This is the relaxed entry point used by
     the log-risk equivalence, where the transformed risk can be negative,
     and by the Type-1 solve with ``values = L/lam``. The public solver keeps
@@ -76,10 +77,18 @@ def solve_type1(aligned: AlignedRisks, lam: float) -> GibbsSolution:
     Returns the Gibbs tilt of Q by exp(-L/lam), as weights aligned with
     ``aligned.q_weights``, together with the log normalizer; deterministic,
     and invariant to adding a constant to all risks.
+
+    An atom whose L/lam overflows to +inf gets weight 0. When even the
+    least risk's does, every atom's does: no weight is finite, and
+    NonFiniteWeight is raised.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    scaled = aligned.risks / lam
+    if math.isinf(aligned.delta_star / lam):
+        raise NonFiniteWeight(
+            f"lam={lam}: L/lam overflows on every atom, no tilted weight is finite")
+    with np.errstate(over="ignore"):
+        scaled = aligned.risks / lam
     scaled.flags.writeable = False
     weights, log_z = _tilt(aligned.log_q, scaled)
     return GibbsSolution(weights, float(lam), log_z, scaled)
@@ -98,17 +107,6 @@ def log_ratios_p1_q(sol: GibbsSolution, out: np.ndarray) -> np.ndarray:
     return x
 
 
-def type1_objective_rows(
-    weights: np.ndarray, q_weights: np.ndarray, risks: np.ndarray, lam: float
-) -> np.ndarray:
-    """R(P) + lam * D(P || Q) for each row of (k, m) weights of a measure P.
-
-    ``q_weights`` and ``risks`` are (m,) rows aligned with the columns; see
-    :func:`entrisk.measures.kl_rows` for zero weights.
-    """
-    return mean_rows(weights, risks) + lam * kl_rows(weights, q_weights)
-
-
 def type1_objective(
     p: DiscreteMeasure,
     q: DiscreteMeasure,
@@ -121,4 +119,5 @@ def type1_objective(
     at = positions(p, q)
     if np.any(at < 0):
         return math.inf
-    return float(type1_objective_rows(p.weights[None], q.weights[at], profile.aligned(p), lam)[0])
+    row = p.weights[None]
+    return float(mean_rows(row, profile.aligned(p))[0] + lam * kl_rows(row, q.weights[at])[0])

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import make_dataclass
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -100,23 +100,17 @@ class KBarResult(NamedTuple):
     g: float
 
 
-@dataclass(frozen=True, eq=False)
-class TypeIISolution:
-    """Weights aligned with ``q.weights`` at factor ``lam``, plus the :class:`KBarResult`.
-
-    The rows carry no atoms: use them only with the ``q`` they were solved on.
-    """
-
-    weights: np.ndarray
-    lam: float
-    k_bar: float
-    residual: float
-    iterations: int
-    pole_gap: float
-    delta_star: float
-    gaps: np.ndarray
-    terms: np.ndarray
-    g: float
+TypeIISolution = make_dataclass(
+    "TypeIISolution",
+    [("weights", np.ndarray), ("lam", float), *get_type_hints(KBarResult).items()],
+    frozen=True,
+    eq=False,
+    namespace={"__module__": __name__, "__doc__": (
+        "Weights aligned with ``q.weights`` at factor ``lam``, then the fields of a\n"
+        ":class:`KBarResult` in its order: ``TypeIISolution(weights, lam, *root)``.\n\n"
+        "The rows carry no atoms: use them only with the ``q`` they were solved on."
+    )},
+)
 
 
 def _g_sum(terms: np.ndarray) -> float:

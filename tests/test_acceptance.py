@@ -6,7 +6,6 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 import time
@@ -22,10 +21,10 @@ from entrisk.experiment import (
     grid_argmin_outside_support,
 )
 from entrisk.logrisk import log_risk_profile, verify_theorem2
-from entrisk.measures import exact_row_sums, tv_rows
+from entrisk.measures import exact_row_sums, kl_rows, mean_rows
 from entrisk.risk import aligned_risks
-from entrisk.type1 import solve_type1, type1_objective_rows
-from entrisk.type2 import solve_type2, support_escape_slope, type2_objective_rows
+from entrisk.type1 import solve_type1
+from entrisk.type2 import solve_type2, support_escape_slope
 
 from conftest import (
     random_pipeline_instance,
@@ -214,11 +213,16 @@ def test_criterion_08_optimality_against_random_measures():
         # each row is normalized as make_measure normalizes a single draw.
         draws = rng.dirichlet(np.ones(q.num_atoms), size=1000)
         draws /= exact_row_sums(draws)[:, None]
-        for sol, objective_rows in ((solve_type2(inst, lam), type2_objective_rows),
-                                    (solve_type1(inst, lam), type1_objective_rows)):
-            best = objective_rows(sol.weights[None], q.weights, risks, lam)[0]
-            far = tv_rows(draws, sol.weights) > 1e-9
-            ok = ok and bool(np.all(objective_rows(draws[far], q.weights, risks, lam) > best))
+
+        def objective(rows, direction):
+            """R(P) + lam * D(P || Q) (Type 1) or R(P) + lam * D(Q || P) (Type 2) per row."""
+            kl = kl_rows(rows, q.weights) if direction == 1 else kl_rows(q.weights, rows)
+            return mean_rows(rows, risks) + lam * kl
+
+        for sol, direction in ((solve_type2(inst, lam), 2), (solve_type1(inst, lam), 1)):
+            best = objective(sol.weights[None], direction)[0]
+            far = 0.5 * exact_row_sums(np.abs(draws - sol.weights)) > 1e-9  # total variation
+            ok = ok and bool(np.all(objective(draws[far], direction) > best))
         if not ok:
             break
     report(8, "solutions strictly beat 1000 random measures per instance, both directions", ok)

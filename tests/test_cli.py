@@ -11,7 +11,6 @@ import sys
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import entrisk
@@ -165,12 +164,13 @@ class TestSolve:
 
     def test_type1_tilt_that_is_not_finite_is_an_error(self, tmp_path, capsys):
         # The one risk of this instance is positive; risk / 5e-324 overflows.
+        # The error names the factor, and no warning is issued.
         cfg = write_config(tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli_main(["solve", "--config", str(cfg), "--lambda", "5e-324", "--type", "1"])
+        code = cli_main(["solve", "--config", str(cfg), "--lambda", "5e-324", "--type", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == "error: weights must be finite\n"
+        assert err == ("error: lam=5e-324: L/lam overflows on every atom, "
+                       "no tilted weight is finite\n")
 
     @pytest.mark.parametrize("direction", ["1", "2"])
     def test_infinite_lambda_is_validation_error(self, tmp_path, capsys, direction):

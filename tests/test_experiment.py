@@ -38,7 +38,6 @@ from entrisk.experiment import (
     SweepRecord,
     build_reference,
     emit_csv,
-    emit_dataset_csv,
     emit_summary_json,
     excess_identities,
     generate_instance,
@@ -207,7 +206,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"data_seed": 0, "seed": 0, **raw})
 
     def test_oversize_csv_dataset_rejected_before_risks(self, tmp_path, monkeypatch):
-        emit_dataset_csv(Dataset(np.zeros((3, 1)), np.zeros(3)), tmp_path / "data.csv")
+        (tmp_path / "data.csv").write_text("x1,y\n0,0\n0,0\n0,0\n", encoding="utf-8")
         raw = {key: value for key, value in base_config(dataset="csv", csv_path="data.csv").items()
                if key not in ("true_model", "noise", "n", "data_seed")}
         cfg = ExperimentConfig.from_dict(raw, base_dir=tmp_path)
@@ -753,16 +752,16 @@ class TestExcessIdentities:
     def full_block(aligned, lam):
         """:func:`excess_identities`' arrays, with Q, P1 and P2 scored by both objectives.
 
-        Every objective comes from ``type*_objective_rows`` on the (3, m)
-        block, F1(Q) and F2(Q) included; the right-hand sides are formed
-        as the docstring states, log(q/p) as log q - log p where q/p
-        overflows.
+        Every objective is scored on the (3, m) block, F1(Q) and F2(Q)
+        included; the right-hand sides are formed as the docstring states,
+        log(q/p) as log q - log p where q/p overflows.
         """
         q_weights, risks = aligned.q_weights, aligned.risks
         sol1, sol2 = solve_type1(aligned, lam), solve_type2(aligned, lam)
         block = np.stack([q_weights, sol1.weights, sol2.weights])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scores = np.stack([type1.type1_objective_rows(block, q_weights, risks, lam),
+            scores = np.stack([measures.mean_rows(block, risks)
+                               + lam * measures.kl_rows(block, q_weights),
                                type2.type2_objective_rows(block, q_weights, risks, lam)])
             rivals = block[[0, 2]]
             y = np.log(rivals / q_weights) - type1.log_ratios_p1_q(sol1, np.empty_like(q_weights))
@@ -1354,7 +1353,7 @@ class TestAtomicWrites:
     EMITTERS = {
         "sweep_csv": lambda path: emit_csv([], path),
         "summary_json": lambda path: emit_summary_json({"rows": 0}, path),
-        "dataset_csv": lambda path: emit_dataset_csv(Dataset([[1.0]], [2.0]), path),
+        "dataset_csv": lambda path: experiment._write_atomically(path, ["x1,y", "1,2"]),
     }
 
     @pytest.mark.parametrize("kind", sorted(EMITTERS))
@@ -1386,12 +1385,20 @@ class TestAtomicWrites:
 
 
 class TestIngestCsv:
+    @staticmethod
+    def write(data: Dataset, path: Path) -> None:
+        """``data`` in the ingestion schema, x1,...,xd,y, with 17-significant-digit cells."""
+        header = ",".join([f"x{i + 1}" for i in range(data.pattern_dim)] + ["y"])
+        rows = zip(data.patterns.tolist(), data.labels.tolist())
+        lines = [header] + [",".join(f"{v:.17g}" for v in [*x, y]) for x, y in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
     def test_round_trip_preserves_risks_exactly(self, rng, tmp_path):
         patterns = rng.uniform(-2.0, 2.0, size=(7, 2))
         labels = rng.uniform(-1.0, 1.0, size=7)
         data = Dataset(patterns, labels)
         path = tmp_path / "data.csv"
-        emit_dataset_csv(data, path)
+        self.write(data, path)
         back = ingest_csv_dataset(path)
         cfg = ExperimentConfig.from_dict(
             base_config(
@@ -1411,7 +1418,7 @@ class TestIngestCsv:
         patterns = np.array([[-0.0, 5e-324], [0.1, -1.7976931348623157e308], [1e-300, 2.0**-1074]])
         labels = np.array([-0.0, 5e-324, 1.0 / 3.0])
         path = tmp_path / "data.csv"
-        emit_dataset_csv(Dataset(patterns, labels), path)
+        self.write(Dataset(patterns, labels), path)
         assert "-0,4.9406564584124654e-324," in path.read_text(encoding="utf-8")
         back = ingest_csv_dataset(path)
         assert back.patterns.tobytes() == patterns.tobytes()

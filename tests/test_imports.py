@@ -1,4 +1,4 @@
-"""Every name that a package module or a script imports is read by that module.
+"""Every name that a package module, a script or a test module imports is read by that module.
 
 No linter is a dependency, so this stands in for the unused-import check:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/entrisk/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted([*ROOT.glob("src/entrisk/*.py"), *ROOT.glob("scripts/*.py"),
+                  *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -118,11 +118,19 @@ class TestSolveType1:
             solve_type1(aligned_risks(q, prof), 0.0)
 
     def test_factor_overflowing_every_risk_raises(self):
-        # Every risk / lam overflows, so every logit is -inf and the tilt is nan.
+        # Every risk / lam overflows, so no logit is finite; no warning is issued.
         q = uniform_on(3)
         prof = profile_from([1.0, 2.0, 3.0])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteWeight):
+        with pytest.raises(NonFiniteWeight, match=r"^lam=1e-309: L/lam overflows on every atom"):
             solve_type1(aligned_risks(q, prof), 1e-309)
+
+    def test_factor_overflowing_some_risks_zeroes_their_weights(self):
+        # 1 / 5e-324 and 2 / 5e-324 overflow, 0 / 5e-324 does not: only the
+        # atom of risk 0 keeps weight, and no warning is issued.
+        q = uniform_on(3)
+        sol = solve_type1(aligned_risks(q, profile_from([0.0, 1.0, 2.0])), 5e-324)
+        assert sol.weights.tolist() == [1.0, 0.0, 0.0]
+        assert sol.log_partition_at_minus_inv_lambda == float(np.log(q.weights[0]))
 
     def test_shift_invariance(self, rng):
         q, prof = random_solver_instance(rng, max_atoms=8, risk_scale=2.0)

@@ -511,6 +511,18 @@ class TestSolveType2:
         b = solve_type2(aligned_risks(q, shifted_prof), 0.45).weights
         assert np.max(np.abs(a - b)) <= 1e-10
 
+    def test_solution_holds_the_root_record_after_weights_and_lam(self):
+        aligned = aligned_risks(*two_atom_instance())
+        sol, root = solve_type2(aligned, 1.0), solve_k_bar(aligned, 1.0)
+        names = [f.name for f in dataclasses.fields(sol)]
+        assert names == ["weights", "lam", *type2.KBarResult._fields]
+        assert all(np.array_equal(getattr(sol, name), value)
+                   for name, value in zip(names[2:], root))
+        # Frozen, and equal only to itself: its rows are arrays.
+        assert sol == sol and sol != dataclasses.replace(sol)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.k_bar = 0.0
+
 
 class TestType2Objective:
     def test_at_reference_equals_mean_risk(self):
