@@ -23,8 +23,10 @@ required option, a ``--type`` other than 1 or 2, a ``--lambda`` that
 ``--lambda`` is read by ``float()``, so ``-1``, ``inf`` and ``nan`` reach the
 command's own checks, which reject them as validation errors.
 
-Exit codes: 0 success, 1 validation or usage error, 2 solver failure, 3 I/O
-error. Diagnostics go to standard error; results go to standard output.
+Exit codes: 0 success; 1 a usage error or a ``ConfigError`` (``error: ...``);
+2 any other package error (``solver error: ...``), a sweep factor that fails
+to solve, or a ``FAIL`` line of verify; 3 an ``OSError`` (``i/o error:
+...``). Diagnostics go to standard error; results go to standard output.
 """
 
 from __future__ import annotations
@@ -34,20 +36,7 @@ import math
 import sys
 from typing import Sequence
 
-from .errors import (
-    BracketFailure,
-    ConfigError,
-    DimensionMismatch,
-    EntriskError,
-    InstanceGenerationFailure,
-    InvariantViolation,
-    MalformedHeader,
-    NonFiniteCell,
-    NonPositiveArgument,
-    NonPositiveLambda,
-    RowArity,
-    ToleranceNotReached,
-)
+from .errors import ConfigError, EntriskError
 from .experiment import (
     ExperimentConfig,
     emit_csv,
@@ -66,22 +55,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    NonPositiveLambda,
-    DimensionMismatch,
-    MalformedHeader,
-    RowArity,
-    NonFiniteCell,
-)
-_SOLVER_ERRORS = (
-    BracketFailure,
-    ToleranceNotReached,
-    InvariantViolation,
-    NonPositiveArgument,
-    InstanceGenerationFailure,
-)
 
 
 _USAGE = """\
@@ -182,7 +155,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
     if not lam > 0.0:
-        raise NonPositiveLambda(f"field '--lambda': must be > 0, got {lam}")
+        raise ConfigError(f"field '--lambda': must be > 0, got {lam}")
     if not math.isfinite(lam):
         raise ConfigError(f"field '--lambda': must be finite, got {lam}")
     q, _, aligned = generate_instance(cfg)
@@ -235,17 +208,14 @@ def cli_main(argv: Sequence[str]) -> int:
         if command == "solve":
             return _cmd_solve(cfg, options["lam"], options["direction"])
         return _cmd_verify(cfg)
-    except _VALIDATION_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EntriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -1,8 +1,10 @@
 """Semantic exception taxonomy.
 
 Every error raised by this package derives from :class:`EntriskError`, so
-callers can catch one base class. Validation-style errors also derive from
-``ValueError``; numerical-failure errors derive from ``ArithmeticError``.
+callers can catch one base class. The command line maps an error to its exit
+code by one rule: a :class:`ConfigError`, the one mark of bad input, exits 1
+with ``error: ...``; an ``OSError`` exits 3 with ``i/o error: ...``; any other
+:class:`EntriskError` exits 2 with ``solver error: ...``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ class EntriskError(Exception):
 
 
 class EmptySupport(EntriskError, ValueError):
-    """No atom with strictly positive weight remains."""
+    """No atom with strictly positive weight remains, or a dataset or profile is empty."""
 
 
 class NegativeWeight(EntriskError, ValueError):
-    """A weight is strictly negative."""
+    """A weight, or a risk, is strictly negative."""
 
 
 class NonFiniteWeight(EntriskError, ValueError):
@@ -39,7 +41,7 @@ class NonFiniteValue(EntriskError, ValueError):
 
 
 class DimensionMismatch(EntriskError, ValueError):
-    """Model, pattern, or predictor dimensions are incompatible."""
+    """Shapes or counts disagree: model, pattern or predictor dimensions, or per-atom entries."""
 
 
 class SupportMismatch(EntriskError, ValueError):
@@ -73,20 +75,20 @@ class InvariantViolation(EntriskError, ArithmeticError):
 
 
 class ConfigError(EntriskError, ValueError):
-    """Experiment configuration is invalid; message names the offending field."""
+    """Bad input: a config field, the dataset CSV, ``--lambda``, or a predictor or loss kind."""
 
 
 class InstanceGenerationFailure(EntriskError):
     """Instance construction failed for a validated configuration."""
 
 
-class MalformedHeader(EntriskError, ValueError):
+class MalformedHeader(ConfigError):
     """Dataset CSV header does not match ``x1,...,xd,y``."""
 
 
-class RowArity(EntriskError, ValueError):
-    """Dataset CSV row has the wrong number of cells."""
+class RowArity(ConfigError):
+    """Dataset CSV has no data rows, or a row with the wrong number of cells."""
 
 
-class NonFiniteCell(EntriskError, ValueError):
+class NonFiniteCell(ConfigError):
     """Dataset CSV cell does not parse as a finite decimal."""

@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DuplicateSupportPoint,
     EmptySupport,
     NegativeWeight,
@@ -341,7 +342,7 @@ def _coordinate_rows(coords) -> np.ndarray:
     """Float copy of (m, d) coordinates, d >= 1; raises NonFiniteValue on nan or inf."""
     rows = np.array(coords, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 1:
-        raise ValueError(f"coordinates must form an (m, d) array, d >= 1; got {rows.shape}")
+        raise DimensionMismatch(f"coordinates must form an (m, d) array, d >= 1; got {rows.shape}")
     if not np.all(np.isfinite(rows)):
         raise NonFiniteValue("model coordinates must be finite")
     return rows
@@ -427,7 +428,7 @@ def _checked_weights(weights: Sequence[float], count: int) -> np.ndarray:
     if count == 0 or w.size == 0:
         raise EmptySupport("support and weights must be nonempty")
     if w.shape != (count,):
-        raise ValueError(f"support has {count} atoms but {w.size} weights were given")
+        raise DimensionMismatch(f"support has {count} atoms but {w.size} weights were given")
     if np.any(~np.isfinite(w)):
         raise NonFiniteWeight("weights must be finite")
     if np.any(w < 0.0):

@@ -65,7 +65,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, SupportMismatch
+from .errors import (ConfigError, DimensionMismatch, EmptySupport, NegativeWeight,
+                     NonFiniteValue, SupportMismatch)
 from .measures import (
     DiscreteMeasure,
     GridAtoms,
@@ -131,7 +132,7 @@ class Dataset:
                 f"{patterns.shape[0]} patterns but {labels.shape[0]} labels"
             )
         if labels.size < 1:
-            raise ValueError("a dataset needs at least one point")
+            raise EmptySupport("a dataset needs at least one point")
         if not (np.all(np.isfinite(patterns)) and np.all(np.isfinite(labels))):
             raise NonFiniteValue("dataset entries must be finite")
         patterns.flags.writeable = False
@@ -172,9 +173,9 @@ class PredictorSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in PREDICTOR_KINDS:
-            raise ValueError(f"unknown predictor kind {self.kind!r}")
+            raise ConfigError(f"unknown predictor kind {self.kind!r}")
         if self.pattern_dim < 1:
-            raise ValueError("pattern_dim must be >= 1")
+            raise DimensionMismatch("pattern_dim must be >= 1")
 
     @property
     def model_dim(self) -> int:
@@ -238,7 +239,7 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}")
 
     def loss_all(
         self, predicted: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
@@ -276,13 +277,13 @@ class EmpiricalRiskProfile(GridAtoms):
         """Profile holding ``risks[i]`` (copied) for the distinct grid row ``index[i]``."""
         arr = np.array(risks, dtype=float)
         if arr.shape != np.shape(index):
-            raise ValueError("one risk per support atom required")
+            raise DimensionMismatch("one risk per support atom required")
         if arr.size == 0:
-            raise ValueError("profile needs at least one atom")
+            raise EmptySupport("profile needs at least one atom")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("risks must be finite")
         if np.any(arr < 0.0):
-            raise ValueError("risks must be nonnegative")
+            raise NegativeWeight("risks must be nonnegative")
         arr.flags.writeable = False
         return cls(grid, index, arr, float(arr.min()))
 

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import entrisk
-from entrisk import cli, experiment, logrisk, type2
+from entrisk import cli, errors, experiment, logrisk, type2
 from entrisk.cli import cli_main
-from entrisk.errors import ConfigError
+from entrisk.errors import ConfigError, EntriskError
 from entrisk.experiment import ExperimentConfig
 from entrisk.risk import EmpiricalRiskProfile
 
@@ -169,7 +169,7 @@ class TestSolve:
         code = cli_main(["solve", "--config", str(cfg), "--lambda", "5e-324", "--type", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("error: lam=5e-324: L/lam overflows on every atom, "
+        assert err == ("solver error: lam=5e-324: L/lam overflows on every atom, "
                        "no tilted weight is finite\n")
 
     @pytest.mark.parametrize("direction", ["1", "2"])
@@ -374,6 +374,22 @@ class TestInstanceFailures:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "row 3, column 2" in err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("content, message", [
+        ("", "{path}: empty file, header row required"),
+        ("x1,y\n", "{path}: no data rows"),
+        ("x1,y\n0.5,1\n0.25,1e999\n", "{path}: row 3, column 2: '1e999' is not finite"),
+        ("x1,x2,y\n0.5,0.25,1\n", "field 'csv_path': dataset pattern dimension 2 "
+                                    "does not match predictor dimension 1"),
+    ], ids=["empty_file", "no_rows", "overflowing_decimal", "pattern_dimension"])
+    def test_rejected_data_csv_is_validation_error(self, tmp_path, capsys, command, content,
+                                                   message):
+        (tmp_path / "data.csv").write_text(content, encoding="utf-8")
+        cfg = write_config(tmp_path, dataset="csv", csv_path="data.csv")
+        assert cli_main([*COMMANDS[command], "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message.format(path=tmp_path / 'data.csv')}\n"
+
 
 GAUSSIAN = {"reference": "gaussian", "reference_mean": [0.25]}
 
@@ -456,6 +472,45 @@ class TestConfigBoundary:
         assert captured.err.startswith("error: ") and "'grid_max'" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
+
+
+#: The classes that mark bad input, and so exit 1 with ``error:``.
+INPUT_ERRORS = {"ConfigError", "MalformedHeader", "RowArity", "NonFiniteCell"}
+PACKAGE_ERRORS = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, EntriskError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+class TestErrorLabels:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("error", [*PACKAGE_ERRORS, OSError], ids=lambda cls: cls.__name__)
+    def test_error_class_sets_exit_code_and_label(
+        self, tmp_path, capsys, monkeypatch, command, error
+    ):
+        def failing(cfg):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "generate_instance", failing)
+        cfg = write_config(tmp_path)
+        code = cli_main([*COMMANDS[command], "--config", str(cfg)])
+        if error is OSError:
+            expected = (3, "i/o error: planted\n")
+        elif error.__name__ in INPUT_ERRORS:
+            expected = (1, "error: planted\n")
+        else:
+            expected = (2, "solver error: planted\n")
+        out, err = capsys.readouterr()
+        assert (code, err, out) == (*expected, "")
+
+    def test_type2_factor_below_the_pole_guard_is_solver_error(self, tmp_path, capsys):
+        # Nine atoms with more than one risk value; a one-atom grid solves at any factor.
+        cfg = write_config(tmp_path, grid_min=[-2.0], grid_max=[2.0], grid_resolution=[9])
+        code = cli_main(["solve", "--config", str(cfg), "--lambda", "1e-300", "--type", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("solver error: empty bracket: lam=1e-300 ")
 
 
 class TestExitCodes:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entrisk import experiment, measures, risk
 from entrisk.errors import (
+    DimensionMismatch,
     DuplicateSupportPoint,
     EmptySupport,
     NegativeWeight,
@@ -90,9 +91,9 @@ class TestMakeMeasure:
             as_grid([[math.inf]])
 
     def test_rows_must_form_a_two_dimensional_array(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             make_measure([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             as_grid(np.empty((2, 0)))
 
     @given(positive_weights)
