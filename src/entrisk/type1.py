@@ -80,7 +80,7 @@ def solve_type1(aligned: AlignedRisks, lam: float) -> GibbsSolution:
 
     An atom whose L/lam overflows to +inf gets weight 0. When even the
     least risk's does, every atom's does: no weight is finite, and
-    NonFiniteWeight is raised.
+    NonFiniteWeight is raised, with no numpy warning.
     """
     if not lam > 0.0:
         raise NonPositiveLambda(f"lam must be > 0, got {lam}")

@@ -242,6 +242,24 @@ class TestSweep:
         assert cli_main(["sweep", "--config", str(cfg)]) == 1
         assert "output_csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"output_json": "out.csv"}, "field 'output_json': names the same file as 'output_csv'"),
+        ({"output_csv": "config.json"}, "field 'output_csv': names the same file as 'config'"),
+        ({"dataset": "csv", "csv_path": "data.csv", "output_json": "./data.csv"},
+         "field 'output_json': names the same file as 'csv_path'"),
+    ], ids=["json_over_csv", "csv_over_config", "json_over_dataset"])
+    def test_output_that_names_an_input_or_the_other_output_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        (tmp_path / "data.csv").write_text("x1,y\n0.5,1\n0.25,0\n", encoding="utf-8")
+        cfg = write_config(tmp_path, **overrides)
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        builds = count_calls(monkeypatch, experiment, "generate_instance")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert builds == [] and {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
 
 class TestSharedPipeline:
     def test_sweep_builds_instance_once_and_solves_type2_once_per_lambda(
