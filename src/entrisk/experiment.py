@@ -132,33 +132,55 @@ def _flag(raw: Any, key: str) -> bool:
     return raw
 
 
+def _positive(raw: Any, key: str) -> float:
+    value = _number(raw, key)
+    _require(value > 0.0, f"field {key!r}: must be > 0")
+    return value
+
+
+def _output(raw: Any, key: str) -> str | None:
+    """An output file name; ``null`` omits the output."""
+    return None if raw is None else _string(raw, key)
+
+
+def _key(read: Callable[..., Any], *args: Any, kind: str | None = None, default: Any = MISSING):
+    """A config key's field: ``read(raw[key], key, *args)`` reads the key.
+
+    A field without a ``default`` is a required key; one with a ``kind``, such
+    as ``"gaussian"``, is required when the reference or dataset is that kind.
+    """
+    owner = "reference" if kind in REFERENCE_KINDS else "dataset"
+    return field(default=default, metadata={"read": (read, args), "kind": kind and (owner, kind)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
 
     # The required keys, in the order a config missing several names them.
-    predictor: str
-    loss: str
-    grid_min: tuple[float, ...]
-    grid_max: tuple[float, ...]
-    grid_resolution: tuple[int, ...]
-    reference: str
-    dataset: str
-    lambda_min: float
-    lambda_max: float
-    lambda_count: int
-    intercept: bool = False
-    reference_mean: tuple[float, ...] | None = None
-    reference_scale: float | None = None
-    reference_box_min: tuple[float, ...] | None = None
-    reference_box_max: tuple[float, ...] | None = None
-    true_model: tuple[float, ...] | None = None
-    noise: float | None = None
-    n: int | None = None
-    data_seed: int | None = None
-    csv_path: str | None = None
-    output_csv: str | None = None
-    output_json: str | None = None
+    predictor: str = _key(_kind, PREDICTOR_KINDS)
+    loss: str = _key(_kind, LOSS_KINDS)
+    grid_min: tuple[float, ...] = _key(_list, _number)
+    grid_max: tuple[float, ...] = _key(_list, _number)
+    grid_resolution: tuple[int, ...] = _key(_list, _integer, 1)
+    reference: str = _key(_kind, REFERENCE_KINDS)
+    dataset: str = _key(_kind, DATASET_KINDS)
+    lambda_min: float = _key(_positive)
+    lambda_max: float = _key(_number)
+    lambda_count: int = _key(_integer, 1)
+    intercept: bool = _key(_flag, default=False)
+    # The keys of one kind, in the order a config missing several names them.
+    reference_mean: tuple[float, ...] | None = _key(_list, _number, kind="gaussian", default=None)
+    reference_scale: float | None = _key(_positive, kind="gaussian", default=None)
+    reference_box_min: tuple[float, ...] | None = _key(_list, _number, kind="restricted", default=None)
+    reference_box_max: tuple[float, ...] | None = _key(_list, _number, kind="restricted", default=None)
+    true_model: tuple[float, ...] | None = _key(_list, _number, kind="synthetic", default=None)
+    noise: float | None = _key(_number, kind="synthetic", default=None)
+    n: int | None = _key(_integer, 1, kind="synthetic", default=None)
+    data_seed: int | None = _key(_integer, 0, kind="synthetic", default=None)
+    csv_path: str | None = _key(_string, kind="csv", default=None)
+    output_csv: str | None = _key(_output, default=None)
+    output_json: str | None = _key(_output, default=None)
     base_dir: Path = field(default_factory=Path.cwd)
     raw: dict[str, Any] = field(default_factory=dict)
 
@@ -180,93 +202,50 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any], base_dir: Path | None = None) -> "ExperimentConfig":
+        """The config ``raw`` describes, or ConfigError on its first fault.
+
+        Each key present is read by its field's reader, whatever the kinds; the
+        relations between keys are then checked on the built config.
+        """
         unknown = set(raw) - _KNOWN_KEYS
         _require(not unknown, f"unknown field(s): {', '.join(sorted(unknown))}")
-        for f in fields(cls):  # a field without a default is a required key
-            if f.default is MISSING and f.default_factory is MISSING:
-                _require(f.name in raw, f"field {f.name!r}: required")
-        values: dict[str, Any] = {}
-
-        def take(key: str, read: Callable[..., Any], *args: Any) -> Any:
-            """Field ``key`` validated as ``read(raw[key], key, *args)``; a key left out is its default."""
-            values[key] = read(raw.get(key, getattr(cls, key, None)), key, *args)
-            return values[key]
-
-        predictor = take("predictor", _kind, PREDICTOR_KINDS)
-        take("loss", _kind, LOSS_KINDS)
-        intercept = take("intercept", _flag)
-
-        grid_min = take("grid_min", _list, _number)
-        grid_max = take("grid_max", _list, _number)
-        resolution = take("grid_resolution", _list, _integer, 1)
-        atoms = math.prod(resolution)
+        for key in _REQUIRED_KEYS:
+            _require(key in raw, f"field {key!r}: required")
+        values = {key: read(raw[key], key, *args)
+                  for key, (read, args) in _READERS.items() if key in raw}
+        for key, (owner, kind) in _KIND_KEYS:
+            _require(key in raw or values[owner] != kind,
+                     f"field {key!r}: required for {kind} {owner}")
+        values.pop("seed", None)  # accepted from older configs, and otherwise ignored
+        cfg = cls(**values, base_dir=base_dir or Path.cwd(), raw=dict(raw))
+        d, atoms = cfg.dim, math.prod(cfg.grid_resolution)
         _require(atoms <= MAX_GRID_ATOMS,
                  f"field 'grid_resolution': {atoms} atoms exceed the limit {MAX_GRID_ATOMS}")
-        d = len(resolution)
-        _require(len(grid_min) == d and len(grid_max) == d,
-                 "fields 'grid_min'/'grid_max'/'grid_resolution': lengths must agree")
-        _require(all(lo <= hi for lo, hi in zip(grid_min, grid_max)),
+        for key in ("grid_min", "grid_max", "reference_mean", "reference_box_min",
+                    "reference_box_max", "true_model"):
+            value = getattr(cfg, key)
+            _require(value is None or len(value) == d,
+                     f"field {key!r}: length must equal grid dimension {d}")
+        _require(all(lo <= hi for lo, hi in zip(cfg.grid_min, cfg.grid_max)),
                  "field 'grid_min': must not exceed 'grid_max' on any axis")
-        axes = _axes(grid_min, grid_max, resolution)
-        for axis, points in enumerate(axes):
+        for axis, (lo, hi, points) in enumerate(zip(cfg.grid_min, cfg.grid_max, cfg.axes)):
             _require(bool(np.all(np.isfinite(points))) and _strictly_increasing(points),
                      f"field 'grid_max': axis {axis} must span {len(points)} distinct finite "
-                     f"points from grid_min {grid_min[axis]!r} to grid_max {grid_max[axis]!r}")
-        _require(not intercept or d >= 2,
-                 "field 'intercept': needs model dimension >= 2")
-
-        reference = take("reference", _kind, REFERENCE_KINDS)
-        if reference == "gaussian":
-            _require("reference_mean" in raw, "field 'reference_mean': required for gaussian reference")
-            _require("reference_scale" in raw, "field 'reference_scale': required for gaussian reference")
-            reference_mean = take("reference_mean", _list, _number)
-            _require(len(reference_mean) == d, "field 'reference_mean': length must equal grid dimension")
-            reference_scale = take("reference_scale", _number)
-            _require(reference_scale > 0.0, "field 'reference_scale': must be > 0")
-        elif reference == "restricted":
-            _require("reference_box_min" in raw, "field 'reference_box_min': required for restricted reference")
-            _require("reference_box_max" in raw, "field 'reference_box_max': required for restricted reference")
-            reference_box_min = take("reference_box_min", _list, _number)
-            reference_box_max = take("reference_box_max", _list, _number)
-            _require(len(reference_box_min) == d and len(reference_box_max) == d,
-                     "field 'reference_box_min'/'reference_box_max': length must equal grid dimension")
-
-        dataset = take("dataset", _kind, DATASET_KINDS)
-        if dataset == "synthetic":
-            for key in ("true_model", "noise", "n", "data_seed"):
-                _require(key in raw, f"field {key!r}: required for synthetic dataset")
-            true_model = take("true_model", _list, _number)
-            _require(len(true_model) == d, "field 'true_model': length must equal grid dimension")
-            noise = take("noise", _number)
-            _require(noise >= 0.0, "field 'noise': must be >= 0")
-            _require(predictor == "linear_regression" or noise <= 1.0,
-                     "field 'noise': a label-flip probability must be <= 1")
-            n = take("n", _integer, 1)
-            _require(atoms * n <= MAX_LOSS_EVALUATIONS,
-                     f"field 'n': {atoms} atoms x {n} data points exceed the limit "
-                     f"{MAX_LOSS_EVALUATIONS}")
-            take("data_seed", _integer, 0)
-        else:
-            _require("csv_path" in raw, "field 'csv_path': required for csv dataset")
-            take("csv_path", _string)
-
-        lambda_min = take("lambda_min", _number)
-        lambda_max = take("lambda_max", _number)
-        _require(lambda_min > 0.0, "field 'lambda_min': must be > 0")
-        _require(lambda_max >= lambda_min, "field 'lambda_max': must be >= lambda_min")
-        lambda_count = take("lambda_count", _integer, 1)
-        _require(lambda_count <= MAX_LAMBDA_COUNT,
-                 f"field 'lambda_count': {lambda_count} factors exceed the limit {MAX_LAMBDA_COUNT}")
-        if "seed" in raw:  # accepted from older configs, and otherwise ignored
-            _integer(raw["seed"], "seed", 0)
-        for key in ("output_csv", "output_json"):
-            if raw.get(key) is not None:
-                take(key, _string)
-
-        cfg = cls(**values, base_dir=base_dir or Path.cwd(), raw=dict(raw))
-        vars(cfg)["axes"] = axes  # the cached property, holding the axes checked above
-        _require(lambda_count == 1 or _strictly_increasing(cfg.lambdas),
-                 f"field 'lambda_max': the {lambda_count} factors from lambda_min to "
+                     f"points from grid_min {lo!r} to grid_max {hi!r}")
+        _require(not cfg.intercept or d >= 2, "field 'intercept': needs model dimension >= 2")
+        noise, n = cfg.noise or 0.0, cfg.n or 0  # absent with a csv dataset
+        _require(noise >= 0.0, "field 'noise': must be >= 0")
+        _require(cfg.predictor == "linear_regression" or noise <= 1.0,
+                 "field 'noise': a label-flip probability must be <= 1")
+        _require(atoms * n <= MAX_LOSS_EVALUATIONS,
+                 f"field 'n': {atoms} atoms x {n} data points exceed the limit "
+                 f"{MAX_LOSS_EVALUATIONS}")
+        _require(cfg.lambda_max >= cfg.lambda_min, "field 'lambda_max': must be >= lambda_min")
+        count = cfg.lambda_count
+        _require(count <= MAX_LAMBDA_COUNT,
+                 f"field 'lambda_count': {count} factors exceed the limit {MAX_LAMBDA_COUNT}")
+        _require(count == 1 or _strictly_increasing(cfg.lambdas),
+                 f"field 'lambda_max': the {count} factors from lambda_min to "
                  "lambda_max must strictly increase")
         return cfg
 
@@ -281,9 +260,15 @@ class ExperimentConfig:
         return cls.from_dict(raw, base_dir=path.parent)
 
 
-#: The JSON keys a config may hold: every field but the two set by the loader,
-#: and ``seed``, which older configs and the benchmark's workloads still write.
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"base_dir", "raw"} | {"seed"}
+_KEY_FIELDS = [f for f in fields(ExperimentConfig) if f.metadata]
+#: Each JSON key a config may hold, with its reader and the reader's arguments:
+#: every field declared by :func:`_key`, and ``seed``, which older configs and
+#: the benchmark's workloads still write; it is read and not stored.
+_READERS = {f.name: f.metadata["read"] for f in _KEY_FIELDS} | {"seed": (_integer, (0,))}
+_KNOWN_KEYS = frozenset(_READERS)
+_REQUIRED_KEYS = [f.name for f in _KEY_FIELDS if f.default is MISSING]
+#: Each key of one kind, with the (reference or dataset, kind) that requires it.
+_KIND_KEYS = [(f.name, f.metadata["kind"]) for f in _KEY_FIELDS if f.metadata["kind"]]
 
 
 def predictor_spec(cfg: ExperimentConfig) -> PredictorSpec:
@@ -492,7 +477,7 @@ def sweep_records(
     solves each factor once. A reused row is the same IEEE operation on the
     same operands as forming it again, so reuse moves no output byte.
     """
-    risks = aligned.risks
+    risks, q_weights = aligned.risks, aligned.q_weights
     records: list[SweepRecord] = []
     median_at, median = len(lambdas) // 2, None
     for i, lam in enumerate(lambdas):
@@ -507,7 +492,7 @@ def sweep_records(
             log_ratios = np.empty((2, risks.shape[0]))
             log_ratios_p1_q(sol1, log_ratios[0])
             log_ratios_q_p2(sol2, aligned, log_ratios[1])
-            kl1, kl2 = kl_log_ratios((aligned.q_weights, sol2.terms), log_ratios)
+            kl1, kl2 = kl_log_ratios(((sol1.weights, q_weights), (q_weights, sol2.terms)), log_ratios)
             records.append(
                 SweepRecord(
                     lam=lam,
@@ -827,7 +812,7 @@ def optimality_checks(aligned: AlignedRisks, median: MedianSolutions) -> list[In
         return [Invariant(name, EXCESS_GAP_MAX, None, False, median) for name in names]
     lam = median[0].lam
     objectives, differences, excesses = excess_identities(aligned, *median)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.maximum(np.abs(differences - excesses), -excesses) / (objectives + lam)
     gaps[differences == excesses] = 0.0
     gaps = np.nan_to_num(gaps, nan=math.inf)

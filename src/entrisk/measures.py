@@ -279,12 +279,14 @@ PHI_SERIES_MAX = 0.1
 _PHI_SERIES = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
 
 
-def kl_log_ratios(weights: Sequence[np.ndarray], log_ratios: np.ndarray) -> list[float]:
-    """D(P || B) of each row of log-ratios x = log(p/b), from the weights of B.
+def kl_log_ratios(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], log_ratios: np.ndarray
+) -> list[float]:
+    """D(P || B) of each row of log-ratios x = log(p/b), from the weights of P and B.
 
     ``log_ratios`` is a (k, m) block, one pair of measures per row, and
-    ``weights`` holds the k aligned (m,) weight rows of the B's. With both
-    measures of mass 1, D(P || B) = sum of b * phi(x), where
+    ``pairs`` holds the k aligned (m,) weight rows ``(p, b)`` of P and B.
+    With both measures of mass 1, D(P || B) = sum of b * phi(x), where
     phi(x) = x e^x - expm1(x) = (p/b) log(p/b) - (p/b - 1) >= 0. Every term
     is nonnegative, none divides weights and no logarithm is taken, so the
     sum keeps its relative accuracy where P and B nearly agree and the plain
@@ -293,20 +295,37 @@ def kl_log_ratios(weights: Sequence[np.ndarray], log_ratios: np.ndarray) -> list
     plain sum is off by 1e-2 at lam = 1e7. An atom where P's weight
     underflows (a large negative x) adds its weight b, as phi tends to 1.
     phi is formed for the whole block in one pass; then each row takes one
-    exact sum, clamped at 0 as :func:`kl_rows` clamps.
+    exact sum, clamped at 0 as :func:`kl_rows` clamps; a nan stays nan.
+
+    A row whose sum is not finite, or whose b has a zero, is summed again
+    with each term that is not finite, or whose b is 0, in log form
+    b * phi(x) = p * x - p + b, with p * x = 0 where p = 0. That is where
+    x e^x overflows (from x of about 709), where x = -inf (an atom whose
+    L/lam overflowed, so p = 0 and the term is b), and where b underflowed
+    to 0 next to a p > 0.
     """
     x = log_ratios
-    phi = x * np.exp(x) - np.expm1(x)
-    small = np.abs(x) < PHI_SERIES_MAX
-    if small.any():
-        xs = x[small]
-        series = xs * _PHI_SERIES[0] + _PHI_SERIES[1]
-        for c in _PHI_SERIES[2:]:
-            series *= xs
-            series += c
-        phi[small] = series * xs * xs
-    totals = [exact_sum(b * row) for b, row in zip(weights, phi)]
-    return [total if total > 0.0 else 0.0 for total in totals]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = x * np.exp(x) - np.expm1(x)
+        small = np.abs(x) < PHI_SERIES_MAX
+        if small.any():
+            xs = x[small]
+            series = xs * _PHI_SERIES[0] + _PHI_SERIES[1]
+            for c in _PHI_SERIES[2:]:
+                series *= xs
+                series += c
+            phi[small] = series * xs * xs
+        totals = []
+        for (p, b), phi_row, x_row in zip(pairs, phi, x):
+            terms = b * phi_row
+            total = exact_sum(terms)
+            if not (math.isfinite(total) and b.all()):
+                at = ~np.isfinite(terms) | (b == 0.0)
+                p_at = p[at]
+                terms[at] = np.where(p_at > 0.0, p_at * x_row[at], 0.0) - p_at + b[at]
+                total = exact_sum(terms)
+            totals.append(0.0 if total <= 0.0 else total)
+    return totals
 
 
 def _equal_row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

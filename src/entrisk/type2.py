@@ -262,13 +262,21 @@ def log_ratios_q_p2(sol: TypeIISolution, aligned: AlignedRisks, out: np.ndarray)
     u = lam - pole_gap. Where |d| < 1/2 the log-ratio is log1p(d), free of
     the cancellation that forming the ratio first would cost; elsewhere it
     is the log of the ratio, which keeps its relative accuracy where p2
-    dwarfs q and d nears -1. D(Q || P2) weighs these by P2's unnormalized
-    weights, the solve's ``terms`` (:func:`entrisk.measures.kl_log_ratios`).
+    dwarfs q and d nears -1. Where some gap over lam may overflow (the
+    largest gap, ``spread + pole_gap``, exceeds lam * 2**1023) it is
+    log(gaps) - log(lam) instead, as :func:`entrisk.measures.kl_rows` takes
+    it. D(Q || P2) weighs these by P2's unnormalized weights, the solve's
+    ``terms`` (:func:`entrisk.measures.kl_log_ratios`).
     """
     lam = sol.lam
-    d = (aligned.shifted - (lam - sol.pole_gap)) / lam
-    x = np.divide(sol.gaps, lam, out=out)
-    np.log(x, out=x)
+    with np.errstate(over="ignore"):  # a d that overflows is not read
+        d = (aligned.shifted - (lam - sol.pole_gap)) / lam
+    if aligned.spread + sol.pole_gap > lam * 2.0**1023:
+        x = np.log(sol.gaps, out=out)
+        x -= math.log(lam)
+    else:
+        x = np.divide(sol.gaps, lam, out=out)
+        np.log(x, out=x)
     np.log1p(d, out=x, where=np.abs(d) < 0.5)
     return x
 

@@ -112,6 +112,17 @@ class TestVerify:
             "FAIL type2_optimality_fuzz (BracketFailure)",
         ]
 
+    def test_objective_that_overflows_past_lambda_prints_no_warning(self, tmp_path, capsys):
+        # At lam = 1.7e308 the median factor's F(P) + lam overflows; its gaps are 0.
+        cfg = write_config(tmp_path, loss="absolute", grid_min=[-0.0], grid_max=[3.0],
+                           grid_resolution=[2], true_model=[1.7e308], noise=1e300, n=2,
+                           data_seed=1, lambda_min=1e-300, lambda_max=1.7e308, lambda_count=2)
+        assert cli_main(["verify", "--config", str(cfg)]) == 2  # all_rows_ok fails
+        out, err = capsys.readouterr()
+        assert "pass type1_optimality_fuzz (worst=0)" in out
+        assert "pass type2_optimality_fuzz (worst=0)" in out
+        assert err == ""
+
     def test_mid_size_golden_stdout(self, tmp_path, capsys):
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
         cfg = tmp_path / "grid10_restricted_config.json"
@@ -437,6 +448,11 @@ class TestConfigBoundary:
             ("noise", {"predictor": "linear_threshold_classifier", "loss": "zero_one",
                        "noise": 5.0}),
             ("seed", {"seed": -1}),
+            # A key of another reference or dataset kind is read all the same.
+            ("reference_scale", {"reference_scale": -5}),
+            ("csv_path", {"csv_path": 7}),
+            ("reference_box_min", {"reference_box_min": "x"}),
+            ("true_model", {"dataset": "csv", "csv_path": "data.csv", "true_model": [0.5, 1.0]}),
         ],
     )
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, field, overrides):

@@ -1101,6 +1101,28 @@ class TestSweepDivergences:
             assert record.kl_p_q_type1 == pytest.approx(kl_divergence(p1, q), rel=1e-12)
             assert record.kl_q_p_type2 == pytest.approx(kl_divergence(q, p2), rel=1e-12)
 
+    def test_kl_columns_where_risks_overflow_the_ratios(self):
+        # The grid's risks reach 4e306. At lam = 1e-3 three atoms' L/lam
+        # overflow, so their Type-1 log-ratios are -inf, and gaps/lam
+        # overflows; up to lam = 0.5, x e^x overflows in phi. The Type-2
+        # values are D(Q || P2) in 50-digit decimals from the solves' gaps.
+        cfg = ExperimentConfig.from_dict({
+            "predictor": "linear_regression", "loss": "absolute", "intercept": True,
+            "grid_min": [1e-300, -1e300], "grid_max": [1.7e308, 3.0], "grid_resolution": [2, 3],
+            "reference": "uniform", "dataset": "synthetic", "true_model": [1e-320, -1.0],
+            "noise": 0.0, "n": 1, "data_seed": 1,
+            "lambda_min": 0.001, "lambda_max": 0.5, "lambda_count": 3,
+        })
+        _, _, aligned = generate_instance(cfg)
+        records, _ = sweep_records(aligned, cfg.lambdas)
+        expected = [588.59190048680684469, 586.00248044579759837, 583.41306040478835174]
+        assert [r.status for r in records] == ["ok"] * 3
+        for record, kl_q_p2 in zip(records, expected):
+            assert record.kl_p_q_type1 == pytest.approx(math.log(6.0), rel=2e-15)
+            assert record.kl_q_p_type2 == pytest.approx(kl_q_p2, rel=1e-13)
+        collapse = invariant_checks(records, aligned.delta_star)[-1]
+        assert collapse.name == "support_collapse" and collapse.holds
+
     def test_sweep_does_not_take_the_per_atom_log_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the sweep called kl_rows")
@@ -1170,8 +1192,8 @@ def reference_records(q, profile, lambdas) -> list[SweepRecord]:
         d = (shifted - (lam - sol2.pole_gap)) / lam
         log_q_p2 = np.log(gaps / lam)
         np.log1p(d, out=log_q_p2, where=np.abs(d) < 0.5)
-        kl1, = measures.kl_log_ratios([q.weights], log_p1_q[None])
-        kl2, = measures.kl_log_ratios([q.weights * lam / gaps], log_q_p2[None])
+        kl1, = measures.kl_log_ratios([(sol1.weights, q.weights)], log_p1_q[None])
+        kl2, = measures.kl_log_ratios([(q.weights, q.weights * lam / gaps)], log_q_p2[None])
         records.append(SweepRecord(
             lam=lam,
             k_type1=sol1.log_partition_at_minus_inv_lambda,

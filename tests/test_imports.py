@@ -1,9 +1,12 @@
-"""Every name that a package module, a script or a test module imports is read by that module.
+"""Every name that a module imports is read by it, and every private name the package defines is read.
 
 No linter is a dependency, so this stands in for the unused-import check:
-a name bound by ``import`` or ``from ... import`` must be read somewhere in
-its module. Names listed in ``__all__`` count as read, and
-``from __future__ import ...`` is exempt.
+a name bound by ``import`` or ``from ... import`` in a package module, a
+script or a test module must be read somewhere in its module. Names listed
+in ``__all__`` count as read, and ``from __future__ import ...`` is exempt.
+It also stands in for the unused-name check: a module-level ``_name`` of
+the package (a function, class or assignment) must be read somewhere in
+the package, so a dead helper cannot stay.
 """
 
 from __future__ import annotations
@@ -54,3 +57,47 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_names(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
+    """Each module-level ``_name`` of ``sources`` (module to text) with its module, and every name read."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((name, module) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return defined, read
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    defined, read = private_names(sources)
+    return [f"{module}.{name}" for name, module in defined.items() if name not in read]
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_A, _B = 1, 2\ndef _helper():\n    return _LIMIT\nclass _Dead:\n    pass\n",
+        "b": "from .a import _helper\nx = _helper() + a._A\n",
+    }
+    assert unused_private_names(sources) == ["a._B", "a._Dead"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("src/entrisk/*.py"))}
+    assert len(private_names(sources)[0]) > 40
+    assert unused_private_names(sources) == []

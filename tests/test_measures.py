@@ -26,6 +26,7 @@ from entrisk.measures import (
     exact_row_sums,
     exact_sum,
     kl_divergence,
+    kl_log_ratios,
     kl_rows,
     make_measure,
     measure_on,
@@ -674,3 +675,21 @@ class TestRowCores:
         assert 220.0 < expected < 230.0
         assert kl_rows(q, np.stack([q, p])).tolist() == [0.0, expected]
         assert kl_rows(q[None], p).tolist() == [expected]
+
+    def test_kl_log_ratios_takes_what_phi_cannot_form_in_log_form(self):
+        # Row 0: P's weight is 0 at two atoms whose x = -inf (L/lam overflowed),
+        # and each adds its b. Row 1: x e^x overflows at atom 1, and b
+        # underflowed to 0 next to p = 0.25 at atom 2; each of those terms
+        # is p * x - p + b. Row 2: a nan stays nan, never a 0.
+        x1 = math.log(0.25 / 1e-310)
+        pairs = [(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.25, 0.25])),
+                 (np.array([0.5, 0.25, 0.25]), np.array([0.5, 1e-310, 0.0])),
+                 (np.array([0.5, 0.25, 0.25]), np.array([0.5, 0.25, 0.25]))]
+        log_ratios = np.array([[math.log(2.0), -math.inf, -math.inf],
+                               [0.0, x1, 760.0],
+                               [0.0, math.nan, 0.0]])
+        assert x1 > 710.0  # past the overflow of x e^x
+        kl = kl_log_ratios(pairs, log_ratios)
+        assert kl[0] == pytest.approx(math.log(2.0), rel=1e-15)
+        assert kl[1] == math.fsum([0.25 * x1 - 0.25 + 1e-310, 0.25 * 760.0 - 0.25])
+        assert math.isnan(kl[2])

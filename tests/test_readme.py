@@ -62,6 +62,16 @@ def test_invariant_table_lists_every_check_with_its_threshold():
     assert table == expected
 
 
+#: The first cell of a row of the README's config schema table.
+SCHEMA_KEYS = re.compile(r"^\| (`[^|]+`) \| ", re.MULTILINE)
+
+
+def test_config_schema_names_every_key_once():
+    schema = section("Command line").split("\n### Config schema\n", 1)[1].split("\n### ", 1)[0]
+    names = [name for cell in SCHEMA_KEYS.findall(schema) for name in re.findall(r"`(\w+)`", cell)]
+    assert sorted(names) == sorted(experiment._KNOWN_KEYS)
+
+
 #: A backticked ``module.name`` of the package, as the README cites it.
 README_CITE = re.compile(r"`(%s)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)" % "|".join(MODULES))
 
