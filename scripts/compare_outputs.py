@@ -13,7 +13,8 @@ temporary directory of its own, so neither checkout is written to:
 * ``scripts/demo_sweep.py`` and ``scripts/misspecified_reference.py``, each
   checkout's own;
 * the configs of ``perfbench/workloads.json`` at seeds 1001, 7 and 4242:
-  ``sweep`` and ``verify``.
+  ``sweep`` and ``verify``, and on the workloads of :data:`SOLVE_WORKLOADS`
+  also ``solve`` in both directions at ``lambda_min``.
 
 The fixtures and the workloads are read, never written, from CHANGE_SRC, so
 both checkouts get the same inputs. A run's outputs are its exit code,
@@ -43,6 +44,11 @@ from pathlib import Path
 SEEDS = (1001, 7, 4242)
 SCRIPTS = ("demo_sweep", "misspecified_reference")
 
+#: Workloads whose ``solve`` runs are compared too: zero-one risks tie there,
+#: so ``sweep`` and ``verify`` solve on the risk histogram while ``solve``
+#: stays per atom.
+SOLVE_WORKLOADS = ("verify-misspecified",)
+
 
 def run_list(change: Path) -> list[tuple[str, dict | None, list[str]]]:
     """(name, config or None for a script, command arguments) of every run."""
@@ -52,10 +58,7 @@ def run_list(change: Path) -> list[tuple[str, dict | None, list[str]]]:
         if "csv_path" in raw:
             raw["csv_path"] = str(path.parent / raw["csv_path"])
         name = path.name.removesuffix("_config.json")
-        lam = repr(float(raw["lambda_min"]))
-        for label, command in (("sweep", ["sweep"]), ("verify", ["verify"]),
-                               ("solve1", ["solve", "--lambda", lam, "--type", "1"]),
-                               ("solve2", ["solve", "--lambda", lam, "--type", "2"])):
+        for label, command in _commands(raw, solve=True):
             runs.append((f"fixture/{name}/{label}", raw, command))
     for script in SCRIPTS:
         runs.append((f"script/{script}", None, [script]))
@@ -63,9 +66,18 @@ def run_list(change: Path) -> list[tuple[str, dict | None, list[str]]]:
     for workload, entry in spec["workloads"].items():
         for seed in SEEDS:
             raw = dict(entry["config"], **{key: seed for key in spec["seed_fields"]})
-            for command in ("sweep", "verify"):
-                runs.append((f"workload/{workload}/{seed}/{command}", raw, [command]))
+            for label, command in _commands(raw, solve=workload in SOLVE_WORKLOADS):
+                runs.append((f"workload/{workload}/{seed}/{label}", raw, command))
     return runs
+
+
+def _commands(raw: dict, solve: bool) -> list[tuple[str, list[str]]]:
+    """(label, command arguments): ``sweep``, ``verify`` and, with ``solve``, both directions."""
+    lam = repr(float(raw["lambda_min"]))
+    commands = [("sweep", ["sweep"]), ("verify", ["verify"])]
+    if solve:
+        commands += [(f"solve{t}", ["solve", "--lambda", lam, "--type", t]) for t in "12"]
+    return commands
 
 
 def execute(tree: Path, config: dict | None, command: list[str]) -> dict[str, bytes]:

@@ -51,6 +51,7 @@ from .risk import (
     aligned_risks,
     empirical_risk,
     expected_risk,
+    risk_histogram,
     risk_profile,
 )
 from .type1 import (
@@ -111,6 +112,7 @@ __all__ = [
     "log_risk_profile",
     "make_measure",
     "measure_on",
+    "risk_histogram",
     "risk_profile",
     "solve_k_bar",
     "solve_type1",

@@ -61,6 +61,7 @@ from .risk import (
     LossSpec,
     PredictorSpec,
     aligned_risks,
+    risk_histogram,
     risk_profile,
 )
 from .type1 import GibbsSolution, log_ratios_p1_q, solve_type1
@@ -455,10 +456,21 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
     return SweepRecord(**{**blank, "lam": lam, "status": status})
 
 
+def sweep_record(cfg: ExperimentConfig, aligned: AlignedRisks) -> AlignedRisks:
+    """The record a sweep and its checks solve on: ``aligned``, binned by risk where ties are certain.
+
+    Zero-one risks are mismatch counts over n, so they take at most n + 1
+    values: there the record is :func:`entrisk.risk.risk_histogram`'s, one
+    row per distinct risk. Any other loss gives ``aligned`` itself, with no
+    search for ties, whose cost buys nothing where every risk is distinct.
+    """
+    return risk_histogram(aligned) if cfg.loss == "zero_one" else aligned
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
-    """Build the configured instance and sweep its factor grid."""
+    """Build the configured instance and sweep its factor grid, as the ``sweep`` command does."""
     _, _, aligned = generate_instance(cfg)
-    return sweep_records(aligned, cfg.lambdas)[0]
+    return sweep_records(sweep_record(cfg, aligned), cfg.lambdas)[0]
 
 
 #: A sweep's median factor for verify: both solutions, or a failed solve's error class name.
@@ -489,6 +501,9 @@ def sweep_records(
                 median = sol1, sol2
             risk1, risk2 = (exact_sum(sol.weights * risks) for sol in (sol1, sol2))
             _, gap = verify_theorem2(aligned, sol2)
+            margin = lam + sol2.delta_star - risk2
+            if not math.isfinite(margin):  # lam + delta_star overflowed
+                margin = (lam - risk2) + sol2.delta_star
             log_ratios = np.empty((2, risks.shape[0]))
             log_ratios_p1_q(sol1, log_ratios[0])
             log_ratios_q_p2(sol2, aligned, log_ratios[1])
@@ -501,7 +516,7 @@ def sweep_records(
                     risk_type1=risk1,
                     risk_type2=risk2,
                     identity_gap=abs(risk2 - (lam - sol2.k_bar)),
-                    bound_margin=lam + sol2.delta_star - risk2,
+                    bound_margin=margin,
                     kl_p_q_type1=kl1,
                     kl_q_p_type2=kl2,
                     theorem2_gap=gap,
@@ -801,9 +816,11 @@ def optimality_checks(aligned: AlignedRisks, median: MedianSolutions) -> list[In
     every gap is at most :data:`EXCESS_GAP_MAX`. A failed solve fails both
     rows with the error's class name.
 
-    The check runs at one factor: it costs about 0.45 ms per factor at 900
-    atoms, 0.13 ms of it in :func:`entrisk.measures.kl_rows` (2 vCPUs, best
-    of 7 x 200 calls), and the sweep's ``residual`` and ``identity_gap``
+    The check runs at one factor: on the 70 bins of the
+    ``verify-misspecified`` benchmark workload (seed 1001) it costs about
+    0.27 ms per factor, 0.09 ms of it in :func:`entrisk.measures.kl_rows`,
+    against 0.34 ms on its 900 atoms (2 vCPUs, one BLAS thread, best of
+    30 x 100 calls), and the sweep's ``residual`` and ``identity_gap``
     already bound the Type-2 identity for any P at every factor. The rows
     keep the names ``perfbench/check.py`` requires.
     """

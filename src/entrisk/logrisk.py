@@ -78,6 +78,11 @@ def verify_theorem2(aligned: AlignedRisks, sol: TypeIISolution) -> tuple[np.ndar
     on this same instance: a row carries no atoms, so one solved on another
     reference with as many atoms is compared entry by entry without error.
     Only a row of another length raises SupportMismatch.
+
+    On a record binned by risk (:func:`entrisk.risk.risk_histogram`) both
+    rows are constant multiples of q on each bin, so atom i of bin b has the
+    gap q_i * |P_b - T_b| / Q_b: the maximum is taken over
+    |P_b - T_b| * ``atom_share``, the gap of each bin's largest atom.
     """
     if sol.weights.shape != aligned.q_weights.shape:
         raise SupportMismatch(
@@ -89,4 +94,7 @@ def verify_theorem2(aligned: AlignedRisks, sol: TypeIISolution) -> tuple[np.ndar
         raise InvariantViolation(
             f"lam * sum q*exp(-V) = exp({log_total}) deviates from 1 beyond {NORMALIZATION_TOL}"
         )
-    return tilted, float(np.maximum.reduce(np.abs(sol.weights - tilted)))
+    gaps = np.abs(sol.weights - tilted)
+    if aligned.atom_share is not None:  # on bins: each bin's largest atom's gap
+        gaps *= aligned.atom_share
+    return tilted, float(np.maximum.reduce(gaps))

@@ -123,6 +123,22 @@ class TestVerify:
         assert "pass type2_optimality_fuzz (worst=0)" in out
         assert err == ""
 
+    def test_bound_margin_stays_finite_where_lam_plus_delta_star_overflows(self, tmp_path, capsys):
+        # At lam = 1.7e308 the risks are about 7.9e307, so lam + delta_star
+        # overflows while the margin lam + delta_star - R(P2) is finite.
+        cfg = write_config(tmp_path, loss="absolute", grid_min=[-0.0], grid_max=[3.0],
+                           grid_resolution=[2], true_model=[1.7e308], noise=1e300, n=2,
+                           data_seed=1, lambda_min=1e-300, lambda_max=1.7e308, lambda_count=2)
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2  # the first row fails
+        row = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
+        lam, risk2, margin, status = float(row[0]), float(row[4]), float(row[6]), row[-1]
+        _, _, aligned = experiment.generate_instance(ExperimentConfig.from_json_file(cfg))
+        assert status == "ok" and lam + aligned.delta_star == float("inf")
+        assert margin == (lam - risk2) + aligned.delta_star == 1.7e308
+        capsys.readouterr()
+        assert cli_main(["verify", "--config", str(cfg)]) == 2
+        assert "pass bound_margin_positive (min=1.7e+308)" in capsys.readouterr().out.splitlines()
+
     def test_mid_size_golden_stdout(self, tmp_path, capsys):
         shutil.copy(FIXTURES / "grid10_restricted_config.json", tmp_path)
         cfg = tmp_path / "grid10_restricted_config.json"
@@ -708,13 +724,14 @@ class TestBenchmarkOutputs:
     the instance's ``<f8`` bytes (README, "JSON summary"); the CSV, verify
     and ``solve`` pins did not move when it replaced the text digest. The
     verify pin moved when its two optimality lines became the excess
-    identities and began printing their worst gap.
+    identities and began printing their worst gap, and again when verify
+    began to solve zero-one instances on the risk histogram.
     """
 
     @pytest.mark.parametrize("name, sha256", [
         ("sweep-path", "7c8b9d35767c3a3ce20356e7335ccf2d678d8c3771f5b31ec3491057ec06283d"),
         ("sweep-wide", "5f38a9e75fc25220ec37909d4528beca6a18665d88398c9afeae86f1f9c4e04e"),
-        ("verify-misspecified", "a0d376a2ac4f8c47f4b3296f2c5be855a05e1e333c0ae212dbd9ca892dca76e7"),
+        ("verify-misspecified", "c6f52bd06afa8b3c58c33f78d03ce7718b3d2d9e58dec1e3b1226967ac926cfa"),
     ])
     def test_output_bytes(self, name, sha256, tmp_path, capsys):
         config, stdout = run_benchmark_workload(name, tmp_path, capsys)

@@ -27,9 +27,13 @@ def compare(parent: Path, change: Path, capsys) -> tuple[bool, list[str]]:
 
 def test_run_list_covers_fixtures_scripts_and_workloads():
     names = [name for name, _, _ in load().run_list(ROOT)]
-    assert len(names) == len(set(names)) == 3 * 4 + 2 + 4 * 3 * 2
+    assert len(names) == len(set(names)) == 3 * 4 + 2 + 4 * 3 * 2 + 3 * 2
     assert RUN in names and "script/demo_sweep" in names
     assert "workload/verify-misspecified/4242/verify" in names
+    # solve on the workload whose risks tie, per atom while verify bins them.
+    solves = [name for name in names if name.startswith("workload/") and "/solve" in name]
+    assert solves == [f"workload/verify-misspecified/{seed}/solve{t}"
+                      for seed in (1001, 7, 4242) for t in "12"]
 
 
 def test_tree_against_itself_is_identical(capsys):
