@@ -26,13 +26,13 @@ from typing import Sequence
 from .errors import ConfigError, EntriskError
 from .experiment import (
     ExperimentConfig,
+    binned_if_tied,
     emit_csv,
     emit_summary_json,
     generate_instance,
     grid_argmin_outside_support,
     invariant_checks,
     optimality_checks,
-    sweep_record,
     sweep_records,
     sweep_summary,
 )
@@ -152,7 +152,7 @@ def _cmd_sweep(cfg: ExperimentConfig, config: str) -> int:
     # supp(Q) too, so a risk that overflows fails validation there, before
     # anything is solved or written.
     q, data, aligned = generate_instance(cfg)
-    aligned = sweep_record(cfg, aligned)
+    aligned = binned_if_tied(cfg, aligned)
     records, _ = sweep_records(aligned, cfg.lambdas)
     summary = sweep_summary(cfg, records, q, data, aligned)
     emit_csv(records, cfg.base_dir / cfg.output_csv)
@@ -190,7 +190,7 @@ def _cmd_solve(cfg: ExperimentConfig, lam: float, direction: str) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
     _, _, aligned = generate_instance(cfg)
-    aligned = sweep_record(cfg, aligned)
+    aligned = binned_if_tied(cfg, aligned)
     records, median = sweep_records(aligned, cfg.lambdas)
     checks = invariant_checks(records, aligned.delta_star) + optimality_checks(aligned, median)
     print(f"info grid_argmin_outside_support: {grid_argmin_outside_support(aligned)}")

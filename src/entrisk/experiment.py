@@ -456,7 +456,7 @@ def _failed_record(lam: float, status: str) -> SweepRecord:
     return SweepRecord(**{**blank, "lam": lam, "status": status})
 
 
-def sweep_record(cfg: ExperimentConfig, aligned: AlignedRisks) -> AlignedRisks:
+def binned_if_tied(cfg: ExperimentConfig, aligned: AlignedRisks) -> AlignedRisks:
     """The record a sweep and its checks solve on: ``aligned``, binned by risk where ties are certain.
 
     Zero-one risks are mismatch counts over n, so they take at most n + 1
@@ -470,7 +470,7 @@ def sweep_record(cfg: ExperimentConfig, aligned: AlignedRisks) -> AlignedRisks:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Build the configured instance and sweep its factor grid, as the ``sweep`` command does."""
     _, _, aligned = generate_instance(cfg)
-    return sweep_records(sweep_record(cfg, aligned), cfg.lambdas)[0]
+    return sweep_records(binned_if_tied(cfg, aligned), cfg.lambdas)[0]
 
 
 #: A sweep's median factor for verify: both solutions, or a failed solve's error class name.

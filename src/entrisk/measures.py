@@ -8,10 +8,9 @@ the reference's (:func:`normalized`), with a 0 for an atom without mass.
 * :class:`GridAtoms`, the base of :class:`DiscreteMeasure` and of risk
   profiles, with :func:`as_grid`, :func:`measure_on`, :func:`make_measure`
   and :func:`positions`: objects on one shared grid line up by index.
-* :func:`exact_sum`, :func:`exact_row_sums` and :func:`exact_run_sums`:
-  every exact sum of the package, with ``math.fsum``'s bits, through the
-  certificate of :func:`certified_row_sums`, :func:`split_nonnegative` and
-  :func:`certify_sums`.
+* :func:`exact_sum` and :func:`exact_row_sums`: every exact sum of the
+  package, with ``math.fsum``'s bits, through the certificate of
+  :func:`certified_row_sums`, :func:`split_nonnegative` and :func:`certify_sums`.
 * :func:`mean_rows`, :func:`kl_rows` and :func:`kl_log_ratios`: means and
   divergences of weight rows; :func:`kl_divergence` and
   :func:`total_variation` of two measures.
@@ -227,37 +226,6 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     if not certified.all():
         for i in np.flatnonzero(~certified).tolist():
             sums[i] = math.fsum(rows[i].tolist())
-    return sums
-
-
-def exact_run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each run ``x[starts[k]:starts[k + 1]]`` of a nonnegative 1-D array, bit for bit.
-
-    ``starts`` holds the first index of each run, ascending from 0, and the
-    last run ends with ``x``. The whole array is split at one ``sigma``, the
-    power of two at or above ``2 m max(x)`` for its m entries, as
-    :func:`split_nonnegative` splits a block: that ``sigma`` is at least
-    ``2 n max`` for every run of n entries, so :func:`_split_sums`' bounds
-    hold run by run, in any order of the additions. Each run's highs and
-    lows are summed by ``np.add.reduceat`` and certified
-    (:func:`certify_sums`) with the bound ``4 n^2 u^2 sigma`` of its own n
-    terms. A run the certificate rejects, and every run where the scale
-    guard of :func:`split_nonnegative` fails, is summed by ``math.fsum``.
-    """
-    m, runs = x.shape[0], starts.shape[0]
-    counts = np.diff(starts, append=m)
-    span = 2.0 * m * float(np.maximum.reduce(x))
-    scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < 2.0**1023 else 0.0
-    if span == 0.0 or scale >= _TINY_SCALE:
-        high = x + scale
-        high -= scale
-        r = np.add.reduceat(high, starts)
-        t = np.add.reduceat(np.subtract(x, high, out=high), starts)
-        sums, certified = certify_sums(r, t, (scale * 4.0 * _UNIT_ROUNDOFF**2) * counts**2)
-    else:
-        sums, certified = np.empty(runs), np.zeros(runs, dtype=bool)
-    for k in np.flatnonzero(~certified).tolist():
-        sums[k] = math.fsum(x[starts[k]:starts[k] + counts[k]].tolist())
     return sums
 
 

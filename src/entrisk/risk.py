@@ -34,7 +34,6 @@ from .measures import (
     GridAtoms,
     as_grid,
     certify_sums,
-    exact_run_sums,
     exact_sum,
     mean_rows,
     positions,
@@ -344,14 +343,14 @@ def risk_histogram(aligned: AlignedRisks) -> AlignedRisks:
     """The record ``aligned`` binned by risk: one row per distinct risk, the pushforward of Q under L.
 
     The rows are the distinct risks, ascending, each weighted by the exact
-    sum of its atoms' weights (``math.fsum``'s bits, by
-    :func:`entrisk.measures.exact_run_sums`); ``atom_share`` holds each
-    bin's largest atom weight over that sum, and ``outside`` is kept. The
-    Type-1 density exp(-L/lam)/Z and the Type-2 density lam/(k_bar + L) are
-    constant on a bin, so the solutions' normalizers, both risks, both
-    divergences and every objective take the same values on the bins as on
-    the atoms, up to the rounding of sums taken in another grouping. Risks
-    tie only where they are equal as doubles (``0.0`` with ``-0.0``).
+    sum of its atoms' weights (``math.fsum``, bin by bin); ``atom_share``
+    holds each bin's largest atom weight over that sum, and ``outside`` is
+    kept. The Type-1 density exp(-L/lam)/Z and the Type-2 density
+    lam/(k_bar + L) are constant on a bin, so the solutions' normalizers,
+    both risks, both divergences and every objective take the same values on
+    the bins as on the atoms, up to the rounding of sums taken in another
+    grouping. Risks tie only where they are equal as doubles (``0.0`` with
+    ``-0.0``).
     """
     # By risk, then by weight, so a bin's last atom is its largest. The risk
     # path already runs np.lexsort (_distinct); np.argsort, default or
@@ -361,8 +360,10 @@ def risk_histogram(aligned: AlignedRisks) -> AlignedRisks:
     ranked = aligned.risks[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     weights = aligned.q_weights[order]
-    masses = exact_run_sums(weights, starts)
-    share = weights[np.append(starts[1:], weights.shape[0]) - 1] / masses
+    ends = np.append(starts[1:], weights.shape[0])
+    listed = weights.tolist()
+    masses = np.array([math.fsum(listed[a:b]) for a, b in zip(starts.tolist(), ends.tolist())])
+    share = weights[ends - 1] / masses
     risks = ranked[starts]
     masses.flags.writeable = share.flags.writeable = risks.flags.writeable = False
     return _record(masses, risks, aligned.outside, share)

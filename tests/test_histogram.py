@@ -18,7 +18,7 @@ import pytest
 from entrisk import cli
 from entrisk.experiment import sweep_records
 from entrisk.logrisk import verify_theorem2
-from entrisk.measures import exact_run_sums, make_measure
+from entrisk.measures import make_measure
 from entrisk.risk import AlignedRisks, EmpiricalRiskProfile, aligned_risks, risk_histogram
 from entrisk.type2 import solve_type2
 
@@ -59,20 +59,20 @@ def test_bins_are_the_distinct_risks_with_their_exact_mass(seed):
     assert bins.outside is atoms.outside and atoms.atom_share is None
 
 
-def test_run_sums_are_fsum_bits_and_a_rejected_run_falls_back():
-    # The run (1, 2**-53, 2**-160) sums to just above the midpoint between 1
-    # and its successor: its lows' float sum drops the 2**-160, so the
-    # certificate cannot decide it, and math.fsum rounds it up.
-    rejected = [1.0, 2.0**-53, 2.0**-160]
-    assert 1.0 + 2.0**-53 + 2.0**-160 == 1.0
-    rng = np.random.default_rng(7)
-    runs = [rejected, [0.0], [0.0, 0.0], [5e-324], [3.0]]
-    runs += [list(rng.uniform(0.0, 1.0, size=int(n)) * 10.0 ** rng.integers(-300, 300))
-             for n in rng.integers(1, 40, size=40)]
-    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-    sums = exact_run_sums(np.concatenate(runs), starts)
-    assert sums.tolist() == [math.fsum(run) for run in runs]
-    assert sums[0] == math.nextafter(1.0, 2.0)
+def test_a_bin_weight_is_rounded_once_from_the_exact_sum():
+    # The bin (0.5, 2**-54, 2**-161) sums to just above the midpoint between
+    # 0.5 and its successor: summed left to right it rounds down to 0.5,
+    # math.fsum rounds it up. The other bin makes the total exactly 1 up to
+    # 2**-161, so the measure keeps these weights as given.
+    weights = [0.5, 2.0**-54, 2.0**-161, 0.5 - 2.0**-54]
+    assert 0.5 + 2.0**-54 + 2.0**-161 == 0.5 and math.fsum(weights) == 1.0
+    coords = np.arange(4, dtype=float)[:, None]
+    atoms = aligned_risks(make_measure(coords, weights),
+                          EmpiricalRiskProfile.from_risks(coords, np.array([1.0, 1.0, 1.0, 2.0])))
+    assert atoms.q_weights.tolist() == weights
+    bins = risk_histogram(atoms)
+    assert bins.q_weights.tolist() == [math.nextafter(0.5, 1.0), 0.5 - 2.0**-54]
+    assert bins.atom_share.tolist() == [0.5 / bins.q_weights[0], 1.0]
 
 
 @pytest.mark.parametrize("seed", range(40))
